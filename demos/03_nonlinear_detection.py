@@ -19,7 +19,6 @@ from chesswit.witnesses import (
     detection_conditions,
     family_minima,
     functional,
-    functional_conical,
 )
 
 
@@ -46,12 +45,10 @@ def main():
 
     print("\nBoth polygonal families are >= 0: no linear witness in the")
     print("catalog sees this state.  The conical functional is negative:")
-    value = functional_conical(coeffs, "con:333:221:0:+")
+    value, angles = functional("con:333:221:0:+", coeffs)
     exact = 1.0 - math.sqrt(17.0) / 4.0
     print(f"  f_con(con:333:221:0:+) = {value:+.12f}")
     print(f"  closed form 1 - sqrt(17)/4 = {exact:+.12f}")
-
-    vmin, angles = functional("con:333:221:0:+", coeffs)
     print(f"  minimizing angle psi* = {angles['psi']:.6f} rad")
 
     print("\n=== One-call detection report ===")

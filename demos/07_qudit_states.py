@@ -13,7 +13,6 @@ import math
 import numpy as np
 
 from chesswit.chessboard import (
-    coeffs_22d,
     build_rho_22d,
     params_222_to_22d,
     pauli_coeffs,
@@ -62,8 +61,8 @@ def main():
     print("\n=== Consistency with the qubit route ===")
     p2 = sample_params_222(77, 0)
     p3 = params_222_to_22d(p2, gamma=1)
-    gap = max(abs(coeffs_22d(p3)[t] - v)
-              for t, v in pauli_coeffs(p2).items())
+    co3 = substituted_coeffs(build_rho_22d(p3), p3.dim, p3.alpha, p3.beta)
+    gap = max(abs(co3[t] - v) for t, v in pauli_coeffs(p2).items())
     print("embedding a qubit state at gamma=1 reproduces the qubit")
     print(f"coefficient table exactly: max gap {gap:.1e}")
 

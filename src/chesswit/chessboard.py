@@ -36,12 +36,12 @@ offending eigenvalue.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .tensorops import hermitian_eigenvalues, is_ppt, qudit_substitute
+from .tensorops import hermitian_eigenvalues
 
 __all__ = [
     "ChessParams222",
@@ -53,8 +53,6 @@ __all__ = [
     "build_rho_22d",
     "normalization",
     "pauli_coeffs",
-    "coeffs_22d",
-    "is_ppt",
     "params_222_to_22d",
     "sample_params_222",
     "sample_params_22d",
@@ -191,22 +189,6 @@ COEFF_TRIPLES: Tuple[Tuple[int, int, int], ...] = (
     (3, 0, 0), (0, 3, 0), (0, 0, 3),
     (3, 3, 0), (3, 0, 3), (0, 3, 3), (3, 3, 3),
 )
-
-
-def coeffs_22d(params: ChessParams22d) -> Dict[Tuple[int, int, int], float]:
-    """Expansion coefficients of a 2x2xd state on the params' (alpha, beta).
-
-    Each value is Tr(rho Q) for the substituted operator Q =
-    qudit_substitute(triple, dim, alpha, beta); the 15 triples match
-    :func:`pauli_coeffs`, to which this reduces for dim = 2 with
-    (alpha, beta) = (0, 1).
-    """
-    rho = build_rho_22d(params)
-    out = {}
-    for triple in COEFF_TRIPLES:
-        q = qudit_substitute(triple, params.dim, params.alpha, params.beta)
-        out[triple] = float(np.einsum("ij,ji->", rho, q).real)
-    return out
 
 
 # --- 2 x 2 x d family -------------------------------------------------------

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,6 @@ __all__ = [
     "GEOMETRIES",
     "ProductState",
     "qubit_state",
-    "product_vector",
     "sample_factors",
     "qset",
     "functional_points",
@@ -54,10 +53,14 @@ __all__ = [
     "contains",
     "feasible_region_check",
     "boundary_curve_check",
-    "min_expectation_over_products",
 ]
 
 GEOMETRIES = ("polygon", "cone", "cylinder", "sphere")
+
+# Product states drawn per RNG stream: states [k*SAMPLE_CHUNK,
+# (k+1)*SAMPLE_CHUNK) of a sample come from stream (seed, k), so a
+# sample's states do not depend on who draws them or how many at once.
+SAMPLE_CHUNK = 65536
 
 _QSET_TRIPLES = {
     "polygon": (("333",), ("111", "122"), ("212", "-221")),
@@ -103,22 +106,33 @@ class ProductState:
         return np.kron(np.kron(f1, f2), f3)
 
 
-def product_vector(state: ProductState) -> np.ndarray:
-    """Unit-norm tensor product of the state's three factors."""
-    return state.vector()
+def _factor_chunks(n: int, seed: int, d: int
+                   ) -> Iterator[Tuple[int, List[np.ndarray]]]:
+    """(offset, factors) for consecutive chunks of a sample of n states."""
+    for k, lo in enumerate(range(0, int(n), SAMPLE_CHUNK)):
+        m = min(SAMPLE_CHUNK, int(n) - lo)
+        rng = _rng_for(seed, k)
+        factors = []
+        for dim in (2, 2, int(d)):
+            block = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
+            factors.append(block)
+        yield lo, factors
 
 
 def sample_factors(n: int, seed: int = 0, d: int = 2
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n Haar-random product-state factors for dimensions (2, 2, d)."""
-    rng = _rng_for(seed, 0)
-    out = []
-    for dim in (2, 2, int(d)):
-        block = rng.normal(size=(int(n), dim)) \
-            + 1j * rng.normal(size=(int(n), dim))
-        block /= np.linalg.norm(block, axis=1, keepdims=True)
-        out.append(block)
-    return tuple(out)  # type: ignore[return-value]
+    """n Haar-random product-state factors for dimensions (2, 2, d).
+
+    These are the states that ``feasible_region_check`` checks for the
+    same ``(n, seed, d)``.
+    """
+    out = tuple(np.empty((int(n), dim), dtype=np.complex128)
+                for dim in (2, 2, int(d)))
+    for lo, factors in _factor_chunks(n, seed, d):
+        for block, part in zip(out, factors):
+            block[lo:lo + part.shape[0]] = part
+    return out  # type: ignore[return-value]
 
 
 def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
@@ -211,33 +225,22 @@ def feasible_region_check(
     alpha: int = 0,
     beta: int = 1,
     tol: float = 1e-9,
-    chunk: int = 65536,
 ) -> Dict[str, object]:
     """Sample product states and certify region containment.
 
-    Returns the violation count and the largest observed boundary
-    excess (negative when every point is strictly inside).
+    The states are those of :func:`sample_factors`, drawn and checked
+    one ``SAMPLE_CHUNK`` at a time. Returns the violation count and the
+    largest observed boundary excess (negative when every point is
+    strictly inside).
     """
     qs = qset(geometry, d=d, alpha=alpha, beta=beta)
     violations = 0
     max_excess = -math.inf
     n = int(n)
-    done = 0
-    index = 0
-    while done < n:
-        m = min(int(chunk), n - done)
-        rng = _rng_for(seed, index)
-        fs = []
-        for dim in (2, 2, int(d)):
-            block = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
-            fs.append(block)
-        pts = functional_points(qs, fs, chunk=m)
-        excess = region_excess(geometry, pts)
+    for _, factors in _factor_chunks(n, seed, d):
+        excess = region_excess(geometry, functional_points(qs, factors))
         violations += int(np.count_nonzero(excess > tol))
         max_excess = max(max_excess, float(excess.max()))
-        done += m
-        index += 1
     return {"geometry": geometry, "samples": n, "violations": violations,
             "max_excess": max_excess, "tol": tol}
 
@@ -294,9 +297,3 @@ def boundary_curve_check(geometry: str, samples: int = 1001
         residual = np.abs(np.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0)
     return {"geometry": geometry, "samples": int(pts.shape[0]),
             "max_residual": float(residual.max())}
-
-
-# Product-state minimization of a witness expectation lives with the
-# witness evaluators; re-exported here beside the other product-state
-# machinery.
-from .witnesses import min_expectation_over_products  # noqa: E402

@@ -1,13 +1,17 @@
 """Monte Carlo detection scans and deterministic curve reproduction.
 
 ``run_scan`` samples chessboard states (two-qubit-pair times qubit or
-qudit third party), verifies positivity and all partial transposes for
-every sample, evaluates the whole witness catalog through the
-closed-form family functionals, and emits one CSV row per sample. Rows
-depend only on ``(seed, index)``, so output is byte-identical for any
-worker count or chunk size. ``summarize`` turns the detection flags
-into percentages, 20-batch mean/std statistics, and joint detection
-tables for every ordered pair of family groups.
+qudit third party), checks the partial transposes of every sample,
+evaluates the whole witness catalog on it through
+:func:`chesswit.witnesses.detect`, and emits one CSV row per sample.
+Positivity of rho itself is checked numerically only for a qudit third
+party, by ``build_rho_22d``; at d = 2 it follows from the construction
+(every coupled 2x2 block has diagonal product 1) and the guard's
+proper-subset transposes do not include rho. Rows depend only on
+``(seed, index)``, so output is byte-identical for any worker count or
+chunk size. ``summarize`` turns the detection flags into percentages,
+20-batch mean/std statistics, and joint detection tables for every
+ordered pair of family groups.
 
 ``reproduce_section6`` minimizes the closed-form detection curve
 
@@ -23,15 +27,15 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .chessboard import (
     ChessParams222,
-    ChessParams22d,
     SLOT_ORDER,
     build_rho_222,
     build_rho_22d,
@@ -43,11 +47,11 @@ from .chessboard import (
 from .tensorops import is_ppt
 from .witnesses import (
     DETECT_MARGIN,
-    GROUP_MEMBERS,
     GROUP_NAMES,
     build_witness,
+    detect,
     family_minima,
-    substituted_coeffs,
+    group_minima,
 )
 
 __all__ = [
@@ -157,61 +161,23 @@ def _ppt_guard(params, rho: np.ndarray, dims: Tuple[int, ...],
     return min_eigs
 
 
-def _group_minima(families: Dict[str, Dict[str, object]]) -> List[float]:
-    return [min(families[m]["min"] for m in GROUP_MEMBERS[g])
-            for g in GROUP_NAMES]
-
-
-def _row_222(seed: int, index: int, tol: float) -> Tuple[str, List[bool],
-                                                         List[float]]:
-    params = sample_params_222(seed, index)
-    rho = build_rho_222(params)
-    _ppt_guard(params, rho, (2, 2, 2), tol)
-    fam = family_minima(pauli_coeffs(params))
-    minima = _group_minima(fam)
-    flags = [m < 0.0 for m in minima]
-    flags.append(any(flags))
-    fields = [str(index), _fmt(params.a), _fmt(params.b), _fmt(params.c),
-              _fmt(params.d)]
-    fields += [_fmt(r) for r in params.r]
-    fields += [_fmt(p) for p in params.phi]
-    fields += ["1"]
-    fields += [_fmt(m) for m in minima]
-    fields += ["1" if f else "0" for f in flags]
-    return ",".join(fields), flags, minima
-
-
-def _row_22d(seed: int, index: int, dim: int, alpha: Optional[int],
-             beta: Optional[int], gamma: Optional[int], pairs: str,
-             tol: float) -> Tuple[str, List[bool], List[float]]:
-    kwargs = {}
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    if beta is not None:
-        kwargs["beta"] = beta
-    if gamma is not None:
-        kwargs["gamma"] = gamma
-    params = sample_params_22d(seed, index, dim, **kwargs)
-    rho = build_rho_22d(params)
-    _ppt_guard(params, rho, (2, 2, dim), tol)
-    if pairs == "own":
-        pair_list = [tuple(sorted((params.alpha, params.beta)))]
+def _row(seed: int, index: int, dim: int, alpha: Optional[int],
+         beta: Optional[int], gamma: Optional[int], pairs: str,
+         tol: float) -> Tuple[str, List[bool], List[float]]:
+    params = sample_params((seed, index), dim, alpha=alpha, beta=beta,
+                           gamma=gamma)
+    if dim == 2:
+        rho = build_rho_222(params)
+        values = (params.a, params.b, params.c, params.d)
     else:
-        pair_list = [(a, b) for a in range(dim) for b in range(a + 1, dim)]
-    fam: Dict[str, Dict[str, object]] = {}
-    for a, b in pair_list:
-        co = substituted_coeffs(rho, dim, a, b)
-        for name, entry in family_minima(co).items():
-            if name not in fam or entry["min"] < fam[name]["min"]:
-                fam[name] = entry
-    minima = _group_minima(fam)
-    flags = [m < 0.0 for m in minima]
-    flags.append(any(flags))
+        rho = build_rho_22d(params)
+        values = params.diag[0] + params.diag[1]
+    _ppt_guard(params, rho, (2, 2, dim), tol)
+    report = detect(params, pairs=pairs, include_intermediates=False)
+    minima = [report.group_minima[g] for g in GROUP_NAMES]
+    flags = [m < 0.0 for m in minima] + [report.detected]
     fields = [str(index)]
-    fields += [_fmt(x) for x in params.diag[0]]
-    fields += [_fmt(x) for x in params.diag[1]]
-    fields += [_fmt(r) for r in params.r]
-    fields += [_fmt(p) for p in params.phi]
+    fields += [_fmt(x) for x in values + params.r + params.phi]
     fields += ["1"]
     fields += [_fmt(m) for m in minima]
     fields += ["1" if f else "0" for f in flags]
@@ -222,11 +188,7 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
     (seed, start, stop, dim, alpha, beta, gamma, pairs, tol) = args
     rows, flags, minima = [], [], []
     for index in range(start, stop):
-        if dim == 2:
-            row, fl, mi = _row_222(seed, index, tol)
-        else:
-            row, fl, mi = _row_22d(seed, index, dim, alpha, beta, gamma,
-                                   pairs, tol)
+        row, fl, mi = _row(seed, index, dim, alpha, beta, gamma, pairs, tol)
         rows.append(row)
         flags.append(fl)
         minima.append(mi)
@@ -285,7 +247,10 @@ def run_scan(
     rows: List[str] = []
     flags: List[List[bool]] = []
     minima: List[List[float]] = []
-    if workers == 1 or len(tasks) <= 1:
+    # the pool forks every worker up front, so never ask for more
+    # processes than there are chunks or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
         results = map(_chunk_rows, tasks)
     else:
         executor = ProcessPoolExecutor(max_workers=workers)
@@ -385,8 +350,12 @@ def golden_section_minimize(
     iters: int = 90,
 ) -> Tuple[float, float]:
     """Golden-section search for a unimodal minimum on [lo, hi]."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = float(lo), float(hi)
+    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
+        raise ValueError(
+            f"need finite bounds with lo < hi, got lo={lo!r}, hi={hi!r}"
+        )
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
@@ -428,8 +397,7 @@ def reproduce_section6() -> Dict[str, object]:
 
     def _facts(r) -> Dict[str, object]:
         params = ChessParams222(a=1, b=1, c=1, d=1, r=r, phi=(0, 0, 0, 0))
-        fam = family_minima(pauli_coeffs(params))
-        minima = dict(zip(GROUP_NAMES, _group_minima(fam)))
+        minima = group_minima(family_minima(pauli_coeffs(params)))
         # two of these fixed configurations have true minima exactly 0;
         # the margin keeps their verdicts independent of rounding noise
         return {"group_minima": minima,

@@ -58,30 +58,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chessboard import (
-    COEFF_TRIPLES as _COEFF_TRIPLES,
+    COEFF_TRIPLES,
     ChessParams222,
     ChessParams22d,
     build_rho_22d,
     pauli_coeffs,
 )
-from .tensorops import kron3, qudit_substitute
+from .tensorops import qudit_substitute
 
 __all__ = [
     "CONICAL_KP",
     "AXIS_KP",
     "KJL_UNPRIMED",
     "KJL_PRIMED",
-    "COEFF_TRIPLES",
     "DETECT_MARGIN",
     "FAMILY_NAMES",
     "GROUP_NAMES",
     "witness_ids",
-    "enumerate_witnesses",
     "parse_witness_id",
     "build_witness",
     "phase_gate_conjugate",
@@ -90,11 +88,9 @@ __all__ = [
     "expectation",
     "expectation_closed",
     "functional",
-    "functional_conical",
-    "functional_cylindrical",
-    "functional_spherical",
     "format_witness",
     "family_minima",
+    "group_minima",
     "detect",
     "DetectionReport",
     "detection_conditions",
@@ -119,11 +115,6 @@ GROUP_MEMBERS = {
 # Detection margin: family minima in [-DETECT_MARGIN, 0) are flagged
 # as marginal; strict negativity decides detection.
 DETECT_MARGIN = 1e-9
-
-# The 15 operator triples that can have nonzero coefficients on
-# chessboard states (plus the identity triple, coefficient 1);
-# re-exported from the state module, which owns the expansion.
-COEFF_TRIPLES = _COEFF_TRIPLES
 
 # Primed -> unprimed partner triples; the boolean says whether the I
 # bit flips for the conical/spherical forms (the cylindrical forms
@@ -268,29 +259,6 @@ def witness_ids(d: int = 2) -> List[str]:
         for b in range(a + 1, d):
             ids.extend(f"{s}@{a},{b}" for s in base)
     return ids
-
-
-def enumerate_witnesses(
-    d: int = 2,
-    qudit: Optional[Tuple[int, int]] = None,
-) -> List[str]:
-    """Catalog identifiers, optionally restricted to one qudit pair.
-
-    Without ``qudit``, equivalent to :func:`witness_ids`. With
-    ``qudit=(A, B)``, returns the 236 identifiers acting on the
-    span{|A>, |B>} third-party subspace (suffixed ``@A,B`` for d > 2).
-    """
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d}")
-    if qudit is None:
-        return witness_ids(d)
-    a, b = (int(qudit[0]), int(qudit[1]))
-    if not 0 <= a < b < d:
-        raise ValueError(f"need 0 <= A < B < d, got {qudit!r} at d={d}")
-    base = _base_ids()
-    if d == 2:
-        return base
-    return [f"{s}@{a},{b}" for s in base]
 
 
 def format_witness(base_id: str, angles: Dict[str, float]) -> str:
@@ -576,44 +544,6 @@ def functional(
     return _minimize_components(kind, k)
 
 
-def _functional_of_kind(
-    kind: str,
-    coeffs: Dict[Tuple[int, int, int], float],
-    witness_id: str,
-) -> float:
-    parsed = parse_witness_id(witness_id)
-    actual, _ = _unprimed_parts(parsed)
-    if actual != kind:
-        raise ValueError(
-            f"witness {witness_id!r} is not in the {kind} families"
-        )
-    return functional(witness_id, coeffs)[0]
-
-
-def functional_conical(
-    coeffs: Dict[Tuple[int, int, int], float],
-    witness_id: str,
-) -> float:
-    """Closed-form minimum over psi for a conical-family identifier."""
-    return _functional_of_kind("con", coeffs, witness_id)
-
-
-def functional_cylindrical(
-    coeffs: Dict[Tuple[int, int, int], float],
-    witness_id: str,
-) -> float:
-    """Closed-form minimum over psi for a cylindrical-family identifier."""
-    return _functional_of_kind("cyl", coeffs, witness_id)
-
-
-def functional_spherical(
-    coeffs: Dict[Tuple[int, int, int], float],
-    witness_id: str,
-) -> float:
-    """Closed-form minimum over (eta, zeta) for a spherical-family id."""
-    return _functional_of_kind("sph", coeffs, witness_id)
-
-
 def expectation(w: np.ndarray, rho: np.ndarray) -> float:
     """Tr(W rho) as a real number.
 
@@ -705,6 +635,12 @@ def family_minima(
     return out
 
 
+def group_minima(families: Dict[str, Dict[str, object]]) -> Dict[str, float]:
+    """Per group of ``GROUP_NAMES``: the least minimum of its families."""
+    return {g: min(families[m]["min"] for m in GROUP_MEMBERS[g])
+            for g in GROUP_NAMES}
+
+
 def detect(
     params,
     pairs: str = "all",
@@ -743,18 +679,15 @@ def detect(
         intermediates = {"pairs": [list(p) for p in pair_list]}
     else:
         raise TypeError(f"unsupported parameter object {type(params)!r}")
-    group_minima = {
-        g: min(families[m]["min"] for m in members)
-        for g, members in GROUP_MEMBERS.items()
-    }
-    detected = any(v < 0.0 for v in group_minima.values())
+    minima = group_minima(families)
+    detected = any(v < 0.0 for v in minima.values())
     marginal = tuple(
         name for name in FAMILY_NAMES
         if -DETECT_MARGIN <= families[name]["min"] < 0.0
     )
     return DetectionReport(
         families=families,
-        group_minima=group_minima,
+        group_minima=minima,
         detected=detected,
         marginal=marginal,
         intermediates=intermediates,

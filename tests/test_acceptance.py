@@ -53,7 +53,6 @@ from chesswit.witnesses import (
     expectation_closed,
     family_minima,
     functional,
-    functional_conical,
     min_expectation_over_products,
     witness_ids,
 )
@@ -377,7 +376,7 @@ def test_curved_functional_detects_where_linear_witnesses_fail():
     fam = family_minima(co)
     assert fam["poly1"]["min"] >= 0.0
     assert fam["poly2"]["min"] >= 0.0
-    value = functional_conical(co, "con:333:221:0:+")
+    value = functional("con:333:221:0:+", co)[0]
     assert value == pytest.approx(1.0 - math.sqrt(17.0) / 4.0, abs=1e-12)
     assert value == pytest.approx(-0.0308, abs=1e-3)
     assert value < 0.0

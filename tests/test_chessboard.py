@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from chesswit import chessboard as cb
 from chesswit import tensorops as to
+from chesswit.witnesses import substituted_coeffs
 
 
 def oracle_rho_222(a, b, c, d, r, phi):
@@ -327,7 +328,9 @@ def test_coeffs_22d_matches_qubit_route():
     for k in range(25):
         p = cb.sample_params_222(7, k)
         co222 = cb.pauli_coeffs(p)
-        co22d = cb.coeffs_22d(cb.params_222_to_22d(p, gamma=1))
+        p22d = cb.params_222_to_22d(p, gamma=1)
+        co22d = substituted_coeffs(cb.build_rho_22d(p22d), p22d.dim,
+                                   p22d.alpha, p22d.beta)
         assert set(co22d) == set(cb.COEFF_TRIPLES)
         for t, v in co22d.items():
             assert isinstance(v, float)
@@ -337,7 +340,7 @@ def test_coeffs_22d_matches_qubit_route():
 def test_coeffs_22d_trace_oracle_d3():
     p = cb.sample_params_22d(5, 0, 3)
     rho = cb.build_rho_22d(p)
-    co = cb.coeffs_22d(p)
+    co = substituted_coeffs(rho, p.dim, p.alpha, p.beta)
     a, b = p.alpha, p.beta
     e = {}
     for i in range(3):

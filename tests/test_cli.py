@@ -13,7 +13,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from chesswit.frgeom import region_excess
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -242,6 +245,18 @@ def test_fr_points_csv(tmp_path):
             "--seed", "2", "--points", str(pts_path),
             "--out", str(tmp_path / "fr2.json"))
     assert pts_path.read_text().splitlines() == lines
+
+
+def test_fr_points_are_the_checked_states(tmp_path):
+    # more states than one sampling chunk (65536): the points written are
+    # the states whose largest excess the report gives
+    pts_path = tmp_path / "points.csv"
+    report = json.loads(run_cli(
+        "fr", "--geometry", "cone", "--samples", "70000", "--seed", "7",
+        "--points", str(pts_path)).stdout)
+    pts = np.loadtxt(pts_path, delimiter=",", skiprows=1)
+    assert pts.shape == (70000, 3)
+    assert region_excess("cone", pts).max() == report["cone"]["max_excess"]
 
 
 def test_fr_points_needs_single_geometry():

@@ -16,7 +16,6 @@ from chesswit.frgeom import (
     feasible_region_check,
     functional_points,
     p_map,
-    product_vector,
     qset,
     qubit_state,
     region_excess,
@@ -258,7 +257,7 @@ def test_boundary_check_unknown_geometry():
 
 def test_product_vector_is_factor_kron():
     state = ProductState(thetas=(0.4, 1.1, 2.0), phis=(0.2, 5.1, 3.3))
-    v = product_vector(state)
+    v = state.vector()
     f1, f2, f3 = state.factors()
     want = np.kron(np.kron(f1, f2), f3)
     assert np.array_equal(v, want)

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo scan harness and the deterministic
 curve reproduction."""
 
+import hashlib
 import io
 import math
 
@@ -13,6 +14,7 @@ from chesswit.chessboard import (
     sample_params_222,
     sample_params_22d,
 )
+from chesswit import mcharness
 from chesswit.mcharness import (
     SECOND_CASE_T,
     ScanResult,
@@ -82,6 +84,48 @@ def test_run_scan_worker_and_chunk_invariance():
     write_csv(base, buf1)
     write_csv(multi, buf2)
     assert buf1.getvalue() == buf2.getvalue()
+
+
+# sha256 of the seed-0 CSV text: a change to sampling, the PPT guard,
+# catalog evaluation or row formatting that moves any byte fails here
+@pytest.mark.parametrize("kwargs,digest", [
+    (dict(n=64, dim=2),
+     "ec78092be160386ae2ddbc6917a0eb159adb164e4cb2ead3929398a8d07e1a11"),
+    (dict(n=24, dim=3, pairs="all"),
+     "06b6d881eefbd4b1fc9abf75ac8f8f389395a8aaa44938223269a879170d97fb"),
+    (dict(n=24, dim=3, pairs="own"),
+     "0040b8e2cdee6e93b6534b7c3d4f721227ef50d0abf06564b7b3a81057ff7df3"),
+])
+def test_run_scan_csv_bytes_pinned(kwargs, digest):
+    buf = io.StringIO()
+    write_csv(run_scan(seed=0, **kwargs), buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
+
+
+def test_run_scan_clamps_workers(monkeypatch):
+    created = []
+
+    class SerialPool:
+        """Records the pool size asked for and maps in this process."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(mcharness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 4)
+    base = run_scan(6, seed=1)
+    assert run_scan(6, seed=1, workers=5000, chunk=1).rows == base.rows
+    assert run_scan(6, seed=1, workers=5000, chunk=2).rows == base.rows
+    assert created == [4, 3]  # cores, then chunks
+    monkeypatch.setattr(mcharness.os, "cpu_count", lambda: None)
+    assert run_scan(6, seed=1, workers=5000, chunk=1).rows == base.rows
+    assert created == [4, 3]  # unknown core count: no pool at all
 
 
 def test_run_scan_validation():
@@ -191,6 +235,13 @@ def test_golden_section_on_parabola():
     # is flat to machine precision near the minimum; the value is tight
     assert x == pytest.approx(1.3, abs=1e-7)
     assert fx == pytest.approx(0.25, abs=1e-14)
+
+
+def test_golden_section_rejects_bad_bounds():
+    for lo, hi in ((1.0, 1.0), (2.0, 1.0), (-math.inf, 1.0),
+                   (0.0, math.inf), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            golden_section_minimize(lambda t: t * t, lo, hi)
 
 
 def test_reproduce_section6():

@@ -27,15 +27,11 @@ from chesswit.witnesses import (
     build_witness,
     detect,
     detection_conditions,
-    enumerate_witnesses,
     expectation,
     expectation_closed,
     family_minima,
     format_witness,
     functional,
-    functional_conical,
-    functional_cylindrical,
-    functional_spherical,
     min_expectation_over_products,
     parse_witness_id,
     phase_gate_conjugate,
@@ -670,31 +666,7 @@ def test_closed_expectation_property(index, psi):
                    - expectation_closed(wid, co, psi=psi)) < 1e-12
 
 
-# --- catalog enumeration and direct expectation -----------------------------
-
-
-def test_enumerate_witnesses_matches_witness_ids():
-    assert enumerate_witnesses() == witness_ids(2)
-    assert len(enumerate_witnesses()) == 236
-    assert enumerate_witnesses(3) == witness_ids(3)
-    assert len(enumerate_witnesses(3)) == 236 * 3
-
-
-def test_enumerate_witnesses_single_pair():
-    base = enumerate_witnesses(2, qudit=(0, 1))
-    assert base == enumerate_witnesses(2)
-    sub = enumerate_witnesses(3, qudit=(0, 2))
-    assert len(sub) == 236
-    assert all(s.endswith("@0,2") for s in sub)
-    assert [s.rsplit("@", 1)[0] for s in sub] == base
-
-
-def test_enumerate_witnesses_rejects_bad_input():
-    with pytest.raises(ValueError):
-        enumerate_witnesses(1)
-    for pair in ((1, 0), (0, 0), (0, 3), (-1, 1)):
-        with pytest.raises(ValueError):
-            enumerate_witnesses(3, qudit=pair)
+# --- direct expectation ------------------------------------------------------
 
 
 def test_expectation_matches_trace():
@@ -717,28 +689,3 @@ def test_expectation_rejects_bad_input():
     rho[1, 0] = 1j
     with pytest.raises(ValueError):
         expectation(upper, rho)
-
-
-def test_functional_kind_wrappers_match_generic():
-    params = sample_params_222(17, 2)
-    co = pauli_coeffs(params)
-    cases = (
-        (functional_conical, "con:333:122:0:+", "conp:303:121:1:-"),
-        (functional_cylindrical, "cyl:300:122:01", "cylp:030:112:10"),
-        (functional_spherical, "sph:003:221:1", "sphp:300:112:0"),
-    )
-    for fn, *ids in cases:
-        for wid in ids:
-            assert fn(co, wid) == functional(wid, co)[0]
-
-
-def test_functional_kind_wrappers_reject_other_families():
-    co = pauli_coeffs(sample_params_222(17, 3))
-    with pytest.raises(ValueError):
-        functional_conical(co, "cyl:300:122:01")
-    with pytest.raises(ValueError):
-        functional_cylindrical(co, "sph:300:122:0")
-    with pytest.raises(ValueError):
-        functional_spherical(co, "poly1:1101")
-    with pytest.raises(ValueError):
-        functional_conical(co, "not-an-id")
