@@ -231,12 +231,14 @@ def feasible_region_check(
     The states are those of :func:`sample_factors`, drawn and checked
     one ``SAMPLE_CHUNK`` at a time. Returns the violation count and the
     largest observed boundary excess (negative when every point is
-    strictly inside).
+    strictly inside). Raises ValueError unless ``n >= 1``.
     """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
     qs = qset(geometry, d=d, alpha=alpha, beta=beta)
     violations = 0
     max_excess = -math.inf
-    n = int(n)
     for _, factors in _factor_chunks(n, seed, d):
         excess = region_excess(geometry, functional_points(qs, factors))
         violations += int(np.count_nonzero(excess > tol))

@@ -82,7 +82,6 @@ def _fmt(x: float) -> str:
 def sample_params(
     stream,
     d: int = 2,
-    distribution: str = "default",
     *,
     alpha: Optional[int] = None,
     beta: Optional[int] = None,
@@ -93,10 +92,11 @@ def sample_params(
     ``stream`` names a per-sample RNG stream: a ``(seed, index)`` pair,
     or a bare integer seed (meaning index 0). ``d`` is the third-party
     dimension: 2 draws a ``ChessParams222``, larger values draw a
-    tied-diagonal ``ChessParams22d`` (PPT by construction). Only the
-    ``"default"`` distribution is implemented: diagonal magnitudes
-    log-uniform on [0.1, 10], couplings uniform on [0, 1], phases
-    uniform on [0, 2*pi). Identical ``(stream, d, distribution)``
+    tied-diagonal ``ChessParams22d`` (PPT by construction) whose
+    subspace levels ``alpha``/``beta`` and third level ``gamma`` may be
+    fixed; at d = 2 giving any of them raises ValueError. Diagonal
+    magnitudes are log-uniform on [0.1, 10], couplings uniform on
+    [0, 1] and phases uniform on [0, 2*pi). Identical ``(stream, d)``
     arguments give byte-identical parameters on every run and platform.
     """
     if isinstance(stream, (int, np.integer)):
@@ -108,23 +108,18 @@ def sample_params(
             raise ValueError(
                 "stream must be an integer seed or a (seed, index) pair"
             ) from exc
-    if str(distribution).lower() != "default":
-        raise ValueError(
-            f"unknown distribution {distribution!r}; "
-            "only 'default' is implemented"
-        )
     d = int(d)
     if d < 2:
         raise ValueError("d must be at least 2")
+    levels = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    kwargs = {k: v for k, v in levels.items() if v is not None}
     if d == 2:
+        if kwargs:
+            raise ValueError(
+                f"alpha, beta and gamma need d >= 3; got "
+                f"{', '.join(kwargs)} at d = 2"
+            )
         return sample_params_222(seed, index)
-    kwargs = {}
-    if alpha is not None:
-        kwargs["alpha"] = alpha
-    if beta is not None:
-        kwargs["beta"] = beta
-    if gamma is not None:
-        kwargs["gamma"] = gamma
     return sample_params_22d(seed, index, d, **kwargs)
 
 

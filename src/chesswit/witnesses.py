@@ -44,10 +44,17 @@ then built with :func:`chesswit.tensorops.qudit_substitute`.
 
 Closed-form machinery
 ---------------------
-Witness expectations on chessboard states are affine in the state's
-expansion coefficients, so each family's minimum over its angle(s) has
-a closed form (``functional``); aggregate detection verdicts over whole
-families reduce to small tables in the state parameters
+Each family is written once, as a term table (``_spec``): a short list
+of components, each a list of signed Pauli triples, which the angle
+weights combine into the witness. A primed family is its partner's
+table with the first Pauli index relabelled by the phase gate
+(1jk -> +2jk, 2jk -> -1jk). ``build_witness`` sums the operators of
+the terms; ``expectation_closed``, ``functional`` and ``family_minima``
+sum the state's expansion coefficients over the same terms, since
+Tr(W rho) is affine in them. The minimum over a family's angle(s) is
+then k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
+Aggregate detection verdicts over whole families reduce to small
+tables in the state parameters
 (``detection_conditions``). ``min_expectation_over_products`` provides
 the independent numerical route: the exact minimum of <s|W|s> over
 product states via multi-start alternating per-party eigenvector
@@ -57,7 +64,8 @@ updates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -83,7 +91,6 @@ __all__ = [
     "parse_witness_id",
     "build_witness",
     "phase_gate_conjugate",
-    "phase_map_coeffs",
     "substituted_coeffs",
     "expectation",
     "expectation_closed",
@@ -270,88 +277,78 @@ def format_witness(base_id: str, angles: Dict[str, float]) -> str:
     return out
 
 
-# --- operator construction ----------------------------------------------------
+# --- term table ---------------------------------------------------------------
+
+# Tr(rho III) = 1, so the identity term contributes exactly 1.0.
+_IDENTITY = (0, 0, 0)
+_KIND = {m: g for g, members in GROUP_MEMBERS.items() for m in members}
+
+# A component is a tuple of (sign, triple) terms; see ``_spec``.
+_Components = Tuple[Tuple[Tuple[float, Tuple[int, int, int]], ...], ...]
 
 
-def _unprimed_parts(parsed: _ParsedId) -> Tuple[str, _ParsedId]:
-    """Map a parsed id to its unprimed/first-family partner.
+@lru_cache(maxsize=None)
+def _spec(base_id: str) -> Tuple[str, _Components]:
+    """Structural kind and signed Pauli-triple terms of a catalog id.
 
-    Returns (kind, partner) where kind is the structural family
-    ("poly", "con", "cyl", "sph") and partner carries unprimed triples.
-    The partner of an unprimed id is itself.
+    ``base_id`` carries no ``@A,B`` suffix. The witness is
+    sum_j w_j sum_{(s, t) in components[j]} s O_t, with the weights w
+    of :func:`_angle_weights`. A primed entry takes the terms of its
+    unprimed partner (``_PRIMED_PARTNER``) conjugated by the phase gate,
+    M O_1jk M^dagger = O_2jk and M O_2jk M^dagger = -O_1jk.
     """
-    f = parsed.family
-    if f == "poly1":
-        return "poly", parsed
-    if f == "poly2":
-        return "poly", _ParsedId("poly1", bits=parsed.bits, pair=parsed.pair)
-    if f in ("con", "cyl", "sph"):
-        return {"con": "con", "cyl": "cyl", "sph": "sph"}[f], parsed
-    if f in ("conp", "sphp"):
-        partner_kjl, flip = _PRIMED_PARTNER[parsed.kjl]
-        i = parsed.i ^ 1 if flip else parsed.i
-        kind = "con" if f == "conp" else "sph"
-        return kind, _ParsedId(kind, kp=parsed.kp, kjl=partner_kjl, i=i,
-                               sign=parsed.sign, pair=parsed.pair)
-    if f == "cylp":
-        partner_kjl, _ = _PRIMED_PARTNER[parsed.kjl]
-        return "cyl", _ParsedId("cyl", kp=parsed.kp, kjl=partner_kjl,
-                                i=parsed.i, i2=parsed.i2, pair=parsed.pair)
-    raise ValueError(f"unknown family {f!r}")
-
-
-def _is_primed(family: str) -> bool:
-    return family in ("poly2", "conp", "cylp", "sphp")
-
-
-def _op(triple_str: str, d: int, alpha: int, beta: int) -> np.ndarray:
-    return qudit_substitute(_triple(triple_str), d, alpha, beta)
-
-
-def _constituents(parsed: _ParsedId, d: int, alpha: int, beta: int
-                  ) -> List[np.ndarray]:
-    """Angle-free constituent operators of the witness family.
-
-    The witness at given angles is a fixed linear combination of these
-    (see :func:`_angle_weights`). Primed families conjugate their
-    partner's constituents by the first-party phase gate.
-    """
-    kind, partner = _unprimed_parts(parsed)
-    iii = _op("000", d, alpha, beta)
+    p = parse_witness_id(base_id)
+    kind = _KIND[p.family]
+    primed = p.family != GROUP_MEMBERS[kind][0]
     if kind == "poly":
-        i1, i2, i3, i4 = partner.bits
-        w = (iii
-             + _sgn(i1) * _op("333", d, alpha, beta)
-             + _sgn(i2) * _op("111", d, alpha, beta)
-             + _sgn(i3) * _op("122", d, alpha, beta)
-             + _sgn(i4) * _op("212", d, alpha, beta)
-             + _sgn(i2 + i3 + i4 + 1) * _op("221", d, alpha, beta))
-        parts = [w]
-    elif kind == "con":
-        lkj, jlk = _rotations(partner.kjl)
-        parts = [
-            iii + partner.sign * _op(partner.kp, d, alpha, beta),
-            _op("111", d, alpha, beta) + _sgn(partner.i) * _op(partner.kjl, d, alpha, beta),
-            _op(lkj, d, alpha, beta) + _sgn(partner.i) * _op(jlk, d, alpha, beta),
-        ]
-    elif kind == "cyl":
-        lkj, jlk = _rotations(partner.kjl)
-        inner = (_op("111", d, alpha, beta)
-                 + _sgn(partner.i) * _op(partner.kjl, d, alpha, beta)
-                 + _sgn(partner.i2) * _op(lkj, d, alpha, beta)
-                 + _sgn(partner.i + partner.i2 + 1) * _op(jlk, d, alpha, beta))
-        parts = [iii, _op(partner.kp, d, alpha, beta), inner]
-    else:  # sph
-        lkj, jlk = _rotations(partner.kjl)
-        parts = [
-            iii,
-            _op(partner.kp, d, alpha, beta),
-            _op("111", d, alpha, beta) + _sgn(partner.i) * _op(partner.kjl, d, alpha, beta),
-            _op(lkj, d, alpha, beta) + _sgn(partner.i) * _op(jlk, d, alpha, beta),
-        ]
-    if _is_primed(parsed.family):
-        parts = [phase_gate_conjugate(p, d) for p in parts]
-    return parts
+        i1, i2, i3, i4 = p.bits
+        components = [[(1.0, "000"), (_sgn(i1), "333"), (_sgn(i2), "111"),
+                       (_sgn(i3), "122"), (_sgn(i4), "212"),
+                       (_sgn(i2 + i3 + i4 + 1), "221")]]
+    else:
+        kjl, i = p.kjl, p.i
+        if primed:
+            kjl, flip = _PRIMED_PARTNER[kjl]
+            if flip and kind != "cyl":
+                i ^= 1
+        lkj, jlk = _rotations(kjl)
+        if kind == "con":
+            components = [[(1.0, "000"), (float(p.sign), p.kp)],
+                          [(1.0, "111"), (_sgn(i), kjl)],
+                          [(1.0, lkj), (_sgn(i), jlk)]]
+        elif kind == "cyl":
+            components = [[(1.0, "000")], [(1.0, p.kp)],
+                          [(1.0, "111"), (_sgn(i), kjl), (_sgn(p.i2), lkj),
+                           (_sgn(i + p.i2 + 1), jlk)]]
+        else:  # sph
+            components = [[(1.0, "000")], [(1.0, p.kp)],
+                          [(1.0, "111"), (_sgn(i), kjl)],
+                          [(1.0, lkj), (_sgn(i), jlk)]]
+
+    def term(sign: float, triple: str):
+        t = _triple(triple)
+        if primed and t[0] == 1:
+            return sign, (2,) + t[1:]
+        if primed and t[0] == 2:
+            return -sign, (1,) + t[1:]
+        return sign, t
+
+    return kind, tuple(tuple(term(s, t) for s, t in terms)
+                       for terms in components)
+
+
+def _parsed_spec(witness_id: str) -> Tuple[_ParsedId, str, _Components]:
+    parsed = parse_witness_id(witness_id)
+    return (parsed,) + _spec(replace(parsed, pair=None).base)
+
+
+@lru_cache(maxsize=None)
+def _catalog() -> Tuple[Tuple[str, str, str, _Components], ...]:
+    """The base catalog as (id, family, kind, components)."""
+    return tuple((b, b.split(":", 1)[0]) + _spec(b) for b in _base_ids())
+
+
+# --- operator construction ----------------------------------------------------
 
 
 def _angle_weights(kind: str, psi: Optional[float], eta: Optional[float],
@@ -392,42 +389,21 @@ def build_witness(
     the polygonal ones. A qudit subspace comes either from an ``@A,B``
     suffix on the id or from the ``alpha``/``beta`` arguments.
     """
-    parsed = parse_witness_id(witness_id)
+    parsed, kind, components = _parsed_spec(witness_id)
     if parsed.pair is not None:
         alpha, beta = parsed.pair
     else:
         alpha = 0 if alpha is None else int(alpha)
         beta = 1 if beta is None else int(beta)
-    kind, _ = _unprimed_parts(parsed)
-    parts = _constituents(parsed, int(d), alpha, beta)
-    weights = _angle_weights(kind, psi, eta, zeta)
-    w = np.zeros_like(parts[0])
-    for coef, part in zip(weights, parts):
-        w += coef * part
+    d = int(d)
+    w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
+    for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
+        w += coef * sum(s * qudit_substitute(t, d, alpha, beta)
+                        for s, t in terms)
     return w
 
 
 # --- closed-form coefficients machinery ---------------------------------------
-
-
-def phase_map_coeffs(coeffs: Dict[Tuple[int, int, int], float]
-                     ) -> Dict[Tuple[int, int, int], float]:
-    """Coefficients of the state conjugated by the inverse phase gate.
-
-    If c_t = Tr(rho O_t), the returned dict holds c'_t = Tr(rho' O_t)
-    for rho' = M^dagger rho M, so that Tr(W' rho) = sum c'_t over the
-    unprimed partner terms for any primed witness W'. Explicitly,
-    c'_{1jk} = c_{2jk}, c'_{2jk} = -c_{1jk}, other indices unchanged.
-    """
-    out: Dict[Tuple[int, int, int], float] = {}
-    for (i, j, k), v in coeffs.items():
-        if i == 1:
-            out[(2, j, k)] = -v
-        elif i == 2:
-            out[(1, j, k)] = v
-        else:
-            out[(i, j, k)] = v
-    return out
 
 
 _SUBSTITUTED_OPS: Dict[Tuple[int, int, int], Tuple[np.ndarray, ...]] = {}
@@ -455,38 +431,22 @@ def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
     return out
 
 
-def _poly_value(bits: Sequence[int], co: Dict[Tuple[int, int, int], float]
-                ) -> float:
-    i1, i2, i3, i4 = bits
-    return (1.0
-            + _sgn(i1) * co.get((3, 3, 3), 0.0)
-            + _sgn(i2) * co.get((1, 1, 1), 0.0)
-            + _sgn(i3) * co.get((1, 2, 2), 0.0)
-            + _sgn(i4) * co.get((2, 1, 2), 0.0)
-            + _sgn(i2 + i3 + i4 + 1) * co.get((2, 2, 1), 0.0))
+def _component_values(components: _Components,
+                      co: Dict[Tuple[int, int, int], float]) -> List[float]:
+    """K with Tr(W rho) = K . angle_weights: K_j = sum of s c_t over the
+    terms of component j, added left to right.
 
-
-def _curved_components(kind: str, partner: _ParsedId,
-                       co: Dict[Tuple[int, int, int], float]) -> List[float]:
-    """K-components such that Tr(W rho) = K . angle_weights."""
-    kp = _triple(partner.kp)
-    kjl = _triple(partner.kjl)
-    lkj_s, jlk_s = _rotations(partner.kjl)
-    lkj, jlk = _triple(lkj_s), _triple(jlk_s)
-    c = lambda t: co.get(t, 0.0)
-    if kind == "con":
-        return [1.0 + partner.sign * c(kp),
-                c((1, 1, 1)) + _sgn(partner.i) * c(kjl),
-                c(lkj) + _sgn(partner.i) * c(jlk)]
-    if kind == "cyl":
-        inner = (c((1, 1, 1)) + _sgn(partner.i) * c(kjl)
-                 + _sgn(partner.i2) * c(lkj)
-                 + _sgn(partner.i + partner.i2 + 1) * c(jlk))
-        return [1.0, c(kp), inner]
-    # sph
-    return [1.0, c(kp),
-            c((1, 1, 1)) + _sgn(partner.i) * c(kjl),
-            c(lkj) + _sgn(partner.i) * c(jlk)]
+    ``co`` must map the identity triple to 1.0. Each sum starts from its
+    first term, not from 0.0, so that a -0.0 component keeps its sign.
+    """
+    out = []
+    for terms in components:
+        (s, t), rest = terms[0], terms[1:]
+        k = s * co.get(t, 0.0)
+        for s, t in rest:
+            k += s * co.get(t, 0.0)
+        out.append(k)
+    return out
 
 
 def expectation_closed(
@@ -497,20 +457,16 @@ def expectation_closed(
     zeta: Optional[float] = None,
 ) -> float:
     """Tr(W rho) from the state's expansion coefficients."""
-    parsed = parse_witness_id(witness_id)
-    kind, partner = _unprimed_parts(parsed)
-    if _is_primed(parsed.family):
-        coeffs = phase_map_coeffs(coeffs)
-    if kind == "poly":
-        return _poly_value(partner.bits, coeffs)
-    k = _curved_components(kind, partner, coeffs)
-    w = _angle_weights(kind, psi, eta, zeta)
-    return float(np.dot(k, w))
+    _, kind, components = _parsed_spec(witness_id)
+    k = _component_values(components, {**coeffs, _IDENTITY: 1.0})
+    return float(np.dot(k, _angle_weights(kind, psi, eta, zeta)))
 
 
 def _minimize_components(kind: str, k: Sequence[float]
                          ) -> Tuple[float, Dict[str, float]]:
     """Minimum of K . angle_weights over the family's angles."""
+    if kind == "poly":
+        return k[0], {}
     if kind in ("con", "cyl"):
         k0, k1, k2 = k
         norm = math.hypot(k1, k2)
@@ -534,14 +490,9 @@ def functional(
 
     Polygonal entries are angle-free and return an empty angle dict.
     """
-    parsed = parse_witness_id(witness_id)
-    kind, partner = _unprimed_parts(parsed)
-    if _is_primed(parsed.family):
-        coeffs = phase_map_coeffs(coeffs)
-    if kind == "poly":
-        return _poly_value(partner.bits, coeffs), {}
-    k = _curved_components(kind, partner, coeffs)
-    return _minimize_components(kind, k)
+    _, kind, components = _parsed_spec(witness_id)
+    return _minimize_components(
+        kind, _component_values(components, {**coeffs, _IDENTITY: 1.0}))
 
 
 def expectation(w: np.ndarray, rho: np.ndarray) -> float:
@@ -596,36 +547,16 @@ class DetectionReport:
         }
 
 
-_CATALOG_CACHE: List[Tuple[str, str, str, _ParsedId, bool]] = []
-
-
-def _catalog() -> List[Tuple[str, str, str, _ParsedId, bool]]:
-    """Pre-parsed base catalog: (id, family, kind, partner, primed)."""
-    if not _CATALOG_CACHE:
-        for base_id in _base_ids():
-            parsed = parse_witness_id(base_id)
-            kind, partner = _unprimed_parts(parsed)
-            _CATALOG_CACHE.append(
-                (base_id, parsed.family, kind, partner, _is_primed(parsed.family))
-            )
-    return _CATALOG_CACHE
-
-
 def family_minima(
     coeffs: Dict[Tuple[int, int, int], float],
     suffix: str = "",
 ) -> Dict[str, Dict[str, object]]:
     """Minimal functional value and best identifier per family."""
-    mapped = phase_map_coeffs(coeffs)
+    co = {**coeffs, _IDENTITY: 1.0}
     out: Dict[str, Dict[str, object]] = {}
-    for base_id, family, kind, partner, primed in _catalog():
-        co = mapped if primed else coeffs
-        if kind == "poly":
-            value, angles = _poly_value(partner.bits, co), {}
-        else:
-            value, angles = _minimize_components(
-                kind, _curved_components(kind, partner, co)
-            )
+    for base_id, family, kind, components in _catalog():
+        value, angles = _minimize_components(
+            kind, _component_values(components, co))
         cur = out.get(family)
         if cur is None or value < cur["min"]:
             out[family] = {

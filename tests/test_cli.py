@@ -196,6 +196,14 @@ def test_scan_rejects_bad_n():
     assert proc.stderr.startswith("error:")
 
 
+def test_scan_rejects_qudit_levels_at_d2():
+    proc = run_cli("scan", "--n", "1", "--d", "2", "--gamma", "7",
+                   check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_scan_qudit(tmp_path):
     csv = tmp_path / "q.csv"
     run_cli("scan", "--n", "8", "--seed", "2", "--d", "3",
@@ -222,6 +230,15 @@ def test_fr_all_geometries():
     assert set(report) == {"polygon", "cone", "cylinder", "sphere"}
     for entry in report.values():
         assert entry["violations"] == 0
+
+
+@pytest.mark.parametrize("samples", ["0", "-5"])
+def test_fr_rejects_empty_sample(samples):
+    proc = run_cli("fr", "--geometry", "cone", "--samples", samples,
+                   check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
 
 
 def test_fr_rejects_unknown_geometry():

@@ -198,6 +198,13 @@ def test_feasible_region_sampled(geometry):
     assert again["max_excess"] == out["max_excess"]
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_feasible_region_rejects_empty_sample(n):
+    # with no states there is no largest excess to report
+    with pytest.raises(ValueError):
+        feasible_region_check("cone", n=n)
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_feasible_region_qudit(geometry):
     out = feasible_region_check(geometry, n=5000, seed=3, d=3, alpha=0, beta=2)

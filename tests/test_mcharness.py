@@ -279,14 +279,6 @@ def test_sample_params_dispatch_and_determinism():
     assert (q2.alpha, q2.beta, q2.gamma) == (1, 3, 0)
 
 
-def test_sample_params_distribution_name():
-    # the name is case-insensitive; anything else is rejected
-    assert sample_params((1, 2), distribution="Default") == \
-        sample_params((1, 2))
-    with pytest.raises(ValueError):
-        sample_params((1, 2), distribution="gaussian")
-
-
 def test_sample_params_rejects_bad_input():
     with pytest.raises(ValueError):
         sample_params((1, 2), d=1)
@@ -294,6 +286,13 @@ def test_sample_params_rejects_bad_input():
         sample_params(None)
     with pytest.raises(ValueError):
         sample_params((1,))
+
+
+def test_sample_params_rejects_qudit_levels_at_d2():
+    # a qubit third party has no levels to fix; they used to be ignored
+    for kwargs in (dict(alpha=0), dict(beta=1), dict(gamma=1)):
+        with pytest.raises(ValueError):
+            sample_params((0, 0), d=2, **kwargs)
 
 
 def test_sample_params_median_sanity():

@@ -3,6 +3,7 @@ independent term-list oracles, closed-form expectations/functionals
 against honest traces, detection tables, and the product-state
 minimizer."""
 
+import hashlib
 import json
 import math
 
@@ -20,7 +21,7 @@ from chesswit.chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from chesswit.tensorops import pauli_op, qudit_substitute
+from chesswit.tensorops import qudit_substitute
 from chesswit.witnesses import (
     DETECT_MARGIN,
     FAMILY_NAMES,
@@ -35,7 +36,6 @@ from chesswit.witnesses import (
     min_expectation_over_products,
     parse_witness_id,
     phase_gate_conjugate,
-    phase_map_coeffs,
     substituted_coeffs,
     validate_witness,
     witness_ids,
@@ -306,29 +306,40 @@ def test_qudit_build_term_oracle():
     assert got.shape == (12, 12)
 
 
+# primed KJL -> (unprimed partner KJL, whether the conical/spherical I
+# bit flips); the cylindrical families keep both bits
+PRIMED_PARTNERS = {"211": ("122", False), "121": ("212", True),
+                   "112": ("221", True)}
+
+
+def partner_id(wid):
+    family, *rest = wid.split(":")
+    if family == "poly2":
+        return "poly1:" + rest[0]
+    kp, kjl, bits, *sign = rest
+    partner, flip = PRIMED_PARTNERS[kjl]
+    if flip and family != "cylp":
+        bits = str(1 - int(bits))
+    return ":".join([family[:-1], kp, partner, bits, *sign])
+
+
+@pytest.mark.parametrize("d,suffix", [(2, ""), (3, "@0,2")],
+                         ids=["d2", "d3"])
+def test_primed_entries_conjugate_partner(d, suffix):
+    primed = [w for w in witness_ids()
+              if w.split(":")[0] in ("poly2", "conp", "cylp", "sphp")]
+    assert len(primed) == 118
+    rng = np.random.default_rng(40 + d)
+    for wid in primed:
+        psi, eta, zeta = rng.uniform(0.0, 2 * math.pi, size=3)
+        angles = dict(psi=psi, eta=eta, zeta=zeta, d=d)
+        partner = build_witness(partner_id(wid) + suffix, **angles)
+        np.testing.assert_allclose(build_witness(wid + suffix, **angles),
+                                   phase_gate_conjugate(partner, d),
+                                   atol=1e-14, err_msg=wid)
+
+
 # --- closed-form expectations ---------------------------------------------------
-
-
-def test_phase_map_matches_conjugated_state():
-    params = random_params(3)
-    rho = build_rho_222(params)
-    m = np.diag([1.0, 1j])
-    u = np.kron(np.kron(m, I2), I2)
-    rho_p = u.conj().T @ rho @ u
-    mapped = phase_map_coeffs(pauli_coeffs(params))
-    for t, val in mapped.items():
-        honest = np.trace(rho_p @ pauli_op(t)).real
-        assert abs(val - honest) < 1e-13, t
-
-
-def test_phase_map_double_application_negates_xy():
-    co = pauli_coeffs(random_params(11))
-    twice = phase_map_coeffs(phase_map_coeffs(co))
-    for (i, j, k), val in co.items():
-        if i in (1, 2):
-            assert abs(twice[(i, j, k)] + val) < 1e-15
-        else:
-            assert abs(twice[(i, j, k)] - val) < 1e-15
 
 
 @pytest.mark.parametrize("index", range(4))
@@ -548,6 +559,56 @@ def test_detect_qudit_all_pairs():
         assert "@" in r_all.families[name]["best"]
     with pytest.raises(ValueError):
         detect(params, pairs="some")
+
+
+def _pin_states():
+    states = [(f"d2-{k}", sample_params_222(0, k), "all") for k in range(8)]
+    states.append(("crit7", CRIT7, "all"))
+    # the diagnostic states of reproduce_section6; their phase-mapped
+    # coefficients carry -0.0
+    for r in ((1.0, 1.0, 0.0, 0.0), (1.0, 1.0, 0.6, 0.6),
+              (1.0, 1.0, 0.6, 0.3)):
+        states.append((f"unit-{r[2]}-{r[3]}",
+                       ChessParams222(a=1, b=1, c=1, d=1, r=r,
+                                      phi=(0, 0, 0, 0)), "all"))
+    q3 = sample_params_22d(0, 0, 3)
+    states += [("d3-all", q3, "all"), ("d3-own", q3, "own")]
+    states.append(("d4-130", sample_params_22d(0, 0, 4, alpha=1, beta=3,
+                                               gamma=0), "all"))
+    return states
+
+
+# sha256 of the sorted-key detect JSON: a change that moves any family
+# minimum, best id or angle fails here (the scan CSV pins see minima only)
+DETECT_JSON_PINS = {
+    "d2-0": "f908742c8223071e1f6d9d1461558241ecb04a055678a8fabf35fabfb24b980f",
+    "d2-1": "34b9e406d276a73567a7aed86c2749e8c4d1157ed5b2bb5e24f4aa20a58ded36",
+    "d2-2": "e91b770d3b501a6361cb2998f84fd23496f1d7cdfae173e0da3c1280f92f9646",
+    "d2-3": "85cefdecd458a02b3b64a7928b3f03d65bc372ee26aa9b0a06f1a4e03450ef3f",
+    "d2-4": "3bfc204462721409487ac11461df5fde70e004a0a22bc321cc7bd4281878eb20",
+    "d2-5": "690ecda5098f80f3329008d8369a4f823402d04e96c2cbb15859058307962f8b",
+    "d2-6": "10b3f5282d02b9b2c72f5fcabfc737f24c6b3a57752ded3d5b84579e21cae167",
+    "d2-7": "047664c936cc74c08d46189af91afc791518a7a17e108094d2c46831e86424c6",
+    "crit7": "c234e96c1406035045b653a786fd23c976bc2b146bcbc8d25408695e885cf720",
+    "unit-0.0-0.0":
+        "3ca7b5ebea926cd886492767da7e2060122bf7602d23d137ab7a11e4ec48ceac",
+    "unit-0.6-0.6":
+        "30fe41b8a84af23318951dc011e8e77ae435c1e1ff2e51342ff0f8f7612fd54f",
+    "unit-0.6-0.3":
+        "65802c92438818a488b71d59a26a73e222502aebc31216d473e91cbf6f9de22f",
+    "d3-all": "b526ef5cde1141815fccaa81c1b76c5c2c7248d434293cfc7742ffdfc9da365f",
+    "d3-own": "391c2f941389514a14eac36dc29f1de37bdd16e03bf63f7f81197f4757aebbbe",
+    "d4-130": "e617139c42f07f34c6db12d83f33d0dc9bea441395593fd66a6409fc5c157311",
+}
+
+
+def test_detect_json_pinned():
+    got = {}
+    for name, params, pairs in _pin_states():
+        text = json.dumps(detect(params, pairs=pairs).to_json(),
+                          sort_keys=True)
+        got[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert got == DETECT_JSON_PINS
 
 
 def test_substituted_coeffs_match_trace():
