@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +54,7 @@ __all__ = [
     "normalization",
     "pauli_coeffs",
     "params_222_to_22d",
+    "qudit_levels",
     "sample_params_222",
     "sample_params_22d",
     "params_to_json",
@@ -194,6 +195,28 @@ COEFF_TRIPLES: Tuple[Tuple[int, int, int], ...] = (
 # --- 2 x 2 x d family -------------------------------------------------------
 
 
+def qudit_levels(dim: int, alpha: int = 0, beta: Optional[int] = None,
+                 gamma: int = 1) -> Tuple[int, int, int]:
+    """The third-party levels ``(alpha, beta, gamma)``, checked for ``dim``.
+
+    ``beta`` defaults to 2 for dim >= 3 and to 1 for dim = 2. Raises
+    ValueError unless dim >= 2, every level lies in 0..dim-1 and alpha
+    and beta differ.
+    """
+    dim = int(dim)
+    if dim < 2:
+        raise ValueError(f"dim must be >= 2, got {dim}")
+    if beta is None:
+        beta = 2 if dim > 2 else 1
+    levels = (int(alpha), int(beta), int(gamma))
+    for name, v in zip(("alpha", "beta", "gamma"), levels):
+        if not 0 <= v < dim:
+            raise ValueError(f"{name} must lie in 0..{dim - 1}, got {v}")
+    if levels[0] == levels[1]:
+        raise ValueError("alpha and beta must differ")
+    return levels
+
+
 @dataclass(frozen=True)
 class ChessParams22d:
     """Parameters of the 2x2xd chessboard family.
@@ -217,16 +240,10 @@ class ChessParams22d:
 
     def __post_init__(self):
         dim = int(self.dim)
-        if dim < 2:
-            raise ValueError(f"dim must be >= 2, got {dim}")
+        levels = qudit_levels(dim, self.alpha, self.beta, self.gamma)
         object.__setattr__(self, "dim", dim)
-        for name in ("alpha", "beta", "gamma"):
-            v = int(getattr(self, name))
-            if not 0 <= v < dim:
-                raise ValueError(f"{name} must lie in 0..{dim - 1}, got {v}")
+        for name, v in zip(("alpha", "beta", "gamma"), levels):
             object.__setattr__(self, name, v)
-        if self.alpha == self.beta:
-            raise ValueError("alpha and beta must differ")
         diag = tuple(
             tuple(_check_positive(f"diag[{j}][{k}]", v) for k, v in enumerate(row))
             for j, row in enumerate(self.diag)
@@ -385,8 +402,7 @@ def sample_params_22d(
     positivity). Draw order: diag row 0, diag row 1, r (6), phi (6).
     """
     dim = int(dim)
-    if beta is None:
-        beta = 2 if dim > 2 else 1
+    alpha, beta, gamma = qudit_levels(dim, alpha, beta, gamma)
     rng = _rng_for(seed, index)
     row0 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
     row1 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)

@@ -41,6 +41,7 @@ from .chessboard import (
     build_rho_22d,
     pauli_coeffs,
     params_to_json,
+    qudit_levels,
     sample_params_222,
     sample_params_22d,
 )
@@ -111,16 +112,29 @@ def sample_params(
     d = int(d)
     if d < 2:
         raise ValueError("d must be at least 2")
-    levels = {"alpha": alpha, "beta": beta, "gamma": gamma}
-    kwargs = {k: v for k, v in levels.items() if v is not None}
+    kwargs = _level_kwargs(d, alpha, beta, gamma)
     if d == 2:
-        if kwargs:
-            raise ValueError(
-                f"alpha, beta and gamma need d >= 3; got "
-                f"{', '.join(kwargs)} at d = 2"
-            )
         return sample_params_222(seed, index)
     return sample_params_22d(seed, index, d, **kwargs)
+
+
+def _level_kwargs(d: int, alpha: Optional[int], beta: Optional[int],
+                  gamma: Optional[int]) -> Dict[str, int]:
+    """The qudit levels given, as keyword arguments, checked for d >= 2.
+
+    Raises ValueError for any level at d = 2 and, at d >= 3, for levels
+    that ``qudit_levels`` rejects.
+    """
+    levels = {"alpha": alpha, "beta": beta, "gamma": gamma}
+    kwargs = {k: v for k, v in levels.items() if v is not None}
+    if d == 2 and kwargs:
+        raise ValueError(
+            f"alpha, beta and gamma need d >= 3; got "
+            f"{', '.join(kwargs)} at d = 2"
+        )
+    if d > 2:
+        qudit_levels(d, **kwargs)
+    return kwargs
 
 
 def csv_header(dim: int = 2) -> str:
@@ -221,7 +235,9 @@ def run_scan(
 
     Every sample is PPT-verified (RuntimeError on failure). The output
     depends only on ``(seed, index)`` per row, never on ``workers`` or
-    ``chunk``.
+    ``chunk``. Arguments, the qudit levels included, are checked before
+    any row is drawn (ValueError), so ``n = 0`` rejects what ``n = 1``
+    rejects.
     """
     n = int(n)
     dim = int(dim)
@@ -230,6 +246,7 @@ def run_scan(
         raise ValueError("n must be nonnegative")
     if dim < 2:
         raise ValueError("dim must be at least 2")
+    _level_kwargs(dim, alpha, beta, gamma)
     if pairs not in ("all", "own"):
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if workers < 1:

@@ -13,6 +13,7 @@ JSON wire format for complex matrices.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -126,6 +127,13 @@ def partial_transpose(
     for p in parties:
         if not 1 <= p <= n:
             raise ValueError(f"party {p} out of range 1..{n}")
+    return _swap_parties(m, dims, parties)
+
+
+def _swap_parties(m: np.ndarray, dims: Tuple[int, ...],
+                  parties: Tuple[int, ...]) -> np.ndarray:
+    """:func:`partial_transpose` of a matrix already checked against dims."""
+    n = len(dims)
     t = m.reshape(dims + dims)
     for p in parties:
         t = np.swapaxes(t, p - 1, p - 1 + n)
@@ -134,32 +142,38 @@ def partial_transpose(
 
 
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
+    """Eigenvalues of a Hermitian matrix, or of a stack of them, ascending.
 
-    Gates on Hermiticity (max |M - M^dagger| <= 1e-12 * max(1, max|M|))
-    before solving, symmetrizes to suppress rounding noise, and checks
-    that the spectral reconstruction matches the input to a relative
-    Frobenius residual of 1e-10.
+    ``m`` has shape ``(..., n, n)``; the result has shape ``(..., n)``,
+    and each slice equals the eigenvalues of that matrix solved alone.
+    Each matrix is gated on Hermiticity (max |M - M^dagger| <=
+    1e-12 * max(1, max|M|)) before solving (ValueError), symmetrized to
+    suppress rounding noise, and its spectral reconstruction must match
+    it to a relative Frobenius residual of 1e-10 (ArithmeticError).
     """
     m = np.asarray(m, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, float(np.abs(m).max()) if m.size else 0.0)
-    herm_defect = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
-    if herm_defect > 1e-12 * scale:
+    mh = np.swapaxes(m.conj(), -1, -2)
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.abs(m).max(axis=axes, initial=0.0))
+    herm_defect = np.abs(m - mh).max(axis=axes, initial=0.0)
+    if (herm_defect > 1e-12 * scale).any():
         raise ValueError(
-            f"matrix is not Hermitian: max |M - M^dagger| = {herm_defect:.3e}"
+            "matrix is not Hermitian: max |M - M^dagger| = "
+            f"{float(herm_defect.max()):.3e}"
         )
-    h = (m + m.conj().T) / 2.0
+    h = (m + mh) / 2.0
     w, v = np.linalg.eigh(h)
-    norm = float(np.linalg.norm(h))
-    if norm > 0.0:
-        residual = float(np.linalg.norm((v * w) @ v.conj().T - h))
-        if residual > 1e-10 * norm:
-            raise ArithmeticError(
-                f"eigendecomposition residual {residual:.3e} exceeds "
-                f"1e-10 * ||M||_F = {1e-10 * norm:.3e}"
-            )
+    norm = np.linalg.norm(h, axis=axes)
+    residual = np.linalg.norm(
+        (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - h, axis=axes)
+    bad = residual > 1e-10 * norm
+    if bad.any():
+        raise ArithmeticError(
+            f"eigendecomposition residual {float(residual[bad].max()):.3e} "
+            f"exceeds 1e-10 * ||M||_F = {1e-10 * float(norm[bad].max()):.3e}"
+        )
     return w
 
 
@@ -173,6 +187,18 @@ PPT_SUBSETS: Tuple[Tuple[str, Tuple[int, ...]], ...] = (
     ("13", (1, 3)),
     ("23", (2, 3)),
 )
+
+
+@lru_cache(maxsize=None)
+def _ppt_gather(dims: Tuple[int, ...]) -> np.ndarray:
+    """Flat indices of M giving the (6, n, n) stack of its partial
+    transposes over ``PPT_SUBSETS``."""
+    size = int(np.prod(dims))
+    flat = np.arange(size * size).reshape(size, size)
+    index = np.stack([_swap_parties(flat, dims, parties)
+                      for _, parties in PPT_SUBSETS])
+    index.setflags(write=False)
+    return index
 
 
 def is_ppt(
@@ -189,10 +215,9 @@ def is_ppt(
     """
     dims = tuple(int(d) for d in dims)
     m = _as_square(m, dims)
-    min_eigs: Dict[str, float] = {}
-    for label, parties in PPT_SUBSETS:
-        w = hermitian_eigenvalues(partial_transpose(m, dims, parties))
-        min_eigs[label] = float(w[0])
+    stack = m.ravel()[_ppt_gather(dims)]
+    lowest = hermitian_eigenvalues(stack)[:, 0].tolist()
+    min_eigs = {label: w for (label, _), w in zip(PPT_SUBSETS, lowest)}
     ppt = all(v >= -tol for v in min_eigs.values())
     return ppt, min_eigs
 

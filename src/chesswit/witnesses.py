@@ -49,24 +49,42 @@ of components, each a list of signed Pauli triples, which the angle
 weights combine into the witness. A primed family is its partner's
 table with the first Pauli index relabelled by the phase gate
 (1jk -> +2jk, 2jk -> -1jk). ``build_witness`` sums the operators of
-the terms; ``expectation_closed``, ``functional`` and ``family_minima``
-sum the state's expansion coefficients over the same terms, since
-Tr(W rho) is affine in them. The minimum over a family's angle(s) is
-then k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
+the terms; ``expectation_closed`` and ``functional`` sum the state's
+expansion coefficients over the same terms, since Tr(W rho) is affine
+in them. The minimum over a family's angle(s) is then
+k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
+
+``family_minima`` evaluates the whole catalog at once from one gather
+table (``_table``), compiled lazily from the term tables: each of its
+680 component rows lists up to six signed coefficient slots, padded
+with -0.0, which is the identity of floating-point addition. The
+gathered terms are summed left to right, as ``functional`` sums them,
+so k is bit-identical to the scalar route; the norm is ``np.hypot``
+(one-angle families) or the square root of the sum of squares
+(spherical). ``np.hypot`` and ``math.hypot`` are each within one ulp of
+the exact norm but not always equal, so the vectorized values only
+screen: every entry whose value lies within the proven rounding margin
+``_SCREEN_REL * (|k0| + ||k_rest||)`` of its family's least value is a
+candidate, and the scalar ``functional`` route over the candidates, in
+catalog order with the first strictly smaller value winning, gives the
+reported minimum and its angles. The scalar route stays the arbiter so
+that every reported number is the one ``functional`` reports for the
+same entry.
+
 Aggregate detection verdicts over whole families reduce to small
-tables in the state parameters
-(``detection_conditions``). ``min_expectation_over_products`` provides
-the independent numerical route: the exact minimum of <s|W|s> over
-product states via multi-start alternating per-party eigenvector
-updates.
+tables in the state parameters (``detection_conditions``).
+``min_expectation_over_products`` provides the independent numerical
+route: the exact minimum of <s|W|s> over product states via
+multi-start alternating per-party eigenvector updates.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -406,29 +424,20 @@ def build_witness(
 # --- closed-form coefficients machinery ---------------------------------------
 
 
-_SUBSTITUTED_OPS: Dict[Tuple[int, int, int], Tuple[np.ndarray, ...]] = {}
-
-
-def _substituted_ops(d: int, alpha: int, beta: int) -> Tuple[np.ndarray, ...]:
-    key = (int(d), int(alpha), int(beta))
-    ops = _SUBSTITUTED_OPS.get(key)
-    if ops is None:
-        ops = tuple(qudit_substitute(t, *key) for t in COEFF_TRIPLES)
-        for q in ops:
-            q.setflags(write=False)
-        _SUBSTITUTED_OPS[key] = ops
+@lru_cache(maxsize=None)
+def _substituted_ops(d: int, alpha: int, beta: int) -> np.ndarray:
+    """Read-only (15, 4d, 4d) stack of Q_t, in ``COEFF_TRIPLES`` order."""
+    ops = np.stack([qudit_substitute(t, d, alpha, beta) for t in COEFF_TRIPLES])
+    ops.setflags(write=False)
     return ops
 
 
 def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
                        ) -> Dict[Tuple[int, int, int], float]:
     """The 15 substituted-operator coefficients Tr(rho Q_t) for a pair."""
-    ops = _substituted_ops(d, alpha, beta)
-    out: Dict[Tuple[int, int, int], float] = {}
-    for t, q in zip(COEFF_TRIPLES, ops):
-        val = np.einsum("ij,ji->", rho, q)
-        out[t] = float(val.real)
-    return out
+    ops = _substituted_ops(int(d), int(alpha), int(beta))
+    values = np.einsum("pij,ji->p", ops, rho).real
+    return dict(zip(COEFF_TRIPLES, values.tolist()))
 
 
 def _component_values(components: _Components,
@@ -547,14 +556,99 @@ class DetectionReport:
         }
 
 
+class _Table(NamedTuple):
+    """The base catalog compiled for :func:`family_minima`.
+
+    Row r of the component vector K is sum_i xx[slots[i, r]], added
+    left to right, where xx = (x, -x) and x = (1, the coefficients in
+    ``COEFF_TRIPLES`` order, 0). Rows 0..E-1 are every entry's k0, in
+    catalog order; then come the k1 rows and the k2 rows of the
+    ``one_angle`` entries (con, cyl), then the ka, kb and kc rows of the
+    ``spherical`` entries.
+    """
+
+    slots: np.ndarray          # (6, 680) int, indices into xx
+    one_angle: np.ndarray      # entry indices of con/cyl
+    spherical: np.ndarray      # entry indices of sph
+    family_start: np.ndarray   # first entry of each family
+    family_of: np.ndarray      # family number of each entry
+
+
+# |screened - scalar| <= _SCREEN_REL * (|k0| + ||k_rest||): the two
+# hypot routes each lie within 1 ulp (<= eps * norm) of the exact norm,
+# and the subtractions k0 - norm and value -/+ margin each round by at
+# most eps/2 * (|k0| + norm); 8 eps leaves twice the room needed.
+_SCREEN_REL = 8 * sys.float_info.epsilon
+
+
+@lru_cache(maxsize=None)
+def _table() -> _Table:
+    catalog = _catalog()
+    slot = {t: k + 1 for k, t in enumerate(COEFF_TRIPLES)}
+    slot[_IDENTITY] = 0
+    neg = len(COEFF_TRIPLES) + 2    # xx[neg + k] = -x[k]
+    kinds = [kind for _, _, kind, _ in catalog]
+    one_angle = [e for e, kind in enumerate(kinds) if kind in ("con", "cyl")]
+    spherical = [e for e, kind in enumerate(kinds) if kind == "sph"]
+    rows = [comps[0] for *_, comps in catalog]
+    for group, width in ((one_angle, 2), (spherical, 3)):
+        for j in range(1, width + 1):
+            rows += [catalog[e][3][j] for e in group]
+    slots = np.full((max(len(terms) for terms in rows), len(rows)),
+                    2 * neg - 1)    # -x[-1] = -0.0
+    for r, terms in enumerate(rows):
+        for i, (s, t) in enumerate(terms):
+            slots[i, r] = slot[t] if s > 0 else neg + slot[t]
+    families = [family for _, family, _, _ in catalog]
+    starts = [e for e, f in enumerate(families) if e == 0 or f != families[e - 1]]
+    family_of = np.searchsorted(starts, np.arange(len(families)), "right") - 1
+    table = _Table(slots, np.array(one_angle), np.array(spherical),
+                   np.array(starts), family_of)
+    for a in table:
+        a.setflags(write=False)
+    return table
+
+
+def _screened_values(coeffs: Dict[Tuple[int, int, int], float]
+                     ) -> Tuple[np.ndarray, np.ndarray]:
+    """Every base entry's functional value by the vectorized route, and
+    its screening margin (see ``_SCREEN_REL``)."""
+    table = _table()
+    x = np.array([1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES] + [0.0])
+    terms = np.concatenate((x, -x))[table.slots]
+    k = terms[0] + terms[1]
+    for row in terms[2:]:
+        k += row
+    n_entries = len(table.family_of)
+    n_one, n_sph = len(table.one_angle), len(table.spherical)
+    k0, rest = k[:n_entries], k[n_entries:]
+    norm = np.zeros(n_entries)
+    norm[table.one_angle] = np.hypot(rest[:n_one], rest[n_one:2 * n_one])
+    ka, kb, kc = rest[2 * n_one:].reshape(3, n_sph)
+    norm[table.spherical] = np.sqrt(ka * ka + kb * kb + kc * kc)
+    return k0 - norm, _SCREEN_REL * (np.abs(k0) + norm)
+
+
 def family_minima(
     coeffs: Dict[Tuple[int, int, int], float],
     suffix: str = "",
 ) -> Dict[str, Dict[str, object]]:
-    """Minimal functional value and best identifier per family."""
+    """Minimal functional value and best identifier per family.
+
+    Equal to ``functional`` minimized over each family's entries, the
+    first entry in catalog order winning a tie; see "Closed-form
+    machinery" in the module docstring.
+    """
+    table = _table()
+    screened, margin = _screened_values(coeffs)
+    least = np.minimum.reduceat(screened + margin, table.family_start)
+    # a NaN compares false, so it keeps its entry a candidate
+    candidates = np.flatnonzero(~(screened - margin > least[table.family_of]))
+    catalog = _catalog()
     co = {**coeffs, _IDENTITY: 1.0}
     out: Dict[str, Dict[str, object]] = {}
-    for base_id, family, kind, components in _catalog():
+    for e in candidates.tolist():
+        base_id, family, kind, components = catalog[e]
         value, angles = _minimize_components(
             kind, _component_values(components, co))
         cur = out.get(family)

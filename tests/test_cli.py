@@ -204,6 +204,15 @@ def test_scan_rejects_qudit_levels_at_d2():
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("levels", [("--d", "2", "--gamma", "7"),
+                                    ("--d", "3", "--gamma", "9")])
+def test_scan_rejects_bad_levels_without_rows(levels):
+    proc = run_cli("scan", "--n", "0", *levels, check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
+    assert proc.stdout == ""
+
+
 def test_scan_qudit(tmp_path):
     csv = tmp_path / "q.csv"
     run_cli("scan", "--n", "8", "--seed", "2", "--d", "3",

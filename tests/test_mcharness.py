@@ -139,6 +139,17 @@ def test_run_scan_validation():
         run_scan(10, workers=0)
 
 
+@pytest.mark.parametrize("dim,levels", [
+    (2, dict(gamma=7)),
+    (3, dict(gamma=9)),
+    (3, dict(alpha=1, beta=1)),
+])
+def test_run_scan_checks_levels_before_any_row(dim, levels):
+    # the levels used to be checked only when a row was drawn
+    with pytest.raises(ValueError):
+        run_scan(0, dim=dim, **levels)
+
+
 def test_run_scan_qudit():
     res = run_scan(40, seed=5, dim=3)
     assert res.header == csv_header(3)

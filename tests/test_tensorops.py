@@ -14,6 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chesswit import tensorops as to
+from chesswit.chessboard import (
+    build_rho_222,
+    build_rho_22d,
+    sample_params_222,
+    sample_params_22d,
+)
 
 # --- oracle machinery -------------------------------------------------
 
@@ -225,6 +231,48 @@ def test_eigenvalues_zero_matrix():
     assert np.array_equal(to.hermitian_eigenvalues(np.zeros((3, 3))), np.zeros(3))
 
 
+def _hermitian_stack(rng, shape, n):
+    a = random_complex(rng, shape + (n, n))
+    return a + np.swapaxes(a.conj(), -1, -2)
+
+
+def test_eigenvalues_stack_slices_match_single_calls():
+    rng = np.random.default_rng(29)
+    for shape, n in (((6,), 8), ((2, 3), 5), ((1,), 12)):
+        stack = _hermitian_stack(rng, shape, n)
+        w = to.hermitian_eigenvalues(stack)
+        assert w.shape == shape + (n,)
+        for idx in np.ndindex(*shape):
+            single = to.hermitian_eigenvalues(stack[idx])
+            assert np.array_equal(w[idx], single)
+
+
+def test_eigenvalues_stack_rejects_one_non_hermitian():
+    stack = _hermitian_stack(np.random.default_rng(30), (4,), 6)
+    stack[2, 0, 5] += 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        to.hermitian_eigenvalues(stack)
+    with pytest.raises(ValueError):
+        to.hermitian_eigenvalues(np.ones((3, 2, 3)))
+
+
+def test_eigenvalues_residual_gate(monkeypatch):
+    stack = _hermitian_stack(np.random.default_rng(31), (3,), 6)
+    eigh = np.linalg.eigh
+
+    def wrong_vectors(h):
+        w, v = eigh(h)
+        v = v.copy()
+        v.reshape(-1, *v.shape[-2:])[-1, 0, :] *= 2.0  # the last matrix only
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
+    with pytest.raises(ArithmeticError, match="residual"):
+        to.hermitian_eigenvalues(stack)
+    with pytest.raises(ArithmeticError, match="residual"):
+        to.hermitian_eigenvalues(stack[1])
+
+
 # --- is_ppt --------------------------------------------------------------
 
 def test_is_ppt_maximally_mixed():
@@ -254,6 +302,24 @@ def test_is_ppt_complementary_subsets_agree():
     assert min_eigs["1"] == pytest.approx(min_eigs["23"], abs=1e-10)
     assert min_eigs["2"] == pytest.approx(min_eigs["13"], abs=1e-10)
     assert min_eigs["3"] == pytest.approx(min_eigs["12"], abs=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_is_ppt_matches_per_subset_route(d):
+    # one stacked eigensolve gives the bits of six separate ones
+    dims = (2, 2, d)
+    for k in range(40):
+        if d == 2:
+            rho = build_rho_222(sample_params_222(8, k))
+        else:
+            rho = build_rho_22d(sample_params_22d(8, k, d))
+        ppt, min_eigs = to.is_ppt(rho, dims)
+        want = {label: float(to.hermitian_eigenvalues(
+                    to.partial_transpose(rho, dims, parties))[0])
+                for label, parties in to.PPT_SUBSETS}
+        assert ppt is True
+        assert list(min_eigs) == list(want)
+        assert all(min_eigs[k].hex() == want[k].hex() for k in want)
 
 
 # --- qudit substitution ---------------------------------------------------

@@ -23,6 +23,7 @@ from chesswit.chessboard import (
 )
 from chesswit.tensorops import qudit_substitute
 from chesswit.witnesses import (
+    _IDENTITY,
     DETECT_MARGIN,
     FAMILY_NAMES,
     build_witness,
@@ -39,6 +40,10 @@ from chesswit.witnesses import (
     substituted_coeffs,
     validate_witness,
     witness_ids,
+    _catalog,
+    _component_values,
+    _minimize_components,
+    _screened_values,
 )
 
 # --- independent oracle machinery ---------------------------------------------
@@ -609,6 +614,96 @@ def test_detect_json_pinned():
                           sort_keys=True)
         got[name] = hashlib.sha256(text.encode()).hexdigest()
     assert got == DETECT_JSON_PINS
+
+
+def _family_minima_loop(coeffs, suffix=""):
+    """Oracle: the per-entry catalog loop that ``family_minima`` replaced.
+
+    Every entry goes through the scalar route; the first strictly
+    smaller value in catalog order wins.
+    """
+    co = {**coeffs, _IDENTITY: 1.0}
+    out = {}
+    for base_id, family, kind, components in _catalog():
+        value, angles = _minimize_components(
+            kind, _component_values(components, co))
+        cur = out.get(family)
+        if cur is None or value < cur["min"]:
+            out[family] = {"min": value,
+                           "best": format_witness(base_id + suffix, angles)}
+    return out
+
+
+@pytest.fixture(scope="module")
+def catalog_inputs():
+    """(coeffs, suffix): 1000 sampled d = 2 states, 1002 (state, pair)
+    inputs at d = 3, and states with zero couplings, the diagnostic
+    states of reproduce_section6 and equal-modulus couplings, whose
+    families tie exactly."""
+    inputs = [(pauli_coeffs(sample_params_222(4242, k)), "")
+              for k in range(1000)]
+    for k in range(334):
+        rho = build_rho_22d(sample_params_22d(4242, k, 3))
+        for a, b in ((0, 1), (0, 2), (1, 2)):
+            inputs.append((substituted_coeffs(rho, 3, a, b), f"@{a},{b}"))
+    quarter = (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)
+    couplings = [
+        ((0.0,) * 4, (0.0,) * 4),
+        ((1.0, 1.0, 0.0, 0.0), (0.0,) * 4),
+        ((1.0, 1.0, 0.6, 0.6), (0.0,) * 4),
+        ((1.0, 1.0, 0.6, 0.3), (0.0,) * 4),
+        ((0.5,) * 4, (0.0,) * 4),
+        ((0.5,) * 4, (math.pi / 2,) * 4),
+        ((1.0,) * 4, quarter),
+        ((0.7, 0.7, 0.0, 0.0), (0.0,) * 4),
+    ]
+    for diag in ((1.0, 1.0, 1.0, 1.0), (2.0, 0.5, 3.0, 1.5)):
+        for r, phi in couplings:
+            params = ChessParams222(*diag, r=r, phi=phi)
+            inputs.append((pauli_coeffs(params), ""))
+    inputs.append(({}, ""))
+    return inputs
+
+
+def test_family_minima_matches_per_entry_loop(catalog_inputs):
+    for co, suffix in catalog_inputs:
+        got = family_minima(co, suffix=suffix)
+        want = _family_minima_loop(co, suffix=suffix)
+        assert list(got) == list(want)
+        for family, entry in want.items():
+            # float.hex tells -0.0 from 0.0
+            assert got[family]["min"].hex() == entry["min"].hex(), family
+            assert got[family]["best"] == entry["best"], family
+    # the zero-coupling state ties every conical entry: the first wins
+    co = pauli_coeffs(ChessParams222(1.0, 1.0, 1.0, 1.0))
+    least = family_minima(co)["con"]
+    ties = [w for w in witness_ids() if w.startswith("con:")
+            and functional(w, co)[0] == least["min"]]
+    assert len(ties) == 48 and least["best"].startswith(ties[0] + ":")
+
+
+def test_screened_values_agree_with_functional(catalog_inputs):
+    # the compiled table against the scalar functional, to 1e-12 and
+    # within the screening margin that family_minima relies on
+    base_ids = witness_ids()
+    for co, _ in catalog_inputs:
+        screened, margin = _screened_values(co)
+        scalar = np.array([functional(w, co)[0] for w in base_ids])
+        assert np.all(np.abs(screened - scalar) <= margin)
+        assert np.all(np.abs(screened - scalar) <= 1e-12)
+
+
+def test_substituted_coeffs_bits_match_per_operator_trace():
+    for d, alpha, beta, gamma in ((3, 0, 2, 1), (4, 1, 3, 0)):
+        rho = build_rho_22d(sample_params_22d(5, 1, d, alpha=alpha,
+                                              beta=beta, gamma=gamma))
+        for a in range(d):
+            for b in range(a + 1, d):
+                co = substituted_coeffs(rho, d, a, b)
+                for t, val in co.items():
+                    q = qudit_substitute(t, d, a, b)
+                    assert val.hex() == float(
+                        np.einsum("ij,ji->", rho, q).real).hex()
 
 
 def test_substituted_coeffs_match_trace():
