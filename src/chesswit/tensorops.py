@@ -211,8 +211,10 @@ def is_ppt(
     Returns ``(ppt, min_eigs)`` where ``min_eigs`` maps each subset
     label ("1", "2", "3", "12", "13", "23") to the smallest eigenvalue
     of the corresponding partial transpose. ``ppt`` is True iff every
-    minimum is >= -tol.
+    minimum is >= -tol, and ``tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dims = tuple(int(d) for d in dims)
     m = _as_square(m, dims)
     stack = m.ravel()[_ppt_gather(dims)]

@@ -371,6 +371,9 @@ def _catalog() -> Tuple[Tuple[str, str, str, _Components], ...]:
 
 def _angle_weights(kind: str, psi: Optional[float], eta: Optional[float],
                    zeta: Optional[float]) -> List[float]:
+    for name, value in (("psi", psi), ("eta", eta), ("zeta", zeta)):
+        if value is not None and not math.isfinite(value):
+            raise ValueError(f"angle {name} must be finite, got {value!r}")
     if kind == "poly":
         return [1.0]
     if kind in ("con", "cyl"):
@@ -404,8 +407,9 @@ def build_witness(
 
     Angle arguments are required by the curved families (``psi`` for
     conical/cylindrical, ``eta``/``zeta`` for spherical) and ignored by
-    the polygonal ones. A qudit subspace comes either from an ``@A,B``
-    suffix on the id or from the ``alpha``/``beta`` arguments.
+    the polygonal ones; every angle given must be finite. A qudit
+    subspace comes either from an ``@A,B`` suffix on the id or from the
+    ``alpha``/``beta`` arguments.
     """
     parsed, kind, components = _parsed_spec(witness_id)
     if parsed.pair is not None:
@@ -817,11 +821,25 @@ def min_expectation_over_products(
     Multi-start alternating minimization: each pass updates one party's
     factor to the minimal eigenvector of its effective operator given
     the other two factors, which is an exact coordinate minimization,
-    so the value decreases monotonically. All starts run batched;
-    start ``s`` draws its initial factors from a dedicated PCG64 stream
-    seeded with (seed, s), making results deterministic and the minimum
-    over starts monotone in ``starts``. Returns the best value and the
-    three factors attaining it.
+    so the value decreases monotonically. All starts run batched, and
+    the passes stop once no start's value moved by ``tol`` or more, or
+    after ``iters`` passes.
+
+    W is blocked once per call: for party p with others o1 < o2, block
+    p is W with the indices ordered (o1, o2, o1', o2', p, p') and
+    reshaped to ((d_o1 d_o2)^2, d_p^2). With k = s_o1 (x) s_o2 per
+    start, the effective operator of party p is the product
+    (conj(k) (x) k) @ block_p, one (starts, (d_o1 d_o2)^2) by
+    ((d_o1 d_o2)^2, d_p^2) matrix product per update.
+
+    Start ``s`` draws its initial factors from a dedicated PCG64 stream
+    seeded with (seed, s): one normal draw of 2 sum(dims) values, read as
+    the real then the imaginary parts of each party in turn. These are
+    the same values, in the same order, as per-party draws of d_p real
+    and then d_p imaginary parts, so a start's initial factors do not
+    depend on how the draw is split. Results are deterministic and the
+    minimum over starts is monotone in ``starts``. Returns the best
+    value and the three factors attaining it.
     """
     dims = tuple(int(x) for x in dims)
     if len(dims) != 3:
@@ -830,6 +848,8 @@ def min_expectation_over_products(
     size = int(np.prod(dims))
     if w.shape != (size, size):
         raise ValueError(f"operator shape {w.shape} does not match dims {dims}")
+    if not np.isfinite(w).all():
+        raise ValueError("witness operator must have finite entries")
     scale = max(1.0, float(np.abs(w).max()))
     if float(np.abs(w - w.conj().T).max()) > 1e-10 * scale:
         raise ValueError("witness operator must be Hermitian")
@@ -837,35 +857,23 @@ def min_expectation_over_products(
     if starts < 1:
         raise ValueError("starts must be >= 1")
 
+    factors = _initial_factors(dims, starts, seed)
     w6 = w.reshape(*dims, *dims)
-    factors: List[np.ndarray] = []
-    for p, dp in enumerate(dims):
-        block = np.empty((starts, dp), dtype=np.complex128)
-        factors.append(block)
-    for s in range(starts):
-        rng = np.random.default_rng(np.random.SeedSequence((int(seed), s)))
-        for p, dp in enumerate(dims):
-            vec = rng.normal(size=dp) + 1j * rng.normal(size=dp)
-            factors[p][s] = vec / np.linalg.norm(vec)
-
-    contractions = {
-        0: "sb,sc,abcxyz,sy,sz->sax",
-        1: "sa,sc,abcxyz,sx,sz->sby",
-        2: "sa,sb,abcxyz,sx,sy->scz",
-    }
-    others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    others = ((1, 2), (0, 2), (0, 1))
+    blocks = [
+        np.ascontiguousarray(w6.transpose(o1, o2, 3 + o1, 3 + o2, p, 3 + p))
+        .reshape((dims[o1] * dims[o2]) ** 2, dims[p] ** 2)
+        for p, (o1, o2) in enumerate(others)
+    ]
 
     energies = np.full(starts, np.inf)
     for _ in range(int(iters)):
         previous = energies.copy()
-        for p in range(3):
-            o1, o2 = others[p]
-            h = np.einsum(
-                contractions[p],
-                factors[o1].conj(), factors[o2].conj(),
-                w6, factors[o1], factors[o2],
-                optimize=True,
-            )
+        for p, (o1, o2) in enumerate(others):
+            k = (factors[o1][:, :, None] * factors[o2][:, None, :]
+                 ).reshape(starts, -1)
+            b = (k.conj()[:, :, None] * k[:, None, :]).reshape(starts, -1)
+            h = (b @ blocks[p]).reshape(starts, dims[p], dims[p])
             h = (h + h.conj().transpose(0, 2, 1)) / 2.0
             eigvals, eigvecs = np.linalg.eigh(h)
             factors[p] = np.ascontiguousarray(eigvecs[:, :, 0])
@@ -874,6 +882,28 @@ def min_expectation_over_products(
             break
     best = int(np.argmin(energies))
     return float(energies[best]), [f[best].copy() for f in factors]
+
+
+def _initial_factors(dims: Tuple[int, int, int], starts: int, seed: int
+                     ) -> List[np.ndarray]:
+    """Normalized random initial factors, one (starts, d_p) array per
+    party; see :func:`min_expectation_over_products`."""
+    draws = np.stack([
+        np.random.default_rng(np.random.SeedSequence((int(seed), s)))
+        .normal(size=2 * sum(dims))
+        for s in range(starts)
+    ])
+    factors = []
+    for part in np.split(draws, 2 * np.cumsum(dims)[:-1], axis=1):
+        re, im = np.split(part, 2, axis=1)
+        vec = re + 1j * im
+        # Row dots over the strided real and imaginary views are the BLAS
+        # dot np.linalg.norm(vec) takes, so each start's factor is
+        # bit-equal to normalizing its vector on its own.
+        sq = (vec.real[:, None, :] @ vec.real[:, :, None]
+              + vec.imag[:, None, :] @ vec.imag[:, :, None])
+        factors.append(vec / np.sqrt(sq[:, 0]))
+    return factors
 
 
 def validate_witness(
@@ -887,8 +917,10 @@ def validate_witness(
     """Check nonnegativity of <s|W|s> over product states numerically.
 
     Returns (valid, minimum, argmin factors); ``valid`` means the
-    numerical minimum is >= -tol.
+    numerical minimum is >= -tol, and ``tol`` must be finite and >= 0.
     """
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     value, state = min_expectation_over_products(
         w, dims=dims, starts=starts, iters=iters, seed=seed
     )

@@ -322,6 +322,28 @@ def test_validate_witness_bad_id():
     assert "malformed witness id" in proc.stderr
 
 
+@pytest.mark.parametrize("tol", ["nan", "inf", "-5"])
+def test_bad_tol_is_domain_error(params_file, tol):
+    # NaN used to turn a PPT state into "ppt": false and to print a
+    # bare NaN (not JSON) from validate-witness
+    for args in (("ppt", "--params", str(params_file)),
+                 ("validate-witness", "--witness", "poly1:0000",
+                  "--starts", "4")):
+        proc = run_cli(*args, "--tol", tol, check=False)
+        assert proc.returncode == 1, args
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: tol must be finite"), args
+
+
+@pytest.mark.parametrize("psi", ["nan", "inf"])
+def test_validate_witness_non_finite_angle(psi):
+    proc = run_cli("validate-witness", "--witness", "con:333:122:0:+",
+                   "--psi", psi, "--starts", "4", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: angle psi must be finite")
+
+
 def test_optimality_polygonal():
     out = json.loads(
         run_cli("optimality", "--witness", "poly1:0000").stdout)

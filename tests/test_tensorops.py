@@ -322,6 +322,15 @@ def test_is_ppt_matches_per_subset_route(d):
         assert all(min_eigs[k].hex() == want[k].hex() for k in want)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -5.0, -1e-300])
+def test_is_ppt_rejects_bad_tol(tol):
+    # a NaN tol made every state "not PPT"; a negative one made PPT
+    # states with small eigenvalues fail
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        to.is_ppt(np.eye(8) / 8.0, tol=tol)
+    assert to.is_ppt(np.eye(8) / 8.0, tol=0.0)[0] is True
+
+
 # --- qudit substitution ---------------------------------------------------
 
 def test_qudit_substitute_reduces_to_pauli_op():

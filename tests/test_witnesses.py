@@ -42,6 +42,7 @@ from chesswit.witnesses import (
     witness_ids,
     _catalog,
     _component_values,
+    _initial_factors,
     _minimize_components,
     _screened_values,
 )
@@ -745,6 +746,83 @@ def test_minimizer_deterministic_and_monotone():
     assert v64 <= v1 + 1e-15
 
 
+def _initial_factors_loop(dims, starts, seed):
+    """Initial factors drawn party by party: d_p real parts, then d_p
+    imaginary parts, each vector normalized on its own."""
+    factors = [np.empty((starts, dp), dtype=np.complex128) for dp in dims]
+    for s in range(starts):
+        rng = np.random.default_rng(np.random.SeedSequence((int(seed), s)))
+        for p, dp in enumerate(dims):
+            vec = rng.normal(size=dp) + 1j * rng.normal(size=dp)
+            factors[p][s] = vec / np.linalg.norm(vec)
+    return factors
+
+
+def _seesaw_einsum(w, dims=(2, 2, 2), starts=64, iters=150, seed=0,
+                   tol=1e-12):
+    """Reference see-saw: each party's effective operator by one einsum
+    over the unblocked (d1, d2, d3, d1, d2, d3) witness."""
+    w6 = np.asarray(w, dtype=np.complex128).reshape(*dims, *dims)
+    factors = _initial_factors_loop(dims, starts, seed)
+    contractions = {
+        0: "sb,sc,abcxyz,sy,sz->sax",
+        1: "sa,sc,abcxyz,sx,sz->sby",
+        2: "sa,sb,abcxyz,sx,sy->scz",
+    }
+    others = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+    energies = np.full(starts, np.inf)
+    for _ in range(iters):
+        previous = energies.copy()
+        for p in range(3):
+            o1, o2 = others[p]
+            h = np.einsum(contractions[p],
+                          factors[o1].conj(), factors[o2].conj(),
+                          w6, factors[o1], factors[o2], optimize=True)
+            h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+            eigvals, eigvecs = np.linalg.eigh(h)
+            factors[p] = np.ascontiguousarray(eigvecs[:, :, 0])
+            energies = eigvals[:, 0].copy()
+        if np.all(np.abs(energies - previous) < tol):
+            break
+    best = int(np.argmin(energies))
+    return float(energies[best]), [f[best].copy() for f in factors]
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 5)])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**63])
+def test_initial_factors_match_per_party_draws(dims, seed):
+    # one normal draw per start is the same stream as the per-party draws
+    got = _initial_factors(dims, 24, seed)
+    want = _initial_factors_loop(dims, 24, seed)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def test_seesaw_matches_einsum_oracle():
+    rng = np.random.default_rng(2024)
+    ids = {2: witness_ids(2), 3: witness_ids(3)}
+    verdicts = set()
+    for case in range(208):
+        d = 2 + case % 2
+        wid = ids[d][int(rng.integers(len(ids[d])))]
+        w = build_witness(wid, psi=rng.uniform(0.0, 2.0 * math.pi),
+                          eta=rng.uniform(0.0, math.pi),
+                          zeta=rng.uniform(0.0, 2.0 * math.pi), d=d)
+        if case % 4 >= 2:      # shifted below zero on some product states
+            w = w - rng.uniform(0.0, 0.5) * np.eye(4 * d)
+        dims = (2, 2, d)
+        starts = int(rng.integers(1, 65))
+        seed = int(rng.integers(0, 2**63))
+        value, factors = min_expectation_over_products(
+            w, dims=dims, starts=starts, seed=seed)
+        want, _ = _seesaw_einsum(w, dims=dims, starts=starts, seed=seed)
+        assert abs(value - want) <= 1e-12, (wid, value, want)
+        assert (value >= -1e-7) == (want >= -1e-7), (wid, value, want)
+        verdicts.add(value >= -1e-7)
+        s = np.kron(np.kron(factors[0], factors[1]), factors[2])
+        assert abs((s.conj() @ w @ s).real - value) <= 1e-12, wid
+    assert verdicts == {True, False}
+
+
 def test_minimizer_rejects_bad_input():
     with pytest.raises(ValueError):
         min_expectation_over_products(np.eye(8), dims=(2, 2))
@@ -756,6 +834,31 @@ def test_minimizer_rejects_bad_input():
         min_expectation_over_products(w)
     with pytest.raises(ValueError):
         min_expectation_over_products(np.eye(8), starts=0)
+    for bad in (math.nan, math.inf, -math.inf):
+        w = np.eye(8, dtype=complex)
+        w[3, 3] = bad      # NaN slipped through the Hermiticity gate
+        with pytest.raises(ValueError, match="finite"):
+            min_expectation_over_products(w)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -5.0, -1e-300])
+def test_validate_witness_rejects_bad_tol(tol):
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        validate_witness(build_witness("poly1:0000"), tol=tol, starts=4)
+
+
+@pytest.mark.parametrize("wid, angle", [
+    ("con:333:122:0:+", "psi"),
+    ("cyl:300:122:01", "psi"),
+    ("sph:030:212:1", "eta"),
+    ("sphp:300:211:0", "zeta"),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_build_witness_rejects_non_finite_angle(wid, angle, bad):
+    angles = {"psi": 0.3} if angle == "psi" else {"eta": 1.1, "zeta": 3.0}
+    angles[angle] = bad
+    with pytest.raises(ValueError, match=f"angle {angle} must be finite"):
+        build_witness(wid, **angles)
 
 
 def test_validate_witness_samples():
