@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional
 
 from . import __version__
@@ -173,7 +174,10 @@ def _cmd_compare(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` leaves it
+    unchanged and returns a fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="chesswit",
         description=(

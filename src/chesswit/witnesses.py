@@ -75,12 +75,16 @@ Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
 ``min_expectation_over_products`` provides the independent numerical
 route: the exact minimum of <s|W|s> over product states via
-multi-start alternating per-party eigenvector updates.
+multi-start alternating per-party eigenvector updates. Each update is
+one matrix product; the lowest eigenpair of a qubit party's 2x2
+operators (parties 0 and 1, and party 2 at d = 2) is taken in closed
+form, and only a qudit party (d >= 3) calls ``eigh``.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -830,7 +834,10 @@ def min_expectation_over_products(
     reshaped to ((d_o1 d_o2)^2, d_p^2). With k = s_o1 (x) s_o2 per
     start, the effective operator of party p is the product
     (conj(k) (x) k) @ block_p, one (starts, (d_o1 d_o2)^2) by
-    ((d_o1 d_o2)^2, d_p^2) matrix product per update.
+    ((d_o1 d_o2)^2, d_p^2) matrix product per update. A qubit party
+    (d_p = 2: parties 0 and 1 always, party 2 at d = 2) takes its lowest
+    eigenpair in closed form (``_lowest_eigenpair_2x2``); a party with
+    d_p >= 3 symmetrizes its operators and calls ``eigh`` once per pass.
 
     Start ``s`` draws its initial factors from a dedicated PCG64 stream
     seeded with (seed, s): one normal draw of 2 sum(dims) values, read as
@@ -840,6 +847,9 @@ def min_expectation_over_products(
     depend on how the draw is split. Results are deterministic and the
     minimum over starts is monotone in ``starts``. Returns the best
     value and the three factors attaining it.
+
+    ``starts`` and ``iters`` must be >= 1, ``tol`` finite and >= 0, and
+    ``seed`` a non-negative integer; otherwise ValueError.
     """
     dims = tuple(int(x) for x in dims)
     if len(dims) != 3:
@@ -853,9 +863,15 @@ def min_expectation_over_products(
     scale = max(1.0, float(np.abs(w).max()))
     if float(np.abs(w - w.conj().T).max()) > 1e-10 * scale:
         raise ValueError("witness operator must be Hermitian")
-    starts = int(starts)
+    starts, iters = int(starts), int(iters)
     if starts < 1:
         raise ValueError("starts must be >= 1")
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
     factors = _initial_factors(dims, starts, seed)
     w6 = w.reshape(*dims, *dims)
@@ -867,21 +883,55 @@ def min_expectation_over_products(
     ]
 
     energies = np.full(starts, np.inf)
-    for _ in range(int(iters)):
+    for _ in range(iters):
         previous = energies.copy()
         for p, (o1, o2) in enumerate(others):
             k = (factors[o1][:, :, None] * factors[o2][:, None, :]
                  ).reshape(starts, -1)
             b = (k.conj()[:, :, None] * k[:, None, :]).reshape(starts, -1)
-            h = (b @ blocks[p]).reshape(starts, dims[p], dims[p])
-            h = (h + h.conj().transpose(0, 2, 1)) / 2.0
-            eigvals, eigvecs = np.linalg.eigh(h)
-            factors[p] = np.ascontiguousarray(eigvecs[:, :, 0])
-            energies = eigvals[:, 0].copy()
+            h = b @ blocks[p]
+            if dims[p] == 2:
+                energies, factors[p] = _lowest_eigenpair_2x2(h)
+            else:
+                h = h.reshape(starts, dims[p], dims[p])
+                h = (h + h.conj().transpose(0, 2, 1)) / 2.0
+                eigvals, eigvecs = np.linalg.eigh(h)
+                factors[p] = np.ascontiguousarray(eigvecs[:, :, 0])
+                energies = eigvals[:, 0].copy()
         if np.all(np.abs(energies - previous) < tol):
             break
     best = int(np.argmin(energies))
     return float(energies[best]), [f[best].copy() for f in factors]
+
+
+def _lowest_eigenpair_2x2(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Lowest eigenvalue and unit eigenvector of each Hermitian part
+    (H + H^dagger)/2 of a stack of 2x2 matrices, given as rows
+    (h00, h01, h10, h11) of an (n, 4) array.
+
+    With H = [[a, b], [conj(b), d]] and r = hypot((a - d)/2, |b|), the
+    lowest eigenvalue is (a + d)/2 - r. The eigenvector is read off the
+    row with the larger diagonal gap g = r + |a - d|/2 >= |b|:
+    (-b, g) if a >= d, else (g, -conj(b)), each of norm hypot(g, |b|);
+    neither g nor the norm subtracts, so the vector keeps full relative
+    accuracy. H = cI (r = 0) gets (1, 0). The phase differs from LAPACK's, which the
+    see-saw ignores: it uses the factors only through conj(k) (x) k.
+    """
+    a, d = h[:, 0].real, h[:, 3].real
+    b = (h[:, 1] + h[:, 2].conj()) / 2.0
+    half = (a - d) / 2.0
+    abs_b = np.abs(b)
+    r = np.hypot(half, abs_b)
+    g = r + np.abs(half)
+    upper = half >= 0.0
+    vec = np.empty((len(h), 2), dtype=np.complex128)
+    vec[:, 0] = np.where(upper, -b, g)
+    vec[:, 1] = np.where(upper, g, -b.conj())
+    norm = np.hypot(g, abs_b)
+    scalar = norm == 0.0
+    vec[scalar] = (1.0, 0.0)
+    norm[scalar] = 1.0
+    return (a + d) / 2.0 - r, vec / norm[:, None]
 
 
 def _initial_factors(dims: Tuple[int, int, int], starts: int, seed: int

@@ -335,6 +335,15 @@ def test_bad_tol_is_domain_error(params_file, tol):
         assert proc.stderr.startswith("error: tol must be finite"), args
 
 
+def test_validate_witness_rejects_negative_seed():
+    # numpy's "expected non-negative integer" named neither option nor value
+    proc = run_cli("validate-witness", "--witness", "poly1:0000",
+                   "--seed", "-1", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
+
+
 @pytest.mark.parametrize("psi", ["nan", "inf"])
 def test_validate_witness_non_finite_angle(psi):
     proc = run_cli("validate-witness", "--witness", "con:333:122:0:+",
@@ -389,6 +398,36 @@ def test_console_script_installed():
     proc = subprocess.run([exe, "--version"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.startswith("chesswit ")
+
+
+def test_main_reuses_one_parser_without_leaking(tmp_path, capsys,
+                                               monkeypatch):
+    # one parser serves every in-process call; no flag of one call may
+    # reach the next, and its help text stays the golden one
+    from chesswit import cli
+    monkeypatch.setenv("COLUMNS", "80")
+    assert cli._build_parser() is cli._build_parser()
+    first, second = tmp_path / "a.json", tmp_path / "b.json"
+    assert cli.main(["validate-witness", "--witness", "poly1:0000",
+                     "--starts", "3", "--tol", "0.5", "--out", str(first)]) == 0
+    assert cli.main(["validate-witness", "--witness", "poly1:0000",
+                     "--out", str(second)]) == 0
+    a, b = json.loads(first.read_text()), json.loads(second.read_text())
+    assert (a["starts"], a["tol"]) == (3, 0.5)
+    assert (b["starts"], b["tol"]) == (64, 1e-7)
+    csv = tmp_path / "rows.csv"
+    capsys.readouterr()
+    assert cli.main(["scan", "--n", "2", "--d", "3", "--gamma", "2",
+                     "--summary", "--out", str(csv)]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 2
+    assert cli.main(["scan", "--n", "2", "--out", str(csv)]) == 0
+    assert capsys.readouterr().out == ""
+    assert csv.read_text() == run_cli("scan", "--n", "2").stdout
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["scan", "--help"])
+    assert exc.value.code == 0
+    golden = (GOLDEN / "help_scan.txt").read_text()
+    assert " ".join(capsys.readouterr().out.split()) == " ".join(golden.split())
 
 
 def test_usage_error_exit_code():

@@ -43,6 +43,7 @@ from chesswit.witnesses import (
     _catalog,
     _component_values,
     _initial_factors,
+    _lowest_eigenpair_2x2,
     _minimize_components,
     _screened_values,
 )
@@ -821,6 +822,114 @@ def test_seesaw_matches_einsum_oracle():
         s = np.kron(np.kron(factors[0], factors[1]), factors[2])
         assert abs((s.conj() @ w @ s).real - value) <= 1e-12, wid
     assert verdicts == {True, False}
+
+
+def _hermitian_2x2_cases():
+    """(n, 4) rows (h00, h01, h10, h11) of Hermitian 2x2 matrices: random
+    at scales 1e-8..1e8, exactly and nearly degenerate, diagonal with
+    a < d and a > d, and purely imaginary off-diagonal entries."""
+    rng = np.random.default_rng(77)
+    blocks = []
+
+    def rows(a, d, b):
+        a, d = np.asarray(a, dtype=float), np.asarray(d, dtype=float)
+        b = np.asarray(b, dtype=complex)
+        return np.stack([a + 0j, b, b.conj(), d + 0j], axis=1)
+
+    for scale in 10.0 ** np.arange(-8, 9):
+        n = 64
+        blocks.append(scale * rows(rng.normal(size=n), rng.normal(size=n),
+                                   rng.normal(size=n)
+                                   + 1j * rng.normal(size=n)))
+    c = np.concatenate([[0.0, 1.0, -1.0, 1e-8, -3e8], rng.normal(size=20)])
+    blocks.append(rows(c, c, np.zeros_like(c)))                  # H = cI
+    for rel in (1e-17, 1e-15, 1e-12, 1e-8):
+        n = 32
+        c = rng.normal(size=n)
+        blocks.append(rows(c + rel * rng.normal(size=n), c,
+                           rel * (rng.normal(size=n)
+                                  + 1j * rng.normal(size=n))))
+    a, d = rng.normal(size=(2, 64))
+    blocks.append(rows(np.minimum(a, d), np.maximum(a, d), np.zeros(64)))
+    blocks.append(rows(np.maximum(a, d), np.minimum(a, d), np.zeros(64)))
+    blocks.append(rows(a, d, 1j * rng.normal(size=64)))
+    blocks.append(rows(a, a, 1j * rng.normal(size=64)))
+    return np.concatenate(blocks)
+
+
+def test_lowest_eigenpair_2x2_matches_eigh():
+    h = _hermitian_2x2_cases()
+    lam, vec = _lowest_eigenpair_2x2(h)
+    mats = h.reshape(-1, 2, 2)
+    want = np.linalg.eigh(mats)[0]
+    eps = np.finfo(float).eps
+    norm = np.abs(want).max(axis=1)                  # spectral norm of H
+    assert np.all(np.abs(lam - want[:, 0]) <= 4 * eps * norm)
+    residual = mats @ vec[:, :, None] - lam[:, None, None] * vec[:, :, None]
+    assert np.all(np.linalg.norm(residual[:, :, 0], axis=1) <= 8 * eps * norm)
+    assert np.all(np.abs(np.linalg.norm(vec, axis=1) - 1.0) <= 1e-15)
+    scalar = (h[:, 0] == h[:, 3]) & (h[:, 1] == 0)
+    np.testing.assert_array_equal(vec[scalar], [[1.0, 0.0]] * scalar.sum())
+
+
+def test_lowest_eigenpair_2x2_takes_the_hermitian_part():
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(64, 4)) + 1j * rng.normal(size=(64, 4))
+    lam, vec = _lowest_eigenpair_2x2(h)
+    mats = h.reshape(-1, 2, 2)
+    mats = (mats + mats.conj().transpose(0, 2, 1)) / 2.0
+    vals, vecs = np.linalg.eigh(mats)
+    np.testing.assert_allclose(lam, vals[:, 0], rtol=0, atol=1e-14)
+    overlap = np.abs(np.sum(vecs[:, :, 0].conj() * vec, axis=1))
+    np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
+
+
+def test_seesaw_calls_eigh_only_for_qudit_parties(monkeypatch):
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    min_expectation_over_products(build_witness("con:333:122:0:+", psi=0.3),
+                                  starts=8, iters=5)
+    assert calls == []
+    w = build_witness("con:333:122:0:+@0,2", psi=0.3, d=3)
+    min_expectation_over_products(w, dims=(2, 2, 3), starts=8, iters=5,
+                                  tol=0.0)
+    assert calls == [(8, 3, 3)] * 5
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
+    ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
+    ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
+    ({"tol": -1e-300}, "tol must be finite and >= 0"),
+    ({"iters": 0}, "iters must be >= 1, got 0"),
+    ({"iters": -3}, "iters must be >= 1, got -3"),
+    ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+    ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
+    ({"seed": "7"}, "seed must be a non-negative integer, got '7'"),
+])
+def test_minimizer_rejects_bad_controls(kwargs, message):
+    # a NaN or negative tol never stopped the passes early; seed 1.5 was
+    # truncated to 1 and seed -1 failed inside numpy without naming it
+    with pytest.raises(ValueError, match=message):
+        min_expectation_over_products(np.eye(8), starts=2, **kwargs)
+
+
+def test_validate_witness_rejects_zero_iters():
+    # zero passes left the minimum at +inf, a "valid" verdict for -I
+    with pytest.raises(ValueError, match="iters must be >= 1"):
+        validate_witness(-np.eye(8), iters=0)
+
+
+def test_minimizer_accepts_numpy_integer_seed():
+    w = build_witness("poly1:0110")
+    assert (min_expectation_over_products(w, starts=4, seed=np.uint64(9))[0]
+            == min_expectation_over_products(w, starts=4, seed=9)[0])
 
 
 def test_minimizer_rejects_bad_input():
