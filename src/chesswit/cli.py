@@ -36,13 +36,12 @@ from .frgeom import (
     boundary_curve_check,
     feasible_region_check,
     functional_points,
-    qset,
     sample_factors,
 )
 from .mcharness import reproduce_section6, run_scan, summarize, write_csv
 from .optimality import is_optimal
 from .tensorops import is_ppt, matrix_from_json, matrix_to_json
-from .witnesses import build_witness, detect, validate_witness
+from .witnesses import build_witness, detect, validate_witness, witness_angles
 
 __all__ = ["main"]
 
@@ -138,9 +137,9 @@ def _cmd_fr(args) -> int:
             boundary_curve_check(name)["max_residual"]
         report[name] = entry
     if args.points:
-        qs = qset(args.geometry, d=args.d, alpha=args.alpha, beta=args.beta)
         factors = sample_factors(args.samples, seed=args.seed, d=args.d)
-        pts = functional_points(qs, factors)
+        pts = functional_points(args.geometry, factors,
+                                alpha=args.alpha, beta=args.beta)
         lines = ["P1,P2,P3"]
         lines += [",".join(format(x, ".17g") for x in row) for row in pts]
         with open(args.points, "w") as fh:
@@ -149,7 +148,20 @@ def _cmd_fr(args) -> int:
     return 0
 
 
+def _reject_unused_angles(witness_id: str, **angles) -> None:
+    """Angle flags the witness's family does not take are errors, not
+    silently dropped."""
+    takes = witness_angles(witness_id)
+    unused = [f"--{name}" for name, value in angles.items()
+              if value is not None and name not in takes]
+    if unused:
+        raise ValueError(f"witness {witness_id!r} takes no "
+                         f"{' or '.join(unused)}")
+
+
 def _cmd_validate_witness(args) -> int:
+    _reject_unused_angles(args.witness, psi=args.psi, eta=args.eta,
+                          zeta=args.zeta)
     w = build_witness(args.witness, psi=args.psi, eta=args.eta,
                       zeta=args.zeta, d=args.d)
     dims = (2, 2, args.d)
@@ -161,6 +173,7 @@ def _cmd_validate_witness(args) -> int:
 
 
 def _cmd_optimality(args) -> int:
+    _reject_unused_angles(args.witness, psi=args.psi)
     optimal, sigma_min = is_optimal(args.witness, psi=args.psi,
                                     threshold=args.threshold)
     _emit_json({"witness": args.witness, "optimal": optimal,

@@ -28,18 +28,36 @@ For a d-level third party the operators are substituted into a chosen
 two-level subspace (``alpha``, ``beta``); all regions remain valid and
 the reachable set shrinks (a third factor orthogonal to the subspace
 maps to the origin).
+
+On a product state every Pauli triple factorizes,
+
+    <s1 s2 s3| sigma_i (x) sigma_j (x) T_k |s1 s2 s3> = e1_i e2_j e3_k,
+
+where party p's expectation vector is e_p = (1, x_p, y_p, z_p) with
+(x, y, z) = (2 Re(conj(u) v), 2 Im(conj(u) v), |u|^2 - |v|^2) of its
+amplitudes u, v: entries 0 and 1 of a qubit factor, entries ``alpha``
+and ``beta`` of the third factor. So P is a sum of signed monomials in
+the nine Bloch coordinates, e.g. for the sphere P1 = z1,
+P2 = x1 (x2 x3 + y2 y3), P3 = y1 (x2 y3 + y2 x3), and
+``functional_points`` evaluates it that way, term by term from the
+table that also builds ``qset``; no 8d x 8d operator is formed. The
+qudit coordinates satisfy |r3| <= 1 instead of = 1, which is why the
+qudit region only shrinks.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from functools import reduce
+from operator import mul
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
 from .chessboard import _rng_for
-from .tensorops import qudit_substitute
+from .tensorops import _check_pair, qudit_substitute
 
 __all__ = [
     "GEOMETRIES",
@@ -120,13 +138,19 @@ def _factor_chunks(n: int, seed: int, d: int
         yield lo, factors
 
 
+def _check_seed(seed) -> None:
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+
+
 def sample_factors(n: int, seed: int = 0, d: int = 2
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n Haar-random product-state factors for dimensions (2, 2, d).
 
     These are the states that ``feasible_region_check`` checks for the
-    same ``(n, seed, d)``.
+    same ``(n, seed, d)``. ``seed`` must be a non-negative integer.
     """
+    _check_seed(seed)
     out = tuple(np.empty((int(n), dim), dtype=np.complex128)
                 for dim in (2, 2, int(d)))
     for lo, factors in _factor_chunks(n, seed, d):
@@ -135,64 +159,78 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     return out  # type: ignore[return-value]
 
 
-def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
-         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operator triple (Q1, Q2, Q3) probed by a geometry."""
+def _terms(geometry: str) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...],
+                                   ...]:
+    """Per column of P, the (sign, (i, j, k)) Pauli triples it sums."""
     if geometry not in _QSET_TRIPLES:
         raise ValueError(f"unknown geometry {geometry!r}; "
                          f"choose from {GEOMETRIES}")
+    return tuple(
+        tuple((-1 if term.startswith("-") else 1,
+               tuple(int(ch) for ch in term.lstrip("-")))
+              for term in combo)
+        for combo in _QSET_TRIPLES[geometry])
+
+
+def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
+         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operator triple (Q1, Q2, Q3) probed by a geometry."""
     ops = []
-    for combo in _QSET_TRIPLES[geometry]:
+    for terms in _terms(geometry):
         q = None
-        for term in combo:
-            sign = -1.0 if term.startswith("-") else 1.0
-            triple = tuple(int(ch) for ch in term.lstrip("-"))
+        for sign, triple in terms:
             piece = sign * qudit_substitute(triple, int(d), alpha, beta)
             q = piece if q is None else q + piece
         ops.append(q)
     return tuple(ops)  # type: ignore[return-value]
 
 
+def _bloch(u: np.ndarray, v: np.ndarray) -> Tuple[None, np.ndarray,
+                                                  np.ndarray, np.ndarray]:
+    """(identity, x, y, z) expectations of the amplitude pairs (u, v);
+    the identity slot is None because its factor is skipped."""
+    c = u.conj() * v
+    return (None, 2.0 * c.real, 2.0 * c.imag,
+            (u.real * u.real + u.imag * u.imag)
+            - (v.real * v.real + v.imag * v.imag))
+
+
 def functional_points(
-    qs: Sequence[np.ndarray],
+    geometry: str,
     factors: Sequence[np.ndarray],
-    chunk: int = 65536,
+    alpha: int = 0,
+    beta: int = 1,
 ) -> np.ndarray:
-    """Rows of (<Q1>, <Q2>, <Q3>) for a batch of product states.
+    """Rows of (<Q1>, <Q2>, <Q3>) of ``qset(geometry, d, alpha, beta)``
+    for a batch of product states.
 
     ``factors`` are three arrays of shape (n, 2), (n, 2), (n, d) with
-    unit-norm rows.
+    unit-norm rows. Each column is the sum of its signed Pauli triples,
+    each triple the product e1_i e2_j e3_k of per-party expectations
+    (see the module docstring), with identity factors skipped.
     """
     f1, f2, f3 = (np.asarray(f, dtype=np.complex128) for f in factors)
-    n = f1.shape[0]
-    size = f1.shape[1] * f2.shape[1] * f3.shape[1]
-    points = np.empty((n, len(qs)), dtype=float)
-    for lo in range(0, n, int(chunk)):
-        hi = min(lo + int(chunk), n)
-        s = (f1[lo:hi, :, None, None]
-             * f2[lo:hi, None, :, None]
-             * f3[lo:hi, None, None, :]).reshape(hi - lo, size)
-        for col, q in enumerate(qs):
-            points[lo:hi, col] = np.einsum(
-                "mx,xy,my->m", s.conj(), q, s, optimize=True
-            ).real
+    columns = _terms(geometry)
+    _check_pair(f3.shape[1], alpha, beta)
+    e = (_bloch(f1[:, 0], f1[:, 1]), _bloch(f2[:, 0], f2[:, 1]),
+         _bloch(f3[:, alpha], f3[:, beta]))
+    points = np.empty((f1.shape[0], len(columns)), dtype=float)
+    for col, terms in enumerate(columns):
+        total = None
+        for sign, triple in terms:
+            term = reduce(mul, [e[p][t] for p, t in enumerate(triple) if t])
+            if total is None:
+                total = term if sign > 0 else -term
+            else:
+                total = total + term if sign > 0 else total - term
+        points[:, col] = total
     return points
 
 
-def p_map(
-    state: ProductState,
-    geometry: str = "polygon",
-    qs: Optional[Sequence[np.ndarray]] = None,
-) -> np.ndarray:
-    """(P1, P2, P3) = (<Q1>, <Q2>, <Q3>) for one product state.
-
-    ``qs`` overrides the geometry's default operator triple (see
-    :func:`qset`).
-    """
-    if qs is None:
-        qs = qset(geometry)
+def p_map(state: ProductState, geometry: str = "polygon") -> np.ndarray:
+    """(P1, P2, P3) = (<Q1>, <Q2>, <Q3>) for one product state."""
     factors = [f[None, :] for f in state.factors()]
-    return functional_points(qs, factors)[0]
+    return functional_points(geometry, factors)[0]
 
 
 def region_excess(geometry: str, points: np.ndarray) -> np.ndarray:
@@ -231,16 +269,23 @@ def feasible_region_check(
     The states are those of :func:`sample_factors`, drawn and checked
     one ``SAMPLE_CHUNK`` at a time. Returns the violation count and the
     largest observed boundary excess (negative when every point is
-    strictly inside). Raises ValueError unless ``n >= 1``.
+    strictly inside). Raises ValueError unless ``n >= 1``, ``seed`` is
+    a non-negative integer, ``tol`` is finite and >= 0, and the
+    geometry and the subspace levels are valid.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
-    qs = qset(geometry, d=d, alpha=alpha, beta=beta)
+    _check_seed(seed)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _terms(geometry)  # rejects an unknown name before any state is drawn
+    _check_pair(int(d), alpha, beta)
     violations = 0
     max_excess = -math.inf
     for _, factors in _factor_chunks(n, seed, d):
-        excess = region_excess(geometry, functional_points(qs, factors))
+        excess = region_excess(
+            geometry, functional_points(geometry, factors, alpha, beta))
         violations += int(np.count_nonzero(excess > tol))
         max_excess = max(max_excess, float(excess.max()))
     return {"geometry": geometry, "samples": n, "violations": violations,
@@ -281,12 +326,10 @@ def boundary_curve_check(geometry: str, samples: int = 1001
     |P1|^(2/3) + |P2+P3|^(2/3) = 1 traced in the (P1, P2+P3) plane);
     analytically it vanishes identically along each sweep.
     """
-    if geometry not in _QSET_TRIPLES:
-        raise ValueError(f"unknown geometry {geometry!r}; "
-                         f"choose from {GEOMETRIES}")
+    _terms(geometry)  # rejects an unknown name before the sweep
     thetas, phis = _sweep_points(geometry, samples)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
-    pts = functional_points(qset(geometry), factors)
+    pts = functional_points(geometry, factors)
     p1, p2, p3 = pts[:, 0], pts[:, 1], pts[:, 2]
     if geometry == "polygon":
         residual = np.abs(np.abs(p1) ** (2.0 / 3.0)

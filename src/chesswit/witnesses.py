@@ -111,6 +111,7 @@ __all__ = [
     "GROUP_NAMES",
     "witness_ids",
     "parse_witness_id",
+    "witness_angles",
     "build_witness",
     "phase_gate_conjugate",
     "substituted_coeffs",
@@ -288,6 +289,14 @@ def witness_ids(d: int = 2) -> List[str]:
         for b in range(a + 1, d):
             ids.extend(f"{s}@{a},{b}" for s in base)
     return ids
+
+
+def witness_angles(witness_id: str) -> Tuple[str, ...]:
+    """Names of the angles a catalog id's family takes, in the order of
+    :func:`build_witness`'s arguments."""
+    kind = _KIND[parse_witness_id(witness_id).family]
+    return {"poly": (), "con": ("psi",), "cyl": ("psi",),
+            "sph": ("eta", "zeta")}[kind]
 
 
 def format_witness(base_id: str, angles: Dict[str, float]) -> str:
@@ -848,12 +857,15 @@ def min_expectation_over_products(
     minimum over starts is monotone in ``starts``. Returns the best
     value and the three factors attaining it.
 
-    ``starts`` and ``iters`` must be >= 1, ``tol`` finite and >= 0, and
-    ``seed`` a non-negative integer; otherwise ValueError.
+    ``dims`` entries, ``starts`` and ``iters`` must be >= 1, ``tol``
+    finite and >= 0, and ``seed`` a non-negative integer; otherwise
+    ValueError.
     """
     dims = tuple(int(x) for x in dims)
     if len(dims) != 3:
         raise ValueError(f"dims must have three entries, got {dims!r}")
+    if min(dims) < 1:
+        raise ValueError(f"dims entries must be >= 1, got {dims!r}")
     w = np.asarray(w, dtype=np.complex128)
     size = int(np.prod(dims))
     if w.shape != (size, size):

@@ -250,6 +250,21 @@ def test_fr_rejects_empty_sample(samples):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--tol", "nan", "error: tol must be finite and >= 0, got nan\n"),
+    ("--tol", "-1", "error: tol must be finite and >= 0, got -1.0\n"),
+    ("--seed", "-1", "error: seed must be a non-negative integer, got -1\n"),
+])
+def test_fr_rejects_bad_tol_and_seed(flag, value, message):
+    # --tol nan printed "tol": NaN (not JSON) with 0 violations, --tol -1
+    # counted every state, and --seed -1 failed inside numpy
+    proc = run_cli("fr", "--geometry", "cone", "--samples", "50",
+                   flag, value, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == message
+
+
 def test_fr_rejects_unknown_geometry():
     proc = run_cli("fr", "--geometry", "torus", check=False)
     assert proc.returncode == 2
@@ -351,6 +366,30 @@ def test_validate_witness_non_finite_angle(psi):
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr.startswith("error: angle psi must be finite")
+
+
+@pytest.mark.parametrize("command, witness, angles, unused", [
+    ("validate-witness", "poly1:0000", ("--psi", "0.3"), "--psi"),
+    ("validate-witness", "con:333:122:0:+",
+     ("--psi", "0.3", "--eta", "1", "--zeta", "2"), "--eta or --zeta"),
+    ("validate-witness", "sph:300:122:0",
+     ("--psi", "0.3", "--eta", "1", "--zeta", "2"), "--psi"),
+    ("optimality", "poly1:0000", ("--psi", "0.3"), "--psi"),
+])
+def test_angle_flags_the_family_does_not_take_are_errors(command, witness,
+                                                         angles, unused):
+    # they used to be dropped without a word, and the JSON does not echo them
+    proc = run_cli(command, "--witness", witness, *angles, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: witness {witness!r} takes no {unused}\n"
+
+
+def test_validate_witness_spherical_takes_both_angles():
+    out = json.loads(
+        run_cli("validate-witness", "--witness", "sph:300:122:0",
+                "--eta", "1", "--zeta", "2", "--starts", "4").stdout)
+    assert out["valid"] is True
 
 
 def test_optimality_polygonal():

@@ -1,6 +1,7 @@
 """Tests for product-state functional geometry: Bloch identities,
 operator triples, containment regions, and exact boundary sweeps."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -132,15 +133,87 @@ def test_qset_qudit_shape_and_unknown():
 # --- functional points -------------------------------------------------------------
 
 
+def _functional_points_matrix(geometry, factors, alpha=0, beta=1):
+    """Oracle: <s|Q|s> of the full product vector s = f1 (x) f2 (x) f3
+    for each dense operator of ``qset``."""
+    f1, f2, f3 = factors
+    qs = qset(geometry, d=f3.shape[1], alpha=alpha, beta=beta)
+    s = (f1[:, :, None, None] * f2[:, None, :, None]
+         * f3[:, None, None, :]).reshape(len(f1), -1)
+    return np.stack([np.einsum("mx,xy,my->m", s.conj(), q, s).real
+                     for q in qs], axis=1)
+
+
 def test_functional_points_against_loop():
-    f1, f2, f3 = sample_factors(17, seed=5)
-    qs = qset("cone")
-    pts = functional_points(qs, (f1, f2, f3), chunk=5)
-    for row in range(17):
-        s = np.kron(np.kron(f1[row], f2[row]), f3[row])
-        for col, q in enumerate(qs):
-            want = (s.conj() @ q @ s).real
-            assert abs(pts[row, col] - want) < 1e-13
+    # 10^4 sampled states per (d, pair, geometry), plus third factors
+    # entirely outside the pair's subspace and ones split across it
+    cases = {2: [(0, 1)], 3: [(0, 1), (0, 2), (1, 2)], 4: [(0, 3), (1, 2)]}
+    for d, pairs in cases.items():
+        f1, f2, f3 = sample_factors(10_000, seed=5, d=d)
+        for alpha, beta in pairs:
+            f3_pair = f3.copy()
+            if d > 2:
+                outside = [k for k in range(d) if k not in (alpha, beta)]
+                f3_pair[:500] = 0.0
+                f3_pair[:500, outside[0]] = 1.0
+                f3_pair[500:1000, (alpha, beta)] = 0.0
+                f3_pair[500:1000] /= np.linalg.norm(f3_pair[500:1000], axis=1,
+                                                    keepdims=True)
+            for geometry in GEOMETRIES:
+                factors = (f1, f2, f3_pair)
+                got = functional_points(geometry, factors, alpha, beta)
+                want = _functional_points_matrix(geometry, factors, alpha,
+                                                 beta)
+                assert got.shape == (10_000, 3)
+                assert np.abs(got - want).max() <= 1e-13, (d, alpha, beta,
+                                                           geometry)
+
+
+def test_functional_points_bloch_form():
+    # the sphere's points in the per-party coordinates of its identity
+    f1, f2, f3 = sample_factors(50, seed=2)
+    (x1, y1, z1), (x2, y2, z2), (x3, y3, z3) = (
+        [(f.conj()[:, :, None] * pauli * f[:, None, :]).sum(axis=(1, 2))
+         .real for pauli in PAULIS[1:]]
+        for f in (f1, f2, f3))
+    pts = functional_points("sphere", (f1, f2, f3))
+    np.testing.assert_allclose(pts[:, 0], z1, atol=1e-15)
+    np.testing.assert_allclose(pts[:, 1], x1 * (x2 * x3 + y2 * y3),
+                               atol=1e-15)
+    np.testing.assert_allclose(pts[:, 2], y1 * (x2 * y3 + y2 * x3),
+                               atol=1e-15)
+
+
+def test_functional_points_rejects_bad_geometry_and_levels():
+    factors = sample_factors(3, seed=0, d=3)
+    with pytest.raises(ValueError, match="unknown geometry"):
+        functional_points("torus", factors)
+    for alpha, beta in ((0, 3), (2, 1), (1, 1), (-1, 2)):
+        with pytest.raises(ValueError, match="need 0 <= a < b < d"):
+            functional_points("cone", factors, alpha, beta)
+
+
+# sha256 of the concatenated bytes of sample_factors(n, seed, d): these
+# are the states feasible_region_check checks, so they must not drift
+SAMPLE_FACTOR_PINS = {
+    (20000, 11, 2):
+        "7b99808d9c3db11248934873eb56054d1d04641458f4bd989bb93288faabcf9e",
+    (70000, 7, 2):
+        "7ba68edf6735b84e69594f439fff1443895610598de2bb7f8e39e269e61e0847",
+    (5000, 3, 3):
+        "2372dca956c0b8dbeb403eff032dc6cd6de661ec966256ca32c2167287219808",
+    (100, 1, 4):
+        "a96b8c1079fe521b1903fb079b5695b03444e4b37c7bb67c2be93e8e7a540737",
+}
+
+
+@pytest.mark.parametrize("n, seed, d", sorted(SAMPLE_FACTOR_PINS))
+def test_sample_factors_pinned_bytes(n, seed, d):
+    digest = hashlib.sha256()
+    for block in sample_factors(n, seed=seed, d=d):
+        assert block.dtype == np.complex128 and block.flags.c_contiguous
+        digest.update(block.tobytes())
+    assert digest.hexdigest() == SAMPLE_FACTOR_PINS[(n, seed, d)]
 
 
 def test_sample_factors_shapes_and_norms():
@@ -205,6 +278,36 @@ def test_feasible_region_rejects_empty_sample(n):
         feasible_region_check("cone", n=n)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -1e-300])
+def test_feasible_region_rejects_bad_tol(tol):
+    # NaN counted no violation and -1 counted every state as one
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        feasible_region_check("cone", n=50, tol=tol)
+
+
+@pytest.mark.parametrize("seed, shown", [(-1, "-1"), (1.5, "1.5"),
+                                         ("7", "'7'")])
+def test_feasible_region_rejects_bad_seed(seed, shown):
+    # 1.5 was truncated to 1; -1 failed inside numpy without naming it
+    message = f"seed must be a non-negative integer, got {shown}"
+    with pytest.raises(ValueError, match=message):
+        feasible_region_check("cone", n=50, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        sample_factors(50, seed=seed)
+
+
+def test_feasible_region_accepts_numpy_integer_seed():
+    assert (feasible_region_check("cone", n=50, seed=np.uint64(4))
+            == feasible_region_check("cone", n=50, seed=4))
+
+
+def test_feasible_region_rejects_bad_geometry_and_levels():
+    with pytest.raises(ValueError, match="unknown geometry"):
+        feasible_region_check("torus", n=50)
+    with pytest.raises(ValueError, match="need 0 <= a < b < d"):
+        feasible_region_check("cone", n=50, d=3, alpha=1, beta=3)
+
+
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_feasible_region_qudit(geometry):
     out = feasible_region_check(geometry, n=5000, seed=3, d=3, alpha=0, beta=2)
@@ -219,12 +322,10 @@ def test_outside_subspace_shrinks_points():
     # polygon/cone probes touch the third party in every member, so a
     # third factor orthogonal to the subspace collapses to the origin
     for geometry in ("polygon", "cone"):
-        pts = functional_points(qset(geometry, d=3, alpha=0, beta=2),
-                                (f1, f2, f3))
+        pts = functional_points(geometry, (f1, f2, f3), alpha=0, beta=2)
         np.testing.assert_allclose(pts, 0.0, atol=1e-15)
     # the quadric probes keep their first member sigma_z (x) I (x) I
-    pts = functional_points(qset("sphere", d=3, alpha=0, beta=2),
-                            (f1, f2, f3))
+    pts = functional_points("sphere", (f1, f2, f3), alpha=0, beta=2)
     np.testing.assert_allclose(pts, [[1.0, 0.0, 0.0]], atol=1e-15)
 
 
@@ -245,11 +346,11 @@ def test_boundary_sweep_points_stay_contained():
 
     thetas, phis = _sweep_points("polygon", 301)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
-    pts = functional_points(qset("polygon"), factors)
+    pts = functional_points("polygon", factors)
     assert bool(contains("polygon", pts, tol=1e-12).all())
     thetas, phis = _sweep_points("sphere", 301)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
-    pts = functional_points(qset("sphere"), factors)
+    pts = functional_points("sphere", factors)
     excess = region_excess("sphere", pts)
     np.testing.assert_allclose(excess, 0.0, atol=1e-12)
 
@@ -283,15 +384,6 @@ def test_p_map_matches_manual_expectations():
     # default geometry is the polygon
     np.testing.assert_allclose(p_map(state), p_map(state, "polygon"),
                                atol=0)
-
-
-def test_p_map_accepts_explicit_operator_triple():
-    state = ProductState(thetas=(0.1, 0.2, 0.3), phis=(0.0, 0.0, 0.0))
-    qs = [okron3((3, 0, 0)), okron3((0, 3, 0)), okron3((0, 0, 3))]
-    got = p_map(state, qs=qs)
-    v = state.vector()
-    want = [float((v.conj() @ q @ v).real) for q in qs]
-    np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 def test_p_map_points_lie_in_their_region():

@@ -39,6 +39,7 @@ from chesswit.witnesses import (
     phase_gate_conjugate,
     substituted_coeffs,
     validate_witness,
+    witness_angles,
     witness_ids,
     _catalog,
     _component_values,
@@ -948,6 +949,24 @@ def test_minimizer_rejects_bad_input():
         w[3, 3] = bad      # NaN slipped through the Hermiticity gate
         with pytest.raises(ValueError, match="finite"):
             min_expectation_over_products(w)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 0), (0, 2, 2), (2, 2, -1)])
+def test_minimizer_rejects_non_positive_dims(dims):
+    # a zero entry passed the shape gate and failed in a numpy reduction
+    size = max(0, math.prod(dims))
+    with pytest.raises(ValueError, match=r"dims entries must be >= 1, got \("):
+        min_expectation_over_products(np.zeros((size, size)), dims=dims)
+
+
+def test_witness_angles_by_family():
+    assert witness_angles("poly1:0000") == ()
+    assert witness_angles("poly2:0110@0,2") == ()
+    assert witness_angles("con:333:122:0:+") == ("psi",)
+    assert witness_angles("cylp:300:211:01") == ("psi",)
+    assert witness_angles("sph:300:122:0") == ("eta", "zeta")
+    with pytest.raises(ValueError, match="malformed witness id"):
+        witness_angles("bogus")
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -5.0, -1e-300])
