@@ -93,10 +93,11 @@ def _check_modulus(name: str, value: float) -> float:
     return value
 
 
-def _check_positive(name: str, value: float) -> float:
+def _check_diagonal(name: str, value: float) -> float:
     value = _check_finite(name, value)
     if value <= 0.0:
         raise ValueError(f"{name} must be positive, got {value!r}")
+    _check_finite(f"1/{name}", 1 / value)
     return value
 
 
@@ -117,13 +118,14 @@ class ChessParams222:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            object.__setattr__(self, name, _check_positive(name, getattr(self, name)))
+            object.__setattr__(self, name, _check_diagonal(name, getattr(self, name)))
         r = tuple(_check_modulus(f"r[{i}]", v) for i, v in enumerate(self.r))
         phi = tuple(_check_finite(f"phi[{i}]", v) for i, v in enumerate(self.phi))
         if len(r) != 4 or len(phi) != 4:
             raise ValueError("r and phi must each have four entries")
         object.__setattr__(self, "r", r)
         object.__setattr__(self, "phi", phi)
+        _check_finite("the normalization", normalization(self))
 
     @property
     def diag_unnormalized(self) -> Tuple[float, ...]:
@@ -245,12 +247,16 @@ class ChessParams22d:
         for name, v in zip(("alpha", "beta", "gamma"), levels):
             object.__setattr__(self, name, v)
         diag = tuple(
-            tuple(_check_positive(f"diag[{j}][{k}]", v) for k, v in enumerate(row))
+            tuple(_check_diagonal(f"diag[{j}][{k}]", v) for k, v in enumerate(row))
             for j, row in enumerate(self.diag)
         )
         if len(diag) != 2 or any(len(row) != dim for row in diag):
             raise ValueError(f"diag must be 2 rows of length {dim}")
         object.__setattr__(self, "diag", diag)
+        # bounds the normalization, which sums only the reciprocals that
+        # build_rho_22d places
+        _check_finite("the sum of the diagonals and their reciprocals",
+                      sum(v + 1 / v for row in diag for v in row))
         r = tuple(_check_modulus(f"r[{i}]", v) for i, v in enumerate(self.r))
         phi = tuple(_check_finite(f"phi[{i}]", v) for i, v in enumerate(self.phi))
         if len(r) != 6 or len(phi) != 6:

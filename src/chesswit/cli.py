@@ -22,6 +22,7 @@ import argparse
 import json
 import sys
 from functools import lru_cache
+from itertools import tee
 from typing import Optional
 
 from . import __version__
@@ -34,9 +35,8 @@ from .chessboard import (
 from .frgeom import (
     GEOMETRIES,
     boundary_curve_check,
-    feasible_region_check,
-    functional_points,
-    sample_factors,
+    containment_report,
+    region_points,
 )
 from .mcharness import reproduce_section6, run_scan, summarize, write_csv
 from .optimality import is_optimal
@@ -129,19 +129,18 @@ def _cmd_fr(args) -> int:
     names = list(GEOMETRIES) if args.geometry == "all" else [args.geometry]
     report = {}
     for name in names:
-        entry = feasible_region_check(
-            name, n=args.samples, seed=args.seed, d=args.d,
-            alpha=args.alpha, beta=args.beta, tol=args.tol,
-        )
+        chunks = region_points(name, args.samples, seed=args.seed, d=args.d,
+                               alpha=args.alpha, beta=args.beta)
+        if args.points:
+            chunks, kept = tee(chunks)
+        entry = containment_report(name, chunks, tol=args.tol)
         entry["boundary_max_residual"] = \
             boundary_curve_check(name)["max_residual"]
         report[name] = entry
     if args.points:
-        factors = sample_factors(args.samples, seed=args.seed, d=args.d)
-        pts = functional_points(args.geometry, factors,
-                                alpha=args.alpha, beta=args.beta)
         lines = ["P1,P2,P3"]
-        lines += [",".join(format(x, ".17g") for x in row) for row in pts]
+        lines += [",".join(format(x, ".17g") for x in row)
+                  for pts in kept for row in pts]
         with open(args.points, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     _emit_json(report, args.out)

@@ -52,7 +52,7 @@ import numbers
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -69,6 +69,8 @@ __all__ = [
     "p_map",
     "region_excess",
     "contains",
+    "region_points",
+    "containment_report",
     "feasible_region_check",
     "boundary_curve_check",
 ]
@@ -148,8 +150,11 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     """n Haar-random product-state factors for dimensions (2, 2, d).
 
     These are the states that ``feasible_region_check`` checks for the
-    same ``(n, seed, d)``. ``seed`` must be a non-negative integer.
+    same ``(n, seed, d)``. Raises ValueError unless ``n >= 0`` and
+    ``seed`` is a non-negative integer.
     """
+    if int(n) < 0:
+        raise ValueError(f"n must be >= 0, got {n!r}")
     _check_seed(seed)
     out = tuple(np.empty((int(n), dim), dtype=np.complex128)
                 for dim in (2, 2, int(d)))
@@ -255,6 +260,43 @@ def contains(geometry: str, points: np.ndarray, tol: float = 1e-9
     return region_excess(geometry, points) <= tol
 
 
+def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
+                  alpha: int = 0, beta: int = 1) -> Iterator[np.ndarray]:
+    """``functional_points`` of the states of :func:`sample_factors`,
+    drawn lazily one ``SAMPLE_CHUNK`` at a time.
+
+    Raises ValueError before any state is drawn unless ``n >= 1``,
+    ``seed`` is a non-negative integer, and the geometry and the
+    subspace levels are valid.
+    """
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    _check_seed(seed)
+    _terms(geometry)
+    _check_pair(int(d), alpha, beta)
+    return (functional_points(geometry, factors, alpha, beta)
+            for _, factors in _factor_chunks(n, seed, d))
+
+
+def containment_report(geometry: str, chunks: Iterable[np.ndarray],
+                       tol: float = 1e-9) -> Dict[str, object]:
+    """Violation count and largest boundary excess (negative when every
+    point is strictly inside) over chunks of points. Raises ValueError
+    before reading a chunk unless ``tol`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    samples = violations = 0
+    max_excess = -math.inf
+    for points in chunks:
+        excess = region_excess(geometry, points)
+        samples += len(excess)
+        violations += int(np.count_nonzero(excess > tol))
+        max_excess = max(max_excess, float(excess.max()))
+    return {"geometry": geometry, "samples": samples, "violations": violations,
+            "max_excess": max_excess, "tol": tol}
+
+
 def feasible_region_check(
     geometry: str,
     n: int = 100_000,
@@ -264,32 +306,11 @@ def feasible_region_check(
     beta: int = 1,
     tol: float = 1e-9,
 ) -> Dict[str, object]:
-    """Sample product states and certify region containment.
-
-    The states are those of :func:`sample_factors`, drawn and checked
-    one ``SAMPLE_CHUNK`` at a time. Returns the violation count and the
-    largest observed boundary excess (negative when every point is
-    strictly inside). Raises ValueError unless ``n >= 1``, ``seed`` is
-    a non-negative integer, ``tol`` is finite and >= 0, and the
-    geometry and the subspace levels are valid.
-    """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
-    _check_seed(seed)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    _terms(geometry)  # rejects an unknown name before any state is drawn
-    _check_pair(int(d), alpha, beta)
-    violations = 0
-    max_excess = -math.inf
-    for _, factors in _factor_chunks(n, seed, d):
-        excess = region_excess(
-            geometry, functional_points(geometry, factors, alpha, beta))
-        violations += int(np.count_nonzero(excess > tol))
-        max_excess = max(max_excess, float(excess.max()))
-    return {"geometry": geometry, "samples": n, "violations": violations,
-            "max_excess": max_excess, "tol": tol}
+    """Sample product states and certify region containment: the
+    :func:`containment_report` of the :func:`region_points` of the same
+    arguments, whose checks run before any state is drawn."""
+    return containment_report(
+        geometry, region_points(geometry, n, seed, d, alpha, beta), tol)
 
 
 def _sweep_points(geometry: str, samples: int) -> Tuple[np.ndarray, np.ndarray]:

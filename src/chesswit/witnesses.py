@@ -59,17 +59,13 @@ table (``_table``), compiled lazily from the term tables: each of its
 680 component rows lists up to six signed coefficient slots, padded
 with -0.0, which is the identity of floating-point addition. The
 gathered terms are summed left to right, as ``functional`` sums them,
-so k is bit-identical to the scalar route; the norm is ``np.hypot``
-(one-angle families) or the square root of the sum of squares
-(spherical). ``np.hypot`` and ``math.hypot`` are each within one ulp of
-the exact norm but not always equal, so the vectorized values only
-screen: every entry whose value lies within the proven rounding margin
-``_SCREEN_REL * (|k0| + ||k_rest||)`` of its family's least value is a
-candidate, and the scalar ``functional`` route over the candidates, in
-catalog order with the first strictly smaller value winning, gives the
-reported minimum and its angles. The scalar route stays the arbiter so
-that every reported number is the one ``functional`` reports for the
-same entry.
+so k is bit-identical to the scalar route. The norm is the scalar
+route's own: ``math.hypot`` over the one-angle rows, and the square
+root of the left-to-right sum of squares, which numpy rounds as Python
+does, over the spherical rows. Every value therefore equals
+``functional``'s bit for bit, and each family's winner is its first
+least value in catalog order; only the eight winners go through the
+scalar route again, for their angles.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -85,7 +81,6 @@ from __future__ import annotations
 
 import math
 import numbers
-import sys
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
@@ -591,13 +586,6 @@ class _Table(NamedTuple):
     family_of: np.ndarray      # family number of each entry
 
 
-# |screened - scalar| <= _SCREEN_REL * (|k0| + ||k_rest||): the two
-# hypot routes each lie within 1 ulp (<= eps * norm) of the exact norm,
-# and the subtractions k0 - norm and value -/+ margin each round by at
-# most eps/2 * (|k0| + norm); 8 eps leaves twice the room needed.
-_SCREEN_REL = 8 * sys.float_info.epsilon
-
-
 @lru_cache(maxsize=None)
 def _table() -> _Table:
     catalog = _catalog()
@@ -626,10 +614,12 @@ def _table() -> _Table:
     return table
 
 
-def _screened_values(coeffs: Dict[Tuple[int, int, int], float]
-                     ) -> Tuple[np.ndarray, np.ndarray]:
-    """Every base entry's functional value by the vectorized route, and
-    its screening margin (see ``_SCREEN_REL``)."""
+def _catalog_values(coeffs: Dict[Tuple[int, int, int], float]) -> np.ndarray:
+    """Every base entry's functional value, bit-equal to ``functional``'s.
+
+    Raises ValueError if a value is not finite: finite coefficients can
+    still overflow k, and the family minima need ordered values.
+    """
     table = _table()
     x = np.array([1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES] + [0.0])
     terms = np.concatenate((x, -x))[table.slots]
@@ -640,10 +630,16 @@ def _screened_values(coeffs: Dict[Tuple[int, int, int], float]
     n_one, n_sph = len(table.one_angle), len(table.spherical)
     k0, rest = k[:n_entries], k[n_entries:]
     norm = np.zeros(n_entries)
-    norm[table.one_angle] = np.hypot(rest[:n_one], rest[n_one:2 * n_one])
+    norm[table.one_angle] = np.fromiter(
+        map(math.hypot, rest[:n_one].tolist(), rest[n_one:2 * n_one].tolist()),
+        float, n_one)
     ka, kb, kc = rest[2 * n_one:].reshape(3, n_sph)
     norm[table.spherical] = np.sqrt(ka * ka + kb * kb + kc * kc)
-    return k0 - norm, _SCREEN_REL * (np.abs(k0) + norm)
+    values = k0 - norm
+    if not np.isfinite(values).all():
+        raise ValueError("witness catalog values must be finite; the "
+                         "coefficients are non-finite or overflow")
+    return values
 
 
 def family_minima(
@@ -654,22 +650,20 @@ def family_minima(
 
     Equal to ``functional`` minimized over each family's entries, the
     first entry in catalog order winning a tie; see "Closed-form
-    machinery" in the module docstring.
+    machinery" in the module docstring. Raises ValueError if a value
+    is not finite.
     """
     table = _table()
-    screened, margin = _screened_values(coeffs)
-    least = np.minimum.reduceat(screened + margin, table.family_start)
-    # a NaN compares false, so it keeps its entry a candidate
-    candidates = np.flatnonzero(~(screened - margin > least[table.family_of]))
+    values = _catalog_values(coeffs)
+    least = np.minimum.reduceat(values, table.family_start)
     catalog = _catalog()
     co = {**coeffs, _IDENTITY: 1.0}
     out: Dict[str, Dict[str, object]] = {}
-    for e in candidates.tolist():
+    for e in np.flatnonzero(values == least[table.family_of]).tolist():
         base_id, family, kind, components = catalog[e]
-        value, angles = _minimize_components(
-            kind, _component_values(components, co))
-        cur = out.get(family)
-        if cur is None or value < cur["min"]:
+        if family not in out:
+            value, angles = _minimize_components(
+                kind, _component_values(components, co))
             out[family] = {
                 "min": value,
                 "best": format_witness(base_id + suffix, angles),

@@ -127,6 +127,18 @@ def test_params_validation():
         cb.ChessParams222(math.nan, 1, 1, 1)
 
 
+@pytest.mark.parametrize("diag, message", [
+    ((1e-320, 1, 1, 1), "1/a must be finite"),
+    ((1, 1, 1, 5e-324), "1/d must be finite"),
+    ((1e308, 1e308, 1, 1), "the normalization must be finite"),
+])
+def test_params_reject_overflowing_diagonal(diag, message):
+    # 1/a overflowed to inf, the coefficients became NaN, and detect
+    # reported "min": NaN
+    with pytest.raises(ValueError, match=message):
+        cb.ChessParams222(*diag)
+
+
 # --- 2 x 2 x d ---------------------------------------------------------------
 
 
@@ -252,6 +264,16 @@ def test_22d_validation():
     with pytest.raises(ValueError):
         cb.ChessParams22d(dim=3, alpha=0, beta=2, gamma=1,
                           diag=((1, -1, 1), (1, 1, 1)))
+
+
+@pytest.mark.parametrize("diag, message", [
+    (((1e-320, 1, 1), (1, 1, 1)), r"1/diag\[0\]\[0\] must be finite"),
+    (((1, 1, 1), (1, 1, 5e-324)), r"1/diag\[1\]\[2\] must be finite"),
+    (((1e308, 1e308, 1), (1, 1, 1)), "the sum of the diagonals"),
+])
+def test_22d_rejects_overflowing_diagonal(diag, message):
+    with pytest.raises(ValueError, match=message):
+        cb.ChessParams22d(dim=3, alpha=0, beta=2, gamma=1, diag=diag)
 
 
 # --- sampling ----------------------------------------------------------------

@@ -159,6 +159,21 @@ def test_detect_malformed_json_is_domain_error(tmp_path):
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("params", [
+    {"a": 1e-320, "b": 1, "c": 1, "d": 1},
+    {"dim": 3, "alpha": 0, "beta": 2, "gamma": 1,
+     "diag": [[1e-320, 1, 1], [1, 1, 1]], "couplings": []},
+])
+def test_detect_rejects_overflowing_diagonal(tmp_path, params):
+    # 1/a overflowed and detect printed "min": NaN, which is not JSON
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    proc = run_cli("detect", "--params", str(path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:") and "must be finite" in proc.stderr
+    assert proc.stdout == ""
+
+
 # --------------------------------------------------------------------- scan
 
 def test_scan_deterministic_and_summarized(tmp_path):
@@ -298,6 +313,36 @@ def test_fr_points_are_the_checked_states(tmp_path):
     pts = np.loadtxt(pts_path, delimiter=",", skiprows=1)
     assert pts.shape == (70000, 3)
     assert region_excess("cone", pts).max() == report["cone"]["max_excess"]
+
+
+def test_fr_points_draws_the_sample_once(tmp_path, monkeypatch, capsys):
+    # the points file used to come from a second draw of the same sample
+    from chesswit import cli, frgeom
+
+    draws, evaluated = [], []
+    chunks, points = frgeom._factor_chunks, frgeom.functional_points
+
+    def counted_chunks(*args):
+        for chunk in chunks(*args):
+            draws.append(chunk)
+            yield chunk
+
+    def counted_points(geometry, factors, *args):
+        evaluated.append(factors)
+        return points(geometry, factors, *args)
+
+    monkeypatch.setattr(frgeom, "_factor_chunks", counted_chunks)
+    monkeypatch.setattr(frgeom, "functional_points", counted_points)
+    pts_path = tmp_path / "points.csv"
+    assert cli.main(["fr", "--geometry", "cone", "--samples", "70000",
+                     "--seed", "7", "--points", str(pts_path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [offset for offset, _ in draws] == [0, 65536]
+    # one evaluation per drawn chunk, through the module global
+    assert [any(f is factors for _, factors in draws) for f in evaluated
+            ].count(True) == 2
+    assert report["cone"]["samples"] == 70000
+    assert len(pts_path.read_text().splitlines()) == 70001
 
 
 def test_fr_points_needs_single_geometry():

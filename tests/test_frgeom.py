@@ -227,6 +227,13 @@ def test_sample_factors_shapes_and_norms():
     np.testing.assert_array_equal(f3, again[2])
 
 
+def test_sample_factors_rejects_negative_n():
+    # numpy's "negative dimensions are not allowed" named neither
+    with pytest.raises(ValueError, match="n must be >= 0, got -5"):
+        sample_factors(-5)
+    assert [f.shape for f in sample_factors(0)] == [(0, 2), (0, 2), (0, 2)]
+
+
 # --- regions ------------------------------------------------------------------------
 
 

@@ -46,7 +46,7 @@ from chesswit.witnesses import (
     _initial_factors,
     _lowest_eigenpair_2x2,
     _minimize_components,
-    _screened_values,
+    _catalog_values,
 )
 
 # --- independent oracle machinery ---------------------------------------------
@@ -685,15 +685,41 @@ def test_family_minima_matches_per_entry_loop(catalog_inputs):
     assert len(ties) == 48 and least["best"].startswith(ties[0] + ":")
 
 
-def test_screened_values_agree_with_functional(catalog_inputs):
-    # the compiled table against the scalar functional, to 1e-12 and
-    # within the screening margin that family_minima relies on
+def test_catalog_values_bit_equal_functional(catalog_inputs):
     base_ids = witness_ids()
     for co, _ in catalog_inputs:
-        screened, margin = _screened_values(co)
-        scalar = np.array([functional(w, co)[0] for w in base_ids])
-        assert np.all(np.abs(screened - scalar) <= margin)
-        assert np.all(np.abs(screened - scalar) <= 1e-12)
+        got = [v.hex() for v in _catalog_values(co).tolist()]
+        assert got == [functional(w, co)[0].hex() for w in base_ids]
+
+
+@pytest.mark.parametrize("d,pair", [(2, (0, 1)), (3, (0, 1)), (3, (1, 2))])
+def test_family_minima_takes_angles_of_the_winners_only(monkeypatch, d, pair):
+    calls = []
+
+    def counted(kind, k):
+        calls.append(kind)
+        return _minimize_components(kind, k)
+
+    monkeypatch.setattr("chesswit.witnesses._minimize_components", counted)
+    for index in range(5):
+        rho = build_rho_22d(sample_params_22d(9, index, d))
+        calls.clear()
+        family_minima(substituted_coeffs(rho, d, *pair))
+        assert len(calls) == len(FAMILY_NAMES)
+
+
+@pytest.mark.parametrize("coeffs", [
+    {(1, 1, 1): math.nan},
+    {(3, 0, 0): math.inf},
+    {(1, 1, 1): -math.inf, (1, 2, 2): math.inf},
+    # finite coefficients whose component sums overflow
+    {(1, 1, 1): 1e308, (1, 2, 2): -1e308, (2, 1, 2): 1e308},
+])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                            "ignore:invalid value:RuntimeWarning")
+def test_family_minima_rejects_non_finite_values(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        family_minima(coeffs)
 
 
 def test_substituted_coeffs_bits_match_per_operator_trace():
