@@ -1,8 +1,9 @@
 """Monte Carlo detection scans and deterministic curve reproduction.
 
 ``run_scan`` samples chessboard states (two-qubit-pair times qubit or
-qudit third party), checks the partial transposes of every sample,
-evaluates the whole witness catalog on it through
+qudit third party) a chunk at a time, checks the partial transposes of
+every sample of a chunk with one ``is_ppt`` call on the chunk's stack,
+evaluates the whole witness catalog on each sample through
 :func:`chesswit.witnesses.detect`, and emits one CSV row per sample.
 Positivity of rho itself is checked numerically only for a qudit third
 party, by ``build_rho_22d``; at d = 2 it follows from the construction
@@ -45,7 +46,7 @@ from .chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from .tensorops import is_ppt
+from .tensorops import PPT_SUBSETS, is_ppt
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
@@ -153,52 +154,59 @@ def csv_header(dim: int = 2) -> str:
     return ",".join(cols)
 
 
-def _ppt_guard(params, rho: np.ndarray, dims: Tuple[int, ...],
-               tol: float = 1e-10) -> Dict[str, float]:
-    """Abort the scan if a sampled state is not PPT.
+#: Transpose entries per ``is_ppt`` call of the guard. 2**18 entries
+#: (4 MB) hold 682 rows at d = 2 and 303 at d = 3, so the call overhead
+#: is spread over hundreds of rows, while the guard's memory stays
+#: bounded at any d.
+_GUARD_ENTRIES = 2 ** 18
 
+
+def _ppt_guard(params: List[object], rhos: np.ndarray,
+               dims: Tuple[int, ...], tol: float = 1e-10) -> None:
+    """Abort the scan unless every sampled state of a chunk is PPT.
+
+    ``rhos`` is the ``(N, n, n)`` stack of the states built from
+    ``params``. It is checked by one ``is_ppt`` call, or by one call per
+    slice of ``_GUARD_ENTRIES`` transpose entries when it is larger.
     The constructed states are PPT by design; a failure indicates a
-    construction or sampling bug, so the error carries full diagnostics.
+    construction or sampling bug, so the error names the first failing
+    state's parameters and its six minimum eigenvalues.
     """
-    ok, min_eigs = is_ppt(rho, dims=dims, tol=tol)
-    if not ok:
-        raise RuntimeError(
-            "sampled chessboard state failed the PPT check; "
-            f"params={json.dumps(params_to_json(params))} "
-            f"min_eigenvalues={json.dumps(min_eigs)}"
-        )
-    return min_eigs
-
-
-def _row(seed: int, index: int, dim: int, alpha: Optional[int],
-         beta: Optional[int], gamma: Optional[int], pairs: str,
-         tol: float) -> Tuple[str, List[bool], List[float]]:
-    params = sample_params((seed, index), dim, alpha=alpha, beta=beta,
-                           gamma=gamma)
-    if dim == 2:
-        rho = build_rho_222(params)
-        values = (params.a, params.b, params.c, params.d)
-    else:
-        rho = build_rho_22d(params)
-        values = params.diag[0] + params.diag[1]
-    _ppt_guard(params, rho, (2, 2, dim), tol)
-    report = detect(params, pairs=pairs, include_intermediates=False)
-    minima = [report.group_minima[g] for g in GROUP_NAMES]
-    flags = [m < 0.0 for m in minima] + [report.detected]
-    fields = [str(index)]
-    fields += [_fmt(x) for x in values + params.r + params.phi]
-    fields += ["1"]
-    fields += [_fmt(m) for m in minima]
-    fields += ["1" if f else "0" for f in flags]
-    return ",".join(fields), flags, minima
+    step = max(1, _GUARD_ENTRIES // (len(PPT_SUBSETS) * rhos[0].size))
+    for start in range(0, len(rhos), step):
+        ok, min_eigs = is_ppt(rhos[start:start + step], dims=dims, tol=tol)
+        if not all(ok):
+            k = ok.index(False)
+            raise RuntimeError(
+                "sampled chessboard state failed the PPT check; "
+                f"params={json.dumps(params_to_json(params[start + k]))} "
+                "min_eigenvalues="
+                f"{json.dumps({label: v[k] for label, v in min_eigs.items()})}"
+            )
 
 
 def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
     (seed, start, stop, dim, alpha, beta, gamma, pairs, tol) = args
+    indices = range(start, stop)
+    params = [sample_params((seed, index), dim, alpha=alpha, beta=beta,
+                            gamma=gamma) for index in indices]
+    build = build_rho_222 if dim == 2 else build_rho_22d
+    _ppt_guard(params, np.array([build(p) for p in params]), (2, 2, dim), tol)
     rows, flags, minima = [], [], []
-    for index in range(start, stop):
-        row, fl, mi = _row(seed, index, dim, alpha, beta, gamma, pairs, tol)
-        rows.append(row)
+    for index, p in zip(indices, params):
+        report = detect(p, pairs=pairs, include_intermediates=False)
+        mi = [report.group_minima[g] for g in GROUP_NAMES]
+        fl = [m < 0.0 for m in mi] + [report.detected]
+        if dim == 2:
+            values = (p.a, p.b, p.c, p.d)
+        else:
+            values = p.diag[0] + p.diag[1]
+        fields = [str(index)]
+        fields += [_fmt(x) for x in values + p.r + p.phi]
+        fields += ["1"]
+        fields += [_fmt(m) for m in mi]
+        fields += ["1" if f else "0" for f in fl]
+        rows.append(",".join(fields))
         flags.append(fl)
         minima.append(mi)
     return rows, flags, minima

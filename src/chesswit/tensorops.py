@@ -144,12 +144,21 @@ def _swap_parties(m: np.ndarray, dims: Tuple[int, ...],
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of a stack of them, ascending.
 
-    ``m`` has shape ``(..., n, n)``; the result has shape ``(..., n)``,
-    and each slice equals the eigenvalues of that matrix solved alone.
+    ``m`` has shape ``(..., n, n)``; the result has shape ``(..., n)``.
     Each matrix is gated on Hermiticity (max |M - M^dagger| <=
-    1e-12 * max(1, max|M|)) before solving (ValueError), symmetrized to
-    suppress rounding noise, and its spectral reconstruction must match
-    it to a relative Frobenius residual of 1e-10 (ArithmeticError).
+    1e-12 * max(1, max|M|)) before solving (ValueError) and symmetrized
+    to suppress rounding noise. The stack is then solved as the direct
+    sum of the connected components of its union nonzero pattern
+    (``_blocks``): the blocks of one size are taken with one fancy index
+    and solved with one ``eigh`` call, and their eigenvalues are sorted
+    together. A dense pattern is one block in natural order, solved as
+    the whole matrix. Per matrix, the square root of the summed squared
+    residuals of the blocks' spectral reconstructions must be at most
+    1e-10 * ||M||_F (ArithmeticError). A matrix whose residual is not
+    finite, as for one with a NaN entry, gets NaN eigenvalues, unless
+    ``eigh`` raises ``LinAlgError`` on it first. A slice can differ
+    from that matrix solved alone only when the stack's pattern joins
+    blocks the matrix leaves apart, and then only by rounding.
     """
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -164,17 +173,81 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
             f"{float(herm_defect.max()):.3e}"
         )
     h = (m + mh) / 2.0
-    w, v = np.linalg.eigh(h)
-    norm = np.linalg.norm(h, axis=axes)
-    residual = np.linalg.norm(
-        (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - h, axis=axes)
-    bad = residual > 1e-10 * norm
-    if bad.any():
-        raise ArithmeticError(
-            f"eigendecomposition residual {float(residual[bad].max()):.3e} "
-            f"exceeds 1e-10 * ||M||_F = {1e-10 * float(norm[bad].max()):.3e}"
-        )
+    n = m.shape[-1]
+    batch = m.shape[:-2]
+    if n == 0:
+        return np.zeros(batch + (0,))
+    pattern = h != 0
+    if batch:
+        pattern = pattern.any(axis=tuple(range(len(batch))))
+    flat = h.reshape(batch + (n * n,))
+    blocks = _blocks(n, pattern.tobytes())
+    # entries off the blocks are zero, so the blocks' squared Frobenius
+    # norms sum to those of the whole matrices
+    parts, squared, norm = [], 0.0, 0.0
+    for index in blocks:
+        hb = flat[..., index]
+        w, v = np.linalg.eigh(hb)
+        diff = (v * w[..., None, :]) @ np.swapaxes(v.conj(), -1, -2) - hb
+        squared = squared + _squared_norms(diff)
+        norm = norm + _squared_norms(hb)
+        parts.append(w.reshape(batch + (index.shape[0] * index.shape[1],)))
+    w = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=-1)
+    if len(blocks) > 1 or blocks[0].shape[0] > 1:
+        w = np.sort(w, axis=-1)
+    norm = np.sqrt(norm)
+    residual = np.sqrt(squared)
+    if not (residual <= 1e-10 * norm).all():
+        bad = residual > 1e-10 * norm
+        if bad.any():
+            raise ArithmeticError(
+                "eigendecomposition residual "
+                f"{float(residual[bad].max()):.3e} exceeds 1e-10 * ||M||_F"
+                f" = {1e-10 * float(norm[bad].max()):.3e}"
+            )
+        # a NaN residual: LAPACK can return finite eigenvalues for a
+        # block holding a NaN
+        w[np.isnan(residual)] = np.nan
     return w
+
+
+def _squared_norms(blocks: np.ndarray) -> np.ndarray:
+    """Summed squared moduli over the last three axes of a block stack."""
+    return np.einsum("...kij,...kij->...", blocks, blocks.conj()).real
+
+
+@lru_cache(maxsize=64)
+def _blocks(n: int, pattern: bytes) -> Tuple[np.ndarray, ...]:
+    """Flat gather indices of the irreducible blocks of a pattern.
+
+    ``pattern`` is the bytes of a symmetric ``(n, n)`` bool array. Its
+    connected components, each in ascending index order, are grouped by
+    size; per size s with c components the result holds a ``(c, s, s)``
+    array of flat indices into an n x n matrix, smallest size first. A
+    connected pattern gives the single block ``arange(n)``.
+    """
+    adjacent = np.frombuffer(pattern, dtype=bool).reshape(n, n)
+    label = [-1] * n
+    components: List[List[int]] = []
+    for root in range(n):
+        if label[root] >= 0:
+            continue
+        label[root] = len(components)
+        members, frontier = [root], [root]
+        while frontier:
+            for j in np.flatnonzero(adjacent[frontier.pop()]).tolist():
+                if label[j] < 0:
+                    label[j] = label[root]
+                    members.append(j)
+                    frontier.append(j)
+        components.append(sorted(members))
+    out = []
+    for size in sorted({len(c) for c in components}):
+        idx = np.array([c for c in components if len(c) == size])
+        index = idx[:, :, None] * n + idx[:, None, :]
+        index.setflags(write=False)
+        out.append(index)
+    return tuple(out)
 
 
 # Nontrivial party subsets for a three-party PPT check; complementary
@@ -205,23 +278,34 @@ def is_ppt(
     m: np.ndarray,
     dims: Sequence[int] = (2, 2, 2),
     tol: float = 1e-10,
-) -> Tuple[bool, Dict[str, float]]:
+) -> Tuple[object, Dict[str, object]]:
     """Whether all partial transposes of ``m`` are positive semidefinite.
 
     Returns ``(ppt, min_eigs)`` where ``min_eigs`` maps each subset
     label ("1", "2", "3", "12", "13", "23") to the smallest eigenvalue
     of the corresponding partial transpose. ``ppt`` is True iff every
-    minimum is >= -tol, and ``tol`` must be finite and >= 0.
+    minimum is >= -tol, so a NaN eigenvalue fails it, and ``tol`` must
+    be finite and >= 0. ``m`` may be a ``(..., n, n)`` stack: the
+    transposes of all its matrices go through one
+    :func:`hermitian_eigenvalues` call, whose gates hold per matrix.
+    Both results come from ``.tolist()``, so one matrix gives a bool
+    and floats, and a stack gives (nested) lists of them.
     """
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     dims = tuple(int(d) for d in dims)
-    m = _as_square(m, dims)
-    stack = m.ravel()[_ppt_gather(dims)]
-    lowest = hermitian_eigenvalues(stack)[:, 0].tolist()
-    min_eigs = {label: w for (label, _), w in zip(PPT_SUBSETS, lowest)}
-    ppt = all(v >= -tol for v in min_eigs.values())
-    return ppt, min_eigs
+    m = np.asarray(m, dtype=np.complex128)
+    size = int(np.prod(dims))
+    if m.shape[-2:] != (size, size):
+        raise ValueError(
+            f"matrix shape {m.shape} does not match dims {dims}"
+        )
+    stack = m.reshape(m.shape[:-2] + (size * size,))[..., _ppt_gather(dims)]
+    lowest = hermitian_eigenvalues(stack).min(axis=-1)
+    ppt = (lowest >= -tol).all(axis=-1)
+    min_eigs = {label: lowest[..., k].tolist()
+                for k, (label, _) in enumerate(PPT_SUBSETS)}
+    return ppt.tolist(), min_eigs
 
 
 def _basis_matrix(d: int, a: int, b: int) -> np.ndarray:

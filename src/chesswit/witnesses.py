@@ -56,16 +56,16 @@ k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
 
 ``family_minima`` evaluates the whole catalog at once from one gather
 table (``_table``), compiled lazily from the term tables: each of its
-680 component rows lists up to six signed coefficient slots, padded
+512 component rows lists up to six signed coefficient slots, padded
 with -0.0, which is the identity of floating-point addition. The
 gathered terms are summed left to right, as ``functional`` sums them,
 so k is bit-identical to the scalar route. The norm is the scalar
-route's own: ``math.hypot`` over the one-angle rows, and the square
-root of the left-to-right sum of squares, which numpy rounds as Python
-does, over the spherical rows. Every value therefore equals
-``functional``'s bit for bit, and each family's winner is its first
-least value in catalog order; only the eight winners go through the
-scalar route again, for their angles.
+route's own: ``math.hypot`` over the 84 distinct (k1, k2) pairs of the
+168 one-angle entries, and the square root of the left-to-right sum of
+squares, which numpy rounds as Python does, over the spherical rows.
+Every value therefore equals ``functional``'s bit for bit, and each
+family's winner is its first least value in catalog order; only the
+eight winners go through the scalar route again, for their angles.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -574,13 +574,15 @@ class _Table(NamedTuple):
     Row r of the component vector K is sum_i xx[slots[i, r]], added
     left to right, where xx = (x, -x) and x = (1, the coefficients in
     ``COEFF_TRIPLES`` order, 0). Rows 0..E-1 are every entry's k0, in
-    catalog order; then come the k1 rows and the k2 rows of the
-    ``one_angle`` entries (con, cyl), then the ka, kb and kc rows of the
-    ``spherical`` entries.
+    catalog order. Then come the k1 rows and the k2 rows of the distinct
+    (k1, k2) pairs of the ``one_angle`` entries (con, cyl), which
+    ``pair_of`` maps each of those entries to, and then the ka, kb and
+    kc rows of the ``spherical`` entries.
     """
 
-    slots: np.ndarray          # (6, 680) int, indices into xx
+    slots: np.ndarray          # (6, 512) int, indices into xx
     one_angle: np.ndarray      # entry indices of con/cyl
+    pair_of: np.ndarray        # (k1, k2) pair of each one_angle entry
     spherical: np.ndarray      # entry indices of sph
     family_start: np.ndarray   # first entry of each family
     family_of: np.ndarray      # family number of each entry
@@ -595,10 +597,16 @@ def _table() -> _Table:
     kinds = [kind for _, _, kind, _ in catalog]
     one_angle = [e for e, kind in enumerate(kinds) if kind in ("con", "cyl")]
     spherical = [e for e, kind in enumerate(kinds) if kind == "sph"]
+    # the 168 con/cyl entries have only 84 distinct (k1, k2) pairs: the
+    # norm of a pair is computed once, for every entry that has it
+    pairs: Dict[_Components, int] = {}
+    pair_of = [pairs.setdefault(catalog[e][3][1:], len(pairs))
+               for e in one_angle]
     rows = [comps[0] for *_, comps in catalog]
-    for group, width in ((one_angle, 2), (spherical, 3)):
-        for j in range(1, width + 1):
-            rows += [catalog[e][3][j] for e in group]
+    for j in (0, 1):
+        rows += [pair[j] for pair in pairs]
+    for j in (1, 2, 3):
+        rows += [catalog[e][3][j] for e in spherical]
     slots = np.full((max(len(terms) for terms in rows), len(rows)),
                     2 * neg - 1)    # -x[-1] = -0.0
     for r, terms in enumerate(rows):
@@ -607,8 +615,8 @@ def _table() -> _Table:
     families = [family for _, family, _, _ in catalog]
     starts = [e for e, f in enumerate(families) if e == 0 or f != families[e - 1]]
     family_of = np.searchsorted(starts, np.arange(len(families)), "right") - 1
-    table = _Table(slots, np.array(one_angle), np.array(spherical),
-                   np.array(starts), family_of)
+    table = _Table(slots, np.array(one_angle), np.array(pair_of),
+                   np.array(spherical), np.array(starts), family_of)
     for a in table:
         a.setflags(write=False)
     return table
@@ -618,24 +626,27 @@ def _catalog_values(coeffs: Dict[Tuple[int, int, int], float]) -> np.ndarray:
     """Every base entry's functional value, bit-equal to ``functional``'s.
 
     Raises ValueError if a value is not finite: finite coefficients can
-    still overflow k, and the family minima need ordered values.
+    still overflow k, and the family minima need ordered values. Such an
+    overflow raises no numpy warning.
     """
     table = _table()
     x = np.array([1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES] + [0.0])
     terms = np.concatenate((x, -x))[table.slots]
-    k = terms[0] + terms[1]
-    for row in terms[2:]:
-        k += row
-    n_entries = len(table.family_of)
-    n_one, n_sph = len(table.one_angle), len(table.spherical)
-    k0, rest = k[:n_entries], k[n_entries:]
-    norm = np.zeros(n_entries)
-    norm[table.one_angle] = np.fromiter(
-        map(math.hypot, rest[:n_one].tolist(), rest[n_one:2 * n_one].tolist()),
-        float, n_one)
-    ka, kb, kc = rest[2 * n_one:].reshape(3, n_sph)
-    norm[table.spherical] = np.sqrt(ka * ka + kb * kb + kc * kc)
-    values = k0 - norm
+    n_entries, n_sph = len(table.family_of), len(table.spherical)
+    sph_start = table.slots.shape[1] - 3 * n_sph
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = terms[0] + terms[1]
+        for row in terms[2:]:
+            k += row
+        k0 = k[:n_entries]
+        k1, k2 = k[n_entries:sph_start].reshape(2, -1)
+        ka, kb, kc = k[sph_start:].reshape(3, n_sph)
+        norm = np.zeros(n_entries)
+        norm[table.one_angle] = np.fromiter(
+            map(math.hypot, k1.tolist(), k2.tolist()), float,
+            len(k1))[table.pair_of]
+        norm[table.spherical] = np.sqrt(ka * ka + kb * kb + kc * kc)
+        values = k0 - norm
     if not np.isfinite(values).all():
         raise ValueError("witness catalog values must be finite; the "
                          "coefficients are non-finite or overflow")

@@ -3,6 +3,7 @@ curve reproduction."""
 
 import hashlib
 import io
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from chesswit.chessboard import (
     ChessParams222,
     ChessParams22d,
+    build_rho_222,
+    params_to_json,
     sample_params_222,
     sample_params_22d,
 )
@@ -28,6 +31,7 @@ from chesswit.mcharness import (
     summarize,
     write_csv,
 )
+from chesswit.tensorops import is_ppt
 
 HEADER_222 = ("index,a,b,c,d,r1,r2,r3,r4,phi1,phi2,phi3,phi4,"
               "ppt,min_poly,min_con,min_cyl,min_sph,"
@@ -174,9 +178,64 @@ def test_ppt_guard_trips_on_crafted_state():
     params = ChessParams222(a=1, b=1, c=1, d=1, r=(0, 0, 0, 0),
                             phi=(0, 0, 0, 0))
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(params, ghz, (2, 2, 2))
+        _ppt_guard([params], ghz[None], (2, 2, 2))
     msg = str(err.value)
     assert '"a":' in msg and "min_eigenvalues" in msg
+
+
+def _chunk(seed, n):
+    params = [sample_params_222(seed, k) for k in range(n)]
+    return params, np.array([build_rho_222(p) for p in params])
+
+
+@pytest.mark.parametrize("rows_per_call", [None, 2])
+def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
+                                                     monkeypatch):
+    if rows_per_call:
+        monkeypatch.setattr(mcharness, "_GUARD_ENTRIES",
+                            rows_per_call * 6 * 64)
+    params, rhos = _chunk(18, 5)
+    _ppt_guard(params, rhos, (2, 2, 2))
+    ghz = np.zeros((8, 8), dtype=complex)
+    ghz[np.ix_((0, 7), (0, 7))] = 0.5
+    rhos[2] = ghz
+    with pytest.raises(RuntimeError) as err:
+        _ppt_guard(params, rhos, (2, 2, 2))
+    msg = str(err.value)
+    assert f"params={json.dumps(params_to_json(params[2]))} " in msg
+    assert json.dumps(params_to_json(params[0])) not in msg
+    eigs = json.loads(msg.split("min_eigenvalues=")[1])
+    assert list(eigs) == ["1", "2", "3", "12", "13", "23"]
+    assert all(v == pytest.approx(-0.5, abs=1e-12) for v in eigs.values())
+
+
+def test_ppt_guard_fails_a_nan_minimum():
+    params, rhos = _chunk(19, 4)
+    rhos[3, 1, 1] = math.nan
+    with pytest.raises(RuntimeError) as err:
+        _ppt_guard(params, rhos, (2, 2, 2))
+    msg = str(err.value)
+    assert json.dumps(params_to_json(params[3])) in msg
+    assert '"1": NaN' in msg
+
+
+def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
+    shapes = []
+
+    def counted(rhos, dims, tol):
+        shapes.append(rhos.shape)
+        return is_ppt(rhos, dims=dims, tol=tol)
+
+    monkeypatch.setattr(mcharness, "is_ppt", counted)
+    res = run_scan(40, seed=3, dim=3, chunk=16)
+    assert shapes == [(16, 12, 12), (16, 12, 12), (8, 12, 12)]
+    assert res.rows == run_scan(40, seed=3, dim=3, chunk=40).rows
+    # a chunk above _GUARD_ENTRIES transpose entries is checked in slices
+    shapes.clear()
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 7 * 6 * 144)
+    assert run_scan(40, seed=3, dim=3, chunk=16).rows == res.rows
+    assert shapes == [(7, 12, 12), (7, 12, 12), (2, 12, 12)] * 2 + [
+        (7, 12, 12), (1, 12, 12)]
 
 
 def test_summarize_counts_and_pairs():

@@ -8,6 +8,7 @@ and the quadratic closed form for 2x2 eigenvalues.
 
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -273,6 +274,94 @@ def test_eigenvalues_residual_gate(monkeypatch):
         to.hermitian_eigenvalues(stack[1])
 
 
+# --- block route ---------------------------------------------------------
+
+def _chessboard_state(d, seed, k):
+    if d == 2:
+        return build_rho_222(sample_params_222(seed, k))
+    return build_rho_22d(sample_params_22d(seed, k, d))
+
+
+def _with_transposes(rho, d):
+    """rho and its six partial transposes, as a (7, n, n) stack."""
+    dims = (2, 2, d)
+    return np.stack([rho] + [to.partial_transpose(rho, dims, parties)
+                             for _, parties in to.PPT_SUBSETS])
+
+
+def _block_sizes(m):
+    n = m.shape[-1]
+    pattern = (m != 0).any(axis=tuple(range(m.ndim - 2)))
+    return [b.shape[1:] for b in to._blocks(n, pattern.tobytes())]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_block_route_agrees_with_dense_eigh_on_chessboard_states(d):
+    n = 4 * d
+    eps = np.finfo(float).eps
+    stack = np.stack([_with_transposes(_chessboard_state(d, 12, k), d)
+                      for k in range(10)])
+    # a direct sum of 2x2 blocks, plus 1x1 blocks at d >= 4
+    assert _block_sizes(stack) == [(1, 1)] * (d >= 4) + [(2, 2)]
+    w = to.hermitian_eigenvalues(stack)
+    dense = np.linalg.eigh(stack)[0]
+    bound = n * eps * np.linalg.norm(stack, axis=(-2, -1))
+    assert (np.abs(w - dense) <= bound[..., None]).all()
+
+
+def test_block_route_dense_stack_is_bit_equal_to_full_matrix_route():
+    stack = _hermitian_stack(np.random.default_rng(41), (5,), 8)
+    assert _block_sizes(stack) == [(8, 8)]
+    w = to.hermitian_eigenvalues(stack)
+    full = np.linalg.eigh((stack + np.swapaxes(stack.conj(), -1, -2)) / 2.0)[0]
+    assert w.tobytes() == full.tobytes()
+
+
+def test_block_route_mixed_pattern_chunk_slices_match_single_calls():
+    d = 4
+    p = sample_params_22d(13, 0, d)
+    states = [build_rho_22d(p),
+              build_rho_22d(replace(p, r=(0.0,) + p.r[1:])),  # r1 = 0
+              build_rho_22d(replace(p, r=(0.0,) * 6)),        # diagonal only
+              _chessboard_state(d, 13, 1)]
+    stack = np.stack([_with_transposes(rho, d) for rho in states])
+    assert _block_sizes(stack[2]) == [(1, 1)]
+    assert _block_sizes(stack[1]) == [(1, 1), (2, 2)]
+    assert _block_sizes(stack) == [(1, 1), (2, 2)]
+    w = to.hermitian_eigenvalues(stack)
+    for idx in np.ndindex(*stack.shape[:2]):
+        assert w[idx].tobytes() == to.hermitian_eigenvalues(stack[idx]).tobytes()
+
+
+def test_block_route_keeps_the_hermiticity_gate_on_the_full_matrix():
+    rho = _chessboard_state(2, 14, 0)
+    j = int(np.flatnonzero(rho[0] == 0)[-1])    # off every block
+    assert rho[j, 0] == 0
+    bad = rho.copy()
+    bad[0, j] = 1e-6
+    with pytest.raises(ValueError, match="not Hermitian"):
+        to.hermitian_eigenvalues(np.stack([rho, bad]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        to.is_ppt(bad)
+
+
+def test_block_route_residual_gate_sums_over_blocks(monkeypatch):
+    stack = _with_transposes(_chessboard_state(3, 15, 0), 3)
+    eigh = np.linalg.eigh
+
+    def wrong_vectors(h):
+        w, v = eigh(h)
+        v = v.copy()
+        v[-1, -1, 0, :] *= 1.0 + 1e-6   # one block of the last matrix
+        return w, v
+
+    monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
+    with pytest.raises(ArithmeticError, match="residual"):
+        to.hermitian_eigenvalues(stack)
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    to.hermitian_eigenvalues(stack)
+
+
 # --- is_ppt --------------------------------------------------------------
 
 def test_is_ppt_maximally_mixed():
@@ -320,6 +409,33 @@ def test_is_ppt_matches_per_subset_route(d):
         assert ppt is True
         assert list(min_eigs) == list(want)
         assert all(min_eigs[k].hex() == want[k].hex() for k in want)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_is_ppt_stack_matches_single_calls(d):
+    n = 4 * d
+    rhos = np.array([_chessboard_state(d, 16, k)
+                     for k in range(12)]).reshape(3, 4, n, n)
+    ppt, min_eigs = to.is_ppt(rhos, (2, 2, d))
+    assert ppt == [[True] * 4] * 3
+    assert list(min_eigs) == [label for label, _ in to.PPT_SUBSETS]
+    for i, j in np.ndindex(3, 4):
+        one_ppt, one = to.is_ppt(rhos[i, j], (2, 2, d))
+        assert one_ppt is True
+        for label, value in one.items():
+            assert type(value) is float
+            assert value.hex() == min_eigs[label][i][j].hex()
+    with pytest.raises(ValueError, match="does not match dims"):
+        to.is_ppt(np.zeros((2, n, n - 1)), (2, 2, d))
+
+
+def test_is_ppt_fails_a_matrix_with_a_nan_entry():
+    rho = _chessboard_state(2, 17, 0)
+    rho[3, 3] = np.nan
+    ppt, min_eigs = to.is_ppt(np.stack([rho, _chessboard_state(2, 17, 1)]))
+    assert ppt == [False, True]
+    assert all(math.isnan(v[0]) and math.isfinite(v[1])
+               for v in min_eigs.values())
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -5.0, -1e-300])

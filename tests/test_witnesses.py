@@ -6,6 +6,7 @@ minimizer."""
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -715,11 +716,19 @@ def test_family_minima_takes_angles_of_the_winners_only(monkeypatch, d, pair):
     # finite coefficients whose component sums overflow
     {(1, 1, 1): 1e308, (1, 2, 2): -1e308, (2, 1, 2): 1e308},
 ])
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
-                            "ignore:invalid value:RuntimeWarning")
 def test_family_minima_rejects_non_finite_values(coeffs):
     with pytest.raises(ValueError, match="finite"):
         family_minima(coeffs)
+
+
+def test_family_minima_overflow_raises_value_error_under_warnings_as_errors():
+    # the overflowing sums used to warn first, so -W error turned the
+    # documented ValueError into a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="finite"):
+            family_minima({(1, 1, 1): 1e308, (1, 2, 2): -1e308,
+                           (2, 1, 2): 1e308})
 
 
 def test_substituted_coeffs_bits_match_per_operator_trace():
