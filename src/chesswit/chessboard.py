@@ -265,29 +265,6 @@ class ChessParams22d:
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "tied", bool(self.tied))
 
-    @property
-    def mu_levels(self) -> Tuple[int, ...]:
-        """The distinguished third-party levels, deduplicated, order-stable."""
-        out = []
-        for mu in (self.alpha, self.beta, self.gamma):
-            if mu not in out:
-                out.append(mu)
-        return tuple(out)
-
-    def partner(self, mu: int) -> int:
-        """Coupling partner level: alpha<->beta, gamma->gamma.
-
-        The alpha/beta roles take precedence when gamma coincides with
-        one of them.
-        """
-        if mu == self.alpha:
-            return self.beta
-        if mu == self.beta:
-            return self.alpha
-        if mu == self.gamma:
-            return self.gamma
-        raise ValueError(f"level {mu} is not one of alpha/beta/gamma")
-
 
 def _flat(q1: int, j: int, k: int, d: int) -> int:
     return q1 * 2 * d + j * d + k
@@ -303,28 +280,22 @@ def build_rho_22d(params: ChessParams22d) -> np.ndarray:
     raises :class:`NonPositiveError` with the offending eigenvalue.
     """
     d = params.dim
-    size = 4 * d
-    rho = np.zeros((size, size), dtype=np.complex128)
-    for j in (0, 1):
-        for k in range(d):
-            rho[_flat(0, j, k, d), _flat(0, j, k, d)] = params.diag[j][k]
-    for j in (0, 1):
-        for mu in params.mu_levels:
-            pos = _flat(1, j, mu, d)
-            if params.tied:
-                value = 1.0 / params.diag[1 - j][params.partner(mu)]
-            else:
-                value = 1.0 / params.diag[j][mu]
-            rho[pos, pos] = value
+    rho = np.zeros((4 * d, 4 * d), dtype=np.complex128)
+    zero_branch = np.arange(2 * d)
+    rho[zero_branch, zero_branch] = params.diag[0] + params.diag[1]
     slot_targets = {
         "ab": (params.alpha, params.beta),
         "ba": (params.beta, params.alpha),
         "gg": (params.gamma, params.gamma),
     }
     for (j, slot), r, phi in zip(SLOT_ORDER, params.r, params.phi):
-        src_level, dst_level = slot_targets[slot]
-        row = _flat(0, j, src_level, d)
-        col = _flat(1, 1 - j, dst_level, d)
+        src, dst = slot_targets[slot]
+        row, col = _flat(0, j, src, d), _flat(1, 1 - j, dst, d)
+        # the 1-branch diagonal this coupling ties; a gamma that collides
+        # with alpha or beta leaves it to their slots
+        if slot != "gg" or params.gamma not in (params.alpha, params.beta):
+            rho[col, col] = 1.0 / (params.diag[j][src] if params.tied
+                                   else params.diag[1 - j][dst])
         z = r * np.exp(1j * phi)
         rho[row, col] += z
         rho[col, row] += np.conj(z)

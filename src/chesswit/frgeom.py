@@ -245,8 +245,7 @@ def region_excess(geometry: str, points: np.ndarray) -> np.ndarray:
     if geometry == "polygon":
         return np.abs(p1) + np.abs(p2) + np.abs(p3) - 1.0
     if geometry == "cone":
-        return np.maximum(np.hypot(p2, p3) - (1.0 - np.abs(p1)),
-                          np.abs(p1) - 1.0)
+        return np.hypot(p2, p3) - (1.0 - np.abs(p1))
     if geometry == "cylinder":
         return np.hypot(p1, p2 + p3) - 1.0
     if geometry == "sphere":
@@ -351,15 +350,11 @@ def boundary_curve_check(geometry: str, samples: int = 1001
     thetas, phis = _sweep_points(geometry, samples)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
     pts = functional_points(geometry, factors)
-    p1, p2, p3 = pts[:, 0], pts[:, 1], pts[:, 2]
     if geometry == "polygon":
+        p1, p2, p3 = pts[:, 0], pts[:, 1], pts[:, 2]
         residual = np.abs(np.abs(p1) ** (2.0 / 3.0)
                           + np.abs(p2 + p3) ** (2.0 / 3.0) - 1.0)
-    elif geometry == "cone":
-        residual = np.abs(np.hypot(p2, p3) - (1.0 - np.abs(p1)))
-    elif geometry == "cylinder":
-        residual = np.abs(np.hypot(p1, p2 + p3) - 1.0)
     else:
-        residual = np.abs(np.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0)
+        residual = np.abs(region_excess(geometry, pts))
     return {"geometry": geometry, "samples": int(pts.shape[0]),
             "max_residual": float(residual.max())}

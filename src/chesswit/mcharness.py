@@ -250,6 +250,7 @@ def run_scan(
     n = int(n)
     dim = int(dim)
     workers = int(workers)
+    chunk = int(chunk)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if dim < 2:
@@ -259,10 +260,12 @@ def run_scan(
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    if chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     tasks = [
-        (int(seed), start, min(start + int(chunk), n), dim,
+        (int(seed), start, min(start + chunk, n), dim,
          alpha, beta, gamma, pairs, float(tol))
-        for start in range(0, n, int(chunk))
+        for start in range(0, n, chunk)
     ]
     rows: List[str] = []
     flags: List[List[bool]] = []

@@ -26,9 +26,10 @@ Conical (kp=333, kjl=122, i=0, both signs)
 and reports its smallest singular value; ``is_optimal`` compares it to
 a threshold. The conical system degenerates exactly at
 psi in {pi/4, 3pi/4, 5pi/4, 7pi/4} (mod 2pi), where the four
-angle-dependent states become linearly dependent, so those angles are
-reported non-optimal. Other catalog families have no zero-state system
-here and raise ValueError.
+angle-dependent states become linearly dependent, so ``is_optimal``
+returns False there: this system does not certify those angles, which
+does not show the witness non-optimal. Other catalog families have no
+zero-state system here and raise ValueError.
 """
 
 from __future__ import annotations
@@ -183,6 +184,9 @@ def is_optimal(witness_id: str, psi: Optional[float] = None,
     Returns (optimal, sigma_min): ``optimal`` is True when the least
     singular value of the stacked zero-state matrix exceeds the
     threshold, certifying that the eight zero states span the space.
+    Raises ValueError unless ``threshold`` is finite and >= 0.
     """
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
     system = orthogonality_system(witness_id, psi=psi)
     return system.sigma_min > threshold, system.sigma_min

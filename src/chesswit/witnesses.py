@@ -79,6 +79,7 @@ form, and only a qudit party (d >= 3) calls ``eigh``.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -190,8 +191,27 @@ class _ParsedId:
         return core
 
 
+@lru_cache(maxsize=None)
+def _base_entries() -> Dict[str, _ParsedId]:
+    """Every base catalog entry, in catalog order, keyed by its id: the
+    one list of which ids exist."""
+    bit = (0, 1)
+    entries = [_ParsedId(family, bits=bits) for family in ("poly1", "poly2")
+               for bits in itertools.product(bit, repeat=4)]
+    for kind, kps, tails in (
+            ("con", CONICAL_KP, [{"i": i, "sign": s} for i in bit for s in (1, -1)]),
+            ("cyl", AXIS_KP, [{"i": i, "i2": i2} for i in bit for i2 in bit]),
+            ("sph", AXIS_KP, [{"i": i} for i in bit])):
+        for family, kjls in zip(GROUP_MEMBERS[kind], (KJL_UNPRIMED, KJL_PRIMED)):
+            entries += [_ParsedId(family, kp=kp, kjl=kjl, **tail)
+                        for kp in kps for kjl in kjls for tail in tails]
+    return {p.base: p for p in entries}
+
+
 def parse_witness_id(witness_id: str) -> _ParsedId:
-    """Parse a witness identifier string; raises ValueError if malformed."""
+    """Parse a witness identifier string, whose part before any ``@A,B``
+    suffix must be a key of the catalog enumeration; raises ValueError
+    if malformed."""
     if not isinstance(witness_id, str):
         raise ValueError(f"witness id must be a string, got {witness_id!r}")
     s = witness_id.strip()
@@ -210,73 +230,19 @@ def parse_witness_id(witness_id: str) -> _ParsedId:
                 f"subspace pair must satisfy 0 <= A < B, got {pair} in "
                 f"{witness_id!r}"
             )
-    parts = s.split(":")
-    family = parts[0]
-    err = ValueError(f"malformed witness id {witness_id!r}")
-    if family in ("poly1", "poly2"):
-        if len(parts) != 2 or len(parts[1]) != 4 or set(parts[1]) - {"0", "1"}:
-            raise err
-        return _ParsedId(family, bits=tuple(int(b) for b in parts[1]), pair=pair)
-    if family in ("con", "conp"):
-        if len(parts) != 5:
-            raise err
-        kp, kjl, i_str, sign_str = parts[1:]
-        kjl_set = KJL_UNPRIMED if family == "con" else KJL_PRIMED
-        if kp not in CONICAL_KP or kjl not in kjl_set or i_str not in ("0", "1") \
-                or sign_str not in ("+", "-"):
-            raise err
-        return _ParsedId(family, kp=kp, kjl=kjl, i=int(i_str),
-                         sign=+1 if sign_str == "+" else -1, pair=pair)
-    if family in ("cyl", "cylp"):
-        if len(parts) != 4:
-            raise err
-        kp, kjl, bits = parts[1:]
-        kjl_set = KJL_UNPRIMED if family == "cyl" else KJL_PRIMED
-        if kp not in AXIS_KP or kjl not in kjl_set or len(bits) != 2 \
-                or set(bits) - {"0", "1"}:
-            raise err
-        return _ParsedId(family, kp=kp, kjl=kjl, i=int(bits[0]), i2=int(bits[1]),
-                         pair=pair)
-    if family in ("sph", "sphp"):
-        if len(parts) != 4:
-            raise err
-        kp, kjl, i_str = parts[1:]
-        kjl_set = KJL_UNPRIMED if family == "sph" else KJL_PRIMED
-        if kp not in AXIS_KP or kjl not in kjl_set or i_str not in ("0", "1"):
-            raise err
-        return _ParsedId(family, kp=kp, kjl=kjl, i=int(i_str), pair=pair)
-    raise err
-
-
-def _base_ids() -> List[str]:
-    ids: List[str] = []
-    for family in ("poly1", "poly2"):
-        for n in range(16):
-            ids.append(f"{family}:{n >> 3 & 1}{n >> 2 & 1}{n >> 1 & 1}{n & 1}")
-    for family, kjls in (("con", KJL_UNPRIMED), ("conp", KJL_PRIMED)):
-        for kp in CONICAL_KP:
-            for kjl in kjls:
-                for i in (0, 1):
-                    for sign in "+-":
-                        ids.append(f"{family}:{kp}:{kjl}:{i}:{sign}")
-    for family, kjls in (("cyl", KJL_UNPRIMED), ("cylp", KJL_PRIMED)):
-        for kp in AXIS_KP:
-            for kjl in kjls:
-                for i1 in (0, 1):
-                    for i2 in (0, 1):
-                        ids.append(f"{family}:{kp}:{kjl}:{i1}{i2}")
-    for family, kjls in (("sph", KJL_UNPRIMED), ("sphp", KJL_PRIMED)):
-        for kp in AXIS_KP:
-            for kjl in kjls:
-                for i in (0, 1):
-                    ids.append(f"{family}:{kp}:{kjl}:{i}")
-    return ids
+    parsed = _base_entries().get(s)
+    if parsed is None:
+        raise ValueError(f"malformed witness id {witness_id!r}")
+    return parsed if pair is None else replace(parsed, pair=pair)
 
 
 def witness_ids(d: int = 2) -> List[str]:
     """All discrete catalog identifiers: 236 for d=2, times d(d-1)/2 pairs
-    (each with an ``@A,B`` suffix) for d > 2."""
-    base = _base_ids()
+    (each with an ``@A,B`` suffix) for d > 2. Raises ValueError for
+    d < 2."""
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d!r}")
+    base = list(_base_entries())
     if d == 2:
         return base
     ids: List[str] = []
@@ -323,7 +289,7 @@ def _spec(base_id: str) -> Tuple[str, _Components]:
     unprimed partner (``_PRIMED_PARTNER``) conjugated by the phase gate,
     M O_1jk M^dagger = O_2jk and M O_2jk M^dagger = -O_1jk.
     """
-    p = parse_witness_id(base_id)
+    p = _base_entries()[base_id]
     kind = _KIND[p.family]
     primed = p.family != GROUP_MEMBERS[kind][0]
     if kind == "poly":
@@ -371,7 +337,7 @@ def _parsed_spec(witness_id: str) -> Tuple[_ParsedId, str, _Components]:
 @lru_cache(maxsize=None)
 def _catalog() -> Tuple[Tuple[str, str, str, _Components], ...]:
     """The base catalog as (id, family, kind, components)."""
-    return tuple((b, b.split(":", 1)[0]) + _spec(b) for b in _base_ids())
+    return tuple((b, p.family) + _spec(b) for b, p in _base_entries().items())
 
 
 # --- operator construction ----------------------------------------------------
@@ -698,16 +664,17 @@ def detect(
     For 2x2x2 parameters the catalog has 236 entries. For 2x2xd
     parameters the witnesses are evaluated for every two-level subspace
     pair of the third party (``pairs="all"``, the default) or only the
-    state's own (alpha, beta) pair (``pairs="own"``).
+    state's own (alpha, beta) pair (``pairs="own"``); any other
+    ``pairs`` raises ValueError, for either family.
     """
+    if pairs not in ("all", "own"):
+        raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if isinstance(params, ChessParams222):
         families = family_minima(pauli_coeffs(params))
         intermediates: Dict[str, object] = {}
         if include_intermediates:
             intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
-        if pairs not in ("all", "own"):
-            raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
         rho = build_rho_22d(params)
         d = params.dim
         if pairs == "own":

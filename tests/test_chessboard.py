@@ -241,6 +241,29 @@ def test_gamma_collision_with_couplings_can_break_positivity():
         cb.build_rho_22d(p)
 
 
+@pytest.mark.parametrize("dim", [3, 4])
+@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("gamma", [0, 2])
+def test_colliding_gamma_keeps_the_alpha_beta_diagonals(dim, tied, gamma):
+    # gamma = alpha or beta: the 1-branch diagonal at |1 j gamma> is the
+    # one the alpha/beta coupling ties, not the gamma-gamma one
+    alpha, beta = 0, 2
+    diag = (tuple(2.0 + k for k in range(dim)),
+            tuple(7.0 + 4 * k for k in range(dim)))
+    p = cb.ChessParams22d(dim=dim, alpha=alpha, beta=beta, gamma=gamma,
+                          diag=diag, tied=tied)
+    expected = np.zeros(4 * dim)
+    expected[:2 * dim] = diag[0] + diag[1]
+    for j in (0, 1):
+        for mu, partner in ((alpha, beta), (beta, alpha)):
+            expected[2 * dim + j * dim + mu] = 1 / (
+                diag[1 - j][partner] if tied else diag[j][mu])
+    rho = cb.build_rho_22d(p)
+    assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
+    np.testing.assert_allclose(np.diag(rho).real, expected / expected.sum(),
+                               rtol=1e-14, atol=0)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10_000), st.sampled_from([2, 3, 4, 5]))
 def test_sampled_22d_states_are_ppt(index, dim):

@@ -453,6 +453,16 @@ def test_optimality_degenerate_angle():
     assert out["sigma_min"] <= 1e-10
 
 
+@pytest.mark.parametrize("threshold", ["nan", "-1"])
+def test_optimality_bad_threshold_is_domain_error(threshold):
+    # a NaN threshold would be echoed as "threshold": NaN, which is not JSON
+    proc = run_cli("optimality", "--witness", "poly1:0000",
+                   "--threshold", threshold, check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: threshold must be finite and >= 0")
+
+
 def test_optimality_unsupported_id():
     proc = run_cli("optimality", "--witness", "cyl:300:122:00",
                    "--psi", "0.3", check=False)

@@ -143,6 +143,13 @@ def test_run_scan_validation():
         run_scan(10, workers=0)
 
 
+@pytest.mark.parametrize("chunk", [0, -1])
+def test_run_scan_rejects_chunk_below_one(chunk):
+    # checked with the other arguments, before range() or a reshape fails
+    with pytest.raises(ValueError, match="chunk must be >= 1"):
+        run_scan(5, chunk=chunk)
+
+
 @pytest.mark.parametrize("dim,levels", [
     (2, dict(gamma=7)),
     (3, dict(gamma=9)),

@@ -130,6 +130,18 @@ def test_unsupported_ids_raise(wid):
         orthogonality_system(wid, psi=0.3)
 
 
+@pytest.mark.parametrize("threshold", [math.nan, math.inf, -1.0])
+def test_is_optimal_rejects_threshold_not_finite_or_negative(threshold):
+    # a NaN threshold would call every system "not optimal", and a
+    # negative one every system optimal
+    with pytest.raises(ValueError, match="threshold must be finite and >= 0"):
+        is_optimal("poly1:0000", threshold=threshold)
+
+
+def test_is_optimal_accepts_zero_threshold():
+    assert is_optimal("poly1:0000", threshold=0.0)[0]
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=2 * math.pi))
 def test_conical_system_zero_property(psi):

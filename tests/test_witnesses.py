@@ -114,8 +114,39 @@ def test_catalog_qudit_counts():
 
 
 def test_parse_round_trip():
-    for s in witness_ids() + witness_ids(3)[:236]:
-        assert parse_witness_id(s).base == s
+    for d in (2, 3, 4, 5):
+        for s in witness_ids(d):
+            assert parse_witness_id(s).base == s
+
+
+@pytest.mark.parametrize("d", [0, 1, -3])
+def test_witness_ids_rejects_d_below_two(d):
+    with pytest.raises(ValueError, match="d must be >= 2"):
+        witness_ids(d)
+
+
+def test_parse_accepts_exactly_the_catalog():
+    # every one-character insertion, substitution and deletion of a base
+    # id parses iff the result is itself a catalog id
+    catalog = set(witness_ids())
+    alphabet = sorted(set("".join(catalog)) | set("24579ab_"))
+    mutants = set()
+    for s in catalog:
+        for k in range(len(s) + 1):
+            mutants.update(s[:k] + ch + s[k:] for ch in alphabet)
+        for k in range(len(s)):
+            mutants.add(s[:k] + s[k + 1:])
+            mutants.update(s[:k] + ch + s[k + 1:] for ch in alphabet)
+    accepted = set()
+    for s in mutants:
+        try:
+            parse_witness_id(s)
+        except ValueError as exc:
+            assert str(exc) == f"malformed witness id {s!r}"
+        else:
+            accepted.add(s)
+    assert accepted == mutants & catalog
+    assert len(accepted) > 200   # substitutions reach other catalog ids
 
 
 @pytest.mark.parametrize("bad", [
@@ -544,6 +575,12 @@ def test_detect_separable_point():
 def test_detect_marginal_band():
     report = detect(CRIT7)
     assert report.marginal == ()
+
+
+def test_detect_checks_pairs_for_qubit_states_too():
+    # the qubit family takes no pairs, but a misspelt one is still an error
+    with pytest.raises(ValueError, match="pairs must be 'all' or 'own'"):
+        detect(CRIT7, pairs="bogus")
 
 
 def test_detect_qudit_reduces_to_qubit():
