@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -51,10 +52,12 @@ __all__ = [
     "SLOT_ORDER",
     "build_rho_222",
     "build_rho_22d",
+    "coupling_cells",
     "normalization",
     "pauli_coeffs",
     "params_222_to_22d",
     "qudit_levels",
+    "rho_entries_22d",
     "sample_params_222",
     "sample_params_22d",
     "params_to_json",
@@ -270,36 +273,66 @@ def _flat(q1: int, j: int, k: int, d: int) -> int:
     return q1 * 2 * d + j * d + k
 
 
+@lru_cache(maxsize=None)
+def coupling_cells(dim: int, alpha: int, beta: int, gamma: int
+                   ) -> Tuple[Tuple[int, int], ...]:
+    """Flat (row, col) of the six couplings, upper triangle, in
+    ``SLOT_ORDER``: |0 j src> ~ |1 j' dst> with (src, dst) = (alpha,
+    beta), (beta, alpha) or (gamma, gamma). The six cells are distinct
+    for any alpha != beta, a colliding gamma included."""
+    targets = {"ab": (alpha, beta), "ba": (beta, alpha), "gg": (gamma, gamma)}
+    return tuple((_flat(0, j, targets[slot][0], dim),
+                  _flat(1, 1 - j, targets[slot][1], dim))
+                 for j, slot in SLOT_ORDER)
+
+
+def rho_entries_22d(params: ChessParams22d
+                    ) -> Tuple[np.ndarray, Tuple[complex, ...], float]:
+    """The unnormalized entries of the 2x2xd matrix, before the trace
+    division.
+
+    Returns the (4d,) complex diagonal, the six couplings r e^{i phi}
+    at ``coupling_cells`` (their conjugates sit at the mirrored cells),
+    and the trace, summed as ``rho.trace()`` sums the diagonal. A
+    1-branch diagonal is the reciprocal of its coupling partner's
+    diagonal (``tied``) or of its own 0-branch twin; a gamma that
+    collides with alpha or beta leaves it to their slots, and the
+    1-branch diagonals of uncoupled levels stay 0.
+    """
+    d = params.dim
+    zero_branch = params.diag[0] + params.diag[1]
+    diag = np.zeros(4 * d, dtype=np.complex128)
+    diag[:2 * d] = zero_branch
+    collides = params.gamma in (params.alpha, params.beta)
+    for (_, slot), (row, col) in zip(
+            SLOT_ORDER,
+            coupling_cells(d, params.alpha, params.beta, params.gamma)):
+        # |0 j src> is zero_branch[row], its twin |0 j' dst> is
+        # zero_branch[col - 2d]
+        if slot != "gg" or not collides:
+            diag[col] = 1.0 / zero_branch[row if params.tied else col - 2 * d]
+    couplings = tuple(r * np.exp(1j * phi)
+                      for r, phi in zip(params.r, params.phi))
+    return diag, couplings, float(diag.sum().real)
+
+
 def build_rho_22d(params: ChessParams22d) -> np.ndarray:
     """(4d)x(4d) density matrix of the 2x2xd chessboard family.
 
-    Assembles the diagonal and the six couplings described in the
-    module docstring, trace-normalizes, and verifies positive
-    semidefiniteness; a failure (possible when ``tied`` is off, or when
-    gamma collides with alpha/beta while carrying a nonzero coupling)
-    raises :class:`NonPositiveError` with the offending eigenvalue.
+    Scatters the entries of :func:`rho_entries_22d` into the matrix,
+    trace-normalizes, and verifies positive semidefiniteness; a failure
+    (possible when ``tied`` is off, or when gamma collides with
+    alpha/beta while carrying a nonzero coupling) raises
+    :class:`NonPositiveError` with the offending eigenvalue.
     """
     d = params.dim
-    rho = np.zeros((4 * d, 4 * d), dtype=np.complex128)
-    zero_branch = np.arange(2 * d)
-    rho[zero_branch, zero_branch] = params.diag[0] + params.diag[1]
-    slot_targets = {
-        "ab": (params.alpha, params.beta),
-        "ba": (params.beta, params.alpha),
-        "gg": (params.gamma, params.gamma),
-    }
-    for (j, slot), r, phi in zip(SLOT_ORDER, params.r, params.phi):
-        src, dst = slot_targets[slot]
-        row, col = _flat(0, j, src, d), _flat(1, 1 - j, dst, d)
-        # the 1-branch diagonal this coupling ties; a gamma that collides
-        # with alpha or beta leaves it to their slots
-        if slot != "gg" or params.gamma not in (params.alpha, params.beta):
-            rho[col, col] = 1.0 / (params.diag[j][src] if params.tied
-                                   else params.diag[1 - j][dst])
-        z = r * np.exp(1j * phi)
-        rho[row, col] += z
-        rho[col, row] += np.conj(z)
-    rho /= rho.trace().real
+    diag, couplings, trace = rho_entries_22d(params)
+    rho = np.diag(diag)
+    rows, cols = zip(*coupling_cells(d, params.alpha, params.beta,
+                                     params.gamma))
+    rho[rows, cols] += couplings
+    rho[cols, rows] += np.conj(couplings)
+    rho /= trace
     w = hermitian_eigenvalues(rho)
     if w[0] < -1e-12:
         raise NonPositiveError(

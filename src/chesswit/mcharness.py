@@ -5,10 +5,12 @@ qudit third party) a chunk at a time, checks the partial transposes of
 every sample of a chunk with one ``is_ppt`` call on the chunk's stack,
 evaluates the whole witness catalog on each sample through
 :func:`chesswit.witnesses.detect`, and emits one CSV row per sample.
+The guard builds each rho; ``detect`` does not use it, and takes a
+qudit state's coefficients for all level pairs from its parameters.
 Positivity of rho itself is checked numerically only for a qudit third
-party, by ``build_rho_22d``; at d = 2 it follows from the construction
-(every coupled 2x2 block has diagonal product 1) and the guard's
-proper-subset transposes do not include rho. Rows depend only on
+party, by the guard's ``build_rho_22d``; at d = 2 it follows from the
+construction (every coupled 2x2 block has diagonal product 1) and the
+guard's proper-subset transposes do not include rho. Rows depend only on
 ``(seed, index)``, so output is byte-identical for any worker count or
 chunk size. ``summarize`` turns the detection flags into percentages,
 20-batch mean/std statistics, and joint detection tables for every
@@ -262,9 +264,12 @@ def run_scan(
         raise ValueError("workers must be >= 1")
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
+    tol = float(tol)
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     tasks = [
         (int(seed), start, min(start + chunk, n), dim,
-         alpha, beta, gamma, pairs, float(tol))
+         alpha, beta, gamma, pairs, tol)
         for start in range(0, n, chunk)
     ]
     rows: List[str] = []

@@ -57,15 +57,28 @@ k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
 ``family_minima`` evaluates the whole catalog at once from one gather
 table (``_table``), compiled lazily from the term tables: each of its
 512 component rows lists up to six signed coefficient slots, padded
-with -0.0, which is the identity of floating-point addition. The
-gathered terms are summed left to right, as ``functional`` sums them,
-so k is bit-identical to the scalar route. The norm is the scalar
+with -0.0, which is the identity of floating-point addition. It takes
+one coefficient mapping or P rows of coefficients (the level pairs of
+a 2x2xd state); P rows are one pass over P copies of the table
+(``_table(P)``), each reading its own row. The gathered terms are
+summed left to right, as ``functional`` sums them, so k is
+bit-identical to the scalar route. The norm is the scalar
 route's own: ``math.hypot`` over the 84 distinct (k1, k2) pairs of the
 168 one-angle entries, and the square root of the left-to-right sum of
 squares, which numpy rounds as Python does, over the spherical rows.
 Every value therefore equals ``functional``'s bit for bit, and each
-family's winner is its first least value in catalog order; only the
-eight winners go through the scalar route again, for their angles.
+family's winner is its first least value in (row, catalog) order; only
+the eight winners' components go through the scalar minimization
+again, for their angles.
+
+For 2x2xd parameters, ``detect`` takes every level pair's coefficients
+Tr(rho Q_t) straight from the parameters, with no density matrix
+(``_pair_coeffs``): rho has only 4d diagonal entries and six couplings,
+so one gather compiled per level structure (``_pair_gather``) lists the
+few entries each coefficient sums, in the order the matrix route's
+einsum adds them, and the (P, 15) result is bit-equal to
+``substituted_coeffs`` on ``build_rho_22d``. That matrix route stays as
+the public API and the test oracle.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -82,18 +95,23 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Dict, List, NamedTuple, Optional, Sequence, Tuple,
+                    Union)
 
 import numpy as np
 
 from .chessboard import (
     COEFF_TRIPLES,
+    SLOT_ORDER,
     ChessParams222,
     ChessParams22d,
     build_rho_22d,
+    coupling_cells,
     pauli_coeffs,
+    rho_entries_22d,
 )
 from .tensorops import qudit_substitute
 
@@ -238,8 +256,10 @@ def parse_witness_id(witness_id: str) -> _ParsedId:
 
 def witness_ids(d: int = 2) -> List[str]:
     """All discrete catalog identifiers: 236 for d=2, times d(d-1)/2 pairs
-    (each with an ``@A,B`` suffix) for d > 2. Raises ValueError for
-    d < 2."""
+    (each with an ``@A,B`` suffix) for d > 2. Raises ValueError unless
+    d is an integer >= 2."""
+    if not isinstance(d, numbers.Integral):
+        raise ValueError(f"d must be an integer, got {d!r}")
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d!r}")
     base = list(_base_entries())
@@ -418,6 +438,57 @@ def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
     return dict(zip(COEFF_TRIPLES, values.tolist()))
 
 
+@lru_cache(maxsize=None)
+def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
+                 pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    """(T, P, 15) slots of :func:`_pair_coeffs` for one level structure.
+
+    Column (p, t) lists, in row-major order, every nonzero Q[r, c] of
+    Q_t at ``pairs[p]`` whose rho[c, r] is an entry of
+    :func:`rho_entries_22d`; the other products are +-0 and add nothing.
+    Q's entries are +-1 and +-i, so Re(Q[r, c] rho[c, r]) is exactly
+    +-Re or +-Im of the entry: a slot into xx = (x, -x, 0.0) with
+    x = (Re v, Im v) and v the (4d + 12,) entries (diagonal, couplings,
+    conjugate couplings). Columns are padded with the slot of 0.0.
+    """
+    n = 4 * d
+    m = n + 12
+    rows, cols = zip(*coupling_cells(d, alpha, beta, gamma))
+    cell = np.full((n, n), -1)
+    cell[range(n), range(n)] = range(n)
+    cell[rows, cols] = range(n, n + 6)
+    cell[cols, rows] = range(n + 6, m)
+    # slot offset of Re(q v) for each entry value q of Q
+    offset = {1: 0, 1j: 3 * m, -1: 2 * m, -1j: m}
+    columns = [[offset[q[r, c]] + cell[c, r]
+                for r, c in zip(*np.nonzero(q)) if cell[c, r] >= 0]
+               for a, b in pairs for q in _substituted_ops(d, a, b)]
+    slots = np.full((max(map(len, columns)), len(columns)), 4 * m)
+    for i, column in enumerate(columns):
+        slots[:len(column), i] = column
+    slots = slots.reshape(len(slots), len(pairs), len(COEFF_TRIPLES))
+    slots.setflags(write=False)
+    return slots
+
+
+def _pair_coeffs(params: ChessParams22d,
+                 pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    """(P, 15) coefficients Tr(rho Q_t), one row per level pair, with no
+    density matrix: bit-equal to ``substituted_coeffs(build_rho_22d(
+    params), d, a, b)``, whose einsum adds the products of Q's row-major
+    nonzeros from +0 in the same order."""
+    diag, couplings, trace = rho_entries_22d(params)
+    z = np.array(couplings)
+    v = np.concatenate((diag, z, z.conj())) / trace
+    x = np.concatenate((v.real, v.imag))
+    terms = np.concatenate((x, -x, [0.0]))[_pair_gather(
+        params.dim, params.alpha, params.beta, params.gamma, pairs)]
+    k = terms[0] + 0.0
+    for row in terms[1:]:
+        k += row
+    return k
+
+
 def _component_values(components: _Components,
                       co: Dict[Tuple[int, int, int], float]) -> List[float]:
     """K with Tr(W rho) = K . angle_weights: K_j = sum of s c_t over the
@@ -543,19 +614,29 @@ class _Table(NamedTuple):
     catalog order. Then come the k1 rows and the k2 rows of the distinct
     (k1, k2) pairs of the ``one_angle`` entries (con, cyl), which
     ``pair_of`` maps each of those entries to, and then the ka, kb and
-    kc rows of the ``spherical`` entries.
+    kc rows of the ``spherical`` entries. Row e of ``components`` lists
+    the K rows of entry e's components, in its first len(components)
+    columns.
+
+    The table for P coefficient rows holds P copies of the catalog:
+    copy p reads the p-th (x, -x) block of xx, and each of the sections
+    above lists the copies one after the other, so that entry e of copy
+    p is entry p * 236 + e.
     """
 
-    slots: np.ndarray          # (6, 512) int, indices into xx
+    slots: np.ndarray          # (6, 512 P) int, indices into xx
     one_angle: np.ndarray      # entry indices of con/cyl
     pair_of: np.ndarray        # (k1, k2) pair of each one_angle entry
     spherical: np.ndarray      # entry indices of sph
     family_start: np.ndarray   # first entry of each family
     family_of: np.ndarray      # family number of each entry
+    components: np.ndarray     # (236 P, 4) K rows of each entry
 
 
 @lru_cache(maxsize=None)
-def _table() -> _Table:
+def _table(n_rows: int = 1) -> _Table:
+    if n_rows > 1:
+        return _copies(_table(), n_rows)
     catalog = _catalog()
     slot = {t: k + 1 for k, t in enumerate(COEFF_TRIPLES)}
     slot[_IDENTITY] = 0
@@ -581,23 +662,74 @@ def _table() -> _Table:
     families = [family for _, family, _, _ in catalog]
     starts = [e for e, f in enumerate(families) if e == 0 or f != families[e - 1]]
     family_of = np.searchsorted(starts, np.arange(len(families)), "right") - 1
+    n_entries, n_pairs, n_sph = len(catalog), len(pairs), len(spherical)
+    components = np.zeros((n_entries, 4), dtype=int)
+    components[:, 0] = range(n_entries)
+    components[one_angle, 1] = n_entries + np.array(pair_of)
+    components[one_angle, 2] = n_entries + n_pairs + np.array(pair_of)
+    components[spherical, 1:] = (n_entries + 2 * n_pairs + n_sph * np.arange(3)
+                                 + np.arange(n_sph)[:, None])
     table = _Table(slots, np.array(one_angle), np.array(pair_of),
-                   np.array(spherical), np.array(starts), family_of)
+                   np.array(spherical), np.array(starts), family_of,
+                   components)
     for a in table:
         a.setflags(write=False)
     return table
 
 
-def _catalog_values(coeffs: Dict[Tuple[int, int, int], float]) -> np.ndarray:
-    """Every base entry's functional value, bit-equal to ``functional``'s.
+def _copies(table: _Table, n_rows: int) -> _Table:
+    """``table`` for ``n_rows`` coefficient rows; see ``_Table``."""
+    n_entries, n_sph = len(table.family_of), len(table.spherical)
+    n_pairs = int(table.pair_of.max()) + 1
+    copies = np.arange(n_rows)[:, None]
+    starts = np.cumsum([0, n_entries, n_pairs, n_pairs, n_sph, n_sph])
+    sizes = np.diff(starts, append=table.slots.shape[1])
+    width = 2 * (len(COEFF_TRIPLES) + 2)    # of one (x, -x) block
+    slots = np.concatenate(
+        [(s[:, None] + width * copies).reshape(len(s), -1)
+         for s in np.split(table.slots, starts[1:], axis=1)], axis=1)
+    # row r of section j moves to starts[j] * P + p * sizes[j] + r - starts[j]
+    section = np.searchsorted(starts, table.components, "right") - 1
+    components = (table.components + (n_rows - 1) * starts[section]
+                  + copies[:, :, None] * sizes[section])
+    out = _Table(slots, (table.one_angle + n_entries * copies).ravel(),
+                 (table.pair_of + n_pairs * copies).ravel(),
+                 (table.spherical + n_entries * copies).ravel(),
+                 (table.family_start + n_entries * copies).ravel(),
+                 np.tile(table.family_of, n_rows),
+                 components.reshape(-1, 4))
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _coeff_x(coeffs) -> np.ndarray:
+    """(P, 17) rows x = (1, the coefficients in ``COEFF_TRIPLES`` order,
+    0) of ``_Table``, from a (P, 15) array or from one mapping (P = 1;
+    absent triples are 0)."""
+    if isinstance(coeffs, Mapping):
+        return np.array([[1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES]
+                         + [0.0]])
+    rows = np.asarray(coeffs, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != len(COEFF_TRIPLES):
+        raise ValueError(f"coefficients must be a mapping or a (P, 15) "
+                         f"array, got shape {rows.shape}")
+    ones = np.ones((len(rows), 1))
+    return np.concatenate((ones, rows, np.zeros_like(ones)), axis=1)
+
+
+def _catalog_values(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every base entry's functional value on each row of ``x`` (see
+    :func:`_coeff_x`), bit-equal to ``functional``'s: P * 236 values,
+    entry e of row p at p * 236 + e; and the component rows K of
+    ``_table(P)`` they were taken from.
 
     Raises ValueError if a value is not finite: finite coefficients can
     still overflow k, and the family minima need ordered values. Such an
     overflow raises no numpy warning.
     """
-    table = _table()
-    x = np.array([1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES] + [0.0])
-    terms = np.concatenate((x, -x))[table.slots]
+    table = _table(len(x))
+    terms = np.concatenate((x, -x), axis=1).ravel()[table.slots]
     n_entries, n_sph = len(table.family_of), len(table.spherical)
     sph_start = table.slots.shape[1] - 3 * n_sph
     with np.errstate(over="ignore", invalid="ignore"):
@@ -616,35 +748,46 @@ def _catalog_values(coeffs: Dict[Tuple[int, int, int], float]) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("witness catalog values must be finite; the "
                          "coefficients are non-finite or overflow")
-    return values
+    return values, k
 
 
 def family_minima(
-    coeffs: Dict[Tuple[int, int, int], float],
-    suffix: str = "",
+    coeffs: Union[Mapping[Tuple[int, int, int], float], np.ndarray],
+    suffix: Union[str, Sequence[str]] = "",
 ) -> Dict[str, Dict[str, object]]:
     """Minimal functional value and best identifier per family.
 
-    Equal to ``functional`` minimized over each family's entries, the
-    first entry in catalog order winning a tie; see "Closed-form
-    machinery" in the module docstring. Raises ValueError if a value
-    is not finite.
+    ``coeffs`` is one coefficient mapping, or a (P, 15) array of rows in
+    ``COEFF_TRIPLES`` order (a 2x2xd state's level pairs), with
+    ``suffix`` one id suffix or one per row. The minimum is that of
+    ``functional`` over every row and entry of each family, the first
+    in (row, catalog) order winning a tie; see "Closed-form machinery"
+    in the module docstring. Raises ValueError if a value is not
+    finite.
     """
-    table = _table()
-    values = _catalog_values(coeffs)
+    x = _coeff_x(coeffs)
+    n_rows = len(x)
+    suffixes = [suffix] * n_rows if isinstance(suffix, str) else suffix
+    if len(suffixes) != n_rows:
+        raise ValueError(f"need one suffix per row: {n_rows} rows, "
+                         f"{len(suffixes)} suffixes")
+    table = _table(n_rows)
+    values, k = _catalog_values(x)
     least = np.minimum.reduceat(values, table.family_start)
+    if n_rows > 1:
+        least = least.reshape(n_rows, -1).min(axis=0)
     catalog = _catalog()
-    co = {**coeffs, _IDENTITY: 1.0}
+    first: Dict[str, int] = {}
+    for i in np.flatnonzero(values == least[table.family_of]).tolist():
+        first.setdefault(catalog[i % len(catalog)][1], i)
+    winners = [first[family] for family in FAMILY_NAMES]
     out: Dict[str, Dict[str, object]] = {}
-    for e in np.flatnonzero(values == least[table.family_of]).tolist():
+    for i, k_i in zip(winners, k[table.components[winners]].tolist()):
+        p, e = divmod(i, len(catalog))
         base_id, family, kind, components = catalog[e]
-        if family not in out:
-            value, angles = _minimize_components(
-                kind, _component_values(components, co))
-            out[family] = {
-                "min": value,
-                "best": format_witness(base_id + suffix, angles),
-            }
+        value, angles = _minimize_components(kind, k_i[:len(components)])
+        out[family] = {"min": value,
+                       "best": format_witness(base_id + suffixes[p], angles)}
     return out
 
 
@@ -665,7 +808,12 @@ def detect(
     parameters the witnesses are evaluated for every two-level subspace
     pair of the third party (``pairs="all"``, the default) or only the
     state's own (alpha, beta) pair (``pairs="own"``); any other
-    ``pairs`` raises ValueError, for either family.
+    ``pairs`` raises ValueError, for either family. The pairs'
+    coefficients come from the parameters, with no density matrix, and
+    go through one ``family_minima`` call. Where the construction does
+    not prove rho positive (``tied=False``, or a gamma that collides
+    with alpha or beta carrying a nonzero coupling), ``build_rho_22d``
+    checks it and raises NonPositiveError.
     """
     if pairs not in ("all", "own"):
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
@@ -675,21 +823,23 @@ def detect(
         if include_intermediates:
             intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
-        rho = build_rho_22d(params)
         d = params.dim
         if pairs == "own":
-            pair_list = [tuple(sorted((params.alpha, params.beta)))]
+            pair_list = (tuple(sorted((params.alpha, params.beta))),)
         else:
-            pair_list = [(a, b) for a in range(d) for b in range(a + 1, d)]
-        families = {}
-        for a, b in pair_list:
-            co = substituted_coeffs(rho, d, a, b)
-            suffix = f"@{a},{b}" if d > 2 else ""
-            fam = family_minima(co, suffix=suffix)
-            for name, entry in fam.items():
-                cur = families.get(name)
-                if cur is None or entry["min"] < cur["min"]:
-                    families[name] = entry
+            pair_list = tuple(itertools.combinations(range(d), 2))
+        # tied, every coupled block [[x, z], [conj z, 1/x]] has
+        # determinant 1 - |z|^2 >= 0; a gamma that collides with alpha or
+        # beta adds its coupling to their blocks unless it is 0
+        proven = params.tied and (
+            params.gamma not in (params.alpha, params.beta)
+            or all(r == 0.0 for (_, slot), r in zip(SLOT_ORDER, params.r)
+                   if slot == "gg"))
+        if not proven:
+            build_rho_22d(params)    # raises NonPositiveError
+        families = family_minima(
+            _pair_coeffs(params, pair_list),
+            [f"@{a},{b}" if d > 2 else "" for a, b in pair_list])
         intermediates = {"pairs": [list(p) for p in pair_list]}
     else:
         raise TypeError(f"unsupported parameter object {type(params)!r}")

@@ -395,6 +395,15 @@ def test_bad_tol_is_domain_error(params_file, tol):
         assert proc.stderr.startswith("error: tol must be finite"), args
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_scan_bad_tol_is_domain_error(n):
+    # --n 0 --tol nan used to exit 0 with a bare CSV header
+    proc = run_cli("scan", "--n", n, "--tol", "nan", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: tol must be finite and >= 0, got nan\n"
+
+
 def test_validate_witness_rejects_negative_seed():
     # numpy's "expected non-negative integer" named neither option nor value
     proc = run_cli("validate-witness", "--witness", "poly1:0000",

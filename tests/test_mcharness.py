@@ -161,6 +161,17 @@ def test_run_scan_checks_levels_before_any_row(dim, levels):
         run_scan(0, dim=dim, **levels)
 
 
+@pytest.mark.parametrize("n", [0, 1])
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_run_scan_checks_tol_before_any_row(n, tol, monkeypatch):
+    # n = 0 used to return an empty result, n = 1 to raise from is_ppt
+    # only after the first chunk was sampled
+    monkeypatch.setattr("chesswit.mcharness.sample_params",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        run_scan(n, tol=tol)
+
+
 def test_run_scan_qudit():
     res = run_scan(40, seed=5, dim=3)
     assert res.header == csv_header(3)

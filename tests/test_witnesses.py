@@ -4,6 +4,7 @@ against honest traces, detection tables, and the product-state
 minimizer."""
 
 import hashlib
+import itertools
 import json
 import math
 import warnings
@@ -14,7 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chesswit.chessboard import (
+    COEFF_TRIPLES,
     ChessParams222,
+    ChessParams22d,
+    NonPositiveError,
     build_rho_222,
     build_rho_22d,
     params_222_to_22d,
@@ -22,7 +26,7 @@ from chesswit.chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from chesswit.tensorops import qudit_substitute
+from chesswit.tensorops import hermitian_eigenvalues, qudit_substitute
 from chesswit.witnesses import (
     _IDENTITY,
     DETECT_MARGIN,
@@ -48,6 +52,8 @@ from chesswit.witnesses import (
     _lowest_eigenpair_2x2,
     _minimize_components,
     _catalog_values,
+    _coeff_x,
+    _pair_coeffs,
 )
 
 # --- independent oracle machinery ---------------------------------------------
@@ -123,6 +129,18 @@ def test_parse_round_trip():
 def test_witness_ids_rejects_d_below_two(d):
     with pytest.raises(ValueError, match="d must be >= 2"):
         witness_ids(d)
+
+
+@pytest.mark.parametrize("d", [2.5, 3.0, "3", None])
+def test_witness_ids_rejects_non_integer_d(d):
+    # 2.5 used to fail inside range() with a TypeError
+    with pytest.raises(ValueError, match="d must be an integer"):
+        witness_ids(d)
+
+
+def test_witness_ids_accepts_numpy_integers():
+    assert witness_ids(np.int64(3)) == witness_ids(3)
+    assert witness_ids(np.uint8(2)) == witness_ids(2)
 
 
 def test_parse_accepts_exactly_the_catalog():
@@ -648,6 +666,122 @@ DETECT_JSON_PINS = {
 }
 
 
+def _detect_oracle(params, pairs):
+    """The per-pair route ``detect`` replaced: rho, the einsum and one
+    ``family_minima`` call per pair, a later pair winning only with a
+    strictly smaller minimum."""
+    d = params.dim
+    rho = build_rho_22d(params)
+    if pairs == "own":
+        pair_list = [tuple(sorted((params.alpha, params.beta)))]
+    else:
+        pair_list = list(itertools.combinations(range(d), 2))
+    families = {}
+    for a, b in pair_list:
+        fam = family_minima(substituted_coeffs(rho, d, a, b),
+                            suffix=f"@{a},{b}" if d > 2 else "")
+        for name, entry in fam.items():
+            cur = families.get(name)
+            if cur is None or entry["min"] < cur["min"]:
+                families[name] = entry
+    return families
+
+
+@pytest.mark.parametrize("pairs", ["all", "own"])
+@pytest.mark.parametrize("d", [3, 4])
+def test_detect_matches_per_pair_oracle(d, pairs):
+    states = [sample_params_22d(31, k, d) for k in range(12)]
+    states += [sample_params_22d(32, k, d, alpha=k % d, beta=(k + 1) % d,
+                                 gamma=(k + 2 * (k % 2)) % d)
+               for k in range(12)]
+    # unit diagonals and no couplings tie families across pairs
+    states.append(ChessParams22d(d, 0, 1, 2, ((1.0,) * d, (1.0,) * d)))
+    states.append(ChessParams22d(d, 0, 1, 2, ((1.0,) * d, (1.0,) * d),
+                                 r=(0.5,) * 6))
+    for params in states:
+        got = detect(params, pairs=pairs).families
+        want = _detect_oracle(params, pairs)
+        assert list(got) == list(want) == list(FAMILY_NAMES)
+        for name, entry in want.items():
+            assert got[name]["min"].hex() == entry["min"].hex(), name
+            assert got[name]["best"] == entry["best"], name
+
+
+def test_batched_family_minima_takes_angles_of_the_winners_only(monkeypatch):
+    calls = []
+
+    def counted(kind, k):
+        calls.append(kind)
+        return _minimize_components(kind, k)
+
+    monkeypatch.setattr("chesswit.witnesses._minimize_components", counted)
+    pairs = ((0, 1), (0, 2), (1, 2))
+    for index in range(5):
+        rows = _pair_coeffs(sample_params_22d(9, index, 3), pairs)
+        calls.clear()
+        family_minima(rows, [f"@{a},{b}" for a, b in pairs])
+        assert len(calls) == len(FAMILY_NAMES)
+
+
+def test_family_minima_needs_one_suffix_per_row():
+    rows = _pair_coeffs(sample_params_22d(9, 0, 3), ((0, 1), (0, 2)))
+    with pytest.raises(ValueError, match="one suffix per row"):
+        family_minima(rows, ["@0,1"])
+    with pytest.raises(ValueError, match="mapping or a"):
+        family_minima(rows[:, :14])
+
+
+def _counted(fn, counts, key):
+    def wrapped(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+    return wrapped
+
+
+@pytest.mark.parametrize("d,levels", [
+    (3, {}),
+    (4, dict(alpha=1, beta=3, gamma=0)),
+    # a colliding gamma: the sampler zeroes the gamma-gamma moduli
+    (3, dict(alpha=0, beta=2, gamma=2)),
+])
+def test_proven_positive_detect_builds_no_rho(monkeypatch, d, levels):
+    counts = {"build_rho_22d": 0, "substituted_coeffs": 0, "eigen": 0}
+    for target, original, key in (
+            ("chesswit.witnesses.build_rho_22d", build_rho_22d,
+             "build_rho_22d"),
+            ("chesswit.witnesses.substituted_coeffs", substituted_coeffs,
+             "substituted_coeffs"),
+            ("chesswit.chessboard.hermitian_eigenvalues",
+             hermitian_eigenvalues, "eigen"),
+            ("numpy.linalg.eigh", np.linalg.eigh, "eigen"),
+            ("numpy.linalg.eigvalsh", np.linalg.eigvalsh, "eigen")):
+        monkeypatch.setattr(target, _counted(original, counts, key))
+    for index in range(4):
+        detect(sample_params_22d(3, index, d, **levels))
+    assert counts == {"build_rho_22d": 0, "substituted_coeffs": 0, "eigen": 0}
+
+
+def test_detect_checks_positivity_it_cannot_prove(monkeypatch):
+    counts = {"build_rho_22d": 0}
+    monkeypatch.setattr("chesswit.witnesses.build_rho_22d",
+                        _counted(build_rho_22d, counts, "build_rho_22d"))
+    diag = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
+    detect(ChessParams22d(3, 0, 2, 1, diag, r=(0.1,) + (0.0,) * 5,
+                          tied=False))
+    assert counts == {"build_rho_22d": 1}
+    # untied, not PSD
+    with pytest.raises(NonPositiveError):
+        detect(ChessParams22d(3, 0, 2, 1, diag, r=(1.0,) + (0.0,) * 5,
+                              tied=False))
+    # tied, gamma = alpha with nonzero gamma-gamma couplings
+    with pytest.raises(NonPositiveError):
+        detect(ChessParams22d(
+            3, 0, 2, 0,
+            ((1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
+             (0.10790840445381386, 4.231949517477533, 6.691310059954052)),
+            r=(1.0,) * 6, tied=True))
+
+
 def test_detect_json_pinned():
     got = {}
     for name, params, pairs in _pin_states():
@@ -725,9 +859,14 @@ def test_family_minima_matches_per_entry_loop(catalog_inputs):
 
 def test_catalog_values_bit_equal_functional(catalog_inputs):
     base_ids = witness_ids()
-    for co, _ in catalog_inputs:
-        got = [v.hex() for v in _catalog_values(co).tolist()]
-        assert got == [functional(w, co)[0].hex() for w in base_ids]
+    x = np.concatenate([_coeff_x(co) for co, _ in catalog_inputs])
+    # one pass over every input at once
+    batch = _catalog_values(x)[0].reshape(len(x), -1)
+    for (co, _), values in zip(catalog_inputs, batch):
+        want = [functional(w, co)[0].hex() for w in base_ids]
+        single, _ = _catalog_values(_coeff_x(co))
+        assert [v.hex() for v in single.tolist()] == want
+        assert [v.hex() for v in values.tolist()] == want
 
 
 @pytest.mark.parametrize("d,pair", [(2, (0, 1)), (3, (0, 1)), (3, (1, 2))])
@@ -779,6 +918,43 @@ def test_substituted_coeffs_bits_match_per_operator_trace():
                     q = qudit_substitute(t, d, a, b)
                     assert val.hex() == float(
                         np.einsum("ij,ji->", rho, q).real).hex()
+
+
+def _level_states(d, seed=12):
+    """Per level triple (alpha, beta, gamma): a sampled tied state, the
+    same with zero couplings, and untied states, those that are PSD."""
+    for alpha, beta, gamma in itertools.product(range(d), repeat=3):
+        if alpha == beta:
+            continue
+        levels = dict(alpha=alpha, beta=beta, gamma=gamma)
+        tied = sample_params_22d(seed, d, d, **levels)
+        yield tied
+        yield ChessParams22d(d, alpha, beta, gamma, tied.diag)
+        for index in range(3):
+            untied = sample_params_22d(seed, 10 + index, d, tied=False,
+                                       **levels)
+            try:
+                build_rho_22d(untied)
+            except NonPositiveError:
+                continue
+            yield untied
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_pair_coeffs_bit_equal_matrix_route(d):
+    pairs = tuple(itertools.combinations(range(d), 2))
+    untied = 0
+    for params in _level_states(d):
+        got = _pair_coeffs(params, pairs)
+        assert got.shape == (len(pairs), len(COEFF_TRIPLES))
+        rho = build_rho_22d(params)
+        for row, (a, b) in zip(got.tolist(), pairs):
+            want = substituted_coeffs(rho, d, a, b)
+            # float.hex tells -0.0 from 0.0
+            assert [v.hex() for v in row] == \
+                [want[t].hex() for t in COEFF_TRIPLES], (params, a, b)
+        untied += not params.tied
+    assert untied >= d * (d - 1)
 
 
 def test_substituted_coeffs_match_trace():
