@@ -30,15 +30,18 @@ product 1 (PPT for all r <= 1 whenever alpha, beta, gamma are
 distinct); with ``tied=False`` the 1-branch diagonal at |1 j mu> is
 1/a[j][mu] instead, which can break positivity — in that case
 :func:`build_rho_22d` raises :class:`NonPositiveError` carrying the
-offending eigenvalue.
+offending eigenvalue. :func:`positivity_proven` tells which states the
+construction alone proves positive; :func:`rho_stack_22d` builds N
+states of one level structure in one scatter, with no check.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,8 +59,10 @@ __all__ = [
     "normalization",
     "pauli_coeffs",
     "params_222_to_22d",
+    "positivity_proven",
     "qudit_levels",
     "rho_entries_22d",
+    "rho_stack_22d",
     "sample_params_222",
     "sample_params_22d",
     "params_to_json",
@@ -80,6 +85,25 @@ COUPLING_POSITIONS: Tuple[Tuple[int, int], ...] = ((3, 4), (2, 5), (1, 6), (0, 7
 SLOT_ORDER: Tuple[Tuple[int, str], ...] = (
     (0, "ab"), (0, "ba"), (0, "gg"), (1, "ab"), (1, "ba"), (1, "gg"),
 )
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (numpy
+    integers included), where ``int()`` would truncate 2.5 silently."""
+    # the type test spares plain ints the slower abstract-class check
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_seed(value, name: str = "seed") -> int:
+    """``value`` as an int; ValueError unless it is a non-negative
+    integer."""
+    if (type(value) is not int and not isinstance(value, numbers.Integral)
+            or value < 0):
+        raise ValueError(f"{name} must be a non-negative integer, "
+                         f"got {value!r}")
+    return int(value)
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -205,15 +229,16 @@ def qudit_levels(dim: int, alpha: int = 0, beta: Optional[int] = None,
     """The third-party levels ``(alpha, beta, gamma)``, checked for ``dim``.
 
     ``beta`` defaults to 2 for dim >= 3 and to 1 for dim = 2. Raises
-    ValueError unless dim >= 2, every level lies in 0..dim-1 and alpha
-    and beta differ.
+    ValueError unless dim and the levels are integers, dim >= 2, every
+    level lies in 0..dim-1 and alpha and beta differ.
     """
-    dim = int(dim)
+    dim = _check_integer("dim", dim)
     if dim < 2:
         raise ValueError(f"dim must be >= 2, got {dim}")
     if beta is None:
         beta = 2 if dim > 2 else 1
-    levels = (int(alpha), int(beta), int(gamma))
+    levels = (_check_integer("alpha", alpha), _check_integer("beta", beta),
+              _check_integer("gamma", gamma))
     for name, v in zip(("alpha", "beta", "gamma"), levels):
         if not 0 <= v < dim:
             raise ValueError(f"{name} must lie in 0..{dim - 1}, got {v}")
@@ -244,8 +269,8 @@ class ChessParams22d:
     tied: bool = True
 
     def __post_init__(self):
+        levels = qudit_levels(self.dim, self.alpha, self.beta, self.gamma)
         dim = int(self.dim)
-        levels = qudit_levels(dim, self.alpha, self.beta, self.gamma)
         object.__setattr__(self, "dim", dim)
         for name, v in zip(("alpha", "beta", "gamma"), levels):
             object.__setattr__(self, name, v)
@@ -286,53 +311,92 @@ def coupling_cells(dim: int, alpha: int, beta: int, gamma: int
                  for j, slot in SLOT_ORDER)
 
 
-def rho_entries_22d(params: ChessParams22d
-                    ) -> Tuple[np.ndarray, Tuple[complex, ...], float]:
-    """The unnormalized entries of the 2x2xd matrix, before the trace
+def positivity_proven(params: ChessParams22d) -> bool:
+    """Whether the construction alone proves rho positive semidefinite.
+
+    It does when ``tied`` is set and gamma either differs from alpha and
+    beta or carries zero gamma-gamma moduli: every coupled block
+    [[x, z], [conj z, 1/x]] then has determinant 1 - |z|^2 >= 0, and
+    the other diagonals are positive or 0. A gamma that collides with
+    alpha or beta adds its coupling to their blocks unless it is 0.
+    """
+    return params.tied and (
+        params.gamma not in (params.alpha, params.beta)
+        or all(r == 0.0 for (_, slot), r in zip(SLOT_ORDER, params.r)
+               if slot == "gg"))
+
+
+def rho_entries_22d(states: Sequence[ChessParams22d]
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unnormalized entries of N 2x2xd matrices, before the trace
     division.
 
-    Returns the (4d,) complex diagonal, the six couplings r e^{i phi}
-    at ``coupling_cells`` (their conjugates sit at the mirrored cells),
-    and the trace, summed as ``rho.trace()`` sums the diagonal. A
-    1-branch diagonal is the reciprocal of its coupling partner's
-    diagonal (``tied``) or of its own 0-branch twin; a gamma that
-    collides with alpha or beta leaves it to their slots, and the
-    1-branch diagonals of uncoupled levels stay 0.
+    ``states`` must share dim, alpha, beta and gamma (ValueError
+    otherwise). Returns the (N, 4d) complex diagonals, the (N, 6)
+    couplings r e^{i phi} at ``coupling_cells`` (their conjugates sit at
+    the mirrored cells), and the (N,) traces, each summed as
+    ``rho.trace()`` sums the diagonal. A 1-branch diagonal is the
+    reciprocal of its coupling partner's diagonal (``tied``) or of its
+    own 0-branch twin; a gamma that collides with alpha or beta leaves
+    it to their slots, and the 1-branch diagonals of uncoupled levels
+    stay 0.
     """
-    d = params.dim
-    zero_branch = params.diag[0] + params.diag[1]
-    diag = np.zeros(4 * d, dtype=np.complex128)
-    diag[:2 * d] = zero_branch
-    collides = params.gamma in (params.alpha, params.beta)
-    for (_, slot), (row, col) in zip(
-            SLOT_ORDER,
-            coupling_cells(d, params.alpha, params.beta, params.gamma)):
-        # |0 j src> is zero_branch[row], its twin |0 j' dst> is
-        # zero_branch[col - 2d]
-        if slot != "gg" or not collides:
-            diag[col] = 1.0 / zero_branch[row if params.tied else col - 2 * d]
-    couplings = tuple(r * np.exp(1j * phi)
-                      for r, phi in zip(params.r, params.phi))
-    return diag, couplings, float(diag.sum().real)
+    first = states[0]
+    levels = (first.dim, first.alpha, first.beta, first.gamma)
+    d = first.dim
+    collides = first.gamma in (first.alpha, first.beta)
+    # (row, col) of the slots that set a 1-branch diagonal: |0 j src> is
+    # zero_branch[row], its twin |0 j' dst> is zero_branch[col - 2d]
+    placed = [cell for (_, slot), cell in zip(SLOT_ORDER,
+                                              coupling_cells(*levels))
+              if slot != "gg" or not collides]
+    diag = np.zeros((len(states), 4 * d), dtype=np.complex128)
+    for i, p in enumerate(states):
+        if (p.dim, p.alpha, p.beta, p.gamma) != levels:
+            raise ValueError("the states must share dim, alpha, beta and "
+                             f"gamma; got {levels} and "
+                             f"{(p.dim, p.alpha, p.beta, p.gamma)}")
+        zero_branch = p.diag[0] + p.diag[1]
+        diag[i, :2 * d] = zero_branch
+        for row, col in placed:
+            diag[i, col] = 1.0 / zero_branch[row if p.tied else col - 2 * d]
+    couplings = np.array([[r * np.exp(1j * phi) for r, phi in zip(p.r, p.phi)]
+                          for p in states])
+    return diag, couplings, diag.sum(axis=1).real
+
+
+def rho_stack_22d(states: Sequence[ChessParams22d]) -> np.ndarray:
+    """(N, 4d, 4d) density matrices of N 2x2xd states of one level
+    structure, with no positivity check.
+
+    One scatter of the entries of :func:`rho_entries_22d` into the
+    stack, then the trace division. :func:`build_rho_22d` is its N = 1
+    case plus the check; :func:`positivity_proven` tells when the check
+    can be skipped.
+    """
+    diag, couplings, trace = rho_entries_22d(states)
+    first = states[0]
+    n = 4 * first.dim
+    rho = np.zeros((len(states), n, n), dtype=np.complex128)
+    rho[:, range(n), range(n)] = diag
+    rows, cols = zip(*coupling_cells(first.dim, first.alpha, first.beta,
+                                     first.gamma))
+    # added to the zeros, as a -0.0 part of a zero coupling becomes +0.0
+    rho[:, rows, cols] += couplings
+    rho[:, cols, rows] += couplings.conj()
+    rho /= trace[:, None, None]
+    return rho
 
 
 def build_rho_22d(params: ChessParams22d) -> np.ndarray:
     """(4d)x(4d) density matrix of the 2x2xd chessboard family.
 
-    Scatters the entries of :func:`rho_entries_22d` into the matrix,
-    trace-normalizes, and verifies positive semidefiniteness; a failure
-    (possible when ``tied`` is off, or when gamma collides with
-    alpha/beta while carrying a nonzero coupling) raises
-    :class:`NonPositiveError` with the offending eigenvalue.
+    The N = 1 case of :func:`rho_stack_22d`, verified positive
+    semidefinite; a failure (possible when ``tied`` is off, or when
+    gamma collides with alpha/beta while carrying a nonzero coupling)
+    raises :class:`NonPositiveError` with the offending eigenvalue.
     """
-    d = params.dim
-    diag, couplings, trace = rho_entries_22d(params)
-    rho = np.diag(diag)
-    rows, cols = zip(*coupling_cells(d, params.alpha, params.beta,
-                                     params.gamma))
-    rho[rows, cols] += couplings
-    rho[cols, rows] += np.conj(couplings)
-    rho /= trace
+    rho = rho_stack_22d([params])[0]
     w = hermitian_eigenvalues(rho)
     if w[0] < -1e-12:
         raise NonPositiveError(
@@ -372,8 +436,10 @@ def params_222_to_22d(params: ChessParams222, gamma: int = 0) -> ChessParams22d:
 
 
 def _rng_for(seed: int, index: int) -> np.random.Generator:
-    """Counter-based per-sample stream: PCG64 seeded from (seed, index)."""
-    return np.random.default_rng(np.random.SeedSequence((int(seed), int(index))))
+    """Counter-based per-sample stream: PCG64 seeded from (seed, index),
+    both non-negative integers (ValueError otherwise)."""
+    return np.random.default_rng(np.random.SeedSequence(
+        (_check_seed(seed), _check_seed(index, "index"))))
 
 
 def sample_params_222(seed: int, index: int) -> ChessParams222:
@@ -411,8 +477,8 @@ def sample_params_22d(
     forced to zero when gamma collides with alpha/beta, preserving
     positivity). Draw order: diag row 0, diag row 1, r (6), phi (6).
     """
-    dim = int(dim)
     alpha, beta, gamma = qudit_levels(dim, alpha, beta, gamma)
+    dim = int(dim)
     rng = _rng_for(seed, index)
     row0 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
     row1 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)

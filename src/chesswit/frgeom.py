@@ -48,7 +48,6 @@ qudit region only shrinks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import reduce
 from operator import mul
@@ -56,7 +55,7 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from .chessboard import _rng_for
+from .chessboard import _check_seed, _rng_for
 from .tensorops import _check_pair, qudit_substitute
 
 __all__ = [
@@ -138,11 +137,6 @@ def _factor_chunks(n: int, seed: int, d: int
             block /= np.linalg.norm(block, axis=1, keepdims=True)
             factors.append(block)
         yield lo, factors
-
-
-def _check_seed(seed) -> None:
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def sample_factors(n: int, seed: int = 0, d: int = 2

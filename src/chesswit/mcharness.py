@@ -1,20 +1,23 @@
 """Monte Carlo detection scans and deterministic curve reproduction.
 
 ``run_scan`` samples chessboard states (two-qubit-pair times qubit or
-qudit third party) a chunk at a time, checks the partial transposes of
-every sample of a chunk with one ``is_ppt`` call on the chunk's stack,
-evaluates the whole witness catalog on each sample through
-:func:`chesswit.witnesses.detect`, and emits one CSV row per sample.
-The guard builds each rho; ``detect`` does not use it, and takes a
-qudit state's coefficients for all level pairs from its parameters.
-Positivity of rho itself is checked numerically only for a qudit third
-party, by the guard's ``build_rho_22d``; at d = 2 it follows from the
-construction (every coupled 2x2 block has diagonal product 1) and the
-guard's proper-subset transposes do not include rho. Rows depend only on
-``(seed, index)``, so output is byte-identical for any worker count or
-chunk size. ``summarize`` turns the detection flags into percentages,
-20-batch mean/std statistics, and joint detection tables for every
-ordered pair of family groups.
+qudit third party) a chunk at a time and takes the chunk through the
+state layers as arrays: its rho stack (one ``rho_stack_22d`` scatter
+for a qudit third party), one ``is_ppt`` call on that stack for the
+partial transposes, and its catalog coefficients (``pauli_coeffs`` per
+row at d = 2, one ``_pair_coeffs`` gather over every row and level pair
+at d >= 3). Only the catalog evaluation, ``family_minima`` and
+``group_minima``, runs per row, and one CSV row is emitted per sample.
+Positivity of rho itself is proven, not computed, wherever the
+construction proves it (``chessboard.positivity_proven``; at d = 2
+every coupled 2x2 block has diagonal product 1, and the guard's
+proper-subset transposes do not include rho). A qudit row the proof
+does not cover is built by ``build_rho_22d``, whose eigenvalue check
+raises NonPositiveError. Rows depend only on ``(seed, index)``, so
+output is byte-identical for any worker count or chunk size.
+``summarize`` turns the detection flags into percentages, 20-batch
+mean/std statistics, and joint detection tables for every ordered pair
+of family groups.
 
 ``reproduce_section6`` minimizes the closed-form detection curve
 
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -40,11 +44,15 @@ import numpy as np
 from .chessboard import (
     ChessParams222,
     SLOT_ORDER,
+    _check_integer,
+    _check_seed,
     build_rho_222,
     build_rho_22d,
     pauli_coeffs,
     params_to_json,
+    positivity_proven,
     qudit_levels,
+    rho_stack_22d,
     sample_params_222,
     sample_params_22d,
 )
@@ -52,8 +60,9 @@ from .tensorops import PPT_SUBSETS, is_ppt
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
+    _level_pairs,
+    _pair_coeffs,
     build_witness,
-    detect,
     family_minima,
     group_minima,
 )
@@ -94,7 +103,8 @@ def sample_params(
     """Draw one chessboard parameter set from a counter-based stream.
 
     ``stream`` names a per-sample RNG stream: a ``(seed, index)`` pair,
-    or a bare integer seed (meaning index 0). ``d`` is the third-party
+    or a bare integer seed (meaning index 0); seed and index must be
+    non-negative integers (ValueError). ``d`` is the third-party
     dimension: 2 draws a ``ChessParams222``, larger values draw a
     tied-diagonal ``ChessParams22d`` (PPT by construction) whose
     subspace levels ``alpha``/``beta`` and third level ``gamma`` may be
@@ -103,16 +113,16 @@ def sample_params(
     [0, 1] and phases uniform on [0, 2*pi). Identical ``(stream, d)``
     arguments give byte-identical parameters on every run and platform.
     """
-    if isinstance(stream, (int, np.integer)):
-        seed, index = int(stream), 0
+    if isinstance(stream, numbers.Integral):
+        seed, index = stream, 0
     else:
         try:
-            seed, index = int(stream[0]), int(stream[1])
+            seed, index = stream[0], stream[1]
         except (TypeError, IndexError, KeyError) as exc:
             raise ValueError(
                 "stream must be an integer seed or a (seed, index) pair"
             ) from exc
-    d = int(d)
+    d = _check_integer("d", d)
     if d < 2:
         raise ValueError("d must be at least 2")
     kwargs = _level_kwargs(d, alpha, beta, gamma)
@@ -192,13 +202,27 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
     indices = range(start, stop)
     params = [sample_params((seed, index), dim, alpha=alpha, beta=beta,
                             gamma=gamma) for index in indices]
-    build = build_rho_222 if dim == 2 else build_rho_22d
-    _ppt_guard(params, np.array([build(p) for p in params]), (2, 2, dim), tol)
+    if dim == 2:
+        rhos = np.array([build_rho_222(p) for p in params])
+        coeffs, suffixes = map(pauli_coeffs, params), ""
+    else:
+        # the construction proves the sampler's states positive; a row it
+        # does not cover is built on its own and checked by its eigenvalues
+        for p in params:
+            if not positivity_proven(p):
+                build_rho_22d(p)    # raises NonPositiveError
+        rhos = rho_stack_22d(params)
+        pair_list, suffixes = _level_pairs(params[0], pairs)
+        coeffs = _pair_coeffs(params, pair_list)
+    _ppt_guard(params, rhos, (2, 2, dim), tol)
     rows, flags, minima = [], [], []
-    for index, p in zip(indices, params):
-        report = detect(p, pairs=pairs, include_intermediates=False)
-        mi = [report.group_minima[g] for g in GROUP_NAMES]
-        fl = [m < 0.0 for m in mi] + [report.detected]
+    for index, p, co in zip(indices, params, coeffs):
+        # looked up in this module at each call: the benchmark's tracer and
+        # its wrong-minima check patch mcharness.family_minima
+        groups = group_minima(family_minima(co, suffixes))
+        mi = [groups[g] for g in GROUP_NAMES]
+        fl = [m < 0.0 for m in mi]
+        fl.append(any(fl))
         if dim == 2:
             values = (p.a, p.b, p.c, p.d)
         else:
@@ -245,14 +269,16 @@ def run_scan(
 
     Every sample is PPT-verified (RuntimeError on failure). The output
     depends only on ``(seed, index)`` per row, never on ``workers`` or
-    ``chunk``. Arguments, the qudit levels included, are checked before
-    any row is drawn (ValueError), so ``n = 0`` rejects what ``n = 1``
-    rejects.
+    ``chunk``. Arguments, the seed and the qudit levels included, are
+    checked before any row is drawn (ValueError; the counts, ``dim``,
+    the seed and the levels must be integers, not merely integral
+    floats), so ``n = 0`` rejects what ``n = 1`` rejects.
     """
-    n = int(n)
-    dim = int(dim)
-    workers = int(workers)
-    chunk = int(chunk)
+    n = _check_integer("n", n)
+    seed = _check_seed(seed)
+    dim = _check_integer("dim", dim)
+    workers = _check_integer("workers", workers)
+    chunk = _check_integer("chunk", chunk)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if dim < 2:
@@ -268,7 +294,7 @@ def run_scan(
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
     tasks = [
-        (int(seed), start, min(start + chunk, n), dim,
+        (seed, start, min(start + chunk, n), dim,
          alpha, beta, gamma, pairs, tol)
         for start in range(0, n, chunk)
     ]
@@ -290,7 +316,7 @@ def run_scan(
         rows.extend(r_chunk)
         flags.extend(f_chunk)
         minima.extend(m_chunk)
-    config = {"n": n, "seed": int(seed), "dim": dim, "pairs": pairs,
+    config = {"n": n, "seed": seed, "dim": dim, "pairs": pairs,
               "alpha": alpha, "beta": beta, "gamma": gamma, "tol": tol}
     return ScanResult(
         header=csv_header(dim),

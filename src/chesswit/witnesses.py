@@ -71,14 +71,15 @@ family's winner is its first least value in (row, catalog) order; only
 the eight winners' components go through the scalar minimization
 again, for their angles.
 
-For 2x2xd parameters, ``detect`` takes every level pair's coefficients
-Tr(rho Q_t) straight from the parameters, with no density matrix
-(``_pair_coeffs``): rho has only 4d diagonal entries and six couplings,
-so one gather compiled per level structure (``_pair_gather``) lists the
-few entries each coefficient sums, in the order the matrix route's
-einsum adds them, and the (P, 15) result is bit-equal to
-``substituted_coeffs`` on ``build_rho_22d``. That matrix route stays as
-the public API and the test oracle.
+For 2x2xd parameters, ``detect`` and the scan take every level pair's
+coefficients Tr(rho Q_t) straight from the parameters, with no density
+matrix (``_pair_coeffs``): rho has only 4d diagonal entries and six
+couplings, so one gather compiled per level structure
+(``_pair_gather``) lists the few entries each coefficient sums, in the
+order the matrix route's einsum adds them. N states of one level
+structure take one gather, and each row of the (N, P, 15) result is
+bit-equal to ``substituted_coeffs`` on ``build_rho_22d``. That matrix
+route stays as the public API and the test oracle.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -94,7 +95,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -105,12 +105,14 @@ import numpy as np
 
 from .chessboard import (
     COEFF_TRIPLES,
-    SLOT_ORDER,
     ChessParams222,
     ChessParams22d,
+    _check_integer,
+    _check_seed,
     build_rho_22d,
     coupling_cells,
     pauli_coeffs,
+    positivity_proven,
     rho_entries_22d,
 )
 from .tensorops import qudit_substitute
@@ -258,8 +260,7 @@ def witness_ids(d: int = 2) -> List[str]:
     """All discrete catalog identifiers: 236 for d=2, times d(d-1)/2 pairs
     (each with an ``@A,B`` suffix) for d > 2. Raises ValueError unless
     d is an integer >= 2."""
-    if not isinstance(d, numbers.Integral):
-        raise ValueError(f"d must be an integer, got {d!r}")
+    d = _check_integer("d", d)
     if d < 2:
         raise ValueError(f"d must be >= 2, got {d!r}")
     base = list(_base_entries())
@@ -471,22 +472,38 @@ def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
     return slots
 
 
-def _pair_coeffs(params: ChessParams22d,
+def _level_pairs(params: ChessParams22d, pairs: str
+                 ) -> Tuple[Tuple[Tuple[int, int], ...], List[str]]:
+    """The level pairs ``pairs`` ("all" or "own") names for a 2x2xd
+    state, and the id suffix of each (none at d = 2)."""
+    if pairs == "own":
+        pair_list = (tuple(sorted((params.alpha, params.beta))),)
+    else:
+        pair_list = tuple(itertools.combinations(range(params.dim), 2))
+    return pair_list, [f"@{a},{b}" if params.dim > 2 else ""
+                       for a, b in pair_list]
+
+
+def _pair_coeffs(states: Sequence[ChessParams22d],
                  pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
-    """(P, 15) coefficients Tr(rho Q_t), one row per level pair, with no
-    density matrix: bit-equal to ``substituted_coeffs(build_rho_22d(
-    params), d, a, b)``, whose einsum adds the products of Q's row-major
-    nonzeros from +0 in the same order."""
-    diag, couplings, trace = rho_entries_22d(params)
-    z = np.array(couplings)
-    v = np.concatenate((diag, z, z.conj())) / trace
-    x = np.concatenate((v.real, v.imag))
-    terms = np.concatenate((x, -x, [0.0]))[_pair_gather(
-        params.dim, params.alpha, params.beta, params.gamma, pairs)]
+    """(N, P, 15) coefficients Tr(rho Q_t) of N states of one level
+    structure, one row per level pair, with no density matrix: row
+    (i, p) is bit-equal to ``substituted_coeffs(build_rho_22d(
+    states[i]), d, *pairs[p])``, whose einsum adds the products of Q's
+    row-major nonzeros from +0 in the same order."""
+    diag, couplings, trace = rho_entries_22d(states)
+    v = np.concatenate((diag, couplings, couplings.conj()),
+                       axis=1) / trace[:, None]
+    x = np.concatenate((v.real, v.imag), axis=1)
+    xx = np.concatenate((x, -x, np.zeros((len(x), 1))), axis=1)
+    first = states[0]
+    # (T, P, 15, N): each step of the sum adds one contiguous block
+    terms = xx.T[_pair_gather(first.dim, first.alpha, first.beta,
+                              first.gamma, pairs)]
     k = terms[0] + 0.0
     for row in terms[1:]:
         k += row
-    return k
+    return k.transpose(2, 0, 1)
 
 
 def _component_values(components: _Components,
@@ -811,9 +828,10 @@ def detect(
     ``pairs`` raises ValueError, for either family. The pairs'
     coefficients come from the parameters, with no density matrix, and
     go through one ``family_minima`` call. Where the construction does
-    not prove rho positive (``tied=False``, or a gamma that collides
-    with alpha or beta carrying a nonzero coupling), ``build_rho_22d``
-    checks it and raises NonPositiveError.
+    not prove rho positive (``chessboard.positivity_proven``: not for
+    ``tied=False``, or a gamma that collides with alpha or beta carrying
+    a nonzero coupling), ``build_rho_22d`` checks it and raises
+    NonPositiveError.
     """
     if pairs not in ("all", "own"):
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
@@ -823,23 +841,11 @@ def detect(
         if include_intermediates:
             intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
-        d = params.dim
-        if pairs == "own":
-            pair_list = (tuple(sorted((params.alpha, params.beta))),)
-        else:
-            pair_list = tuple(itertools.combinations(range(d), 2))
-        # tied, every coupled block [[x, z], [conj z, 1/x]] has
-        # determinant 1 - |z|^2 >= 0; a gamma that collides with alpha or
-        # beta adds its coupling to their blocks unless it is 0
-        proven = params.tied and (
-            params.gamma not in (params.alpha, params.beta)
-            or all(r == 0.0 for (_, slot), r in zip(SLOT_ORDER, params.r)
-                   if slot == "gg"))
-        if not proven:
+        pair_list, suffixes = _level_pairs(params, pairs)
+        if not positivity_proven(params):
             build_rho_22d(params)    # raises NonPositiveError
-        families = family_minima(
-            _pair_coeffs(params, pair_list),
-            [f"@{a},{b}" if d > 2 else "" for a, b in pair_list])
+        families = family_minima(_pair_coeffs([params], pair_list)[0],
+                                 suffixes)
         intermediates = {"pairs": [list(p) for p in pair_list]}
     else:
         raise TypeError(f"unsupported parameter object {type(params)!r}")
@@ -1004,8 +1010,7 @@ def min_expectation_over_products(
         raise ValueError(f"iters must be >= 1, got {iters}")
     if not (math.isfinite(tol) and tol >= 0):
         raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_seed(seed)
 
     factors = _initial_factors(dims, starts, seed)
     w6 = w.reshape(*dims, *dims)

@@ -299,6 +299,114 @@ def test_22d_rejects_overflowing_diagonal(diag, message):
         cb.ChessParams22d(dim=3, alpha=0, beta=2, gamma=1, diag=diag)
 
 
+# --- one stack per chunk -----------------------------------------------------
+
+
+def oracle_rho_22d(p):
+    """Entry-by-entry 2x2xd oracle from the documented layout, scattered
+    one state at a time and divided by its own trace."""
+    d = p.dim
+
+    def flat(q1, j, k):
+        return q1 * 2 * d + j * d + k
+
+    m = np.zeros((4 * d, 4 * d), dtype=complex)
+    for j in (0, 1):
+        for k in range(d):
+            m[flat(0, j, k), flat(0, j, k)] = p.diag[j][k]
+    ends = {"ab": (p.alpha, p.beta), "ba": (p.beta, p.alpha),
+            "gg": (p.gamma, p.gamma)}
+    collides = p.gamma in (p.alpha, p.beta)
+    for (j, slot), r, phi in zip(cb.SLOT_ORDER, p.r, p.phi):
+        src, dst = ends[slot]
+        row, col = flat(0, j, src), flat(1, 1 - j, dst)
+        if slot != "gg" or not collides:
+            m[col, col] = 1 / (p.diag[j][src] if p.tied
+                               else p.diag[1 - j][dst])
+        z = r * np.exp(1j * phi)
+        m[row, col] += z
+        m[col, row] += np.conj(z)
+    return m / m.trace().real
+
+
+def _level_triples(d):
+    for alpha, beta in itertools.permutations(range(d), 2):
+        for gamma in range(d):
+            yield alpha, beta, gamma
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_rho_stack_bit_equal_per_row_build(d):
+    # every alpha != beta and gamma, colliding ones included, with
+    # sampled, zero and colliding nonzero couplings, tied and untied
+    checked = 0
+    for alpha, beta, gamma in _level_triples(d):
+        states = [cb.sample_params_22d(21, i, d, alpha, beta, gamma,
+                                       tied=i < 3) for i in range(5)]
+        states.append(cb.ChessParams22d(d, alpha, beta, gamma,
+                                        states[0].diag))
+        states.append(cb.ChessParams22d(d, alpha, beta, gamma,
+                                        states[0].diag, r=(0.25,) * 6,
+                                        phi=states[0].phi))
+        stack = cb.rho_stack_22d(states)
+        assert stack.shape == (len(states), 4 * d, 4 * d)
+        for p, rho in zip(states, stack):
+            assert rho.tobytes() == oracle_rho_22d(p).tobytes(), p
+            try:
+                built = cb.build_rho_22d(p)
+            except cb.NonPositiveError:
+                continue
+            assert built.tobytes() == rho.tobytes(), p
+            checked += 1
+    assert checked >= 5 * d * (d - 1) * d
+
+
+def test_rho_stack_needs_one_level_structure():
+    states = [cb.sample_params_22d(1, 0, 3), cb.sample_params_22d(1, 1, 3,
+                                                                gamma=0)]
+    with pytest.raises(ValueError, match="must share dim, alpha, beta"):
+        cb.rho_stack_22d(states)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_positivity_proven_states_are_psd(data):
+    # the proof that lets the scan and detect skip the eigensolve: tied
+    # states with a distinct gamma, or a colliding one with zero moduli
+    d = data.draw(st.integers(3, 5))
+    alpha, beta = data.draw(st.permutations(range(d)))[:2]
+    gamma = data.draw(st.integers(0, d - 1))
+    index = data.draw(st.integers(0, 10_000))
+    sampled = cb.sample_params_22d(77, index, d, alpha, beta, gamma)
+    unit = tuple(0.0 if slot == "gg" and gamma in (alpha, beta) else 1.0
+                 for _, slot in cb.SLOT_ORDER)
+    states = [sampled, cb.ChessParams22d(d, alpha, beta, gamma, sampled.diag,
+                                         r=unit, phi=sampled.phi)]
+    assert all(map(cb.positivity_proven, states))
+    least = np.linalg.eigvalsh(cb.rho_stack_22d(states))[:, 0]
+    assert (least >= -1e-12).all(), least
+    # what the proof leaves out: untied, or colliding with a coupling
+    assert not cb.positivity_proven(cb.ChessParams22d(
+        d, alpha, beta, gamma, sampled.diag, tied=False))
+    colliding = cb.ChessParams22d(d, alpha, beta, alpha, sampled.diag,
+                                  r=(0.5,) * 6)
+    assert not cb.positivity_proven(colliding)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((3, 0.5, 2, 1), "alpha must be an integer, got 0.5"),
+    ((3, 0, 2.0, 1), "beta must be an integer, got 2.0"),
+    ((3, 0, 2, 1.5), "gamma must be an integer, got 1.5"),
+    ((3.0, 0, 2, 1), "dim must be an integer, got 3.0"),
+])
+def test_qudit_levels_rejects_non_integers(args, message):
+    # int() used to truncate these: alpha 0.5 became 0
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cb.qudit_levels(*args)
+    assert cb.qudit_levels(np.int64(4), np.int8(1), np.uint16(3),
+                           np.int32(0)) == (1, 3, 0)
+
+
 # --- sampling ----------------------------------------------------------------
 
 

@@ -404,6 +404,16 @@ def test_scan_bad_tol_is_domain_error(n):
     assert proc.stderr == "error: tol must be finite and >= 0, got nan\n"
 
 
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_scan_negative_seed_is_domain_error(n):
+    # --n 0 --seed -1 used to exit 0 with a bare CSV header, and --n 1 to
+    # fail inside numpy
+    proc = run_cli("scan", "--n", n, "--seed", "-1", check=False)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: seed must be a non-negative integer, got -1\n"
+
+
 def test_validate_witness_rejects_negative_seed():
     # numpy's "expected non-negative integer" named neither option nor value
     proc = run_cli("validate-witness", "--witness", "poly1:0000",

@@ -5,14 +5,18 @@ import hashlib
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from chesswit import chessboard, tensorops
 from chesswit.chessboard import (
     ChessParams222,
     ChessParams22d,
+    NonPositiveError,
     build_rho_222,
+    build_rho_22d,
     params_to_json,
     sample_params_222,
     sample_params_22d,
@@ -170,6 +174,115 @@ def test_run_scan_checks_tol_before_any_row(n, tol, monkeypatch):
                         lambda *a, **k: pytest.fail("a row was drawn"))
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         run_scan(n, tol=tol)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_run_scan_checks_seed_before_any_row(n, monkeypatch):
+    # n = 0 used to return an empty result, n = 1 to fail inside numpy
+    # with a message that named neither the argument nor its value
+    monkeypatch.setattr("chesswit.mcharness.sample_params",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match="^seed must be a non-negative "
+                       "integer, got -1$"):
+        run_scan(n, seed=-1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=1.9), "n must be an integer, got 1.9"),
+    (dict(n=2, dim=3.7), "dim must be an integer, got 3.7"),
+    (dict(n=2, chunk=1.5), "chunk must be an integer, got 1.5"),
+    (dict(n=2, workers=2.5), "workers must be an integer, got 2.5"),
+    (dict(n=2, seed=1.0), "seed must be a non-negative integer, got 1.0"),
+    (dict(n=2, dim=3, gamma=1.0), "gamma must be an integer, got 1.0"),
+])
+def test_run_scan_rejects_non_integers(kwargs, message, monkeypatch):
+    # int() used to truncate these: n = 1.9 scanned one row
+    monkeypatch.setattr("chesswit.mcharness.sample_params",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scan(**kwargs)
+
+
+def test_run_scan_accepts_numpy_integers():
+    want = run_scan(3, seed=2, dim=3, chunk=2)
+    got = run_scan(np.int64(3), seed=np.uint32(2), dim=np.int8(3),
+                   chunk=np.int16(2), workers=np.int64(1))
+    assert got.rows == want.rows and got.config == want.config
+
+
+def _counting_guard(monkeypatch):
+    """Counts of eigensolver calls made inside and outside the guard's
+    ``is_ppt`` calls during a scan."""
+    calls = {"guard": 0, "other": 0}
+    inside = []
+
+    def guard(rhos, dims, tol):
+        inside.append(True)
+        try:
+            return is_ppt(rhos, dims=dims, tol=tol)
+        finally:
+            inside.pop()
+
+    def counted(fn):
+        def wrapped(*args, **kwargs):
+            calls["guard" if inside else "other"] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(mcharness, "is_ppt", guard)
+    for module, name in ((chessboard, "hermitian_eigenvalues"),
+                         (tensorops, "hermitian_eigenvalues"),
+                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    return calls
+
+
+def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
+    # the sampler's states are positive by construction, so rho is
+    # scattered as one stack and never eigensolved outside the guard
+    want = [run_scan(30, seed=4, dim=3, chunk=16).rows,
+            run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
+    calls = _counting_guard(monkeypatch)
+    got = [run_scan(30, seed=4, dim=3, chunk=16).rows,
+           run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
+    assert got == want
+    assert calls["other"] == 0
+    assert calls["guard"] >= 3
+
+
+_DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
+
+
+@pytest.mark.parametrize("params", [
+    ChessParams22d(3, 0, 2, 1, _DIAG, r=(1.0,) + (0.0,) * 5, tied=False),
+    ChessParams22d(
+        3, 0, 2, 0,
+        ((1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
+         (0.10790840445381386, 4.231949517477533, 6.691310059954052)),
+        r=(1.0,) * 6),
+], ids=["untied", "colliding-gamma"])
+def test_run_scan_checks_positivity_it_cannot_prove(params, monkeypatch):
+    monkeypatch.setattr(mcharness, "sample_params",
+                        lambda stream, d, **levels: params)
+    with pytest.raises(NonPositiveError):
+        run_scan(3, dim=3)
+
+
+def test_run_scan_builds_each_unproven_row_once(monkeypatch):
+    # an untied state that is still PSD goes through the eigenvalue check
+    mild = ChessParams22d(3, 0, 2, 1, _DIAG, r=(0.1,) + (0.0,) * 5,
+                          tied=False)
+    built = []
+
+    def counted(p):
+        built.append(p)
+        return build_rho_22d(p)
+
+    monkeypatch.setattr(mcharness, "sample_params",
+                        lambda stream, d, **levels: mild)
+    monkeypatch.setattr(mcharness, "build_rho_22d", counted)
+    assert run_scan(4, dim=3, chunk=3).n == 4
+    assert built == [mild] * 4
 
 
 def test_run_scan_qudit():
@@ -374,6 +487,23 @@ def test_sample_params_rejects_bad_input():
         sample_params(None)
     with pytest.raises(ValueError):
         sample_params((1,))
+
+
+@pytest.mark.parametrize("stream, d, message", [
+    ((0, -1), 2, "index must be a non-negative integer, got -1"),
+    ((-1, 0), 3, "seed must be a non-negative integer, got -1"),
+    (-2, 2, "seed must be a non-negative integer, got -2"),
+    ((0, 1.5), 2, "index must be a non-negative integer, got 1.5"),
+    ((1.0, 1), 3, "seed must be a non-negative integer, got 1.0"),
+    ((0, 1), 2.5, "d must be an integer, got 2.5"),
+])
+def test_sample_params_rejects_non_integer_streams(stream, d, message):
+    # (0, 1.5) used to draw index 1, and d = 2.5 a d = 2 state; a negative
+    # index failed inside numpy without naming it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_params(stream, d)
+    assert sample_params((np.int64(42), np.uint8(5)), np.int32(3)) == \
+        sample_params((42, 5), 3)
 
 
 def test_sample_params_rejects_qudit_levels_at_d2():

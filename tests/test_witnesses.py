@@ -717,14 +717,14 @@ def test_batched_family_minima_takes_angles_of_the_winners_only(monkeypatch):
     monkeypatch.setattr("chesswit.witnesses._minimize_components", counted)
     pairs = ((0, 1), (0, 2), (1, 2))
     for index in range(5):
-        rows = _pair_coeffs(sample_params_22d(9, index, 3), pairs)
+        rows = _pair_coeffs([sample_params_22d(9, index, 3)], pairs)[0]
         calls.clear()
         family_minima(rows, [f"@{a},{b}" for a, b in pairs])
         assert len(calls) == len(FAMILY_NAMES)
 
 
 def test_family_minima_needs_one_suffix_per_row():
-    rows = _pair_coeffs(sample_params_22d(9, 0, 3), ((0, 1), (0, 2)))
+    rows = _pair_coeffs([sample_params_22d(9, 0, 3)], ((0, 1), (0, 2)))[0]
     with pytest.raises(ValueError, match="one suffix per row"):
         family_minima(rows, ["@0,1"])
     with pytest.raises(ValueError, match="mapping or a"):
@@ -945,7 +945,7 @@ def test_pair_coeffs_bit_equal_matrix_route(d):
     pairs = tuple(itertools.combinations(range(d), 2))
     untied = 0
     for params in _level_states(d):
-        got = _pair_coeffs(params, pairs)
+        got = _pair_coeffs([params], pairs)[0]
         assert got.shape == (len(pairs), len(COEFF_TRIPLES))
         rho = build_rho_22d(params)
         for row, (a, b) in zip(got.tolist(), pairs):
@@ -955,6 +955,33 @@ def test_pair_coeffs_bit_equal_matrix_route(d):
                 [want[t].hex() for t in COEFF_TRIPLES], (params, a, b)
         untied += not params.tied
     assert untied >= d * (d - 1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_pair_coeffs_of_a_stack_bit_equal_per_state(d):
+    # one (N, P, 15) gather over the states of one level structure is
+    # the per-state gather and the matrix route, row by row
+    pairs = tuple(itertools.combinations(range(d), 2))
+    groups = itertools.groupby(_level_states(d, seed=31),
+                               key=lambda p: (p.alpha, p.beta, p.gamma))
+    for _, group in groups:
+        states = list(group)
+        got = _pair_coeffs(states, pairs)
+        assert got.shape == (len(states), len(pairs), len(COEFF_TRIPLES))
+        for params, rows in zip(states, got.tolist()):
+            alone = _pair_coeffs([params], pairs)[0].tolist()
+            rho = build_rho_22d(params)
+            for row, row_alone, (a, b) in zip(rows, alone, pairs):
+                want = substituted_coeffs(rho, d, a, b)
+                assert [v.hex() for v in row] == \
+                    [v.hex() for v in row_alone] == \
+                    [want[t].hex() for t in COEFF_TRIPLES], (params, a, b)
+
+
+def test_pair_coeffs_needs_one_level_structure():
+    states = [sample_params_22d(1, 0, 3), sample_params_22d(1, 1, 3, beta=1)]
+    with pytest.raises(ValueError, match="must share dim, alpha, beta"):
+        _pair_coeffs(states, ((0, 1),))
 
 
 def test_substituted_coeffs_match_trace():
