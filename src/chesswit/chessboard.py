@@ -365,16 +365,20 @@ def rho_entries_22d(states: Sequence[ChessParams22d]
     return diag, couplings, diag.sum(axis=1).real
 
 
-def rho_stack_22d(states: Sequence[ChessParams22d]) -> np.ndarray:
+def rho_stack_22d(states: Sequence[ChessParams22d],
+                  entries: Optional[Tuple[np.ndarray, ...]] = None
+                  ) -> np.ndarray:
     """(N, 4d, 4d) density matrices of N 2x2xd states of one level
     structure, with no positivity check.
 
-    One scatter of the entries of :func:`rho_entries_22d` into the
-    stack, then the trace division. :func:`build_rho_22d` is its N = 1
-    case plus the check; :func:`positivity_proven` tells when the check
-    can be skipped.
+    One scatter of the entries of :func:`rho_entries_22d` (computed
+    here unless passed as ``entries``) into the stack, then the trace
+    division. :func:`build_rho_22d` is its N = 1 case plus the check;
+    :func:`positivity_proven` tells when the check can be skipped.
     """
-    diag, couplings, trace = rho_entries_22d(states)
+    if entries is None:
+        entries = rho_entries_22d(states)
+    diag, couplings, trace = entries
     first = states[0]
     n = 4 * first.dim
     rho = np.zeros((len(states), n, n), dtype=np.complex128)
@@ -521,27 +525,33 @@ def params_to_json(params) -> dict:
 
 
 def params_from_json(obj: dict):
-    """Decode :func:`params_to_json` output (schema chosen by 'dim' key)."""
+    """Decode :func:`params_to_json` output (schema chosen by 'dim' key).
+
+    ``dim``, the levels and each coupling's ``j`` must be integers and
+    ``tied``, if given, a boolean; ValueError names the field otherwise.
+    """
     if not isinstance(obj, dict):
         raise ValueError("parameter JSON must be an object")
     if "dim" in obj:
         try:
             slot_map = {
-                (int(c["j"]), str(c["slot"])): (float(c["r"]), float(c["phi"]))
-                for c in obj["couplings"]
+                (_check_integer(f"couplings[{i}].j", c["j"]), str(c["slot"])):
+                (float(c["r"]), float(c["phi"]))
+                for i, c in enumerate(obj["couplings"])
             }
             r = tuple(slot_map.get(key, (0.0, 0.0))[0] for key in SLOT_ORDER)
             phi = tuple(slot_map.get(key, (0.0, 0.0))[1] for key in SLOT_ORDER)
             unknown = set(slot_map) - set(SLOT_ORDER)
             if unknown:
                 raise ValueError(f"unknown coupling slots {sorted(unknown)!r}")
+            tied = obj.get("tied", True)
+            if not isinstance(tied, bool):
+                raise ValueError(f"tied must be a JSON boolean, got {tied!r}")
             return ChessParams22d(
-                dim=int(obj["dim"]),
-                alpha=int(obj["alpha"]), beta=int(obj["beta"]),
-                gamma=int(obj["gamma"]),
+                **{k: _check_integer(k, obj[k])
+                   for k in ("dim", "alpha", "beta", "gamma")},
                 diag=tuple(tuple(float(v) for v in row) for row in obj["diag"]),
-                r=r, phi=phi,
-                tied=bool(obj.get("tied", True)),
+                r=r, phi=phi, tied=tied,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed 2x2xd parameter object: {exc}") from exc

@@ -2,12 +2,14 @@
 
 ``run_scan`` samples chessboard states (two-qubit-pair times qubit or
 qudit third party) a chunk at a time and takes the chunk through the
-state layers as arrays: its rho stack (one ``rho_stack_22d`` scatter
-for a qudit third party), one ``is_ppt`` call on that stack for the
-partial transposes, and its catalog coefficients (``pauli_coeffs`` per
-row at d = 2, one ``_pair_coeffs`` gather over every row and level pair
-at d >= 3). Only the catalog evaluation, ``family_minima`` and
-``group_minima``, runs per row, and one CSV row is emitted per sample.
+layers as arrays: its rho stack (for a qudit third party, one
+``rho_stack_22d`` scatter of the entries ``rho_entries_22d`` computes
+once for the chunk), one ``is_ppt`` call on that stack for the partial
+transposes, its (N, P, 15) catalog coefficients (``pauli_coeffs`` per
+row at d = 2, one ``_pair_coeffs`` gather of the same entries over
+every row and level pair at d >= 3), and one ``family_minima`` and
+``group_minima`` call on that stack for the minima of every row. Only
+the CSV formatting runs per row, one row per sample.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it (``chessboard.positivity_proven``; at d = 2
 every coupled 2x2 block has diagonal product 1, and the guard's
@@ -42,6 +44,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .chessboard import (
+    COEFF_TRIPLES,
     ChessParams222,
     SLOT_ORDER,
     _check_integer,
@@ -52,6 +55,7 @@ from .chessboard import (
     params_to_json,
     positivity_proven,
     qudit_levels,
+    rho_entries_22d,
     rho_stack_22d,
     sample_params_222,
     sample_params_22d,
@@ -151,15 +155,19 @@ def _level_kwargs(d: int, alpha: Optional[int], beta: Optional[int],
 
 
 def csv_header(dim: int = 2) -> str:
-    """The scan CSV header for qubit (dim=2) or qudit third party."""
-    if int(dim) == 2:
+    """The scan CSV header for qubit (dim=2) or qudit third party;
+    ValueError unless ``dim`` is an integer >= 2."""
+    dim = _check_integer("dim", dim)
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    if dim == 2:
         cols = ["index", "a", "b", "c", "d",
                 "r1", "r2", "r3", "r4",
                 "phi1", "phi2", "phi3", "phi4"]
     else:
         cols = ["index"]
-        cols += [f"a0_{k}" for k in range(int(dim))]
-        cols += [f"a1_{k}" for k in range(int(dim))]
+        cols += [f"a0_{k}" for k in range(dim)]
+        cols += [f"a1_{k}" for k in range(dim)]
         cols += [f"r_{j}_{slot}" for j, slot in SLOT_ORDER]
         cols += [f"phi_{j}_{slot}" for j, slot in SLOT_ORDER]
     cols += ["ppt"] + list(_MIN_COLUMNS) + list(_FLAG_COLUMNS)
@@ -204,23 +212,26 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
                             gamma=gamma) for index in indices]
     if dim == 2:
         rhos = np.array([build_rho_222(p) for p in params])
-        coeffs, suffixes = map(pauli_coeffs, params), ""
+        coeffs = np.array([[co.get(t, 0.0) for t in COEFF_TRIPLES]
+                           for co in map(pauli_coeffs, params)])[:, None]
     else:
         # the construction proves the sampler's states positive; a row it
         # does not cover is built on its own and checked by its eigenvalues
         for p in params:
             if not positivity_proven(p):
                 build_rho_22d(p)    # raises NonPositiveError
-        rhos = rho_stack_22d(params)
-        pair_list, suffixes = _level_pairs(params[0], pairs)
-        coeffs = _pair_coeffs(params, pair_list)
+        entries = rho_entries_22d(params)
+        rhos = rho_stack_22d(params, entries)
+        pair_list, _ = _level_pairs(params[0], pairs)
+        coeffs = _pair_coeffs(params, pair_list, entries)
     _ppt_guard(params, rhos, (2, 2, dim), tol)
-    rows, flags, minima = [], [], []
-    for index, p, co in zip(indices, params, coeffs):
-        # looked up in this module at each call: the benchmark's tracer and
-        # its wrong-minima check patch mcharness.family_minima
-        groups = group_minima(family_minima(co, suffixes))
-        mi = [groups[g] for g in GROUP_NAMES]
+    # one catalog call for the whole (N, P, 15) stack, looked up in this
+    # module at each call: the benchmark's tracer and its wrong-minima
+    # check patch mcharness.family_minima
+    groups = group_minima(family_minima(coeffs))
+    minima = np.stack([groups[g] for g in GROUP_NAMES], axis=1).tolist()
+    rows, flags = [], []
+    for index, p, mi in zip(indices, params, minima):
         fl = [m < 0.0 for m in mi]
         fl.append(any(fl))
         if dim == 2:
@@ -234,7 +245,6 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
         fields += ["1" if f else "0" for f in fl]
         rows.append(",".join(fields))
         flags.append(fl)
-        minima.append(mi)
     return rows, flags, minima
 
 

@@ -57,19 +57,25 @@ k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
 ``family_minima`` evaluates the whole catalog at once from one gather
 table (``_table``), compiled lazily from the term tables: each of its
 512 component rows lists up to six signed coefficient slots, padded
-with -0.0, which is the identity of floating-point addition. It takes
-one coefficient mapping or P rows of coefficients (the level pairs of
-a 2x2xd state); P rows are one pass over P copies of the table
-(``_table(P)``), each reading its own row. The gathered terms are
-summed left to right, as ``functional`` sums them, so k is
-bit-identical to the scalar route. The norm is the scalar
-route's own: ``math.hypot`` over the 84 distinct (k1, k2) pairs of the
-168 one-angle entries, and the square root of the left-to-right sum of
-squares, which numpy rounds as Python does, over the spherical rows.
-Every value therefore equals ``functional``'s bit for bit, and each
-family's winner is its first least value in (row, catalog) order; only
-the eight winners' components go through the scalar minimization
-again, for their angles.
+with -0.0, which is the identity of floating-point addition. One pass
+takes R coefficient rows (``_catalog_values``): the table gathers a
+(6, 512, R) array from the (34, R) columns (x, -x) of the rows, so each
+row reads its own coefficients through the same one table. The
+gathered terms are summed left to right, as ``functional`` sums them,
+so k is bit-identical to the scalar route. The norm is the scalar
+route's own: ``math.hypot`` over the R x 84 distinct (k1, k2) pairs of
+the 168 one-angle entries, and the square root of the left-to-right
+sum of squares, which numpy rounds as Python does, over the spherical
+rows. Every value therefore equals ``functional``'s bit for bit.
+
+``family_minima`` takes one coefficient mapping, the P rows of one
+2x2xd state (its level pairs), or an (N, P, 15) stack of N states. For
+one state each family's winner is its first least value in (row,
+catalog) order; only the eight winners' components go through the
+scalar minimization again, for their angles and ids. For a stack it
+returns each state's minima only, taken from the pass's values, in
+passes of at most ``_CATALOG_TERMS`` gathered terms, so that memory
+does not grow with N or P. The scan evaluates each chunk so.
 
 For 2x2xd parameters, ``detect`` and the scan take every level pair's
 coefficients Tr(rho Q_t) straight from the parameters, with no density
@@ -485,24 +491,28 @@ def _level_pairs(params: ChessParams22d, pairs: str
 
 
 def _pair_coeffs(states: Sequence[ChessParams22d],
-                 pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+                 pairs: Tuple[Tuple[int, int], ...],
+                 entries: Optional[Tuple[np.ndarray, ...]] = None
+                 ) -> np.ndarray:
     """(N, P, 15) coefficients Tr(rho Q_t) of N states of one level
     structure, one row per level pair, with no density matrix: row
     (i, p) is bit-equal to ``substituted_coeffs(build_rho_22d(
     states[i]), d, *pairs[p])``, whose einsum adds the products of Q's
-    row-major nonzeros from +0 in the same order."""
-    diag, couplings, trace = rho_entries_22d(states)
+    row-major nonzeros from +0 in the same order. ``entries`` is
+    ``rho_entries_22d(states)``, if the caller has it already."""
+    if entries is None:
+        entries = rho_entries_22d(states)
+    diag, couplings, trace = entries
     v = np.concatenate((diag, couplings, couplings.conj()),
                        axis=1) / trace[:, None]
     x = np.concatenate((v.real, v.imag), axis=1)
     xx = np.concatenate((x, -x, np.zeros((len(x), 1))), axis=1)
     first = states[0]
-    # (T, P, 15, N): each step of the sum adds one contiguous block
     terms = xx.T[_pair_gather(first.dim, first.alpha, first.beta,
-                              first.gamma, pairs)]
-    k = terms[0] + 0.0
-    for row in terms[1:]:
-        k += row
+                              first.gamma, pairs)]    # (T, P, 15, N)
+    # term by term along the slow axis T, from +0 as the einsum starts;
+    # see _catalog_values
+    k = np.add.reduce(terms, initial=0.0)
     return k.transpose(2, 0, 1)
 
 
@@ -628,32 +638,25 @@ class _Table(NamedTuple):
     Row r of the component vector K is sum_i xx[slots[i, r]], added
     left to right, where xx = (x, -x) and x = (1, the coefficients in
     ``COEFF_TRIPLES`` order, 0). Rows 0..E-1 are every entry's k0, in
-    catalog order. Then come the k1 rows and the k2 rows of the distinct
-    (k1, k2) pairs of the ``one_angle`` entries (con, cyl), which
-    ``pair_of`` maps each of those entries to, and then the ka, kb and
-    kc rows of the ``spherical`` entries. Row e of ``components`` lists
-    the K rows of entry e's components, in its first len(components)
-    columns.
-
-    The table for P coefficient rows holds P copies of the catalog:
-    copy p reads the p-th (x, -x) block of xx, and each of the sections
-    above lists the copies one after the other, so that entry e of copy
-    p is entry p * 236 + e.
+    catalog order. Then come the k1 rows and the k2 rows of the 84
+    distinct (k1, k2) pairs of the one-angle entries (con, cyl), and
+    then the ka, kb and kc rows of the ``spherical`` entries. Row e of
+    ``components`` lists the K rows of entry e's components, in its
+    first len(components) columns. ``norm_of`` maps entry e to the row
+    of its norm in (the 84 pair norms, the spherical norms, 0.0): its
+    pair's, its own, or the 0.0 of a polygonal entry.
     """
 
-    slots: np.ndarray          # (6, 512 P) int, indices into xx
-    one_angle: np.ndarray      # entry indices of con/cyl
-    pair_of: np.ndarray        # (k1, k2) pair of each one_angle entry
+    slots: np.ndarray          # (6, 512) int, indices into xx
+    norm_of: np.ndarray        # row of each entry's norm
     spherical: np.ndarray      # entry indices of sph
     family_start: np.ndarray   # first entry of each family
     family_of: np.ndarray      # family number of each entry
-    components: np.ndarray     # (236 P, 4) K rows of each entry
+    components: np.ndarray     # (236, 4) K rows of each entry
 
 
 @lru_cache(maxsize=None)
-def _table(n_rows: int = 1) -> _Table:
-    if n_rows > 1:
-        return _copies(_table(), n_rows)
+def _table() -> _Table:
     catalog = _catalog()
     slot = {t: k + 1 for k, t in enumerate(COEFF_TRIPLES)}
     slot[_IDENTITY] = 0
@@ -686,86 +689,90 @@ def _table(n_rows: int = 1) -> _Table:
     components[one_angle, 2] = n_entries + n_pairs + np.array(pair_of)
     components[spherical, 1:] = (n_entries + 2 * n_pairs + n_sph * np.arange(3)
                                  + np.arange(n_sph)[:, None])
-    table = _Table(slots, np.array(one_angle), np.array(pair_of),
-                   np.array(spherical), np.array(starts), family_of,
-                   components)
+    norm_of = np.full(n_entries, n_pairs + n_sph)
+    norm_of[one_angle] = pair_of
+    norm_of[spherical] = n_pairs + np.arange(n_sph)
+    table = _Table(slots, norm_of, np.array(spherical), np.array(starts),
+                   family_of, components)
     for a in table:
         a.setflags(write=False)
     return table
 
 
-def _copies(table: _Table, n_rows: int) -> _Table:
-    """``table`` for ``n_rows`` coefficient rows; see ``_Table``."""
-    n_entries, n_sph = len(table.family_of), len(table.spherical)
-    n_pairs = int(table.pair_of.max()) + 1
-    copies = np.arange(n_rows)[:, None]
-    starts = np.cumsum([0, n_entries, n_pairs, n_pairs, n_sph, n_sph])
-    sizes = np.diff(starts, append=table.slots.shape[1])
-    width = 2 * (len(COEFF_TRIPLES) + 2)    # of one (x, -x) block
-    slots = np.concatenate(
-        [(s[:, None] + width * copies).reshape(len(s), -1)
-         for s in np.split(table.slots, starts[1:], axis=1)], axis=1)
-    # row r of section j moves to starts[j] * P + p * sizes[j] + r - starts[j]
-    section = np.searchsorted(starts, table.components, "right") - 1
-    components = (table.components + (n_rows - 1) * starts[section]
-                  + copies[:, :, None] * sizes[section])
-    out = _Table(slots, (table.one_angle + n_entries * copies).ravel(),
-                 (table.pair_of + n_pairs * copies).ravel(),
-                 (table.spherical + n_entries * copies).ravel(),
-                 (table.family_start + n_entries * copies).ravel(),
-                 np.tile(table.family_of, n_rows),
-                 components.reshape(-1, 4))
-    for a in out:
-        a.setflags(write=False)
-    return out
+#: Gathered terms per catalog pass of a stack of states. 2**18 terms
+#: (2 MB) hold 85 coefficient rows of 3,072 terms each, so the pass's
+#: memory is bounded whatever the number of states or level pairs.
+_CATALOG_TERMS = 2 ** 18
 
 
-def _coeff_x(coeffs) -> np.ndarray:
-    """(P, 17) rows x = (1, the coefficients in ``COEFF_TRIPLES`` order,
-    0) of ``_Table``, from a (P, 15) array or from one mapping (P = 1;
-    absent triples are 0)."""
+def _coeff_columns(coeffs) -> np.ndarray:
+    """(34, R) columns xx = (x, -x) of ``_Table``, one per coefficient
+    row, with x = (1, the coefficients in ``COEFF_TRIPLES`` order, 0):
+    from the rows of a (P, 15) or (N, P, 15) array, in C order, or from
+    one mapping (R = 1; absent triples are 0)."""
     if isinstance(coeffs, Mapping):
-        return np.array([[1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES]
-                         + [0.0]])
+        x = [1.0] + [coeffs.get(t, 0.0) for t in COEFF_TRIPLES] + [0.0]
+        return np.array(x + [-v for v in x])[:, None]
     rows = np.asarray(coeffs, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != len(COEFF_TRIPLES):
-        raise ValueError(f"coefficients must be a mapping or a (P, 15) "
-                         f"array, got shape {rows.shape}")
-    ones = np.ones((len(rows), 1))
-    return np.concatenate((ones, rows, np.zeros_like(ones)), axis=1)
+    if rows.ndim not in (2, 3) or rows.shape[-1] != len(COEFF_TRIPLES):
+        raise ValueError(f"coefficients must be a mapping or a (P, 15) or "
+                         f"(N, P, 15) array, got shape {rows.shape}")
+    rows = rows.reshape(-1, len(COEFF_TRIPLES)).T
+    ones = np.ones((1, rows.shape[1]))
+    zeros = np.zeros_like(ones)
+    return np.concatenate((ones, rows, zeros, -ones, -rows, -zeros))
 
 
-def _catalog_values(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Every base entry's functional value on each row of ``x`` (see
-    :func:`_coeff_x`), bit-equal to ``functional``'s: P * 236 values,
-    entry e of row p at p * 236 + e; and the component rows K of
-    ``_table(P)`` they were taken from.
+def _catalog_values(xx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Every base entry's functional value on each column of ``xx`` (see
+    :func:`_coeff_columns`), bit-equal to ``functional``'s: a (236, R)
+    array, entry e of row p at [e, p]; and the (512, R) component rows
+    K of ``_table()`` they were taken from.
 
     Raises ValueError if a value is not finite: finite coefficients can
     still overflow k, and the family minima need ordered values. Such an
     overflow raises no numpy warning.
     """
-    table = _table(len(x))
-    terms = np.concatenate((x, -x), axis=1).ravel()[table.slots]
+    table = _table()
+    terms = xx.take(table.slots, axis=0)    # (6, 512, R)
+    n_rows = xx.shape[1]
     n_entries, n_sph = len(table.family_of), len(table.spherical)
-    sph_start = table.slots.shape[1] - 3 * n_sph
+    sph = table.slots.shape[1] - 3 * n_sph    # first spherical row
     with np.errstate(over="ignore", invalid="ignore"):
-        k = terms[0] + terms[1]
-        for row in terms[2:]:
-            k += row
-        k0 = k[:n_entries]
-        k1, k2 = k[n_entries:sph_start].reshape(2, -1)
-        ka, kb, kc = k[sph_start:].reshape(3, n_sph)
-        norm = np.zeros(n_entries)
-        norm[table.one_angle] = np.fromiter(
-            map(math.hypot, k1.tolist(), k2.tolist()), float,
-            len(k1))[table.pair_of]
-        norm[table.spherical] = np.sqrt(ka * ka + kb * kb + kc * kc)
-        values = k0 - norm
+        # numpy adds along an axis other than the fast one term by term
+        # (pairwise summation is only used along the fast axis), and
+        # -0.0 is the exact identity of addition: k is the left-to-right
+        # sum terms[0] + terms[1] + ...
+        k = np.add.reduce(terms, initial=-0.0)
+        k1, k2 = k[n_entries:sph].reshape(2, -1)
+        ka2, kb2, kc2 = np.square(k[sph:].reshape(3, n_sph, n_rows))
+        norms = np.concatenate((
+            np.fromiter(map(math.hypot, k1.tolist(), k2.tolist()), float,
+                        k1.size).reshape(-1, n_rows),
+            np.sqrt(ka2 + kb2 + kc2), np.zeros((1, n_rows))))
+        values = k[:n_entries] - norms.take(table.norm_of, axis=0)
     if not np.isfinite(values).all():
         raise ValueError("witness catalog values must be finite; the "
                          "coefficients are non-finite or overflow")
     return values, k
+
+
+def _stack_minima(xx: np.ndarray, n_states: int, n_pairs: int) -> np.ndarray:
+    """(8, N) family minima of N states whose coefficient columns, P per
+    state, are ``xx``; one catalog pass per ``_CATALOG_TERMS`` terms.
+
+    Every k0 sum starts from the identity's 1.0 and every norm is >= +0,
+    so no value is -0.0: equal values have equal bits, and the least
+    value is the first least in (pair, catalog) order.
+    """
+    table = _table()
+    n_families = len(table.family_start)
+    step = max(1, _CATALOG_TERMS // table.slots.size)
+    least = np.concatenate([np.empty((n_families, 0))] + [
+        np.minimum.reduceat(_catalog_values(xx[:, i:i + step])[0],
+                            table.family_start)
+        for i in range(0, xx.shape[1], step)], axis=1)
+    return least.reshape(n_families, n_states, n_pairs).min(axis=2)
 
 
 def family_minima(
@@ -779,39 +786,57 @@ def family_minima(
     ``suffix`` one id suffix or one per row. The minimum is that of
     ``functional`` over every row and entry of each family, the first
     in (row, catalog) order winning a tie; see "Closed-form machinery"
-    in the module docstring. Raises ValueError if a value is not
-    finite.
+    in the module docstring.
+
+    ``coeffs`` may also be an (N, P, 15) stack of N states, which takes
+    no suffix: each family then maps to ``{"min": (N,) array}``, each
+    state's minimum over its P rows, with no angles and no ids.
+
+    Raises ValueError if a value is not finite.
     """
-    x = _coeff_x(coeffs)
-    n_rows = len(x)
+    xx = _coeff_columns(coeffs)
+    if not isinstance(coeffs, Mapping) and np.ndim(coeffs) == 3:
+        if suffix:
+            raise ValueError("a stack of states takes no id suffix")
+        least = _stack_minima(xx, *np.shape(coeffs)[:2])
+        return {family: {"min": m} for family, m in zip(FAMILY_NAMES, least)}
+    n_rows = xx.shape[1]
     suffixes = [suffix] * n_rows if isinstance(suffix, str) else suffix
     if len(suffixes) != n_rows:
         raise ValueError(f"need one suffix per row: {n_rows} rows, "
                          f"{len(suffixes)} suffixes")
-    table = _table(n_rows)
-    values, k = _catalog_values(x)
-    least = np.minimum.reduceat(values, table.family_start)
-    if n_rows > 1:
-        least = least.reshape(n_rows, -1).min(axis=0)
+    table = _table()
+    values, k = _catalog_values(xx)
+    # a family's values on every row are contiguous in values' C order
+    least = np.minimum.reduceat(values.ravel(), table.family_start * n_rows)
     catalog = _catalog()
     first: Dict[str, int] = {}
-    for i in np.flatnonzero(values == least[table.family_of]).tolist():
+    # (row, catalog) order
+    for i in np.flatnonzero(values.T == least[table.family_of]).tolist():
         first.setdefault(catalog[i % len(catalog)][1], i)
-    winners = [first[family] for family in FAMILY_NAMES]
+    winners = [divmod(first[family], len(catalog)) for family in FAMILY_NAMES]
+    rows, entries = zip(*winners)
+    k_winners = k[table.components[list(entries)], np.array(rows)[:, None]]
     out: Dict[str, Dict[str, object]] = {}
-    for i, k_i in zip(winners, k[table.components[winners]].tolist()):
-        p, e = divmod(i, len(catalog))
-        base_id, family, kind, components = catalog[e]
-        value, angles = _minimize_components(kind, k_i[:len(components)])
+    for family, (p, e), k_e in zip(FAMILY_NAMES, winners, k_winners.tolist()):
+        base_id, _, kind, components = catalog[e]
+        value, angles = _minimize_components(kind, k_e[:len(components)])
         out[family] = {"min": value,
                        "best": format_witness(base_id + suffixes[p], angles)}
     return out
 
 
-def group_minima(families: Dict[str, Dict[str, object]]) -> Dict[str, float]:
-    """Per group of ``GROUP_NAMES``: the least minimum of its families."""
-    return {g: min(families[m]["min"] for m in GROUP_MEMBERS[g])
-            for g in GROUP_NAMES}
+def group_minima(families: Dict[str, Dict[str, object]]) -> Dict[str, object]:
+    """Per group of ``GROUP_NAMES``: the least minimum of its families,
+    the first family winning a tie, as Python's ``min`` picks; for the
+    (N,) arrays of a stack, elementwise."""
+    out: Dict[str, object] = {}
+    for g in GROUP_NAMES:
+        first, second = GROUP_MEMBERS[g]
+        a, b = families[first]["min"], families[second]["min"]
+        out[g] = np.where(b < a, b, a) if isinstance(a, np.ndarray) \
+            else min(a, b)
+    return out
 
 
 def detect(

@@ -473,6 +473,41 @@ def test_params_json_rejects_malformed():
         )
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("dim", 3.7, "dim must be an integer, got 3.7"),
+    ("dim", "4", "dim must be an integer"),
+    ("alpha", 1.5, "alpha must be an integer, got 1.5"),
+    ("beta", 2.0, "beta must be an integer, got 2.0"),
+    ("gamma", 1.9, "gamma must be an integer, got 1.9"),
+    ("tied", "false", "tied must be a JSON boolean, got 'false'"),
+    ("tied", 0, "tied must be a JSON boolean, got 0"),
+    ("tied", None, "tied must be a JSON boolean, got None"),
+])
+def test_params_json_rejects_non_integral_levels_and_non_bool_tied(
+        field, value, message):
+    obj = cb.params_to_json(cb.sample_params_22d(5, 17, 4))
+    with pytest.raises(ValueError, match=message):
+        cb.params_from_json({**obj, field: value})
+
+
+def test_params_json_rejects_a_non_integral_coupling_branch():
+    obj = cb.params_to_json(cb.sample_params_22d(5, 17, 4))
+    couplings = [dict(c) for c in obj["couplings"]]
+    couplings[4]["j"] = 0.5
+    with pytest.raises(ValueError, match=r"couplings\[4\]\.j must be an "
+                                         r"integer, got 0\.5"):
+        cb.params_from_json({**obj, "couplings": couplings})
+
+
+def test_params_json_reads_tied_false():
+    p = cb.sample_params_22d(5, 17, 4, tied=False)
+    obj = json.loads(json.dumps(cb.params_to_json(p)))
+    assert obj["tied"] is False
+    assert cb.params_from_json(obj) == p
+    del obj["tied"]
+    assert cb.params_from_json(obj).tied is True
+
+
 # --- qudit coefficient table ---------------------------------------------
 
 

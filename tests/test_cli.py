@@ -174,6 +174,22 @@ def test_detect_rejects_overflowing_diagonal(tmp_path, params):
     assert proc.stdout == ""
 
 
+@pytest.mark.parametrize("command", ["detect", "ppt", "rho"])
+@pytest.mark.parametrize("field, value", [
+    ("dim", 3.7), ("gamma", 1.9), ("tied", "false")])
+def test_params_with_non_integral_levels_are_domain_errors(
+        tmp_path, command, field, value):
+    # these decoded as d = 3, gamma = 1 and tied=True and were acted on
+    params = {"dim": 3, "alpha": 0, "beta": 2, "gamma": 1,
+              "diag": [[1, 2, 1], [1, 0.5, 1]], "couplings": [], field: value}
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    proc = run_cli(command, "--params", str(path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {field} must be ")
+    assert proc.stdout == ""
+
+
 # --------------------------------------------------------------------- scan
 
 def test_scan_deterministic_and_summarized(tmp_path):

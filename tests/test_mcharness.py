@@ -21,7 +21,7 @@ from chesswit.chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from chesswit import mcharness
+from chesswit import mcharness, witnesses
 from chesswit.mcharness import (
     SECOND_CASE_T,
     ScanResult,
@@ -44,6 +44,16 @@ HEADER_222 = ("index,a,b,c,d,r1,r2,r3,r4,phi1,phi2,phi3,phi4,"
 
 def test_csv_header_222_frozen():
     assert csv_header(2) == HEADER_222
+
+
+@pytest.mark.parametrize("dim, message", [
+    (3.7, "dim must be an integer, got 3.7"),
+    ("3", "dim must be an integer"),
+    (1, "dim must be at least 2"),
+])
+def test_csv_header_rejects_bad_dims(dim, message):
+    with pytest.raises(ValueError, match=message):
+        csv_header(dim)
 
 
 def test_csv_header_qudit():
@@ -367,6 +377,49 @@ def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
     assert run_scan(40, seed=3, dim=3, chunk=16).rows == res.rows
     assert shapes == [(7, 12, 12), (7, 12, 12), (2, 12, 12)] * 2 + [
         (7, 12, 12), (1, 12, 12)]
+
+
+def test_run_scan_evaluates_the_catalog_once_per_chunk_in_bounded_passes(
+        monkeypatch):
+    want = run_scan(512, seed=2, dim=5).rows
+    calls, passes = [], []
+
+    def minima(coeffs):
+        calls.append(np.shape(coeffs))
+        return witnesses.family_minima(coeffs)
+
+    def spy(xx):
+        passes.append(xx.shape[1])
+        return catalog_values(xx)
+
+    catalog_values = witnesses._catalog_values
+    monkeypatch.setattr(mcharness, "family_minima", minima)
+    monkeypatch.setattr(witnesses, "_catalog_values", spy)
+    assert run_scan(512, seed=2, dim=5).rows == want
+    assert calls == [(512, 10, 15)]
+    cap = witnesses._CATALOG_TERMS // witnesses._table().slots.size
+    assert sum(passes) == 512 * 10 and max(passes) <= cap
+    # one compiled table serves every chunk size
+    calls.clear()
+    assert run_scan(40, seed=3, chunk=16).rows == \
+        run_scan(40, seed=3, chunk=40).rows
+    assert calls == [(16, 1, 15), (16, 1, 15), (8, 1, 15), (40, 1, 15)]
+    assert witnesses._table.cache_info().currsize == 1
+
+
+def test_qudit_scan_takes_the_entries_of_rho_once_per_chunk(monkeypatch):
+    want = run_scan(30, seed=4, dim=3, chunk=16).rows
+    calls = []
+    entries = chessboard.rho_entries_22d
+
+    def counted(states):
+        calls.append(len(states))
+        return entries(states)
+
+    for module in (mcharness, chessboard, witnesses):
+        monkeypatch.setattr(module, "rho_entries_22d", counted)
+    assert run_scan(30, seed=4, dim=3, chunk=16).rows == want
+    assert calls == [16, 14]
 
 
 def test_summarize_counts_and_pairs():

@@ -31,6 +31,8 @@ from chesswit.witnesses import (
     _IDENTITY,
     DETECT_MARGIN,
     FAMILY_NAMES,
+    GROUP_MEMBERS,
+    GROUP_NAMES,
     build_witness,
     detect,
     detection_conditions,
@@ -39,6 +41,7 @@ from chesswit.witnesses import (
     family_minima,
     format_witness,
     functional,
+    group_minima,
     min_expectation_over_products,
     parse_witness_id,
     phase_gate_conjugate,
@@ -46,14 +49,17 @@ from chesswit.witnesses import (
     validate_witness,
     witness_angles,
     witness_ids,
+    _KIND,
     _catalog,
     _component_values,
     _initial_factors,
     _lowest_eigenpair_2x2,
     _minimize_components,
     _catalog_values,
-    _coeff_x,
+    _coeff_columns,
+    _level_pairs,
     _pair_coeffs,
+    _table,
 )
 
 # --- independent oracle machinery ---------------------------------------------
@@ -859,14 +865,133 @@ def test_family_minima_matches_per_entry_loop(catalog_inputs):
 
 def test_catalog_values_bit_equal_functional(catalog_inputs):
     base_ids = witness_ids()
-    x = np.concatenate([_coeff_x(co) for co, _ in catalog_inputs])
-    # one pass over every input at once
-    batch = _catalog_values(x)[0].reshape(len(x), -1)
+    xx = np.concatenate([_coeff_columns(co) for co, _ in catalog_inputs],
+                        axis=1)
+    # one pass over every input at once; entry e of input p is at [e, p]
+    batch = _catalog_values(xx)[0].T
     for (co, _), values in zip(catalog_inputs, batch):
         want = [functional(w, co)[0].hex() for w in base_ids]
-        single, _ = _catalog_values(_coeff_x(co))
+        single = _catalog_values(_coeff_columns(co))[0][:, 0]
         assert [v.hex() for v in single.tolist()] == want
         assert [v.hex() for v in values.tolist()] == want
+
+
+def test_catalog_components_bit_equal_scalar_route(catalog_inputs):
+    # K is the left-to-right sum of the scalar route, zero signs included
+    table = _table()
+    chosen = catalog_inputs[:200] + catalog_inputs[-17:]
+    xx = np.concatenate([_coeff_columns(co) for co, _ in chosen], axis=1)
+    k = _catalog_values(xx)[1]
+    for p, (co, _) in enumerate(chosen):
+        full = {**co, _IDENTITY: 1.0}
+        for e, (_, _, _, components) in enumerate(_catalog()):
+            rows = table.components[e, :len(components)]
+            assert [v.hex() for v in k[rows, p].tolist()] == \
+                [v.hex() for v in _component_values(components, full)], e
+
+
+def _stacks(d):
+    """(coefficient stack, pairs, suffixes) per level structure and
+    ``pairs`` setting: sampled states, states whose families tie (zero
+    and equal-modulus couplings) and, at d >= 3, every level triple,
+    colliding gamma included, and untied states."""
+    if d == 2:
+        states = [sample_params_222(77, k) for k in range(40)]
+        states += [ChessParams222(1.0, 1.0, 1.0, 1.0),
+                   ChessParams222(1.0, 1.0, 1.0, 1.0, r=(0.5,) * 4),
+                   ChessParams222(2.0, 0.5, 3.0, 1.5, r=(1.0, 1.0, 0.6, 0.6))]
+        coeffs = [pauli_coeffs(p) for p in states]
+        yield (np.array([[co.get(t, 0.0) for t in COEFF_TRIPLES]
+                         for co in coeffs])[:, None], ((0, 1),), [""])
+        return
+    groups = itertools.groupby(_level_states(d, seed=41),
+                               key=lambda p: (p.alpha, p.beta, p.gamma))
+    for _, group in groups:
+        states = list(group)
+        for pairs in ("all", "own"):
+            pair_list, suffixes = _level_pairs(states[0], pairs)
+            yield _pair_coeffs(states, pair_list), pair_list, suffixes
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_stack_minima_bit_equal_per_row(d):
+    n_stacks = 0
+    for stack, pairs, suffixes in _stacks(d):
+        families = family_minima(stack)
+        groups = group_minima(families)
+        for i, rows in enumerate(stack):
+            fam = family_minima(rows, suffixes)
+            # float.hex tells -0.0 from 0.0
+            assert [families[f]["min"][i].hex() for f in FAMILY_NAMES] == \
+                [fam[f]["min"].hex() for f in FAMILY_NAMES], (d, pairs, i)
+            assert [groups[g][i].hex() for g in GROUP_NAMES] == \
+                [group_minima(fam)[g].hex() for g in GROUP_NAMES]
+        assert set(families) == set(FAMILY_NAMES)
+        assert all(set(e) == {"min"} and e["min"].shape == (len(stack),)
+                   for e in families.values())
+        n_stacks += 1
+    assert n_stacks >= (1 if d == 2 else 2 * d * d * (d - 1))
+
+
+def test_stack_minima_of_tied_entries():
+    # the zero-coupling state ties 48 conical entries
+    tied = pauli_coeffs(ChessParams222(1.0, 1.0, 1.0, 1.0))
+    other = pauli_coeffs(sample_params_222(3, 0))
+    stack = np.array([[[co.get(t, 0.0) for t in COEFF_TRIPLES]]
+                      for co in (other, tied, other)])
+    got = family_minima(stack)["con"]["min"]
+    ties = [w for w in witness_ids() if w.startswith("con:")
+            and functional(w, tied)[0] == got[1]]
+    assert len(ties) == 48
+    assert got[1].hex() == family_minima(tied)["con"]["min"].hex()
+    assert got[0].hex() == got[2].hex() == \
+        family_minima(other)["con"]["min"].hex()
+
+
+def test_stack_minima_checks_its_input():
+    stack = _pair_coeffs([sample_params_22d(9, k, 3) for k in range(4)],
+                         ((0, 1), (0, 2), (1, 2)))
+    bad = stack.copy()
+    bad[2, 1, 4] = math.nan
+    with pytest.raises(ValueError, match="finite"):
+        family_minima(bad)
+    bad[2, 1, 4] = math.inf
+    with pytest.raises(ValueError, match="finite"):
+        family_minima(bad)
+    with pytest.raises(ValueError, match="no id suffix"):
+        family_minima(stack, "@0,1")
+    with pytest.raises(ValueError, match="mapping or a"):
+        family_minima(stack[:, :, :14])
+    empty = family_minima(stack[:0])
+    assert all(e["min"].shape == (0,) for e in empty.values())
+
+
+def test_group_minima_of_arrays_keeps_the_first_of_a_tie():
+    # Python's min keeps its first argument unless the second is smaller
+    a, b = np.array([0.0, -0.0, 1.0, 2.0]), np.array([-0.0, 0.0, 1.0, 1.5])
+    families = {f: {"min": a if f == GROUP_MEMBERS[_KIND[f]][0] else b}
+                for f in FAMILY_NAMES}
+    got = group_minima(families)["con"]
+    want = [min(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+
+def test_stack_minima_pass_is_bounded(monkeypatch):
+    rows = []
+
+    def spy(xx):
+        rows.append(xx.shape[1])
+        return _catalog_values(xx)
+
+    stack = _pair_coeffs([sample_params_22d(5, k, 5) for k in range(40)],
+                         tuple(itertools.combinations(range(5), 2)))
+    want = family_minima(stack)
+    monkeypatch.setattr("chesswit.witnesses._catalog_values", spy)
+    monkeypatch.setattr("chesswit.witnesses._CATALOG_TERMS", 7 * 3072)
+    got = family_minima(stack)
+    assert rows == [7] * 57 + [1]
+    assert all(got[f]["min"].tobytes() == want[f]["min"].tobytes()
+               for f in FAMILY_NAMES)
 
 
 @pytest.mark.parametrize("d,pair", [(2, (0, 1)), (3, (0, 1)), (3, (1, 2))])
