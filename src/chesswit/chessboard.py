@@ -45,7 +45,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .tensorops import hermitian_eigenvalues
+from .tensorops import _check_integer, hermitian_eigenvalues
 
 __all__ = [
     "ChessParams222",
@@ -85,15 +85,6 @@ COUPLING_POSITIONS: Tuple[Tuple[int, int], ...] = ((3, 4), (2, 5), (1, 6), (0, 7
 SLOT_ORDER: Tuple[Tuple[int, str], ...] = (
     (0, "ab"), (0, "ba"), (0, "gg"), (1, "ab"), (1, "ba"), (1, "gg"),
 )
-
-
-def _check_integer(name: str, value) -> int:
-    """``value`` as an int; ValueError unless it is an integer (numpy
-    integers included), where ``int()`` would truncate 2.5 silently."""
-    # the type test spares plain ints the slower abstract-class check
-    if type(value) is not int and not isinstance(value, numbers.Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _check_seed(value, name: str = "seed") -> int:
@@ -360,8 +351,9 @@ def rho_entries_22d(states: Sequence[ChessParams22d]
         diag[i, :2 * d] = zero_branch
         for row, col in placed:
             diag[i, col] = 1.0 / zero_branch[row if p.tied else col - 2 * d]
-    couplings = np.array([[r * np.exp(1j * phi) for r, phi in zip(p.r, p.phi)]
-                          for p in states])
+    r = np.array([p.r for p in states])
+    phi = np.array([p.phi for p in states])
+    couplings = r * np.exp(1j * phi)
     return diag, couplings, diag.sum(axis=1).real
 
 
@@ -470,9 +462,9 @@ def sample_params_22d(
     alpha: int = 0,
     beta: int | None = None,
     gamma: int = 1,
-    tied: bool = True,
 ) -> ChessParams22d:
-    """Deterministic random 2x2xd parameters.
+    """Deterministic random tied 2x2xd parameters, which
+    :func:`positivity_proven` proves positive for every level triple.
 
     Defaults pick (alpha, beta, gamma) = (0, 2, 1) for dim >= 3 and
     (0, 1, 1) for dim = 2. Diagonal entries are log-uniform on
@@ -480,6 +472,7 @@ def sample_params_22d(
     [0, 2 pi) in canonical slot order (the gamma-gamma moduli are
     forced to zero when gamma collides with alpha/beta, preserving
     positivity). Draw order: diag row 0, diag row 1, r (6), phi (6).
+    An untied state is ``dataclasses.replace(state, tied=False)``.
     """
     alpha, beta, gamma = qudit_levels(dim, alpha, beta, gamma)
     dim = int(dim)
@@ -495,7 +488,7 @@ def sample_params_22d(
     return ChessParams22d(
         dim=dim, alpha=alpha, beta=beta, gamma=gamma,
         diag=(tuple(row0), tuple(row1)),
-        r=tuple(r), phi=tuple(phi), tied=tied,
+        r=tuple(r), phi=tuple(phi),
     )
 
 

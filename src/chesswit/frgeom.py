@@ -56,7 +56,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .chessboard import _check_seed, _rng_for
-from .tensorops import _check_pair, qudit_substitute
+from .tensorops import (_check_integer, _check_pair, _check_tol,
+                        qudit_substitute)
 
 __all__ = [
     "GEOMETRIES",
@@ -128,11 +129,11 @@ class ProductState:
 def _factor_chunks(n: int, seed: int, d: int
                    ) -> Iterator[Tuple[int, List[np.ndarray]]]:
     """(offset, factors) for consecutive chunks of a sample of n states."""
-    for k, lo in enumerate(range(0, int(n), SAMPLE_CHUNK)):
-        m = min(SAMPLE_CHUNK, int(n) - lo)
+    for k, lo in enumerate(range(0, n, SAMPLE_CHUNK)):
+        m = min(SAMPLE_CHUNK, n - lo)
         rng = _rng_for(seed, k)
         factors = []
-        for dim in (2, 2, int(d)):
+        for dim in (2, 2, d):
             block = rng.normal(size=(m, dim)) + 1j * rng.normal(size=(m, dim))
             block /= np.linalg.norm(block, axis=1, keepdims=True)
             factors.append(block)
@@ -144,14 +145,16 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     """n Haar-random product-state factors for dimensions (2, 2, d).
 
     These are the states that ``feasible_region_check`` checks for the
-    same ``(n, seed, d)``. Raises ValueError unless ``n >= 0`` and
-    ``seed`` is a non-negative integer.
+    same ``(n, seed, d)``. Raises ValueError unless ``n`` and ``d`` are
+    integers, ``n >= 0``, and ``seed`` is a non-negative integer.
     """
-    if int(n) < 0:
+    n = _check_integer("n", n)
+    d = _check_integer("d", d)
+    if n < 0:
         raise ValueError(f"n must be >= 0, got {n!r}")
     _check_seed(seed)
-    out = tuple(np.empty((int(n), dim), dtype=np.complex128)
-                for dim in (2, 2, int(d)))
+    out = tuple(np.empty((n, dim), dtype=np.complex128)
+                for dim in (2, 2, d))
     for lo, factors in _factor_chunks(n, seed, d):
         for block, part in zip(out, factors):
             block[lo:lo + part.shape[0]] = part
@@ -258,16 +261,17 @@ def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
     """``functional_points`` of the states of :func:`sample_factors`,
     drawn lazily one ``SAMPLE_CHUNK`` at a time.
 
-    Raises ValueError before any state is drawn unless ``n >= 1``,
-    ``seed`` is a non-negative integer, and the geometry and the
-    subspace levels are valid.
+    Raises ValueError before any state is drawn unless ``n`` and ``d``
+    are integers, ``n >= 1``, ``seed`` is a non-negative integer, and
+    the geometry and the subspace levels are valid.
     """
-    n = int(n)
+    n = _check_integer("n", n)
+    d = _check_integer("d", d)
     if n < 1:
         raise ValueError(f"n must be at least 1, got {n}")
     _check_seed(seed)
     _terms(geometry)
-    _check_pair(int(d), alpha, beta)
+    _check_pair(d, alpha, beta)
     return (functional_points(geometry, factors, alpha, beta)
             for _, factors in _factor_chunks(n, seed, d))
 
@@ -277,8 +281,7 @@ def containment_report(geometry: str, chunks: Iterable[np.ndarray],
     """Violation count and largest boundary excess (negative when every
     point is strictly inside) over chunks of points. Raises ValueError
     before reading a chunk unless ``tol`` is finite and >= 0."""
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol("tol", tol)
     samples = violations = 0
     max_excess = -math.inf
     for points in chunks:

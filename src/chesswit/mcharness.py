@@ -9,14 +9,15 @@ transposes, its (N, P, 15) catalog coefficients (``pauli_coeffs`` per
 row at d = 2, one ``_pair_coeffs`` gather of the same entries over
 every row and level pair at d >= 3), and one ``family_minima`` and
 ``group_minima`` call on that stack for the minima of every row. Only
-the CSV formatting runs per row, one row per sample.
+the CSV formatting runs per row, one row per sample. Each chunk is as
+large as the guard's memory bound ``_GUARD_ENTRIES`` allows.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it (``chessboard.positivity_proven``; at d = 2
 every coupled 2x2 block has diagonal product 1, and the guard's
 proper-subset transposes do not include rho). A qudit row the proof
 does not cover is built by ``build_rho_22d``, whose eigenvalue check
 raises NonPositiveError. Rows depend only on ``(seed, index)``, so
-output is byte-identical for any worker count or chunk size.
+output is byte-identical for any worker count.
 ``summarize`` turns the detection flags into percentages, 20-batch
 mean/std statistics, and joint detection tables for every ordered pair
 of family groups.
@@ -47,7 +48,6 @@ from .chessboard import (
     COEFF_TRIPLES,
     ChessParams222,
     SLOT_ORDER,
-    _check_integer,
     _check_seed,
     build_rho_222,
     build_rho_22d,
@@ -60,7 +60,7 @@ from .chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from .tensorops import PPT_SUBSETS, is_ppt
+from .tensorops import PPT_SUBSETS, _check_integer, _check_tol, is_ppt
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
@@ -174,10 +174,10 @@ def csv_header(dim: int = 2) -> str:
     return ",".join(cols)
 
 
-#: Transpose entries per ``is_ppt`` call of the guard. 2**18 entries
-#: (4 MB) hold 682 rows at d = 2 and 303 at d = 3, so the call overhead
-#: is spread over hundreds of rows, while the guard's memory stays
-#: bounded at any d.
+#: Most transpose entries in one scan chunk, which bounds the PPT
+#: guard's memory and so sizes the chunks. 2**18 entries (4 MB) hold 682
+#: rows at d = 2, 303 at d = 3 and 109 at d = 5, so each ``is_ppt`` call
+#: spreads its overhead over hundreds of rows at any d.
 _GUARD_ENTRIES = 2 ** 18
 
 
@@ -186,26 +186,24 @@ def _ppt_guard(params: List[object], rhos: np.ndarray,
     """Abort the scan unless every sampled state of a chunk is PPT.
 
     ``rhos`` is the ``(N, n, n)`` stack of the states built from
-    ``params``. It is checked by one ``is_ppt`` call, or by one call per
-    slice of ``_GUARD_ENTRIES`` transpose entries when it is larger.
-    The constructed states are PPT by design; a failure indicates a
+    ``params``, checked by one ``is_ppt`` call; ``run_scan`` sizes each
+    chunk to at most ``_GUARD_ENTRIES`` transpose entries. The
+    constructed states are PPT by design; a failure indicates a
     construction or sampling bug, so the error names the first failing
     state's parameters and its six minimum eigenvalues.
     """
-    step = max(1, _GUARD_ENTRIES // (len(PPT_SUBSETS) * rhos[0].size))
-    for start in range(0, len(rhos), step):
-        ok, min_eigs = is_ppt(rhos[start:start + step], dims=dims, tol=tol)
-        if not all(ok):
-            k = ok.index(False)
-            raise RuntimeError(
-                "sampled chessboard state failed the PPT check; "
-                f"params={json.dumps(params_to_json(params[start + k]))} "
-                "min_eigenvalues="
-                f"{json.dumps({label: v[k] for label, v in min_eigs.items()})}"
-            )
+    ok, min_eigs = is_ppt(rhos, dims=dims, tol=tol)
+    if not all(ok):
+        k = ok.index(False)
+        raise RuntimeError(
+            "sampled chessboard state failed the PPT check; "
+            f"params={json.dumps(params_to_json(params[k]))} "
+            "min_eigenvalues="
+            f"{json.dumps({label: v[k] for label, v in min_eigs.items()})}"
+        )
 
 
-def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
+def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
     (seed, start, stop, dim, alpha, beta, gamma, pairs, tol) = args
     indices = range(start, stop)
     params = [sample_params((seed, index), dim, alpha=alpha, beta=beta,
@@ -229,11 +227,10 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
     # module at each call: the benchmark's tracer and its wrong-minima
     # check patch mcharness.family_minima
     groups = group_minima(family_minima(coeffs))
-    minima = np.stack([groups[g] for g in GROUP_NAMES], axis=1).tolist()
-    rows, flags = [], []
-    for index, p, mi in zip(indices, params, minima):
-        fl = [m < 0.0 for m in mi]
-        fl.append(any(fl))
+    minima = np.stack([groups[g] for g in GROUP_NAMES], axis=1)
+    rows = []
+    for index, p, mi in zip(indices, params, minima.tolist()):
+        flags = [m < 0.0 for m in mi]
         if dim == 2:
             values = (p.a, p.b, p.c, p.d)
         else:
@@ -242,10 +239,9 @@ def _chunk_rows(args) -> Tuple[List[str], List[List[bool]], List[List[float]]]:
         fields += [_fmt(x) for x in values + p.r + p.phi]
         fields += ["1"]
         fields += [_fmt(m) for m in mi]
-        fields += ["1" if f else "0" for f in fl]
+        fields += ["1" if f else "0" for f in flags + [any(flags)]]
         rows.append(",".join(fields))
-        flags.append(fl)
-    return rows, flags, minima
+    return rows, minima
 
 
 @dataclass
@@ -273,22 +269,23 @@ def run_scan(
     pairs: str = "all",
     workers: int = 1,
     tol: float = 1e-10,
-    chunk: int = 512,
 ) -> ScanResult:
     """Sample, certify, and evaluate ``n`` chessboard states.
 
-    Every sample is PPT-verified (RuntimeError on failure). The output
-    depends only on ``(seed, index)`` per row, never on ``workers`` or
-    ``chunk``. Arguments, the seed and the qudit levels included, are
-    checked before any row is drawn (ValueError; the counts, ``dim``,
-    the seed and the levels must be integers, not merely integral
-    floats), so ``n = 0`` rejects what ``n = 1`` rejects.
+    Every sample is PPT-verified (RuntimeError on failure). ``workers``
+    is clamped to the cores, and each gets an equal share of the rows:
+    the chunks are equal, a multiple of ``workers`` in number, and each
+    within ``_GUARD_ENTRIES`` transpose entries. The output depends only
+    on ``(seed, index)`` per row, never on ``workers``. Arguments, the
+    seed and the qudit levels included, are checked before any row is
+    drawn (ValueError; the counts, ``dim``, the seed and the levels must
+    be integers, not merely integral floats), so ``n = 0`` rejects what
+    ``n = 1`` rejects.
     """
     n = _check_integer("n", n)
     seed = _check_seed(seed)
     dim = _check_integer("dim", dim)
     workers = _check_integer("workers", workers)
-    chunk = _check_integer("chunk", chunk)
     if n < 0:
         raise ValueError("n must be nonnegative")
     if dim < 2:
@@ -298,41 +295,34 @@ def run_scan(
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if chunk < 1:
-        raise ValueError(f"chunk must be >= 1, got {chunk}")
-    tol = float(tol)
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    tasks = [
-        (seed, start, min(start + chunk, n), dim,
-         alpha, beta, gamma, pairs, tol)
-        for start in range(0, n, chunk)
-    ]
-    rows: List[str] = []
-    flags: List[List[bool]] = []
-    minima: List[List[float]] = []
-    # the pool forks every worker up front, so never ask for more
-    # processes than there are chunks or cores
-    workers = min(workers, len(tasks), os.cpu_count() or 1)
+    tol = _check_tol("tol", float(tol))
+    # the pool forks every worker up front, so it never gets more
+    # processes than there are cores or chunks
+    workers = min(workers, os.cpu_count() or 1)
+    cap = max(1, _GUARD_ENTRIES // (len(PPT_SUBSETS) * (4 * dim) ** 2))
+    count = min(n, workers * -(-n // (workers * cap)))
+    tasks = [(seed, k * n // count, (k + 1) * n // count, dim,
+              alpha, beta, gamma, pairs, tol) for k in range(count)]
+    workers = min(workers, len(tasks))
     if workers <= 1:
-        results = map(_chunk_rows, tasks)
+        results = list(map(_chunk_rows, tasks))
     else:
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(executor.map(_chunk_rows, tasks))
         finally:
             executor.shutdown()
-    for r_chunk, f_chunk, m_chunk in results:
-        rows.extend(r_chunk)
-        flags.extend(f_chunk)
-        minima.extend(m_chunk)
+    rows = [row for chunk_rows, _ in results for row in chunk_rows]
+    minima = np.concatenate([np.empty((0, len(_MIN_COLUMNS)))]
+                            + [chunk_minima for _, chunk_minima in results])
+    flags = minima < 0.0
     config = {"n": n, "seed": seed, "dim": dim, "pairs": pairs,
               "alpha": alpha, "beta": beta, "gamma": gamma, "tol": tol}
     return ScanResult(
         header=csv_header(dim),
         rows=rows,
-        flags=np.array(flags, dtype=bool).reshape(n, 5),
-        minima=np.array(minima, dtype=float).reshape(n, 4),
+        flags=np.column_stack((flags, flags.any(axis=1))),
+        minima=minima,
         config=config,
     )
 

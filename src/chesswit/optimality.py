@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .frgeom import ProductState
+from .tensorops import _check_tol
 from .witnesses import build_witness, parse_witness_id
 
 __all__ = [
@@ -186,7 +187,6 @@ def is_optimal(witness_id: str, psi: Optional[float] = None,
     threshold, certifying that the eight zero states span the space.
     Raises ValueError unless ``threshold`` is finite and >= 0.
     """
-    if not (math.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold!r}")
+    _check_tol("threshold", threshold)
     system = orthogonality_system(witness_id, psi=psi)
     return system.sigma_min > threshold, system.sigma_min

@@ -13,6 +13,7 @@ JSON wire format for complex matrices.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -52,6 +53,22 @@ PAULI: Tuple[np.ndarray, ...] = tuple(
 )
 for _m in PAULI:
     _m.setflags(write=False)
+
+
+def _check_integer(name: str, value) -> int:
+    """``value`` as an int; ValueError unless it is an integer (numpy
+    integers included), where ``int()`` would truncate 2.5 silently."""
+    # the type test spares plain ints the slower abstract-class check
+    if type(value) is not int and not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_tol(name: str, value: float) -> float:
+    """``value`` unchanged; ValueError unless it is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def pauli(i: int) -> np.ndarray:
@@ -291,9 +308,8 @@ def is_ppt(
     Both results come from ``.tolist()``, so one matrix gives a bool
     and floats, and a stack gives (nested) lists of them.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
-    dims = tuple(int(d) for d in dims)
+    _check_tol("tol", tol)
+    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
     m = np.asarray(m, dtype=np.complex128)
     size = int(np.prod(dims))
     if m.shape[-2:] != (size, size):
@@ -335,7 +351,7 @@ def qudit_substitute(
     i, j, k = triple
     if not all(t in (0, 1, 2, 3) for t in (i, j, k)):
         raise ValueError(f"triple entries must be 0..3, got {triple!r}")
-    d = int(d)
+    d = _check_integer("d", d)
     _check_pair(d, alpha, beta)
     if k == 0:
         t = np.eye(d, dtype=np.complex128)

@@ -113,7 +113,6 @@ from .chessboard import (
     COEFF_TRIPLES,
     ChessParams222,
     ChessParams22d,
-    _check_integer,
     _check_seed,
     build_rho_22d,
     coupling_cells,
@@ -121,7 +120,7 @@ from .chessboard import (
     positivity_proven,
     rho_entries_22d,
 )
-from .tensorops import qudit_substitute
+from .tensorops import _check_integer, _check_tol, qudit_substitute
 
 __all__ = [
     "CONICAL_KP",
@@ -387,8 +386,9 @@ def _angle_weights(kind: str, psi: Optional[float], eta: Optional[float],
             math.sin(eta) * math.sin(zeta), math.cos(eta)]
 
 
-def phase_gate_conjugate(w: np.ndarray, d: int = 2) -> np.ndarray:
-    """Conjugate by M (x) I (x) I with the phase gate M = diag(1, i)."""
+def phase_gate_conjugate(w: np.ndarray) -> np.ndarray:
+    """Conjugate by M (x) I (x) I with the phase gate M = diag(1, i), for
+    any third-party dimension: M acts on the first half of the indices."""
     w = np.asarray(w, dtype=np.complex128)
     u = np.ones(w.shape[0], dtype=np.complex128)
     u[w.shape[0] // 2:] = 1j  # M acts on the first (slowest) qubit
@@ -401,24 +401,19 @@ def build_witness(
     eta: Optional[float] = None,
     zeta: Optional[float] = None,
     d: int = 2,
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
 ) -> np.ndarray:
     """Dense Hermitian witness operator for a catalog identifier.
 
     Angle arguments are required by the curved families (``psi`` for
     conical/cylindrical, ``eta``/``zeta`` for spherical) and ignored by
-    the polygonal ones; every angle given must be finite. A qudit
-    subspace comes either from an ``@A,B`` suffix on the id or from the
-    ``alpha``/``beta`` arguments.
+    the polygonal ones; every angle given must be finite. The third
+    party has ``d`` levels, an integer (ValueError otherwise), and the
+    operators act on its two-level subspace named by the id's ``@A,B``
+    suffix, (0, 1) without one.
     """
     parsed, kind, components = _parsed_spec(witness_id)
-    if parsed.pair is not None:
-        alpha, beta = parsed.pair
-    else:
-        alpha = 0 if alpha is None else int(alpha)
-        beta = 1 if beta is None else int(beta)
-    d = int(d)
+    alpha, beta = parsed.pair or (0, 1)
+    d = _check_integer("d", d)
     w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
     for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
         w += coef * sum(s * qudit_substitute(t, d, alpha, beta)
@@ -439,8 +434,11 @@ def _substituted_ops(d: int, alpha: int, beta: int) -> np.ndarray:
 
 def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
                        ) -> Dict[Tuple[int, int, int], float]:
-    """The 15 substituted-operator coefficients Tr(rho Q_t) for a pair."""
-    ops = _substituted_ops(int(d), int(alpha), int(beta))
+    """The 15 substituted-operator coefficients Tr(rho Q_t) for a pair;
+    ``d`` and the levels must be integers (ValueError)."""
+    ops = _substituted_ops(_check_integer("d", d),
+                           _check_integer("alpha", alpha),
+                           _check_integer("beta", beta))
     values = np.einsum("pij,ji->p", ops, rho).real
     return dict(zip(COEFF_TRIPLES, values.tolist()))
 
@@ -839,11 +837,7 @@ def group_minima(families: Dict[str, Dict[str, object]]) -> Dict[str, object]:
     return out
 
 
-def detect(
-    params,
-    pairs: str = "all",
-    include_intermediates: bool = True,
-) -> DetectionReport:
+def detect(params, pairs: str = "all") -> DetectionReport:
     """Evaluate the whole catalog on a chessboard state.
 
     For 2x2x2 parameters the catalog has 236 entries. For 2x2xd
@@ -856,15 +850,14 @@ def detect(
     not prove rho positive (``chessboard.positivity_proven``: not for
     ``tied=False``, or a gamma that collides with alpha or beta carrying
     a nonzero coupling), ``build_rho_22d`` checks it and raises
-    NonPositiveError.
+    NonPositiveError. Its intermediates are ``detection_conditions``
+    for a 2x2x2 state and the level pairs for a 2x2xd state.
     """
     if pairs not in ("all", "own"):
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if isinstance(params, ChessParams222):
         families = family_minima(pauli_coeffs(params))
-        intermediates: Dict[str, object] = {}
-        if include_intermediates:
-            intermediates = detection_conditions(params)
+        intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
         pair_list, suffixes = _level_pairs(params, pairs)
         if not positivity_proven(params):
@@ -1010,11 +1003,11 @@ def min_expectation_over_products(
     minimum over starts is monotone in ``starts``. Returns the best
     value and the three factors attaining it.
 
-    ``dims`` entries, ``starts`` and ``iters`` must be >= 1, ``tol``
-    finite and >= 0, and ``seed`` a non-negative integer; otherwise
-    ValueError.
+    ``dims`` entries, ``starts`` and ``iters`` must be integers >= 1,
+    ``tol`` finite and >= 0, and ``seed`` a non-negative integer;
+    otherwise ValueError.
     """
-    dims = tuple(int(x) for x in dims)
+    dims = tuple(_check_integer(f"dims[{i}]", x) for i, x in enumerate(dims))
     if len(dims) != 3:
         raise ValueError(f"dims must have three entries, got {dims!r}")
     if min(dims) < 1:
@@ -1028,13 +1021,13 @@ def min_expectation_over_products(
     scale = max(1.0, float(np.abs(w).max()))
     if float(np.abs(w - w.conj().T).max()) > 1e-10 * scale:
         raise ValueError("witness operator must be Hermitian")
-    starts, iters = int(starts), int(iters)
+    starts = _check_integer("starts", starts)
+    iters = _check_integer("iters", iters)
     if starts < 1:
         raise ValueError("starts must be >= 1")
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol("tol", tol)
     _check_seed(seed)
 
     factors = _initial_factors(dims, starts, seed)
@@ -1133,8 +1126,7 @@ def validate_witness(
     Returns (valid, minimum, argmin factors); ``valid`` means the
     numerical minimum is >= -tol, and ``tol`` must be finite and >= 0.
     """
-    if not (math.isfinite(tol) and tol >= 0):
-        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    _check_tol("tol", tol)
     value, state = min_expectation_over_products(
         w, dims=dims, starts=starts, iters=iters, seed=seed
     )

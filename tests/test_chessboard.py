@@ -5,6 +5,7 @@ documented layout, independent of the module's vectorized path; the
 coefficient oracle is the honest trace Tr(rho O_t) over all 64 triples.
 """
 
+import dataclasses
 import itertools
 import json
 import math
@@ -341,8 +342,9 @@ def test_rho_stack_bit_equal_per_row_build(d):
     # sampled, zero and colliding nonzero couplings, tied and untied
     checked = 0
     for alpha, beta, gamma in _level_triples(d):
-        states = [cb.sample_params_22d(21, i, d, alpha, beta, gamma,
-                                       tied=i < 3) for i in range(5)]
+        states = [dataclasses.replace(
+            cb.sample_params_22d(21, i, d, alpha, beta, gamma), tied=i < 3)
+            for i in range(5)]
         states.append(cb.ChessParams22d(d, alpha, beta, gamma,
                                         states[0].diag))
         states.append(cb.ChessParams22d(d, alpha, beta, gamma,
@@ -391,6 +393,17 @@ def test_positivity_proven_states_are_psd(data):
     colliding = cb.ChessParams22d(d, alpha, beta, alpha, sampled.diag,
                                   r=(0.5,) * 6)
     assert not cb.positivity_proven(colliding)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_every_sampled_state_is_proven_positive(d):
+    # the sampler ties every state and zeroes a colliding gamma's moduli,
+    # so the scan and detect never need its eigenvalues
+    for alpha, beta, gamma in itertools.product(range(d), repeat=3):
+        if alpha != beta:
+            for index in range(2):
+                assert cb.positivity_proven(cb.sample_params_22d(
+                    9, index, d, alpha, beta, gamma)), (alpha, beta, gamma)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -500,7 +513,7 @@ def test_params_json_rejects_a_non_integral_coupling_branch():
 
 
 def test_params_json_reads_tied_false():
-    p = cb.sample_params_22d(5, 17, 4, tied=False)
+    p = dataclasses.replace(cb.sample_params_22d(5, 17, 4), tied=False)
     obj = json.loads(json.dumps(cb.params_to_json(p)))
     assert obj["tied"] is False
     assert cb.params_from_json(obj) == p

@@ -3,6 +3,7 @@ operator triples, containment regions, and exact boundary sweeps."""
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -232,6 +233,26 @@ def test_sample_factors_rejects_negative_n():
     with pytest.raises(ValueError, match="n must be >= 0, got -5"):
         sample_factors(-5)
     assert [f.shape for f in sample_factors(0)] == [(0, 2), (0, 2), (0, 2)]
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=2.5), "n must be an integer, got 2.5"),
+    (dict(n=3, d=3.5), "d must be an integer, got 3.5"),
+])
+def test_sample_factors_rejects_non_integer_sizes(kwargs, message):
+    # int() used to draw 2 states for n = 2.5
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sample_factors(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=3.9), "n must be an integer, got 3.9"),
+    (dict(n=50, d=3.0), "d must be an integer, got 3.0"),
+])
+def test_feasible_region_rejects_non_integer_sizes(kwargs, message):
+    # int() used to report 3 samples for n = 3.9
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        feasible_region_check("cone", **kwargs)
 
 
 # --- regions ------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from chesswit.mcharness import (
     summarize,
     write_csv,
 )
-from chesswit.tensorops import is_ppt
+from chesswit.tensorops import PPT_SUBSETS, is_ppt
 
 HEADER_222 = ("index,a,b,c,d,r1,r2,r3,r4,phi1,phi2,phi3,phi4,"
               "ppt,min_poly,min_con,min_cyl,min_sph,"
@@ -92,11 +92,15 @@ def test_run_scan_basic():
     np.testing.assert_array_equal(res.flags[:, 4], res.flags[:, :4].any(axis=1))
 
 
-def test_run_scan_worker_and_chunk_invariance():
-    base = run_scan(150, seed=3, workers=1, chunk=64)
-    alt_chunk = run_scan(150, seed=3, workers=1, chunk=37)
+def test_run_scan_worker_and_chunk_invariance(monkeypatch):
+    # _GUARD_ENTRIES sizes the chunks: at most 64, 37 and 32 rows
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 64 * 6 * 64)
+    base = run_scan(150, seed=3, workers=1)
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 37 * 6 * 64)
+    alt_chunk = run_scan(150, seed=3, workers=1)
     assert base.rows == alt_chunk.rows
-    multi = run_scan(150, seed=3, workers=4, chunk=32)
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 32 * 6 * 64)
+    multi = run_scan(150, seed=3, workers=4)
     assert base.rows == multi.rows
     buf1, buf2 = io.StringIO(), io.StringIO()
     write_csv(base, buf1)
@@ -120,12 +124,12 @@ def test_run_scan_csv_bytes_pinned(kwargs, digest):
     assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
-def test_run_scan_clamps_workers(monkeypatch):
+def _serial_pool(monkeypatch):
+    """The pool sizes run_scan asks for, from a pool that maps in this
+    process."""
     created = []
 
     class SerialPool:
-        """Records the pool size asked for and maps in this process."""
-
         def __init__(self, max_workers):
             created.append(max_workers)
 
@@ -136,14 +140,48 @@ def test_run_scan_clamps_workers(monkeypatch):
             pass
 
     monkeypatch.setattr(mcharness, "ProcessPoolExecutor", SerialPool)
+    return created
+
+
+def test_run_scan_clamps_workers(monkeypatch):
+    created = _serial_pool(monkeypatch)
     monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 4)
     base = run_scan(6, seed=1)
-    assert run_scan(6, seed=1, workers=5000, chunk=1).rows == base.rows
-    assert run_scan(6, seed=1, workers=5000, chunk=2).rows == base.rows
-    assert created == [4, 3]  # cores, then chunks
+    assert run_scan(6, seed=1, workers=5000).rows == base.rows
+    assert run_scan(3, seed=1, workers=5000).rows == base.rows[:3]
+    assert created == [4, 3]  # cores, then chunks of one row each
     monkeypatch.setattr(mcharness.os, "cpu_count", lambda: None)
-    assert run_scan(6, seed=1, workers=5000, chunk=1).rows == base.rows
+    assert run_scan(6, seed=1, workers=5000).rows == base.rows
     assert created == [4, 3]  # unknown core count: no pool at all
+
+
+@pytest.mark.parametrize("n, workers, cap, sizes", [
+    (600, 2, None, [300, 300]),
+    (1400, 8, None, [350] * 4),  # 2 workers after the clamp to 2 cores
+    (25, 2, 10, [6, 6, 6, 7]),
+    (40, 1, 16, [13, 13, 14]),
+    (0, 2, None, []),
+])
+def test_run_scan_gives_each_worker_an_equal_share(n, workers, cap, sizes,
+                                                    monkeypatch):
+    # workers * ceil(n / (workers * cap)) equal chunks of at most cap
+    # rows, with workers clamped to the cores first
+    chunks = []
+
+    def guard(rhos, dims, tol):
+        assert len(PPT_SUBSETS) * rhos[0].size * len(rhos) \
+            <= mcharness._GUARD_ENTRIES
+        chunks.append(len(rhos))
+        return is_ppt(rhos, dims=dims, tol=tol)
+
+    created = _serial_pool(monkeypatch)
+    monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(mcharness, "is_ppt", guard)
+    if cap:
+        monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", cap * 6 * 64)
+    assert run_scan(n, seed=5, workers=workers).n == n
+    assert chunks == sizes
+    assert created == ([min(workers, 2)] if n and workers > 1 else [])
 
 
 def test_run_scan_validation():
@@ -155,13 +193,6 @@ def test_run_scan_validation():
         run_scan(10, pairs="some")
     with pytest.raises(ValueError):
         run_scan(10, workers=0)
-
-
-@pytest.mark.parametrize("chunk", [0, -1])
-def test_run_scan_rejects_chunk_below_one(chunk):
-    # checked with the other arguments, before range() or a reshape fails
-    with pytest.raises(ValueError, match="chunk must be >= 1"):
-        run_scan(5, chunk=chunk)
 
 
 @pytest.mark.parametrize("dim,levels", [
@@ -200,7 +231,7 @@ def test_run_scan_checks_seed_before_any_row(n, monkeypatch):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(n=1.9), "n must be an integer, got 1.9"),
     (dict(n=2, dim=3.7), "dim must be an integer, got 3.7"),
-    (dict(n=2, chunk=1.5), "chunk must be an integer, got 1.5"),
+    (dict(n=2, dim=3, alpha=0.0), "alpha must be an integer, got 0.0"),
     (dict(n=2, workers=2.5), "workers must be an integer, got 2.5"),
     (dict(n=2, seed=1.0), "seed must be a non-negative integer, got 1.0"),
     (dict(n=2, dim=3, gamma=1.0), "gamma must be an integer, got 1.0"),
@@ -214,9 +245,9 @@ def test_run_scan_rejects_non_integers(kwargs, message, monkeypatch):
 
 
 def test_run_scan_accepts_numpy_integers():
-    want = run_scan(3, seed=2, dim=3, chunk=2)
+    want = run_scan(3, seed=2, dim=3)
     got = run_scan(np.int64(3), seed=np.uint32(2), dim=np.int8(3),
-                   chunk=np.int16(2), workers=np.int64(1))
+                   workers=np.int64(1))
     assert got.rows == want.rows and got.config == want.config
 
 
@@ -249,11 +280,13 @@ def _counting_guard(monkeypatch):
 
 def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
     # the sampler's states are positive by construction, so rho is
-    # scattered as one stack and never eigensolved outside the guard
-    want = [run_scan(30, seed=4, dim=3, chunk=16).rows,
+    # scattered as one stack and never eigensolved outside the guard;
+    # chunks of at most 16 rows at d = 3 and 9 at d = 4
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
+    want = [run_scan(30, seed=4, dim=3).rows,
             run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
     calls = _counting_guard(monkeypatch)
-    got = [run_scan(30, seed=4, dim=3, chunk=16).rows,
+    got = [run_scan(30, seed=4, dim=3).rows,
            run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
     assert got == want
     assert calls["other"] == 0
@@ -291,7 +324,8 @@ def test_run_scan_builds_each_unproven_row_once(monkeypatch):
     monkeypatch.setattr(mcharness, "sample_params",
                         lambda stream, d, **levels: mild)
     monkeypatch.setattr(mcharness, "build_rho_22d", counted)
-    assert run_scan(4, dim=3, chunk=3).n == 4
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 3 * 6 * 144)  # 2 chunks
+    assert run_scan(4, dim=3).n == 4
     assert built == [mild] * 4
 
 
@@ -332,16 +366,27 @@ def _chunk(seed, n):
 @pytest.mark.parametrize("rows_per_call", [None, 2])
 def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
                                                      monkeypatch):
+    # one is_ppt call per chunk, whatever _GUARD_ENTRIES says: run_scan
+    # sizes the chunks to it, the guard does not slice them
     if rows_per_call:
         monkeypatch.setattr(mcharness, "_GUARD_ENTRIES",
                             rows_per_call * 6 * 64)
+    shapes = []
+
+    def counted(rhos, dims, tol):
+        shapes.append(rhos.shape)
+        return is_ppt(rhos, dims=dims, tol=tol)
+
+    monkeypatch.setattr(mcharness, "is_ppt", counted)
     params, rhos = _chunk(18, 5)
     _ppt_guard(params, rhos, (2, 2, 2))
+    assert shapes == [(5, 8, 8)]
     ghz = np.zeros((8, 8), dtype=complex)
     ghz[np.ix_((0, 7), (0, 7))] = 0.5
     rhos[2] = ghz
     with pytest.raises(RuntimeError) as err:
         _ppt_guard(params, rhos, (2, 2, 2))
+    assert shapes == [(5, 8, 8)] * 2
     msg = str(err.value)
     assert f"params={json.dumps(params_to_json(params[2]))} " in msg
     assert json.dumps(params_to_json(params[0])) not in msg
@@ -368,15 +413,17 @@ def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
         return is_ppt(rhos, dims=dims, tol=tol)
 
     monkeypatch.setattr(mcharness, "is_ppt", counted)
-    res = run_scan(40, seed=3, dim=3, chunk=16)
-    assert shapes == [(16, 12, 12), (16, 12, 12), (8, 12, 12)]
-    assert res.rows == run_scan(40, seed=3, dim=3, chunk=40).rows
-    # a chunk above _GUARD_ENTRIES transpose entries is checked in slices
+    res = run_scan(40, seed=3, dim=3)
+    assert shapes == [(40, 12, 12)]
+    # equal chunks of at most 16 rows, then of at most 7
+    shapes.clear()
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
+    assert run_scan(40, seed=3, dim=3).rows == res.rows
+    assert shapes == [(13, 12, 12), (13, 12, 12), (14, 12, 12)]
     shapes.clear()
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 7 * 6 * 144)
-    assert run_scan(40, seed=3, dim=3, chunk=16).rows == res.rows
-    assert shapes == [(7, 12, 12), (7, 12, 12), (2, 12, 12)] * 2 + [
-        (7, 12, 12), (1, 12, 12)]
+    assert run_scan(40, seed=3, dim=3).rows == res.rows
+    assert shapes == [(6, 12, 12), (7, 12, 12), (7, 12, 12)] * 2
 
 
 def test_run_scan_evaluates_the_catalog_once_per_chunk_in_bounded_passes(
@@ -396,19 +443,23 @@ def test_run_scan_evaluates_the_catalog_once_per_chunk_in_bounded_passes(
     monkeypatch.setattr(mcharness, "family_minima", minima)
     monkeypatch.setattr(witnesses, "_catalog_values", spy)
     assert run_scan(512, seed=2, dim=5).rows == want
-    assert calls == [(512, 10, 15)]
+    # five equal chunks within _GUARD_ENTRIES (109 rows at d = 5)
+    assert calls == [(102, 10, 15), (102, 10, 15), (103, 10, 15),
+                     (102, 10, 15), (103, 10, 15)]
     cap = witnesses._CATALOG_TERMS // witnesses._table().slots.size
     assert sum(passes) == 512 * 10 and max(passes) <= cap
     # one compiled table serves every chunk size
     calls.clear()
-    assert run_scan(40, seed=3, chunk=16).rows == \
-        run_scan(40, seed=3, chunk=40).rows
-    assert calls == [(16, 1, 15), (16, 1, 15), (8, 1, 15), (40, 1, 15)]
+    want = run_scan(40, seed=3).rows
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 64)
+    assert run_scan(40, seed=3).rows == want
+    assert calls == [(40, 1, 15), (13, 1, 15), (13, 1, 15), (14, 1, 15)]
     assert witnesses._table.cache_info().currsize == 1
 
 
 def test_qudit_scan_takes_the_entries_of_rho_once_per_chunk(monkeypatch):
-    want = run_scan(30, seed=4, dim=3, chunk=16).rows
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
+    want = run_scan(30, seed=4, dim=3).rows
     calls = []
     entries = chessboard.rho_entries_22d
 
@@ -418,8 +469,8 @@ def test_qudit_scan_takes_the_entries_of_rho_once_per_chunk(monkeypatch):
 
     for module in (mcharness, chessboard, witnesses):
         monkeypatch.setattr(module, "rho_entries_22d", counted)
-    assert run_scan(30, seed=4, dim=3, chunk=16).rows == want
-    assert calls == [16, 14]
+    assert run_scan(30, seed=4, dim=3).rows == want
+    assert calls == [15, 15]
 
 
 def test_summarize_counts_and_pairs():

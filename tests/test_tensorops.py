@@ -447,6 +447,14 @@ def test_is_ppt_rejects_bad_tol(tol):
     assert to.is_ppt(np.eye(8) / 8.0, tol=0.0)[0] is True
 
 
+def test_is_ppt_rejects_non_integer_dims():
+    # int() used to check dims (2, 2, 2.9) as (2, 2, 2)
+    with pytest.raises(ValueError, match=r"^dims\[2\] must be an integer, "
+                                         r"got 2\.9$"):
+        to.is_ppt(np.eye(8) / 8.0, dims=(2, 2, 2.9))
+    assert to.is_ppt(np.eye(8) / 8.0, dims=np.array([2, 2, 2]))[0] is True
+
+
 # --- qudit substitution ---------------------------------------------------
 
 def test_qudit_substitute_reduces_to_pauli_op():
@@ -493,6 +501,13 @@ def test_qudit_substitute_rejects_bad_pair():
         to.qudit_substitute((1, 1, 1), 3, 1, 1)
     with pytest.raises(ValueError):
         to.qudit_substitute((1, 1, 1), 3, 0, 3)
+
+
+def test_qudit_substitute_rejects_non_integer_d():
+    # int() used to build a 12x12 operator for d = 3.5
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 3\.5$"):
+        to.qudit_substitute((1, 1, 1), 3.5, 0, 1)
+    assert to.qudit_substitute((1, 1, 1), np.int8(3), 0, 1).shape == (12, 12)
 
 
 # --- Gell-Mann matrices ---------------------------------------------------

@@ -4,9 +4,11 @@ against honest traces, detection tables, and the product-state
 minimizer."""
 
 import hashlib
+import dataclasses
 import itertools
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -325,7 +327,7 @@ def test_phase_gate_conjugate_matches_explicit_unitary():
     # qudit shape
     w3 = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
     u3 = np.kron(np.kron(m, I2), np.eye(3))
-    np.testing.assert_allclose(phase_gate_conjugate(w3, d=3),
+    np.testing.assert_allclose(phase_gate_conjugate(w3),
                                u3 @ w3 @ u3.conj().T, atol=1e-14)
 
 
@@ -399,7 +401,7 @@ def test_primed_entries_conjugate_partner(d, suffix):
         angles = dict(psi=psi, eta=eta, zeta=zeta, d=d)
         partner = build_witness(partner_id(wid) + suffix, **angles)
         np.testing.assert_allclose(build_witness(wid + suffix, **angles),
-                                   phase_gate_conjugate(partner, d),
+                                   phase_gate_conjugate(partner),
                                    atol=1e-14, err_msg=wid)
 
 
@@ -1056,8 +1058,8 @@ def _level_states(d, seed=12):
         yield tied
         yield ChessParams22d(d, alpha, beta, gamma, tied.diag)
         for index in range(3):
-            untied = sample_params_22d(seed, 10 + index, d, tied=False,
-                                       **levels)
+            untied = dataclasses.replace(
+                sample_params_22d(seed, 10 + index, d, **levels), tied=False)
             try:
                 build_rho_22d(untied)
             except NonPositiveError:
@@ -1319,6 +1321,30 @@ def test_minimizer_rejects_bad_controls(kwargs, message):
     # truncated to 1 and seed -1 failed inside numpy without naming it
     with pytest.raises(ValueError, match=message):
         min_expectation_over_products(np.eye(8), starts=2, **kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(dims=(2, 2, 2.5)), "dims[2] must be an integer, got 2.5"),
+    (dict(starts=2.7), "starts must be an integer, got 2.7"),
+    (dict(iters=3.9), "iters must be an integer, got 3.9"),
+])
+def test_minimizer_rejects_non_integer_sizes(kwargs, message):
+    # int() used to run these as 2, 2 and 3
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        min_expectation_over_products(np.eye(8), **kwargs)
+
+
+def test_build_witness_rejects_non_integer_d():
+    # int() used to build an 8x8 witness for d = 2.5
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.5$"):
+        build_witness("poly1:0000", d=2.5)
+    assert build_witness("poly1:0000@1,2", d=np.int64(3)).shape == (12, 12)
+
+
+def test_substituted_coeffs_rejects_non_integer_d():
+    # int() used to read an 8x8 state as d = 2 for d = 2.9
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.9$"):
+        substituted_coeffs(np.eye(8) / 8.0, 2.9, 0, 1)
 
 
 def test_validate_witness_rejects_zero_iters():
