@@ -176,12 +176,14 @@ def _terms(geometry: str) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...],
 
 def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The operator triple (Q1, Q2, Q3) probed by a geometry."""
+    """The operator triple (Q1, Q2, Q3) probed by a geometry;
+    ValueError unless ``d``, ``alpha`` and ``beta`` are integers that
+    ``qudit_substitute`` accepts."""
     ops = []
     for terms in _terms(geometry):
         q = None
         for sign, triple in terms:
-            piece = sign * qudit_substitute(triple, int(d), alpha, beta)
+            piece = sign * qudit_substitute(triple, d, alpha, beta)
             q = piece if q is None else q + piece
         ops.append(q)
     return tuple(ops)  # type: ignore[return-value]
@@ -213,7 +215,7 @@ def functional_points(
     """
     f1, f2, f3 = (np.asarray(f, dtype=np.complex128) for f in factors)
     columns = _terms(geometry)
-    _check_pair(f3.shape[1], alpha, beta)
+    alpha, beta = _check_pair(f3.shape[1], alpha, beta, ("alpha", "beta"))
     e = (_bloch(f1[:, 0], f1[:, 1]), _bloch(f2[:, 0], f2[:, 1]),
          _bloch(f3[:, alpha], f3[:, beta]))
     points = np.empty((f1.shape[0], len(columns)), dtype=float)
@@ -271,7 +273,7 @@ def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
         raise ValueError(f"n must be at least 1, got {n}")
     _check_seed(seed)
     _terms(geometry)
-    _check_pair(d, alpha, beta)
+    _check_pair(d, alpha, beta, ("alpha", "beta"))
     return (functional_points(geometry, factors, alpha, beta)
             for _, factors in _factor_chunks(n, seed, d))
 

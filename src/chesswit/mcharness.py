@@ -4,13 +4,15 @@
 qudit third party) a chunk at a time and takes the chunk through the
 layers as arrays: its rho stack (for a qudit third party, one
 ``rho_stack_22d`` scatter of the entries ``rho_entries_22d`` computes
-once for the chunk), one ``is_ppt`` call on that stack for the partial
-transposes, its (N, P, 15) catalog coefficients (``pauli_coeffs`` per
-row at d = 2, one ``_pair_coeffs`` gather of the same entries over
-every row and level pair at d >= 3), and one ``family_minima`` and
-``group_minima`` call on that stack for the minima of every row. Only
-the CSV formatting runs per row, one row per sample. Each chunk is as
-large as the guard's memory bound ``_GUARD_ENTRIES`` allows.
+once for the chunk), one PPT guard on that stack (the closed-form
+rule on its 2x2 blocks, and one ``is_ppt`` call only for a chunk the
+rule cannot pass), its (N, P, 15) catalog coefficients
+(``pauli_coeffs`` per row at d = 2, one ``_pair_coeffs`` gather of the
+same entries over every row and level pair at d >= 3), and one
+``family_minima`` and ``group_minima`` call on that stack for the
+minima of every row. Only the CSV formatting runs per row, one row per
+sample. Each chunk is as large as the memory bound ``_GUARD_ENTRIES``
+of the guard's fallback allows.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it (``chessboard.positivity_proven``; at d = 2
 every coupled 2x2 block has diagonal product 1, and the guard's
@@ -60,7 +62,8 @@ from .chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from .tensorops import PPT_SUBSETS, _check_integer, _check_tol, is_ppt
+from .tensorops import (PPT_SUBSETS, _check_integer, _check_tol,
+                        _ppt_blocks_pass, is_ppt)
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
@@ -174,10 +177,11 @@ def csv_header(dim: int = 2) -> str:
     return ",".join(cols)
 
 
-#: Most transpose entries in one scan chunk, which bounds the PPT
-#: guard's memory and so sizes the chunks. 2**18 entries (4 MB) hold 682
-#: rows at d = 2, 303 at d = 3 and 109 at d = 5, so each ``is_ppt`` call
-#: spreads its overhead over hundreds of rows at any d.
+#: Most transpose entries in one scan chunk, which sizes the chunks and
+#: bounds the memory of the guard's fallback ``is_ppt`` call. 2**18
+#: entries (4 MB) hold 682 rows at d = 2, 303 at d = 3 and 109 at d = 5,
+#: so each chunk spreads the per-call overhead over hundreds of rows at
+#: any d.
 _GUARD_ENTRIES = 2 ** 18
 
 
@@ -186,12 +190,17 @@ def _ppt_guard(params: List[object], rhos: np.ndarray,
     """Abort the scan unless every sampled state of a chunk is PPT.
 
     ``rhos`` is the ``(N, n, n)`` stack of the states built from
-    ``params``, checked by one ``is_ppt`` call; ``run_scan`` sizes each
-    chunk to at most ``_GUARD_ENTRIES`` transpose entries. The
-    constructed states are PPT by design; a failure indicates a
-    construction or sampling bug, so the error names the first failing
-    state's parameters and its six minimum eigenvalues.
+    ``params``. The closed-form 2x2 block rule ``_ppt_blocks_pass``
+    passes the chunk with no eigensolve when it shows that ``is_ppt``
+    would accept every row. Otherwise one ``is_ppt`` call checks the
+    whole chunk, so the verdict and every error are ``is_ppt``'s;
+    ``run_scan`` sizes each chunk to at most ``_GUARD_ENTRIES`` transpose
+    entries. The constructed states are PPT by design; a failure
+    indicates a construction or sampling bug, so the error names the
+    first failing state's parameters and its six minimum eigenvalues.
     """
+    if _ppt_blocks_pass(rhos, dims, tol):
+        return
     ok, min_eigs = is_ppt(rhos, dims=dims, tol=tol)
     if not all(ok):
         k = ok.index(False)

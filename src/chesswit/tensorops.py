@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import numbers
 from functools import lru_cache
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def partial_transpose(
     ((0,0,0),(1,1,1)) entry moves to ((1,0,0),(0,1,1)) under the
     transpose of party 1.
     """
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
     m = _as_square(m, dims)
     parties = tuple(sorted(set(int(p) for p in parties)))
     n = len(dims)
@@ -180,16 +180,7 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    mh = np.swapaxes(m.conj(), -1, -2)
-    axes = (-2, -1)
-    scale = np.maximum(1.0, np.abs(m).max(axis=axes, initial=0.0))
-    herm_defect = np.abs(m - mh).max(axis=axes, initial=0.0)
-    if (herm_defect > 1e-12 * scale).any():
-        raise ValueError(
-            "matrix is not Hermitian: max |M - M^dagger| = "
-            f"{float(herm_defect.max()):.3e}"
-        )
-    h = (m + mh) / 2.0
+    h = _hermitian_part(m)
     n = m.shape[-1]
     batch = m.shape[:-2]
     if n == 0:
@@ -226,6 +217,22 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         # block holding a NaN
         w[np.isnan(residual)] = np.nan
     return w
+
+
+def _hermitian_part(m: np.ndarray) -> np.ndarray:
+    """(M + M^dagger) / 2 of each matrix of a square ``(..., n, n)``
+    complex stack, gated per matrix on max |M - M^dagger| <=
+    1e-12 * max(1, max|M|) (ValueError). A NaN entry passes the gate."""
+    mh = np.swapaxes(m.conj(), -1, -2)
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.abs(m).max(axis=axes, initial=0.0))
+    herm_defect = np.abs(m - mh).max(axis=axes, initial=0.0)
+    if (herm_defect > 1e-12 * scale).any():
+        raise ValueError(
+            "matrix is not Hermitian: max |M - M^dagger| = "
+            f"{float(herm_defect.max()):.3e}"
+        )
+    return (m + mh) / 2.0
 
 
 def _squared_norms(blocks: np.ndarray) -> np.ndarray:
@@ -308,14 +315,7 @@ def is_ppt(
     Both results come from ``.tolist()``, so one matrix gives a bool
     and floats, and a stack gives (nested) lists of them.
     """
-    _check_tol("tol", tol)
-    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
-    m = np.asarray(m, dtype=np.complex128)
-    size = int(np.prod(dims))
-    if m.shape[-2:] != (size, size):
-        raise ValueError(
-            f"matrix shape {m.shape} does not match dims {dims}"
-        )
+    m, dims, size = _ppt_args(m, dims, tol)
     stack = m.reshape(m.shape[:-2] + (size * size,))[..., _ppt_gather(dims)]
     lowest = hermitian_eigenvalues(stack).min(axis=-1)
     ppt = (lowest >= -tol).all(axis=-1)
@@ -324,17 +324,126 @@ def is_ppt(
     return ppt.tolist(), min_eigs
 
 
+def _ppt_args(m: np.ndarray, dims: Sequence[int], tol: float
+              ) -> Tuple[np.ndarray, Tuple[int, ...], int]:
+    """:func:`is_ppt`'s arguments checked (ValueError): the stack as
+    complex, the dims as ints, and the matrix size they give."""
+    _check_tol("tol", tol)
+    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
+    m = np.asarray(m, dtype=np.complex128)
+    size = math.prod(dims)
+    if m.shape[-2:] != (size, size):
+        raise ValueError(
+            f"matrix shape {m.shape} does not match dims {dims}"
+        )
+    return m, dims, size
+
+
+@lru_cache(maxsize=64)
+def _ppt_pairs(dims: Tuple[int, ...], pattern: bytes) -> Optional[np.ndarray]:
+    """Flat indices of the 2x2 blocks [[a, z], [z*, b]] of the partial
+    transposes over "1", "2" and "3" of a matrix with nonzero pattern
+    ``pattern`` (the bytes of a symmetric ``(n, n)`` bool array).
+
+    The result is a ``(3, c)`` array whose rows index a, b and z in the
+    flat matrix, over all three subsets; every diagonal entry of a
+    transpose outside these blocks is a 1 x 1 block. The blocks are those
+    of the transposes' union pattern, which is that of all six
+    ``PPT_SUBSETS`` (each of "12", "13" and "23" is the full transpose of
+    another), so they are the blocks :func:`is_ppt` solves. None when a
+    block is larger than 2 x 2.
+    """
+    size = math.prod(dims)
+    gather = _ppt_gather(dims)[:3].reshape(3, size * size)
+    union = np.frombuffer(pattern, dtype=bool)[gather].any(axis=0)
+    largest = _blocks(size, union.tobytes())[-1]
+    if largest.shape[1] > 2:
+        return None
+    pairs = gather[:, largest] if largest.shape[1] == 2 \
+        else np.empty((3, 0, 2, 2), dtype=np.intp)
+    index = np.stack([pairs[..., 0, 0], pairs[..., 1, 1],
+                      pairs[..., 0, 1]]).reshape(3, -1)
+    index.setflags(write=False)
+    return index
+
+
+#: The block rule's band on lambda_min + tol, per unit of max(|a|, |b|, |z|).
+_BAND = 64 * float(np.finfo(float).eps)
+
+
+def _ppt_blocks_pass(m: np.ndarray, dims: Sequence[int], tol: float) -> bool:
+    """True when a closed-form rule shows that ``is_ppt(m, dims, tol)``
+    accepts every matrix of the stack ``m``; False when it cannot tell.
+
+    The arguments get :func:`is_ppt`'s checks (ValueError). The rule
+    decides only stacks whose entries are all finite, that pass the
+    Hermiticity gate of :func:`hermitian_eigenvalues`, and whose
+    transposes split into blocks of at most 2 x 2 (:func:`_ppt_pairs`).
+    A 1 x 1 block's eigenvalue is its symmetrized diagonal entry a, so
+    it passes iff a >= -tol, as in ``is_ppt``. For a 2 x 2 block
+    B = [[a, z], [z*, b]] of the symmetrized entries, let alpha = a + tol,
+    beta = b + tol, M = max(|a|, |b|, |z|), D = max(alpha, beta) + |z|
+    and Delta = alpha beta - |z|^2. The block passes when alpha >= 0,
+    beta >= 0 and Delta > 64 eps M D. Why that is safe:
+
+    - lambda_min(B) + tol = Delta / (lambda_max(B) + tol) >= Delta / D
+      whenever Delta >= 0, because lambda_max(B) + tol <= D.
+    - The computed Delta is within about 1.5 eps (alpha beta + |z|^2)
+      <= 1.5 eps D^2 of the exact one. If tol < 4M, then D < 6M, so a
+      passing block has lambda_min + tol > (64 - 9) eps M >= 27 eps
+      ||B||_2, as ||B||_2 <= 2M. ``eigh`` is backward stable: its least
+      eigenvalue of B is within a few eps ||B||_2 of the exact one, so
+      it is >= -tol too.
+    - If tol >= 4M, then lambda_min + tol >= tol - ||B||_2 >= 2M, far
+      above the solver's error, whatever the rule computes.
+
+    Each of "12", "13" and "23" has the conjugates of these blocks, with
+    the same a, b and |z|. A passing stack has finite products, so its
+    entries are below about 1e154, and the solver's residual stays far
+    inside ``is_ppt``'s bound. A block within the band goes to
+    ``is_ppt``.
+    """
+    m, dims, size = _ppt_args(m, dims, tol)
+    if not np.isfinite(m).all():
+        return False
+    try:
+        h = _hermitian_part(m)
+    except ValueError:
+        return False
+    pattern = (h != 0).any(axis=tuple(range(h.ndim - 2)))
+    index = _ppt_pairs(dims, pattern.tobytes())
+    if index is None:
+        return False
+    if not (np.diagonal(h, axis1=-2, axis2=-1).real >= -tol).all():
+        return False
+    entries = h.reshape(h.shape[:-2] + (size * size,))[..., index]
+    a, b = entries[..., 0, :].real, entries[..., 1, :].real
+    z = entries[..., 2, :]
+    alpha, beta = a + tol, b + tol
+    zz = z.real * z.real + z.imag * z.imag
+    modulus = np.sqrt(zz)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), modulus)
+    band = _BAND * scale * (np.maximum(alpha, beta) + modulus)
+    return bool((alpha * beta - zz > band).all())
+
+
 def _basis_matrix(d: int, a: int, b: int) -> np.ndarray:
     e = np.zeros((d, d), dtype=np.complex128)
     e[a, b] = 1.0
     return e
 
 
-def _check_pair(d: int, a: int, b: int) -> None:
+def _check_pair(d: int, a: int, b: int,
+                names: Tuple[str, str] = ("a", "b")) -> Tuple[int, int]:
+    """Levels ``a`` < ``b`` of a d-level party as ints; ValueError unless
+    each is an integer (naming it by ``names``) and 0 <= a < b < d."""
+    a = _check_integer(names[0], a)
+    b = _check_integer(names[1], b)
     if not (0 <= a < b < d):
         raise ValueError(
             f"need 0 <= a < b < d, got a={a}, b={b}, d={d}"
         )
+    return a, b
 
 
 def qudit_substitute(
@@ -352,7 +461,7 @@ def qudit_substitute(
     if not all(t in (0, 1, 2, 3) for t in (i, j, k)):
         raise ValueError(f"triple entries must be 0..3, got {triple!r}")
     d = _check_integer("d", d)
-    _check_pair(d, alpha, beta)
+    alpha, beta = _check_pair(d, alpha, beta, ("alpha", "beta"))
     if k == 0:
         t = np.eye(d, dtype=np.complex128)
     elif k == 1:
@@ -366,13 +475,15 @@ def qudit_substitute(
 
 def sym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
     """(E_ab + E_ba)/sqrt(2) for 0 <= a < b < d (unit trace norm)."""
-    _check_pair(int(d), a, b)
+    d = _check_integer("d", d)
+    a, b = _check_pair(d, a, b)
     return (_basis_matrix(d, a, b) + _basis_matrix(d, b, a)) / math.sqrt(2.0)
 
 
 def antisym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
     """(E_ab - E_ba)/(i sqrt(2)) for 0 <= a < b < d (unit trace norm)."""
-    _check_pair(int(d), a, b)
+    d = _check_integer("d", d)
+    a, b = _check_pair(d, a, b)
     return (_basis_matrix(d, a, b) - _basis_matrix(d, b, a)) / (1j * math.sqrt(2.0))
 
 
@@ -383,7 +494,7 @@ def diag_gell_mann(d: int, i: int) -> np.ndarray:
     sqrt(2/((i+1)(i+2))) * diag(1, ..., 1, -(i+1), 0, ..., 0)
     with i+1 leading ones.
     """
-    d = int(d)
+    d = _check_integer("d", d)
     if not 0 <= i <= d - 2:
         raise ValueError(f"need 0 <= i <= d-2, got i={i}, d={d}")
     v = np.zeros(d, dtype=np.complex128)
@@ -402,7 +513,7 @@ def gell_mann_basis(d: int) -> List[np.ndarray]:
     this reproduces the eight standard 3x3 matrices in their usual
     numbering.
     """
-    d = int(d)
+    d = _check_integer("d", d)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     out: List[np.ndarray] = []
@@ -438,7 +549,7 @@ def gen_gellmann(d: int) -> Dict[str, object]:
     All non-``E`` members are Hermitian and traceless; the last
     diagonal generator equals sqrt(2/(d(d-1))) diag(1, ..., 1, -d+1).
     """
-    d = int(d)
+    d = _check_integer("d", d)
     if d < 2:
         raise ValueError(f"need d >= 2, got {d}")
     e = {(i, j): _basis_matrix(d, i, j) for i in range(d) for j in range(d)}

@@ -255,6 +255,22 @@ def test_feasible_region_rejects_non_integer_sizes(kwargs, message):
         feasible_region_check("cone", **kwargs)
 
 
+def test_qset_rejects_non_integer_d():
+    # int() used to build 12 x 12 operators for d = 3.5
+    with pytest.raises(ValueError, match=r"^d must be an integer, got 3\.5$"):
+        qset("cone", d=3.5)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(alpha=0.5, beta=2), "alpha must be an integer, got 0.5"),
+    (dict(alpha=0, beta=2.0), "beta must be an integer, got 2.0"),
+])
+def test_feasible_region_rejects_non_integer_levels(kwargs, message):
+    # a float level used to fail inside numpy with a bare IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        feasible_region_check("cone", n=50, d=3, **kwargs)
+
+
 # --- regions ------------------------------------------------------------------------
 
 

@@ -3,9 +3,11 @@ curve reproduction."""
 
 import hashlib
 import io
+import itertools
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +20,8 @@ from chesswit.chessboard import (
     build_rho_222,
     build_rho_22d,
     params_to_json,
+    rho_entries_22d,
+    rho_stack_22d,
     sample_params_222,
     sample_params_22d,
 )
@@ -168,15 +172,15 @@ def test_run_scan_gives_each_worker_an_equal_share(n, workers, cap, sizes,
     # rows, with workers clamped to the cores first
     chunks = []
 
-    def guard(rhos, dims, tol):
+    def guard(params, rhos, dims, tol):
         assert len(PPT_SUBSETS) * rhos[0].size * len(rhos) \
             <= mcharness._GUARD_ENTRIES
         chunks.append(len(rhos))
-        return is_ppt(rhos, dims=dims, tol=tol)
+        return _ppt_guard(params, rhos, dims, tol)
 
     created = _serial_pool(monkeypatch)
     monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(mcharness, "is_ppt", guard)
+    monkeypatch.setattr(mcharness, "_ppt_guard", guard)
     if cap:
         monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", cap * 6 * 64)
     assert run_scan(n, seed=5, workers=workers).n == n
@@ -253,14 +257,14 @@ def test_run_scan_accepts_numpy_integers():
 
 def _counting_guard(monkeypatch):
     """Counts of eigensolver calls made inside and outside the guard's
-    ``is_ppt`` calls during a scan."""
+    calls during a scan."""
     calls = {"guard": 0, "other": 0}
     inside = []
 
-    def guard(rhos, dims, tol):
+    def guard(params, rhos, dims, tol):
         inside.append(True)
         try:
-            return is_ppt(rhos, dims=dims, tol=tol)
+            return _ppt_guard(params, rhos, dims, tol)
         finally:
             inside.pop()
 
@@ -270,7 +274,7 @@ def _counting_guard(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(mcharness, "is_ppt", guard)
+    monkeypatch.setattr(mcharness, "_ppt_guard", guard)
     for module, name in ((chessboard, "hermitian_eigenvalues"),
                          (tensorops, "hermitian_eigenvalues"),
                          (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
@@ -280,8 +284,9 @@ def _counting_guard(monkeypatch):
 
 def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
     # the sampler's states are positive by construction, so rho is
-    # scattered as one stack and never eigensolved outside the guard;
-    # chunks of at most 16 rows at d = 3 and 9 at d = 4
+    # scattered as one stack and never eigensolved outside the guard,
+    # and the guard's block rule passes every sampled chunk with no
+    # eigensolve at all; chunks of at most 16 rows at d = 3 and 9 at d = 4
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
     want = [run_scan(30, seed=4, dim=3).rows,
             run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
@@ -289,8 +294,25 @@ def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
     got = [run_scan(30, seed=4, dim=3).rows,
            run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
     assert got == want
+    assert calls == {"guard": 0, "other": 0}
+
+
+def _chain_state():
+    """A PPT qubit state whose couplings 0-1 and 1-2 join a 3 x 3 block
+    in its transpose over party 1, where the block rule cannot decide."""
+    rho = np.eye(8, dtype=complex) / 8
+    rho[0, 1] = rho[1, 0] = rho[1, 2] = rho[2, 1] = 0.01
+    return rho
+
+
+def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
+    want = run_scan(5, seed=4).rows
+    monkeypatch.setattr(mcharness, "build_rho_222",
+                        lambda params: _chain_state())
+    calls = _counting_guard(monkeypatch)
+    assert run_scan(5, seed=4).rows == want
     assert calls["other"] == 0
-    assert calls["guard"] >= 3
+    assert calls["guard"] >= 1
 
 
 _DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
@@ -366,8 +388,9 @@ def _chunk(seed, n):
 @pytest.mark.parametrize("rows_per_call", [None, 2])
 def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
                                                      monkeypatch):
-    # one is_ppt call per chunk, whatever _GUARD_ENTRIES says: run_scan
-    # sizes the chunks to it, the guard does not slice them
+    # the block rule passes a sampled chunk with no is_ppt call; a chunk
+    # it cannot pass gets one is_ppt call, whatever _GUARD_ENTRIES says:
+    # run_scan sizes the chunks to it, the guard does not slice them
     if rows_per_call:
         monkeypatch.setattr(mcharness, "_GUARD_ENTRIES",
                             rows_per_call * 6 * 64)
@@ -380,13 +403,13 @@ def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
     monkeypatch.setattr(mcharness, "is_ppt", counted)
     params, rhos = _chunk(18, 5)
     _ppt_guard(params, rhos, (2, 2, 2))
-    assert shapes == [(5, 8, 8)]
+    assert shapes == []
     ghz = np.zeros((8, 8), dtype=complex)
     ghz[np.ix_((0, 7), (0, 7))] = 0.5
     rhos[2] = ghz
     with pytest.raises(RuntimeError) as err:
         _ppt_guard(params, rhos, (2, 2, 2))
-    assert shapes == [(5, 8, 8)] * 2
+    assert shapes == [(5, 8, 8)]
     msg = str(err.value)
     assert f"params={json.dumps(params_to_json(params[2]))} " in msg
     assert json.dumps(params_to_json(params[0])) not in msg
@@ -405,14 +428,165 @@ def test_ppt_guard_fails_a_nan_minimum():
     assert '"1": NaN' in msg
 
 
+def _guard_outcome(monkeypatch, params, rhos, dims, tol=1e-10):
+    """What ``_ppt_guard`` does with a stack (None, or the type and text
+    of what it raises) and whether it called ``is_ppt``; asserts that it
+    does the same as its ``is_ppt`` route alone."""
+    def outcome():
+        try:
+            _ppt_guard(params, rhos, dims, tol)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return None
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return is_ppt(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mcharness, "is_ppt", counted)
+        got = outcome()
+    with monkeypatch.context() as patch:
+        patch.setattr(mcharness, "_ppt_blocks_pass", lambda *args: False)
+        assert outcome() == got
+    return got, bool(calls)
+
+
+def _sampled(d, levels, seed, n, tied=True):
+    """n sampled states and their rho stack; untied on request at d > 2."""
+    if d == 2:
+        return _chunk(seed, n)
+    params = [replace(sample_params_22d(seed, k, d, *levels), tied=tied)
+              for k in range(n)]
+    return params, rho_stack_22d(params, rho_entries_22d(params))
+
+
+@pytest.mark.parametrize("d, levels", [
+    (2, ()), (3, (0, 2, 1)), (3, (0, 1, 1)), (4, (1, 3, 2)),
+    (4, (0, 3, 3)), (5, (2, 4, 0)), (5, (0, 4, 4)),
+])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+def test_block_guard_passes_sampled_chunks_without_is_ppt(d, levels, tol,
+                                                          monkeypatch):
+    # tied states, colliding gamma included (0, 1, 1 and so on)
+    for seed in range(3):
+        params, rhos = _sampled(d, levels, seed, 12)
+        assert _guard_outcome(monkeypatch, params, rhos, (2, 2, d),
+                              tol) == (None, False)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
+    # 1 to 4 of the 40 rows are PPT
+    params, rhos = _sampled(d, (0, 2, 1), 7, 40, tied=False)
+    dims = (2, 2, d)
+    outcomes = [_guard_outcome(monkeypatch, params[k:k + 1],
+                               rhos[k:k + 1], dims)[0] for k in range(40)]
+    assert None in outcomes
+    assert any(o and o[0] is RuntimeError for o in outcomes)
+    assert _guard_outcome(monkeypatch, params, rhos, dims)[0] \
+        == next(o for o in outcomes if o)
+
+
+@pytest.mark.parametrize("d, row, i, j, value", [
+    (2, 3, 1, 1, math.nan),
+    (2, 0, 0, 7, complex(0.0, math.nan)),
+    (2, 2, 5, 5, math.inf),
+    (3, 1, 11, 0, -math.inf),
+    (3, 2, 4, 4, math.nan),
+    (4, 1, 3, 3, math.inf),    # a 1 x 1 block, as in _negative_single_level
+])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_block_guard_defers_non_finite_stacks(d, row, i, j, value,
+                                              monkeypatch):
+    params, rhos = _sampled(d, (0, 2, 1), 19, 4)
+    rhos[row, i, j] = value
+    got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
+    assert got is not None and fell_back
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_block_guard_defers_non_hermitian_stacks(d, monkeypatch):
+    params, rhos = _sampled(d, (0, 2, 1), 20, 4)
+    # a coupling, so that the pattern stays that of a sampled chunk
+    i, j = np.argwhere(np.triu(rhos[2] != 0, 1))[0]
+    rhos[2, i, j] += 1e-9
+    got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
+    assert fell_back
+    assert got[0] is ValueError and got[1].startswith(
+        "matrix is not Hermitian")
+
+
+def _x_state(size, shift):
+    """(1 + shift) I plus unit couplings z between k and size - 1 - k:
+    each transpose is a sum of blocks [[1 + shift, z], [z*, 1 + shift]]
+    with |z| = 1 exactly, so its least eigenvalue is fl(1 + shift) - 1,
+    within 1.2e-16 of shift."""
+    rho = np.eye(size, dtype=complex) * (1.0 + shift)
+    for k, z in zip(range(size // 2), itertools.cycle((1, 1j, -1, -1j))):
+        rho[k, size - 1 - k] = z
+        rho[size - 1 - k, k] = np.conj(z)
+    return rho
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+def test_block_guard_defers_states_on_the_tolerance(d, tol, monkeypatch):
+    # least eigenvalues within 1e-15 of -tol: inside the rule's band, so
+    # is_ppt decides every one of them
+    params, _ = _sampled(d, (0, 2, 1), 0, 1)
+    outcomes = []
+    for delta in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15):
+        rhos = _x_state(4 * d, delta - tol)[None]
+        got, fell_back = _guard_outcome(monkeypatch, params, rhos,
+                                        (2, 2, d), tol)
+        assert fell_back
+        outcomes.append(got)
+    assert outcomes[-1] is None and outcomes[0][0] is RuntimeError
+
+
+def _negated(seed):
+    params, rhos = _chunk(seed, 4)
+    return params, -rhos, (2, 2, 2)
+
+
+def _negative_single_level(seed):
+    # level 3 is coupled to no other at d = 4 with levels (0, 2, 1), so
+    # its diagonal entries are 1 x 1 blocks of every transpose
+    params, rhos = _sampled(4, (0, 2, 1), seed, 4)
+    rhos[1, 3, 3] = -1e-3
+    return params, rhos, (2, 2, 4)
+
+
+def _chain_chunk(seed):
+    params, rhos = _chunk(seed, 3)
+    rhos[1] = _chain_state()
+    # least eigenvalue 1/8 - 0.1 sqrt(2) < 0, 2 x 2 minors 1/64 - 0.01 > 0
+    rhos[1, 0, 1] = rhos[1, 1, 0] = rhos[1, 1, 2] = rhos[1, 2, 1] = 0.1
+    return params, rhos, (2, 2, 2)
+
+
+@pytest.mark.parametrize("make", [_negated, _negative_single_level,
+                                  _chain_chunk])
+def test_block_guard_rejects_what_is_ppt_rejects(make, monkeypatch):
+    # a negative 2 x 2 block, a negative 1 x 1 block, and a 3 x 3 block
+    # whose 2 x 2 minors are positive (a negative determinant: the GHZ
+    # tests above)
+    params, rhos, dims = make(21)
+    got, fell_back = _guard_outcome(monkeypatch, params, rhos, dims)
+    assert fell_back and got[0] is RuntimeError
+
+
 def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
     shapes = []
 
-    def counted(rhos, dims, tol):
+    def counted(params, rhos, dims, tol):
         shapes.append(rhos.shape)
-        return is_ppt(rhos, dims=dims, tol=tol)
+        return _ppt_guard(params, rhos, dims, tol)
 
-    monkeypatch.setattr(mcharness, "is_ppt", counted)
+    monkeypatch.setattr(mcharness, "_ppt_guard", counted)
     res = run_scan(40, seed=3, dim=3)
     assert shapes == [(40, 12, 12)]
     # equal chunks of at most 16 rows, then of at most 7

@@ -8,6 +8,7 @@ and the quadratic closed form for 2x2 eigenvalues.
 
 import itertools
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -144,6 +145,17 @@ def test_partial_transpose_matches_permutation_oracle(dims, parties):
     got = to.partial_transpose(m, dims, parties)
     want = oracle_partial_transpose(m, dims, parties)
     assert np.array_equal(got, want)
+
+
+def test_partial_transpose_rejects_non_integer_dims():
+    # int() used to transpose an 8 x 8 matrix as dims (2, 2, 2)
+    with pytest.raises(ValueError,
+                       match=r"^dims\[2\] must be an integer, got 2\.5$"):
+        to.partial_transpose(np.eye(8), dims=(2, 2, 2.5))
+    m = np.arange(64.0).reshape(8, 8)
+    assert np.array_equal(
+        to.partial_transpose(m, dims=np.array([2, 2, 2]), parties=(3,)),
+        to.partial_transpose(m, dims=(2, 2, 2), parties=(3,)))
 
 
 def test_partial_transpose_entry_bookkeeping_example():
@@ -510,6 +522,19 @@ def test_qudit_substitute_rejects_non_integer_d():
     assert to.qudit_substitute((1, 1, 1), np.int8(3), 0, 1).shape == (12, 12)
 
 
+@pytest.mark.parametrize("alpha, beta, message", [
+    (0.5, 2, "alpha must be an integer, got 0.5"),
+    (0, 2.0, "beta must be an integer, got 2.0"),
+])
+def test_qudit_substitute_rejects_non_integer_levels(alpha, beta, message):
+    # a float level used to fail inside numpy with a bare IndexError
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        to.qudit_substitute((1, 1, 1), 3, alpha, beta)
+    assert np.array_equal(
+        to.qudit_substitute((1, 1, 1), 3, np.int64(0), np.uint8(2)),
+        to.qudit_substitute((1, 1, 1), 3, 0, 2))
+
+
 # --- Gell-Mann matrices ---------------------------------------------------
 
 def eij(d, i, j):
@@ -571,6 +596,22 @@ def test_gell_mann_basis_orthonormality(d):
         for b, lb in enumerate(basis):
             want = 2.0 if a == b else 0.0
             assert np.trace(la @ lb).real == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: to.gell_mann_basis(3.7), "d must be an integer, got 3.7"),
+    (lambda: to.gen_gellmann(3.0), "d must be an integer, got 3.0"),
+    (lambda: to.sym_gell_mann(3.5, 0, 2), "d must be an integer, got 3.5"),
+    (lambda: to.antisym_gell_mann(2.5, 0, 1),
+     "d must be an integer, got 2.5"),
+    (lambda: to.diag_gell_mann(4.2, 1), "d must be an integer, got 4.2"),
+    (lambda: to.sym_gell_mann(3, 0, 1.5), "b must be an integer, got 1.5"),
+], ids=["gell_mann_basis", "gen_gellmann", "sym_gell_mann",
+        "antisym_gell_mann", "diag_gell_mann", "sym_gell_mann-level"])
+def test_gell_mann_entry_points_reject_non_integers(call, message):
+    # int() used to truncate d: gell_mann_basis(3.7) gave eight matrices
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_gell_mann_d2_are_paulis():
