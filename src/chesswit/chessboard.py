@@ -41,7 +41,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -51,18 +51,22 @@ __all__ = [
     "ChessParams222",
     "ChessParams22d",
     "NonPositiveError",
+    "ParamColumns",
     "COUPLING_POSITIONS",
     "SLOT_ORDER",
     "build_rho_222",
     "build_rho_22d",
     "coupling_cells",
     "normalization",
+    "pauli_coeff_stack",
     "pauli_coeffs",
     "params_222_to_22d",
     "positivity_proven",
     "qudit_levels",
     "rho_entries_22d",
+    "rho_stack_222",
     "rho_stack_22d",
+    "sample_chunk",
     "sample_params_222",
     "sample_params_22d",
     "params_to_json",
@@ -90,7 +94,8 @@ SLOT_ORDER: Tuple[Tuple[int, str], ...] = (
 def _check_seed(value, name: str = "seed") -> int:
     """``value`` as an int; ValueError unless it is a non-negative
     integer."""
-    if (type(value) is not int and not isinstance(value, numbers.Integral)
+    if (type(value) is not int and (isinstance(value, bool) or not
+                                    isinstance(value, numbers.Integral))
             or value < 0):
         raise ValueError(f"{name} must be a non-negative integer, "
                          f"got {value!r}")
@@ -157,50 +162,29 @@ def normalization(params: ChessParams222) -> float:
 
 
 def build_rho_222(params: ChessParams222) -> np.ndarray:
-    """8x8 density matrix of the 2x2x2 chessboard family (trace 1)."""
-    n = normalization(params)
-    rho = np.diag(np.array(params.diag_unnormalized, dtype=np.complex128))
-    for (row, col), r, phi in zip(COUPLING_POSITIONS, params.r, params.phi):
-        z = r * np.exp(1j * phi)
-        rho[row, col] = z
-        rho[col, row] = np.conj(z)
-    return rho / n
+    """8x8 density matrix of the 2x2x2 chessboard family (trace 1): the
+    N = 1 case of :func:`rho_stack_222`."""
+    return rho_stack_222(ParamColumns.of([params]))[0]
 
 
-def pauli_coeffs(params: ChessParams222) -> Dict[Tuple[int, int, int], float]:
-    """The 15 nonidentity expansion coefficients c_t = Tr(rho O_t).
+def rho_stack_222(columns: ParamColumns) -> np.ndarray:
+    """(N, 8, 8) density matrices of N 2x2x2 states, in one scatter.
 
-    Keys are the operator triples; the identity triple (0, 0, 0) always
-    has coefficient 1 and is omitted, and every other triple not
-    present has a vanishing coefficient. The values follow the closed
-    forms in the couplings x_j = r_j cos(phi_j), y_j = r_j sin(phi_j)
-    and the diagonal parameters.
+    Each trace n is added in the order of ``diag_unnormalized``, as
+    :func:`normalization` adds it. ``pauli_coeffs`` adds the
+    reciprocals in the order 1/a, 1/b, 1/c, 1/d, which can round
+    differently, so the two keep their own sums.
     """
-    a, b, c, d = params.a, params.b, params.c, params.d
-    ia, ib, ic, id_ = 1 / a, 1 / b, 1 / c, 1 / d
-    n = a + b + c + d + ia + ib + ic + id_
-    x = [r * math.cos(p) for r, p in zip(params.r, params.phi)]
-    y = [r * math.sin(p) for r, p in zip(params.r, params.phi)]
-    x1, x2, x3, x4 = x
-    y1, y2, y3, y4 = y
-    coeffs = {
-        (1, 1, 1): 2 * (x1 + x2 + x3 + x4) / n,
-        (1, 1, 2): 2 * (y1 - y2 + y3 - y4) / n,
-        (1, 2, 1): 2 * (y1 + y2 - y3 - y4) / n,
-        (2, 1, 1): -2 * (y1 + y2 + y3 + y4) / n,
-        (1, 2, 2): 2 * (-x1 + x2 + x3 - x4) / n,
-        (2, 1, 2): 2 * (x1 - x2 + x3 - x4) / n,
-        (2, 2, 1): 2 * (x1 + x2 - x3 - x4) / n,
-        (2, 2, 2): 2 * (y1 - y2 - y3 + y4) / n,
-        (3, 0, 0): (a + b + c + d - ia - ib - ic - id_) / n,
-        (0, 3, 0): (a + b - c - d - ia - ib + ic + id_) / n,
-        (0, 0, 3): (a - b + c - d - ia + ib - ic + id_) / n,
-        (3, 3, 0): (a + b - c - d + ia + ib - ic - id_) / n,
-        (3, 0, 3): (a - b + c - d + ia - ib + ic - id_) / n,
-        (0, 3, 3): (a - b - c + d + ia - ib - ic + id_) / n,
-        (3, 3, 3): (a - b - c + d - ia + ib + ic - id_) / n,
-    }
-    return coeffs
+    a, b, c, d = columns.diag.T
+    diag = (a, b, c, d, 1 / d, 1 / c, 1 / b, 1 / a)
+    rho = np.zeros((len(columns), 8, 8), dtype=np.complex128)
+    rho[:, range(8), range(8)] = np.stack(diag, axis=1)
+    rows, cols = zip(*COUPLING_POSITIONS)
+    z = columns.r * np.exp(1j * columns.phi)
+    rho[:, rows, cols] = z
+    rho[:, cols, rows] = z.conj()
+    rho /= sum(diag)[:, None, None]
+    return rho
 
 
 # The 15 nonidentity triples carried by the chessboard expansion.
@@ -210,6 +194,59 @@ COEFF_TRIPLES: Tuple[Tuple[int, int, int], ...] = (
     (3, 0, 0), (0, 3, 0), (0, 0, 3),
     (3, 3, 0), (3, 0, 3), (0, 3, 3), (3, 3, 3),
 )
+
+
+def _pauli_formulas(a, b, c, d, x, y) -> tuple:
+    """The 15 coefficients of ``COEFF_TRIPLES``, in that order, from the
+    diagonal parameters and the couplings' x_j = r_j cos(phi_j) and
+    y_j = r_j sin(phi_j). The same operations run on floats or,
+    elementwise, on (N,) arrays."""
+    ia, ib, ic, id_ = 1 / a, 1 / b, 1 / c, 1 / d
+    n = a + b + c + d + ia + ib + ic + id_
+    x1, x2, x3, x4 = x
+    y1, y2, y3, y4 = y
+    return (
+        2 * (x1 + x2 + x3 + x4) / n,
+        2 * (y1 - y2 + y3 - y4) / n,
+        2 * (y1 + y2 - y3 - y4) / n,
+        -2 * (y1 + y2 + y3 + y4) / n,
+        2 * (-x1 + x2 + x3 - x4) / n,
+        2 * (x1 - x2 + x3 - x4) / n,
+        2 * (x1 + x2 - x3 - x4) / n,
+        2 * (y1 - y2 - y3 + y4) / n,
+        (a + b + c + d - ia - ib - ic - id_) / n,
+        (a + b - c - d - ia - ib + ic + id_) / n,
+        (a - b + c - d - ia + ib - ic + id_) / n,
+        (a + b - c - d + ia + ib - ic - id_) / n,
+        (a - b + c - d + ia - ib + ic - id_) / n,
+        (a - b - c + d + ia - ib - ic + id_) / n,
+        (a - b - c + d - ia + ib + ic - id_) / n,
+    )
+
+
+def pauli_coeffs(params: ChessParams222) -> Dict[Tuple[int, int, int], float]:
+    """The 15 nonidentity expansion coefficients c_t = Tr(rho O_t).
+
+    Keys are the operator triples; the identity triple (0, 0, 0) always
+    has coefficient 1 and is omitted, and every other triple not
+    present has a vanishing coefficient. The values follow the closed
+    forms in the couplings x_j = r_j cos(phi_j), y_j = r_j sin(phi_j)
+    and the diagonal parameters; :func:`pauli_coeff_stack` evaluates the
+    same forms on N states.
+    """
+    x = [r * math.cos(p) for r, p in zip(params.r, params.phi)]
+    y = [r * math.sin(p) for r, p in zip(params.r, params.phi)]
+    return dict(zip(COEFF_TRIPLES, _pauli_formulas(
+        params.a, params.b, params.c, params.d, x, y)))
+
+
+def pauli_coeff_stack(columns: ParamColumns) -> np.ndarray:
+    """(N, 15) coefficients of N 2x2x2 states, columns in
+    ``COEFF_TRIPLES`` order; row i is bit-equal to the values of
+    ``pauli_coeffs(columns[i])``."""
+    x = (columns.r * np.cos(columns.phi)).T
+    y = (columns.r * np.sin(columns.phi)).T
+    return np.stack(_pauli_formulas(*columns.diag.T, x, y), axis=1)
 
 
 # --- 2 x 2 x d family -------------------------------------------------------
@@ -285,6 +322,80 @@ class ChessParams22d:
         object.__setattr__(self, "tied", bool(self.tied))
 
 
+@dataclass(frozen=True, eq=False)
+class ParamColumns:
+    """N parameter sets of one family and level structure, as columns.
+
+    ``levels`` is None for the 2x2x2 family, whose ``diag`` is (N, 4)
+    (a, b, c, d) and whose ``r`` and ``phi`` are (N, 4) in the order
+    r1..r4. For the 2x2xd family ``levels`` is (dim, alpha, beta,
+    gamma), ``diag`` is (N, 2 dim) (diag row 0, then row 1) and ``r``
+    and ``phi`` are (N, 6) in ``SLOT_ORDER``. ``tied`` is (N,) bool,
+    all True for the 2x2x2 family. ``columns[i]`` is row i as a
+    parameter object, which checks it.
+    """
+
+    levels: Optional[Tuple[int, int, int, int]]
+    diag: np.ndarray
+    r: np.ndarray
+    phi: np.ndarray
+    tied: np.ndarray
+
+    @classmethod
+    def of(cls, states) -> "ParamColumns":
+        """The columns of a non-empty sequence of ``ChessParams222`` or
+        of ``ChessParams22d`` of one level structure (ValueError
+        otherwise); ``ParamColumns`` pass through."""
+        if isinstance(states, cls):
+            return states
+        levels = [None if isinstance(p, ChessParams222)
+                  else (p.dim, p.alpha, p.beta, p.gamma) for p in states]
+        for other in levels:
+            if other != levels[0]:
+                raise ValueError("the states must share dim, alpha, beta "
+                                 f"and gamma; got {levels[0]} and {other}")
+        if levels[0] is None:
+            values = [(p.a, p.b, p.c, p.d) + p.r + p.phi for p in states]
+        else:
+            values = [p.diag[0] + p.diag[1] + p.r + p.phi for p in states]
+        return cls._split(levels[0], np.array(values, dtype=np.float64),
+                         np.array([getattr(p, "tied", True) for p in states]))
+
+    @classmethod
+    def _split(cls, levels, values: np.ndarray, tied: np.ndarray
+              ) -> "ParamColumns":
+        """The columns of the (N, k) block of rows (diag | r | phi), as
+        views."""
+        slots = 4 if levels is None else 6
+        m = values.shape[1] - 2 * slots
+        return cls(levels, values[:, :m], values[:, m:m + slots],
+                   values[:, m + slots:], tied)
+
+    def __len__(self) -> int:
+        return len(self.diag)
+
+    def __getitem__(self, i: int):
+        diag, r, phi = (tuple(v[i].tolist()) for v in (self.diag, self.r,
+                                                         self.phi))
+        if self.levels is None:
+            return ChessParams222(*diag, r=r, phi=phi)
+        dim = self.levels[0]
+        return ChessParams22d(*self.levels, (diag[:dim], diag[dim:]), r, phi,
+                              bool(self.tied[i]))
+
+    @property
+    def dim(self) -> int:
+        return self.levels[0]
+
+    @property
+    def alpha(self) -> int:
+        return self.levels[1]
+
+    @property
+    def beta(self) -> int:
+        return self.levels[2]
+
+
 def _flat(q1: int, j: int, k: int, d: int) -> int:
     return q1 * 2 * d + j * d + k
 
@@ -302,6 +413,23 @@ def coupling_cells(dim: int, alpha: int, beta: int, gamma: int
                  for j, slot in SLOT_ORDER)
 
 
+@lru_cache(maxsize=None)
+def _reciprocal_cells(dim: int, alpha: int, beta: int, gamma: int
+                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The diagonal index of each 1-branch diagonal that a coupling
+    sets, and the 0-branch index of the reciprocal it takes: its
+    coupling partner |0 j src> (tied) or its own twin |0 j' dst>
+    (untied). A gamma that collides with alpha or beta leaves these to
+    their slots."""
+    rows, cols = zip(*[cell for (_, slot), cell in zip(
+        SLOT_ORDER, coupling_cells(dim, alpha, beta, gamma))
+        if slot != "gg" or gamma not in (alpha, beta)])
+    out = (np.array(cols), np.array(rows), np.array(cols) - 2 * dim)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
 def positivity_proven(params: ChessParams22d) -> bool:
     """Whether the construction alone proves rho positive semidefinite.
 
@@ -317,66 +445,53 @@ def positivity_proven(params: ChessParams22d) -> bool:
                if slot == "gg"))
 
 
-def rho_entries_22d(states: Sequence[ChessParams22d]
-                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def rho_entries_22d(states) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The unnormalized entries of N 2x2xd matrices, before the trace
     division.
 
-    ``states`` must share dim, alpha, beta and gamma (ValueError
-    otherwise). Returns the (N, 4d) complex diagonals, the (N, 6)
-    couplings r e^{i phi} at ``coupling_cells`` (their conjugates sit at
-    the mirrored cells), and the (N,) traces, each summed as
+    ``states`` is a sequence of ``ChessParams22d`` that share dim,
+    alpha, beta and gamma (ValueError otherwise), or their
+    :class:`ParamColumns`. Returns the (N, 4d) complex diagonals, the
+    (N, 6) couplings r e^{i phi} at ``coupling_cells`` (their conjugates
+    sit at the mirrored cells), and the (N,) traces, each summed as
     ``rho.trace()`` sums the diagonal. A 1-branch diagonal is the
     reciprocal of its coupling partner's diagonal (``tied``) or of its
     own 0-branch twin; a gamma that collides with alpha or beta leaves
     it to their slots, and the 1-branch diagonals of uncoupled levels
     stay 0.
     """
-    first = states[0]
-    levels = (first.dim, first.alpha, first.beta, first.gamma)
-    d = first.dim
-    collides = first.gamma in (first.alpha, first.beta)
-    # (row, col) of the slots that set a 1-branch diagonal: |0 j src> is
-    # zero_branch[row], its twin |0 j' dst> is zero_branch[col - 2d]
-    placed = [cell for (_, slot), cell in zip(SLOT_ORDER,
-                                              coupling_cells(*levels))
-              if slot != "gg" or not collides]
-    diag = np.zeros((len(states), 4 * d), dtype=np.complex128)
-    for i, p in enumerate(states):
-        if (p.dim, p.alpha, p.beta, p.gamma) != levels:
-            raise ValueError("the states must share dim, alpha, beta and "
-                             f"gamma; got {levels} and "
-                             f"{(p.dim, p.alpha, p.beta, p.gamma)}")
-        zero_branch = p.diag[0] + p.diag[1]
-        diag[i, :2 * d] = zero_branch
-        for row, col in placed:
-            diag[i, col] = 1.0 / zero_branch[row if p.tied else col - 2 * d]
-    r = np.array([p.r for p in states])
-    phi = np.array([p.phi for p in states])
-    couplings = r * np.exp(1j * phi)
+    columns = ParamColumns.of(states)
+    cells, partners, twins = _reciprocal_cells(*columns.levels)
+    zero_branch = columns.diag
+    diag = np.zeros((len(columns), 2 * zero_branch.shape[1]),
+                    dtype=np.complex128)
+    diag[:, :zero_branch.shape[1]] = zero_branch
+    diag[:, cells] = 1.0 / np.where(columns.tied[:, None],
+                                    zero_branch[:, partners],
+                                    zero_branch[:, twins])
+    couplings = columns.r * np.exp(1j * columns.phi)
     return diag, couplings, diag.sum(axis=1).real
 
 
-def rho_stack_22d(states: Sequence[ChessParams22d],
-                  entries: Optional[Tuple[np.ndarray, ...]] = None
+def rho_stack_22d(states, entries: Optional[Tuple[np.ndarray, ...]] = None
                   ) -> np.ndarray:
     """(N, 4d, 4d) density matrices of N 2x2xd states of one level
     structure, with no positivity check.
 
-    One scatter of the entries of :func:`rho_entries_22d` (computed
-    here unless passed as ``entries``) into the stack, then the trace
-    division. :func:`build_rho_22d` is its N = 1 case plus the check;
-    :func:`positivity_proven` tells when the check can be skipped.
+    ``states`` is as for :func:`rho_entries_22d`. One scatter of its
+    entries (computed here unless passed as ``entries``) into the
+    stack, then the trace division. :func:`build_rho_22d` is its N = 1
+    case plus the check; :func:`positivity_proven` tells when the check
+    can be skipped.
     """
+    columns = ParamColumns.of(states)
     if entries is None:
-        entries = rho_entries_22d(states)
+        entries = rho_entries_22d(columns)
     diag, couplings, trace = entries
-    first = states[0]
-    n = 4 * first.dim
-    rho = np.zeros((len(states), n, n), dtype=np.complex128)
+    n = 4 * columns.dim
+    rho = np.zeros((len(columns), n, n), dtype=np.complex128)
     rho[:, range(n), range(n)] = diag
-    rows, cols = zip(*coupling_cells(first.dim, first.alpha, first.beta,
-                                     first.gamma))
+    rows, cols = zip(*coupling_cells(*columns.levels))
     # added to the zeros, as a -0.0 part of a zero coupling becomes +0.0
     rho[:, rows, cols] += couplings
     rho[:, cols, rows] += couplings.conj()
@@ -438,21 +553,75 @@ def _rng_for(seed: int, index: int) -> np.random.Generator:
         (_check_seed(seed), _check_seed(index, "index"))))
 
 
+def _check_columns(columns: ParamColumns) -> ParamColumns:
+    """``columns`` unchanged; ValueError unless every row passes what
+    the parameter objects check: finite phases, 0 <= r <= 1, positive
+    diagonals, and a finite sum of the diagonals and their
+    reciprocals."""
+    diag, r = columns.diag, columns.r
+    with np.errstate(over="ignore"):
+        ok = (np.isfinite(columns.phi).all() and (0.0 <= r).all()
+              and (r <= 1.0).all() and (diag > 0.0).all()
+              and np.isfinite((diag + 1 / diag).sum(axis=1)).all())
+    if not ok:
+        raise ValueError("sampled parameters out of range")
+    return columns
+
+
+def sample_chunk(seed: int, start: int, stop: int,
+                 levels: Optional[Tuple[int, ...]] = None) -> ParamColumns:
+    """Samples ``start``..``stop - 1`` of stream ``seed``, as columns.
+
+    ``levels`` is None for the 2x2x2 family, or ``(dim, alpha, beta,
+    gamma)`` for the tied 2x2xd family, checked by :func:`qudit_levels`
+    (``beta`` may be None). Sample i draws k values from PCG64 seeded
+    with ``SeedSequence((seed, i))``: diagonal parameters log-uniform on
+    [0.1, 10] (4, or diag row 0 then row 1), then coupling moduli
+    uniform on [0, 1] and phases uniform on [0, 2 pi) (4 each, or 6 in
+    ``SLOT_ORDER``). Each value is lo + (hi - lo) * u with u the top 53
+    bits of a 64-bit draw, as ``Generator.uniform`` computes it; a
+    colliding gamma's gamma-gamma moduli are then set to 0, so that
+    :func:`positivity_proven` proves every 2x2xd sample positive. The
+    seed and the bounds must be non-negative integers with
+    start <= stop (ValueError).
+    """
+    seed = _check_seed(seed)
+    start, stop = _check_seed(start, "start"), _check_seed(stop, "stop")
+    if stop < start:
+        raise ValueError(f"stop must be >= start, got {start}..{stop}")
+    if levels is None:
+        m, slots = 4, 4
+    else:
+        dim = _check_integer("dim", levels[0])
+        levels = (dim,) + qudit_levels(*levels)
+        m, slots = 2 * dim, 6
+    k = m + 2 * slots
+    raw = np.empty((stop - start, k), dtype=np.uint64)
+    for row, index in enumerate(range(start, stop)):
+        raw[row] = np.random.PCG64(np.random.SeedSequence(
+            (seed, index))).random_raw(k)
+    u = (raw >> np.uint64(11)) * 2.0 ** -53
+    lo = np.repeat([-1.0, 0.0, 0.0], (m, slots, slots))
+    hi = np.repeat([1.0, 1.0, 2.0 * math.pi], (m, slots, slots))
+    values = lo + (hi - lo) * u
+    values[:, :m] = 10.0 ** values[:, :m]
+    if levels is not None and levels[3] in levels[1:3]:
+        values[:, [m + i for i, (_, slot) in enumerate(SLOT_ORDER)
+                   if slot == "gg"]] = 0.0
+    return _check_columns(ParamColumns._split(
+        levels, values, np.ones(len(values), dtype=bool)))
+
+
 def sample_params_222(seed: int, index: int) -> ChessParams222:
-    """Deterministic random parameters (sample ``index`` of stream ``seed``).
+    """Deterministic random parameters (sample ``index`` of stream
+    ``seed``): the N = 1 case of :func:`sample_chunk`.
 
     Diagonal parameters are log-uniform on [0.1, 10], coupling moduli
     uniform on [0, 1], phases uniform on [0, 2 pi). Draw order: a, b,
     c, d, then r1..r4, then phi1..phi4.
     """
-    rng = _rng_for(seed, index)
-    diag = 10.0 ** rng.uniform(-1.0, 1.0, size=4)
-    r = rng.uniform(0.0, 1.0, size=4)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=4)
-    return ChessParams222(
-        a=diag[0], b=diag[1], c=diag[2], d=diag[3],
-        r=tuple(r), phi=tuple(phi),
-    )
+    seed, index = _check_seed(seed), _check_seed(index, "index")
+    return sample_chunk(seed, index, index + 1)[0]
 
 
 def sample_params_22d(
@@ -464,7 +633,8 @@ def sample_params_22d(
     gamma: int = 1,
 ) -> ChessParams22d:
     """Deterministic random tied 2x2xd parameters, which
-    :func:`positivity_proven` proves positive for every level triple.
+    :func:`positivity_proven` proves positive for every level triple:
+    the N = 1 case of :func:`sample_chunk`.
 
     Defaults pick (alpha, beta, gamma) = (0, 2, 1) for dim >= 3 and
     (0, 1, 1) for dim = 2. Diagonal entries are log-uniform on
@@ -474,22 +644,9 @@ def sample_params_22d(
     positivity). Draw order: diag row 0, diag row 1, r (6), phi (6).
     An untied state is ``dataclasses.replace(state, tied=False)``.
     """
-    alpha, beta, gamma = qudit_levels(dim, alpha, beta, gamma)
-    dim = int(dim)
-    rng = _rng_for(seed, index)
-    row0 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
-    row1 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
-    r = rng.uniform(0.0, 1.0, size=6)
-    phi = rng.uniform(0.0, 2.0 * math.pi, size=6)
-    if gamma in (alpha, beta):
-        for slot_index, (_, slot) in enumerate(SLOT_ORDER):
-            if slot == "gg":
-                r[slot_index] = 0.0
-    return ChessParams22d(
-        dim=dim, alpha=alpha, beta=beta, gamma=gamma,
-        diag=(tuple(row0), tuple(row1)),
-        r=tuple(r), phi=tuple(phi),
-    )
+    levels = (dim,) + qudit_levels(dim, alpha, beta, gamma)
+    seed, index = _check_seed(seed), _check_seed(index, "index")
+    return sample_chunk(seed, index, index + 1, levels)[0]
 
 
 # --- JSON wire format --------------------------------------------------------

@@ -2,17 +2,22 @@
 
 ``run_scan`` samples chessboard states (two-qubit-pair times qubit or
 qudit third party) a chunk at a time and takes the chunk through the
-layers as arrays: its rho stack (for a qudit third party, one
-``rho_stack_22d`` scatter of the entries ``rho_entries_22d`` computes
-once for the chunk), one PPT guard on that stack (the closed-form
-rule on its 2x2 blocks, and one ``is_ppt`` call only for a chunk the
-rule cannot pass), its (N, P, 15) catalog coefficients
-(``pauli_coeffs`` per row at d = 2, one ``_pair_coeffs`` gather of the
-same entries over every row and level pair at d >= 3), and one
+layers as arrays, with no per-row parameter objects: its parameter
+columns (``chessboard.sample_chunk``, where only the seeding and the
+raw draws run per row), its rho stack (one ``rho_stack_222`` scatter
+at d = 2; at d >= 3 one ``rho_stack_22d`` scatter of the entries
+``rho_entries_22d`` computes once for the chunk), one PPT guard on
+that stack (the closed-form rule on its 2x2 blocks, and one ``is_ppt``
+call only for a chunk the rule cannot pass), its (N, P, 15) catalog
+coefficients (``pauli_coeff_stack``, the closed forms of
+``pauli_coeffs`` on the columns, at d = 2; one ``_pair_coeffs`` gather
+of the same entries over every row and level pair at d >= 3), and one
 ``family_minima`` and ``group_minima`` call on that stack for the
 minima of every row. Only the CSV formatting runs per row, one row per
-sample. Each chunk is as large as the memory bound ``_GUARD_ENTRIES``
-of the guard's fallback allows.
+sample, from the columns' floats. Each chunk is as large as the memory
+bound ``_GUARD_ENTRIES`` of the guard's fallback allows. A parameter
+object is built only for the guard's error message and for a row whose
+positivity the construction may not prove.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it (``chessboard.positivity_proven``; at d = 2
 every coupled 2x2 block has diagonal product 1, and the guard's
@@ -42,23 +47,25 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .chessboard import (
-    COEFF_TRIPLES,
     ChessParams222,
     SLOT_ORDER,
     _check_seed,
     build_rho_222,
     build_rho_22d,
+    pauli_coeff_stack,
     pauli_coeffs,
     params_to_json,
     positivity_proven,
     qudit_levels,
     rho_entries_22d,
+    rho_stack_222,
     rho_stack_22d,
+    sample_chunk,
     sample_params_222,
     sample_params_22d,
 )
@@ -95,10 +102,6 @@ _FLAG_COLUMNS = ("det_poly", "det_con", "det_cyl", "det_sph", "det_any")
 _MIN_COLUMNS = ("min_poly", "min_con", "min_cyl", "min_sph")
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def sample_params(
     stream,
     d: int = 2,
@@ -124,37 +127,39 @@ def sample_params(
         seed, index = stream, 0
     else:
         try:
-            seed, index = stream[0], stream[1]
-        except (TypeError, IndexError, KeyError) as exc:
+            seed, index = stream
+        except (TypeError, ValueError) as exc:
             raise ValueError(
                 "stream must be an integer seed or a (seed, index) pair"
             ) from exc
     d = _check_integer("d", d)
     if d < 2:
         raise ValueError("d must be at least 2")
-    kwargs = _level_kwargs(d, alpha, beta, gamma)
-    if d == 2:
+    levels = _levels(d, alpha, beta, gamma)
+    if levels is None:
         return sample_params_222(seed, index)
-    return sample_params_22d(seed, index, d, **kwargs)
+    return sample_params_22d(seed, index, *levels)
 
 
-def _level_kwargs(d: int, alpha: Optional[int], beta: Optional[int],
-                  gamma: Optional[int]) -> Dict[str, int]:
-    """The qudit levels given, as keyword arguments, checked for d >= 2.
+def _levels(d: int, alpha: Optional[int], beta: Optional[int],
+            gamma: Optional[int]) -> Optional[Tuple[int, int, int, int]]:
+    """The sampler's ``levels`` for third-party dimension d >= 2: None
+    at d = 2, else (d, alpha, beta, gamma), the levels not given taking
+    ``qudit_levels``' defaults.
 
-    Raises ValueError for any level at d = 2 and, at d >= 3, for levels
-    that ``qudit_levels`` rejects.
+    Raises ValueError for any level given at d = 2 and, at d >= 3, for
+    levels that ``qudit_levels`` rejects.
     """
-    levels = {"alpha": alpha, "beta": beta, "gamma": gamma}
-    kwargs = {k: v for k, v in levels.items() if v is not None}
-    if d == 2 and kwargs:
-        raise ValueError(
-            f"alpha, beta and gamma need d >= 3; got "
-            f"{', '.join(kwargs)} at d = 2"
-        )
-    if d > 2:
-        qudit_levels(d, **kwargs)
-    return kwargs
+    given = {k: v for k, v in (("alpha", alpha), ("beta", beta),
+                               ("gamma", gamma)) if v is not None}
+    if d == 2:
+        if given:
+            raise ValueError(
+                f"alpha, beta and gamma need d >= 3; got "
+                f"{', '.join(given)} at d = 2"
+            )
+        return None
+    return (d,) + qudit_levels(d, **given)
 
 
 def csv_header(dim: int = 2) -> str:
@@ -185,12 +190,13 @@ def csv_header(dim: int = 2) -> str:
 _GUARD_ENTRIES = 2 ** 18
 
 
-def _ppt_guard(params: List[object], rhos: np.ndarray,
+def _ppt_guard(params: Sequence[object], rhos: np.ndarray,
                dims: Tuple[int, ...], tol: float = 1e-10) -> None:
     """Abort the scan unless every sampled state of a chunk is PPT.
 
     ``rhos`` is the ``(N, n, n)`` stack of the states built from
-    ``params``. The closed-form 2x2 block rule ``_ppt_blocks_pass``
+    ``params``, a ``ParamColumns`` or a list of parameter objects;
+    ``params[k]`` is only taken for a failing row k. The closed-form 2x2 block rule ``_ppt_blocks_pass``
     passes the chunk with no eigensolve when it shows that ``is_ppt``
     would accept every row. Otherwise one ``is_ppt`` call checks the
     whole chunk, so the verdict and every error are ``is_ppt``'s;
@@ -213,43 +219,42 @@ def _ppt_guard(params: List[object], rhos: np.ndarray,
 
 
 def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
-    (seed, start, stop, dim, alpha, beta, gamma, pairs, tol) = args
-    indices = range(start, stop)
-    params = [sample_params((seed, index), dim, alpha=alpha, beta=beta,
-                            gamma=gamma) for index in indices]
-    if dim == 2:
-        rhos = np.array([build_rho_222(p) for p in params])
-        coeffs = np.array([[co.get(t, 0.0) for t in COEFF_TRIPLES]
-                           for co in map(pauli_coeffs, params)])[:, None]
+    (seed, start, stop, levels, pairs, tol) = args
+    columns = sample_chunk(seed, start, stop, levels)
+    if columns.levels is None:
+        dim = 2
+        rhos = rho_stack_222(columns)
+        coeffs = pauli_coeff_stack(columns)[:, None]
     else:
-        # the construction proves the sampler's states positive; a row it
-        # does not cover is built on its own and checked by its eigenvalues
-        for p in params:
-            if not positivity_proven(p):
-                build_rho_22d(p)    # raises NonPositiveError
-        entries = rho_entries_22d(params)
-        rhos = rho_stack_22d(params, entries)
-        pair_list, _ = _level_pairs(params[0], pairs)
-        coeffs = _pair_coeffs(params, pair_list, entries)
-    _ppt_guard(params, rhos, (2, 2, dim), tol)
+        dim, alpha, beta, gamma = columns.levels
+        # the construction proves a tied row with a distinct gamma
+        # positive; any other row is judged on its own, and one it does
+        # not prove is built and checked by its eigenvalues
+        unsure = ~columns.tied | (gamma in (alpha, beta))
+        for k in np.flatnonzero(unsure):
+            if not positivity_proven(columns[k]):
+                build_rho_22d(columns[k])    # raises NonPositiveError
+        entries = rho_entries_22d(columns)
+        rhos = rho_stack_22d(columns, entries)
+        pair_list, _ = _level_pairs(columns, pairs)
+        coeffs = _pair_coeffs(columns, pair_list, entries)
+    _ppt_guard(columns, rhos, (2, 2, dim), tol)
     # one catalog call for the whole (N, P, 15) stack, looked up in this
     # module at each call: the benchmark's tracer and its wrong-minima
     # check patch mcharness.family_minima
     groups = group_minima(family_minima(coeffs))
     minima = np.stack([groups[g] for g in GROUP_NAMES], axis=1)
+    values = np.concatenate((columns.diag, columns.r, columns.phi), axis=1)
+    # index, parameters, ppt, minima, flags: "%.17g" % x is
+    # format(x, ".17g"), with the whole row in one formatting call
+    line = ",".join(["%d"] + ["%.17g"] * values.shape[1] + ["1"]
+                    + ["%.17g"] * len(_MIN_COLUMNS)
+                    + ["%d"] * len(_FLAG_COLUMNS))
     rows = []
-    for index, p, mi in zip(indices, params, minima.tolist()):
+    for index, vals, mi in zip(range(start, stop), values.tolist(),
+                               minima.tolist()):
         flags = [m < 0.0 for m in mi]
-        if dim == 2:
-            values = (p.a, p.b, p.c, p.d)
-        else:
-            values = p.diag[0] + p.diag[1]
-        fields = [str(index)]
-        fields += [_fmt(x) for x in values + p.r + p.phi]
-        fields += ["1"]
-        fields += [_fmt(m) for m in mi]
-        fields += ["1" if f else "0" for f in flags + [any(flags)]]
-        rows.append(",".join(fields))
+        rows.append(line % (index, *vals, *mi, *flags, any(flags)))
     return rows, minima
 
 
@@ -299,7 +304,7 @@ def run_scan(
         raise ValueError("n must be nonnegative")
     if dim < 2:
         raise ValueError("dim must be at least 2")
-    _level_kwargs(dim, alpha, beta, gamma)
+    levels = _levels(dim, alpha, beta, gamma)
     if pairs not in ("all", "own"):
         raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
     if workers < 1:
@@ -310,8 +315,8 @@ def run_scan(
     workers = min(workers, os.cpu_count() or 1)
     cap = max(1, _GUARD_ENTRIES // (len(PPT_SUBSETS) * (4 * dim) ** 2))
     count = min(n, workers * -(-n // (workers * cap)))
-    tasks = [(seed, k * n // count, (k + 1) * n // count, dim,
-              alpha, beta, gamma, pairs, tol) for k in range(count)]
+    tasks = [(seed, k * n // count, (k + 1) * n // count, levels, pairs, tol)
+             for k in range(count)]
     workers = min(workers, len(tasks))
     if workers <= 1:
         results = list(map(_chunk_rows, tasks))

@@ -132,14 +132,15 @@ def partial_transpose(
     """Partial transpose over the given parties (1-based).
 
     ``dims`` lists the local dimensions; ``parties`` is an iterable of
-    party numbers in 1..len(dims). Entry bookkeeping: transposing party
-    p swaps its row index with its column index, so e.g. for qubits the
-    ((0,0,0),(1,1,1)) entry moves to ((1,0,0),(0,1,1)) under the
-    transpose of party 1.
+    integer party numbers in 1..len(dims) (ValueError otherwise). Entry
+    bookkeeping: transposing party p swaps its row index with its column
+    index, so e.g. for qubits the ((0,0,0),(1,1,1)) entry moves to
+    ((1,0,0),(0,1,1)) under the transpose of party 1.
     """
     dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
     m = _as_square(m, dims)
-    parties = tuple(sorted(set(int(p) for p in parties)))
+    parties = tuple(sorted({_check_integer(f"parties[{i}]", p)
+                            for i, p in enumerate(parties)}))
     n = len(dims)
     for p in parties:
         if not 1 <= p <= n:
@@ -158,6 +159,9 @@ def _swap_parties(m: np.ndarray, dims: Tuple[int, ...],
     return np.ascontiguousarray(t.reshape(size, size))
 
 
+# an inf entry makes NaNs in the gate, the symmetrization and the
+# residual; they are reported as NaN eigenvalues, with no warning
+@np.errstate(invalid="ignore")
 def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, or of a stack of them, ascending.
 

@@ -113,6 +113,7 @@ from .chessboard import (
     COEFF_TRIPLES,
     ChessParams222,
     ChessParams22d,
+    ParamColumns,
     _check_seed,
     build_rho_22d,
     coupling_cells,
@@ -476,10 +477,11 @@ def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
     return slots
 
 
-def _level_pairs(params: ChessParams22d, pairs: str
+def _level_pairs(params: Union[ChessParams22d, ParamColumns], pairs: str
                  ) -> Tuple[Tuple[Tuple[int, int], ...], List[str]]:
     """The level pairs ``pairs`` ("all" or "own") names for a 2x2xd
-    state, and the id suffix of each (none at d = 2)."""
+    state or a chunk of them, and the id suffix of each (none at
+    d = 2)."""
     if pairs == "own":
         pair_list = (tuple(sorted((params.alpha, params.beta))),)
     else:
@@ -488,26 +490,25 @@ def _level_pairs(params: ChessParams22d, pairs: str
                        for a, b in pair_list]
 
 
-def _pair_coeffs(states: Sequence[ChessParams22d],
-                 pairs: Tuple[Tuple[int, int], ...],
+def _pair_coeffs(states, pairs: Tuple[Tuple[int, int], ...],
                  entries: Optional[Tuple[np.ndarray, ...]] = None
                  ) -> np.ndarray:
     """(N, P, 15) coefficients Tr(rho Q_t) of N states of one level
-    structure, one row per level pair, with no density matrix: row
-    (i, p) is bit-equal to ``substituted_coeffs(build_rho_22d(
-    states[i]), d, *pairs[p])``, whose einsum adds the products of Q's
-    row-major nonzeros from +0 in the same order. ``entries`` is
-    ``rho_entries_22d(states)``, if the caller has it already."""
+    structure (``ChessParams22d`` or their ``ParamColumns``), one row
+    per level pair, with no density matrix: row (i, p) is bit-equal to
+    ``substituted_coeffs(build_rho_22d(states[i]), d, *pairs[p])``,
+    whose einsum adds the products of Q's row-major nonzeros from +0 in
+    the same order. ``entries`` is ``rho_entries_22d(states)``, if the
+    caller has it already."""
+    columns = ParamColumns.of(states)
     if entries is None:
-        entries = rho_entries_22d(states)
+        entries = rho_entries_22d(columns)
     diag, couplings, trace = entries
     v = np.concatenate((diag, couplings, couplings.conj()),
                        axis=1) / trace[:, None]
     x = np.concatenate((v.real, v.imag), axis=1)
     xx = np.concatenate((x, -x, np.zeros((len(x), 1))), axis=1)
-    first = states[0]
-    terms = xx.T[_pair_gather(first.dim, first.alpha, first.beta,
-                              first.gamma, pairs)]    # (T, P, 15, N)
+    terms = xx.T[_pair_gather(*columns.levels, pairs)]    # (T, P, 15, N)
     # term by term along the slow axis T, from +0 as the einsum starts;
     # see _catalog_values
     k = np.add.reduce(terms, initial=0.0)

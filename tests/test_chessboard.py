@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -421,6 +422,195 @@ def test_qudit_levels_rejects_non_integers(args, message):
 
 
 # --- sampling ----------------------------------------------------------------
+
+
+def oracle_sample_222(seed, index):
+    """(diag, r, phi) of sample ``index`` of stream ``seed``, drawn with
+    ``Generator.uniform`` as the per-row sampler used to draw them."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    diag = 10.0 ** rng.uniform(-1.0, 1.0, size=4)
+    r = rng.uniform(0.0, 1.0, size=4)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=4)
+    return diag, r, phi
+
+
+def oracle_sample_22d(seed, index, dim, alpha, beta, gamma):
+    """The 2x2xd counterpart of :func:`oracle_sample_222`; diag is row 0
+    then row 1."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, index)))
+    row0 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
+    row1 = 10.0 ** rng.uniform(-1.0, 1.0, size=dim)
+    r = rng.uniform(0.0, 1.0, size=6)
+    phi = rng.uniform(0.0, 2.0 * math.pi, size=6)
+    if gamma in (alpha, beta):
+        r[[k for k, (_, slot) in enumerate(cb.SLOT_ORDER)
+           if slot == "gg"]] = 0.0
+    return np.concatenate((row0, row1)), r, phi
+
+
+def oracle_build_rho_222(p):
+    """``build_rho_222`` as written per state: trace n summed in the
+    order of ``diag_unnormalized``, couplings set one at a time."""
+    n = cb.normalization(p)
+    rho = np.diag(np.array(p.diag_unnormalized, dtype=np.complex128))
+    for (row, col), r, phi in zip(cb.COUPLING_POSITIONS, p.r, p.phi):
+        z = r * np.exp(1j * phi)
+        rho[row, col] = z
+        rho[col, row] = np.conj(z)
+    return rho / n
+
+
+def _bits(columns):
+    """The bit patterns of each array of ``columns``, as lists."""
+    return [np.asarray(c, dtype=np.float64).view(np.uint64).tolist()
+            for c in columns]
+
+
+SAMPLER_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
+
+
+@pytest.mark.parametrize("seed", SAMPLER_SEEDS)
+@pytest.mark.parametrize("start", [0, 10 ** 12])
+def test_sample_chunk_222_bit_equal_uniform_oracle(seed, start):
+    chunk = cb.sample_chunk(seed, start, start + 16)
+    assert chunk.levels is None and len(chunk) == 16
+    assert chunk.tied.all()
+    want = [np.array(c) for c in zip(*(oracle_sample_222(seed, start + i)
+                                       for i in range(16)))]
+    assert _bits((chunk.diag, chunk.r, chunk.phi)) == _bits(want)
+    # the per-row sampler is its N = 1 case
+    p = cb.sample_params_222(seed, start + 5)
+    assert p == chunk[5]
+    assert _bits(((p.a, p.b, p.c, p.d), p.r, p.phi)) == \
+        _bits(oracle_sample_222(seed, start + 5))
+
+
+def _sampler_levels():
+    for d in (2, 3, 4, 5):
+        default = cb.qudit_levels(d)
+        alpha, beta, _ = default
+        yield d, default
+        yield d, (alpha, beta, alpha)
+        yield d, (alpha, beta, beta)
+        if d > 3:
+            yield d, (d - 1, 1, 2)
+
+
+@pytest.mark.parametrize("d, levels", list(_sampler_levels()))
+def test_sample_chunk_22d_bit_equal_uniform_oracle(d, levels):
+    for seed in SAMPLER_SEEDS:
+        for start in (0, 10 ** 12):
+            chunk = cb.sample_chunk(seed, start, start + 6, (d,) + levels)
+            assert chunk.levels == (d,) + levels and chunk.tied.all()
+            want = [np.array(c) for c in zip(*(
+                oracle_sample_22d(seed, start + i, d, *levels)
+                for i in range(6)))]
+            assert _bits((chunk.diag, chunk.r, chunk.phi)) == _bits(want)
+            p = cb.sample_params_22d(seed, start + 2, d, *levels)
+            assert p == chunk[2]
+            assert _bits((p.diag[0] + p.diag[1], p.r, p.phi)) == \
+                _bits(oracle_sample_22d(seed, start + 2, d, *levels))
+
+
+@pytest.mark.parametrize("seed", [0, 7, 123456, 2 ** 32 - 1, 2 ** 63])
+def test_rho_and_coeff_stacks_222_bit_equal_per_row(seed):
+    # rho's trace adds a, b, c, d, 1/d, 1/c, 1/b, 1/a and pauli_coeffs'
+    # n adds a, b, c, d, 1/a, 1/b, 1/c, 1/d; sharing one n moves bits
+    for start in (0, 5000, 10 ** 12):
+        chunk = cb.sample_chunk(seed, start, start + 64)
+        rhos = cb.rho_stack_222(chunk)
+        coeffs = cb.pauli_coeff_stack(chunk)
+        assert rhos.shape == (64, 8, 8) and coeffs.shape == (64, 15)
+        for i in range(64):
+            p = chunk[i]
+            assert rhos[i].tobytes() == oracle_build_rho_222(p).tobytes()
+            assert cb.build_rho_222(p).tobytes() == rhos[i].tobytes()
+            co = cb.pauli_coeffs(p)
+            assert list(co) == list(cb.COEFF_TRIPLES)
+            assert coeffs[i].tobytes() == np.array(list(co.values())).tobytes()
+
+
+def test_the_two_normalization_orders_differ():
+    # why the trace and pauli_coeffs keep their own sums
+    differ = 0
+    for i in range(512):
+        p = cb.sample_params_222(0, i)
+        n = p.a + p.b + p.c + p.d + 1 / p.a + 1 / p.b + 1 / p.c + 1 / p.d
+        differ += n != cb.normalization(p)
+    assert differ > 0
+
+
+@pytest.mark.parametrize("args, message", [
+    ((True, 0, 1), "seed must be a non-negative integer, got True"),
+    ((0, -1, 1), "start must be a non-negative integer, got -1"),
+    ((0, 0, 1.0), "stop must be a non-negative integer, got 1.0"),
+    ((0, 5, 4), "stop must be >= start, got 5..4"),
+    ((0, 0, 1, (3, 1, 1, 0)), "alpha and beta must differ"),
+    ((0, 0, 1, (3.0, 0, 2, 1)), "dim must be an integer, got 3.0"),
+])
+def test_sample_chunk_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cb.sample_chunk(*args)
+
+
+def test_sample_chunk_of_no_rows():
+    chunk = cb.sample_chunk(3, 7, 7, (4, 0, 2, 1))
+    assert len(chunk) == 0
+    assert chunk.diag.shape == (0, 8) and chunk.r.shape == (0, 6)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("diag", 0.0), ("diag", -1.0), ("diag", math.inf), ("diag", 1e-320),
+    ("diag", math.nan), ("r", 1.5), ("r", -0.25), ("r", math.nan),
+    ("phi", math.inf), ("phi", math.nan),
+])
+def test_chunk_range_check_rejects_what_the_params_reject(column, value):
+    # the per-row constructor's guarantees, checked once per chunk
+    chunk = cb.sample_chunk(5, 0, 3, (3, 0, 2, 1))
+    getattr(chunk, column)[1, 2] = value
+    with pytest.raises(ValueError):
+        chunk[1]
+    with pytest.raises(ValueError, match="^sampled parameters out of range$"):
+        cb._check_columns(chunk)
+    cb._check_columns(cb.sample_chunk(5, 0, 3, (3, 0, 2, 1)))
+
+
+def test_sample_chunk_range_checks_every_chunk(monkeypatch):
+    checked = []
+    check = cb._check_columns
+
+    def spy(columns):
+        checked.append((columns.levels, len(columns)))
+        return check(columns)
+
+    monkeypatch.setattr(cb, "_check_columns", spy)
+    cb.sample_chunk(1, 0, 5, (3, 0, 2, 1))
+    cb.sample_params_222(1, 4)
+    assert checked == [((3, 0, 2, 1), 5), (None, 1)]
+
+
+def test_chunk_range_check_bounds_the_normalization():
+    # each diagonal has a finite reciprocal, but the sum overflows
+    chunk = cb.ParamColumns.of([cb.ChessParams222(1, 1, 1, 1)] * 2)
+    chunk.diag[1, :2] = 1e308
+    with pytest.raises(ValueError, match="normalization must be finite"):
+        chunk[1]
+    with pytest.raises(ValueError, match="^sampled parameters out of range$"):
+        cb._check_columns(chunk)
+
+
+def test_param_columns_round_trip_the_parameter_objects():
+    states = [dataclasses.replace(cb.sample_params_22d(4, i, 4, 1, 3, 0),
+                                  tied=i % 2 == 0) for i in range(5)]
+    chunk = cb.ParamColumns.of(states)
+    assert chunk.levels == (4, 1, 3, 0)
+    assert chunk.tied.tolist() == [True, False, True, False, True]
+    assert [chunk[i] for i in range(5)] == states
+    assert cb.ParamColumns.of(chunk) is chunk
+    flat = [cb.sample_params_222(4, i) for i in range(3)]
+    assert [cb.ParamColumns.of(flat)[i] for i in range(3)] == flat
+    with pytest.raises(ValueError, match="must share dim, alpha, beta"):
+        cb.ParamColumns.of(flat[:1] + states[:1])
 
 
 def test_sampling_is_deterministic_and_in_range():

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from chesswit.chessboard import (
     ChessParams222,
     ChessParams22d,
     NonPositiveError,
+    ParamColumns,
     build_rho_222,
     build_rho_22d,
     params_to_json,
@@ -215,7 +217,7 @@ def test_run_scan_checks_levels_before_any_row(dim, levels):
 def test_run_scan_checks_tol_before_any_row(n, tol, monkeypatch):
     # n = 0 used to return an empty result, n = 1 to raise from is_ppt
     # only after the first chunk was sampled
-    monkeypatch.setattr("chesswit.mcharness.sample_params",
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
                         lambda *a, **k: pytest.fail("a row was drawn"))
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         run_scan(n, tol=tol)
@@ -225,7 +227,7 @@ def test_run_scan_checks_tol_before_any_row(n, tol, monkeypatch):
 def test_run_scan_checks_seed_before_any_row(n, monkeypatch):
     # n = 0 used to return an empty result, n = 1 to fail inside numpy
     # with a message that named neither the argument nor its value
-    monkeypatch.setattr("chesswit.mcharness.sample_params",
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
                         lambda *a, **k: pytest.fail("a row was drawn"))
     with pytest.raises(ValueError, match="^seed must be a non-negative "
                        "integer, got -1$"):
@@ -239,10 +241,11 @@ def test_run_scan_checks_seed_before_any_row(n, monkeypatch):
     (dict(n=2, workers=2.5), "workers must be an integer, got 2.5"),
     (dict(n=2, seed=1.0), "seed must be a non-negative integer, got 1.0"),
     (dict(n=2, dim=3, gamma=1.0), "gamma must be an integer, got 1.0"),
+    (dict(n=2, seed=True), "seed must be a non-negative integer, got True"),
 ])
 def test_run_scan_rejects_non_integers(kwargs, message, monkeypatch):
     # int() used to truncate these: n = 1.9 scanned one row
-    monkeypatch.setattr("chesswit.mcharness.sample_params",
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
                         lambda *a, **k: pytest.fail("a row was drawn"))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_scan(**kwargs)
@@ -307,8 +310,9 @@ def _chain_state():
 
 def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
     want = run_scan(5, seed=4).rows
-    monkeypatch.setattr(mcharness, "build_rho_222",
-                        lambda params: _chain_state())
+    monkeypatch.setattr(mcharness, "rho_stack_222",
+                        lambda columns: np.array([_chain_state()]
+                                                 * len(columns)))
     calls = _counting_guard(monkeypatch)
     assert run_scan(5, seed=4).rows == want
     assert calls["other"] == 0
@@ -316,6 +320,12 @@ def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
 
 
 _DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
+
+
+def _repeated(params):
+    """A chunk sampler that gives ``params`` for every row."""
+    return lambda seed, start, stop, levels: ParamColumns.of(
+        [params] * (stop - start))
 
 
 @pytest.mark.parametrize("params", [
@@ -327,8 +337,7 @@ _DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
         r=(1.0,) * 6),
 ], ids=["untied", "colliding-gamma"])
 def test_run_scan_checks_positivity_it_cannot_prove(params, monkeypatch):
-    monkeypatch.setattr(mcharness, "sample_params",
-                        lambda stream, d, **levels: params)
+    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(params))
     with pytest.raises(NonPositiveError):
         run_scan(3, dim=3)
 
@@ -343,8 +352,7 @@ def test_run_scan_builds_each_unproven_row_once(monkeypatch):
         built.append(p)
         return build_rho_22d(p)
 
-    monkeypatch.setattr(mcharness, "sample_params",
-                        lambda stream, d, **levels: mild)
+    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(mild))
     monkeypatch.setattr(mcharness, "build_rho_22d", counted)
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 3 * 6 * 144)  # 2 chunks
     assert run_scan(4, dim=3).n == 4
@@ -498,12 +506,15 @@ def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
     (3, 2, 4, 4, math.nan),
     (4, 1, 3, 3, math.inf),    # a 1 x 1 block, as in _negative_single_level
 ])
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_block_guard_defers_non_finite_stacks(d, row, i, j, value,
                                               monkeypatch):
+    # is_ppt used to warn "invalid value encountered" on an inf entry
     params, rhos = _sampled(d, (0, 2, 1), 19, 4)
     rhos[row, i, j] = value
-    got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
+    assert [str(w.message) for w in caught] == []
     assert got is not None and fell_back
 
 
@@ -765,6 +776,10 @@ def test_sample_params_rejects_bad_input():
         sample_params(None)
     with pytest.raises(ValueError):
         sample_params((1,))
+    # a third entry used to be ignored
+    with pytest.raises(ValueError, match="^stream must be an integer seed "
+                       r"or a \(seed, index\) pair$"):
+        sample_params((0, 1, 9))
 
 
 @pytest.mark.parametrize("stream, d, message", [
@@ -774,6 +789,9 @@ def test_sample_params_rejects_bad_input():
     ((0, 1.5), 2, "index must be a non-negative integer, got 1.5"),
     ((1.0, 1), 3, "seed must be a non-negative integer, got 1.0"),
     ((0, 1), 2.5, "d must be an integer, got 2.5"),
+    (True, 2, "seed must be a non-negative integer, got True"),
+    ((True, 0), 3, "seed must be a non-negative integer, got True"),
+    ((0, False), 2, "index must be a non-negative integer, got False"),
 ])
 def test_sample_params_rejects_non_integer_streams(stream, d, message):
     # (0, 1.5) used to draw index 1, and d = 2.5 a d = 2 state; a negative

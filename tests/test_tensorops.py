@@ -158,6 +158,20 @@ def test_partial_transpose_rejects_non_integer_dims():
         to.partial_transpose(m, dims=(2, 2, 2), parties=(3,)))
 
 
+def test_partial_transpose_rejects_non_integer_parties():
+    # int() used to truncate these: parties=(1.5,) transposed party 1
+    m = np.arange(64.0).reshape(8, 8)
+    for parties, message in (((1.5,), r"parties\[0\] must be an integer, "
+                              r"got 1\.5"),
+                             ((3, "2"), r"parties\[1\] must be an integer, "
+                              r"got '2'")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            to.partial_transpose(m, parties=parties)
+    assert np.array_equal(
+        to.partial_transpose(m, parties=(np.int64(1), np.uint8(3))),
+        to.partial_transpose(m, parties=(1, 3)))
+
+
 def test_partial_transpose_entry_bookkeeping_example():
     # An entry at ((0,0,0),(1,1,1)) = (0,7) moves to ((1,0,0),(0,1,1)) = (4,3)
     # under the transpose of party 1.
