@@ -30,9 +30,10 @@ product 1 (PPT for all r <= 1 whenever alpha, beta, gamma are
 distinct); with ``tied=False`` the 1-branch diagonal at |1 j mu> is
 1/a[j][mu] instead, which can break positivity — in that case
 :func:`build_rho_22d` raises :class:`NonPositiveError` carrying the
-offending eigenvalue. :func:`positivity_proven` tells which states the
-construction alone proves positive; :func:`rho_stack_22d` builds N
-states of one level structure in one scatter, with no check.
+offending eigenvalue. Below that per-state API the 2x2xd layers take a
+chunk's :class:`ParamColumns`: :func:`positivity_proven` tells which rows
+the construction alone proves positive, and :func:`rho_stack_22d`
+scatters their :func:`rho_entries_22d` into N matrices, with no check.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensorops import _check_integer, hermitian_eigenvalues
+from .tensorops import _check_integer, _json_number, hermitian_eigenvalues
 
 __all__ = [
     "ChessParams222",
@@ -89,6 +90,9 @@ COUPLING_POSITIONS: Tuple[Tuple[int, int], ...] = ((3, 4), (2, 5), (1, 6), (0, 7
 SLOT_ORDER: Tuple[Tuple[int, str], ...] = (
     (0, "ab"), (0, "ba"), (0, "gg"), (1, "ab"), (1, "ba"), (1, "gg"),
 )
+
+# Positions in ``SLOT_ORDER`` of the two gamma-gamma couplings.
+_GG_SLOTS = [i for i, (_, slot) in enumerate(SLOT_ORDER) if slot == "gg"]
 
 
 def _check_seed(value, name: str = "seed") -> int:
@@ -345,9 +349,7 @@ class ParamColumns:
     def of(cls, states) -> "ParamColumns":
         """The columns of a non-empty sequence of ``ChessParams222`` or
         of ``ChessParams22d`` of one level structure (ValueError
-        otherwise); ``ParamColumns`` pass through."""
-        if isinstance(states, cls):
-            return states
+        otherwise)."""
         levels = [None if isinstance(p, ChessParams222)
                   else (p.dim, p.alpha, p.beta, p.gamma) for p in states]
         for other in levels:
@@ -382,18 +384,6 @@ class ParamColumns:
         dim = self.levels[0]
         return ChessParams22d(*self.levels, (diag[:dim], diag[dim:]), r, phi,
                               bool(self.tied[i]))
-
-    @property
-    def dim(self) -> int:
-        return self.levels[0]
-
-    @property
-    def alpha(self) -> int:
-        return self.levels[1]
-
-    @property
-    def beta(self) -> int:
-        return self.levels[2]
 
 
 def _flat(q1: int, j: int, k: int, d: int) -> int:
@@ -430,8 +420,9 @@ def _reciprocal_cells(dim: int, alpha: int, beta: int, gamma: int
     return out
 
 
-def positivity_proven(params: ChessParams22d) -> bool:
-    """Whether the construction alone proves rho positive semidefinite.
+def positivity_proven(columns: ParamColumns) -> np.ndarray:
+    """(N,) bool: whether the construction alone proves each row's rho
+    positive semidefinite.
 
     It does when ``tied`` is set and gamma either differs from alpha and
     beta or carries zero gamma-gamma moduli: every coupled block
@@ -439,28 +430,26 @@ def positivity_proven(params: ChessParams22d) -> bool:
     the other diagonals are positive or 0. A gamma that collides with
     alpha or beta adds its coupling to their blocks unless it is 0.
     """
-    return params.tied and (
-        params.gamma not in (params.alpha, params.beta)
-        or all(r == 0.0 for (_, slot), r in zip(SLOT_ORDER, params.r)
-               if slot == "gg"))
+    _, alpha, beta, gamma = columns.levels
+    if gamma not in (alpha, beta):
+        return columns.tied.copy()
+    return columns.tied & (columns.r[:, _GG_SLOTS] == 0.0).all(axis=1)
 
 
-def rho_entries_22d(states) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The unnormalized entries of N 2x2xd matrices, before the trace
-    division.
+def rho_entries_22d(columns: ParamColumns
+                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The unnormalized entries of a chunk's N 2x2xd matrices, before
+    the trace division.
 
-    ``states`` is a sequence of ``ChessParams22d`` that share dim,
-    alpha, beta and gamma (ValueError otherwise), or their
-    :class:`ParamColumns`. Returns the (N, 4d) complex diagonals, the
-    (N, 6) couplings r e^{i phi} at ``coupling_cells`` (their conjugates
-    sit at the mirrored cells), and the (N,) traces, each summed as
+    Returns the (N, 4d) complex diagonals, the (N, 6) couplings
+    r e^{i phi} at ``coupling_cells`` (their conjugates sit at the
+    mirrored cells), and the (N,) traces, each summed as
     ``rho.trace()`` sums the diagonal. A 1-branch diagonal is the
     reciprocal of its coupling partner's diagonal (``tied``) or of its
     own 0-branch twin; a gamma that collides with alpha or beta leaves
     it to their slots, and the 1-branch diagonals of uncoupled levels
     stay 0.
     """
-    columns = ParamColumns.of(states)
     cells, partners, twins = _reciprocal_cells(*columns.levels)
     zero_branch = columns.diag
     diag = np.zeros((len(columns), 2 * zero_branch.shape[1]),
@@ -473,25 +462,21 @@ def rho_entries_22d(states) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return diag, couplings, diag.sum(axis=1).real
 
 
-def rho_stack_22d(states, entries: Optional[Tuple[np.ndarray, ...]] = None
-                  ) -> np.ndarray:
-    """(N, 4d, 4d) density matrices of N 2x2xd states of one level
-    structure, with no positivity check.
+def rho_stack_22d(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                  levels: Tuple[int, int, int, int]) -> np.ndarray:
+    """(N, 4d, 4d) density matrices from the :func:`rho_entries_22d` of
+    N states of level structure ``levels`` = (dim, alpha, beta, gamma),
+    with no positivity check.
 
-    ``states`` is as for :func:`rho_entries_22d`. One scatter of its
-    entries (computed here unless passed as ``entries``) into the
-    stack, then the trace division. :func:`build_rho_22d` is its N = 1
-    case plus the check; :func:`positivity_proven` tells when the check
-    can be skipped.
+    One scatter of the entries into the stack, then the trace division.
+    :func:`build_rho_22d` is its N = 1 case plus the check;
+    :func:`positivity_proven` tells when the check can be skipped.
     """
-    columns = ParamColumns.of(states)
-    if entries is None:
-        entries = rho_entries_22d(columns)
     diag, couplings, trace = entries
-    n = 4 * columns.dim
-    rho = np.zeros((len(columns), n, n), dtype=np.complex128)
+    n = diag.shape[1]
+    rho = np.zeros((len(diag), n, n), dtype=np.complex128)
     rho[:, range(n), range(n)] = diag
-    rows, cols = zip(*coupling_cells(*columns.levels))
+    rows, cols = zip(*coupling_cells(*levels))
     # added to the zeros, as a -0.0 part of a zero coupling becomes +0.0
     rho[:, rows, cols] += couplings
     rho[:, cols, rows] += couplings.conj()
@@ -507,7 +492,8 @@ def build_rho_22d(params: ChessParams22d) -> np.ndarray:
     gamma collides with alpha/beta while carrying a nonzero coupling)
     raises :class:`NonPositiveError` with the offending eigenvalue.
     """
-    rho = rho_stack_22d([params])[0]
+    columns = ParamColumns.of([params])
+    rho = rho_stack_22d(rho_entries_22d(columns), columns.levels)[0]
     w = hermitian_eigenvalues(rho)
     if w[0] < -1e-12:
         raise NonPositiveError(
@@ -606,8 +592,7 @@ def sample_chunk(seed: int, start: int, stop: int,
     values = lo + (hi - lo) * u
     values[:, :m] = 10.0 ** values[:, :m]
     if levels is not None and levels[3] in levels[1:3]:
-        values[:, [m + i for i, (_, slot) in enumerate(SLOT_ORDER)
-                   if slot == "gg"]] = 0.0
+        values[:, [m + i for i in _GG_SLOTS]] = 0.0
     return _check_columns(ParamColumns._split(
         levels, values, np.ones(len(values), dtype=bool)))
 
@@ -677,8 +662,9 @@ def params_to_json(params) -> dict:
 def params_from_json(obj: dict):
     """Decode :func:`params_to_json` output (schema chosen by 'dim' key).
 
-    ``dim``, the levels and each coupling's ``j`` must be integers and
-    ``tied``, if given, a boolean; ValueError names the field otherwise.
+    ``dim``, the levels and each coupling's ``j`` must be integers, the
+    diagonals, moduli and phases JSON numbers and ``tied``, if given, a
+    boolean; ValueError names the field otherwise.
     """
     if not isinstance(obj, dict):
         raise ValueError("parameter JSON must be an object")
@@ -686,7 +672,8 @@ def params_from_json(obj: dict):
         try:
             slot_map = {
                 (_check_integer(f"couplings[{i}].j", c["j"]), str(c["slot"])):
-                (float(c["r"]), float(c["phi"]))
+                (_json_number(f"couplings[{i}].r", c["r"]),
+                 _json_number(f"couplings[{i}].phi", c["phi"]))
                 for i, c in enumerate(obj["couplings"])
             }
             r = tuple(slot_map.get(key, (0.0, 0.0))[0] for key in SLOT_ORDER)
@@ -700,17 +687,18 @@ def params_from_json(obj: dict):
             return ChessParams22d(
                 **{k: _check_integer(k, obj[k])
                    for k in ("dim", "alpha", "beta", "gamma")},
-                diag=tuple(tuple(float(v) for v in row) for row in obj["diag"]),
+                diag=[[_json_number(f"diag[{j}][{k}]", v) for k, v in
+                       enumerate(row)] for j, row in enumerate(obj["diag"])],
                 r=r, phi=phi, tied=tied,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed 2x2xd parameter object: {exc}") from exc
     try:
         return ChessParams222(
-            a=float(obj["a"]), b=float(obj["b"]),
-            c=float(obj["c"]), d=float(obj["d"]),
-            r=tuple(float(v) for v in obj.get("r", (0.0,) * 4)),
-            phi=tuple(float(v) for v in obj.get("phi", (0.0,) * 4)),
+            **{k: _json_number(k, obj[k]) for k in "abcd"},
+            **{k: tuple(_json_number(f"{k}[{i}]", v)
+                        for i, v in enumerate(obj.get(k, (0.0,) * 4)))
+               for k in ("r", "phi")},
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed 2x2x2 parameter object: {exc}") from exc

@@ -15,16 +15,16 @@ of the same entries over every row and level pair at d >= 3), and one
 ``family_minima`` and ``group_minima`` call on that stack for the
 minima of every row. Only the CSV formatting runs per row, one row per
 sample, from the columns' floats. Each chunk is as large as the memory
-bound ``_GUARD_ENTRIES`` of the guard's fallback allows. A parameter
-object is built only for the guard's error message and for a row whose
-positivity the construction may not prove.
+bound ``_GUARD_ENTRIES`` of the guard's fallback allows.
 Positivity of rho itself is proven, not computed, wherever the
-construction proves it (``chessboard.positivity_proven``; at d = 2
-every coupled 2x2 block has diagonal product 1, and the guard's
-proper-subset transposes do not include rho). A qudit row the proof
-does not cover is built by ``build_rho_22d``, whose eigenvalue check
-raises NonPositiveError. Rows depend only on ``(seed, index)``, so
-output is byte-identical for any worker count.
+construction proves it: at d = 2 every coupled 2x2 block has diagonal
+product 1 (and the guard's proper-subset transposes do not include
+rho); at d >= 3 ``chessboard.positivity_proven`` judges the chunk's
+columns, one bool per row. A parameter object is built only for the
+guard's error message and for a row that ``positivity_proven``
+rejects, which ``build_rho_22d`` builds and checks by its eigenvalues
+(NonPositiveError). Rows depend only on ``(seed, index)``, so output is
+byte-identical for any worker count.
 ``summarize`` turns the detection flags into percentages, 20-batch
 mean/std statistics, and joint detection tables for every ordered pair
 of family groups.
@@ -226,18 +226,13 @@ def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
         rhos = rho_stack_222(columns)
         coeffs = pauli_coeff_stack(columns)[:, None]
     else:
-        dim, alpha, beta, gamma = columns.levels
-        # the construction proves a tied row with a distinct gamma
-        # positive; any other row is judged on its own, and one it does
-        # not prove is built and checked by its eigenvalues
-        unsure = ~columns.tied | (gamma in (alpha, beta))
-        for k in np.flatnonzero(unsure):
-            if not positivity_proven(columns[k]):
-                build_rho_22d(columns[k])    # raises NonPositiveError
+        dim = columns.levels[0]
+        for k in np.flatnonzero(~positivity_proven(columns)):
+            build_rho_22d(columns[k])    # raises NonPositiveError
         entries = rho_entries_22d(columns)
-        rhos = rho_stack_22d(columns, entries)
-        pair_list, _ = _level_pairs(columns, pairs)
-        coeffs = _pair_coeffs(columns, pair_list, entries)
+        rhos = rho_stack_22d(entries, columns.levels)
+        pair_list, _ = _level_pairs(columns.levels, pairs)
+        coeffs = _pair_coeffs(entries, columns.levels, pair_list)
     _ppt_guard(columns, rhos, (2, 2, dim), tol)
     # one catalog call for the whole (N, P, 15) stack, looked up in this
     # module at each call: the benchmark's tracer and its wrong-minima

@@ -57,11 +57,19 @@ for _m in PAULI:
 
 def _check_integer(name: str, value) -> int:
     """``value`` as an int; ValueError unless it is an integer (numpy
-    integers included), where ``int()`` would truncate 2.5 silently."""
+    integers included, bools not), which ``int()`` would not check."""
     # the type test spares plain ints the slower abstract-class check
-    if type(value) is not int and not isinstance(value, numbers.Integral):
+    if type(value) is not int and (isinstance(value, bool) or not
+                                   isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _json_number(name: str, value) -> float:
+    """``value`` as a float; ValueError unless it is an int or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
 
 
 def _check_tol(name: str, value: float) -> float:
@@ -580,11 +588,14 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:
-    """Decode a matrix produced by :func:`matrix_to_json`."""
+    """Decode a matrix produced by :func:`matrix_to_json`; ValueError
+    names a ``dim`` that is no integer or an entry that is no number."""
     try:
-        dim = int(obj["dim"])
-        re = np.asarray(obj["re"], dtype=np.float64)
-        im = np.asarray(obj["im"], dtype=np.float64)
+        dim = _check_integer("dim", obj["dim"])
+        re, im = (np.array([[_json_number(f"{part}[{i}][{j}]", v)
+                             for j, v in enumerate(row)]
+                            for i, row in enumerate(obj[part])])
+                  for part in ("re", "im"))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed matrix object: {exc}") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):

@@ -82,10 +82,13 @@ coefficients Tr(rho Q_t) straight from the parameters, with no density
 matrix (``_pair_coeffs``): rho has only 4d diagonal entries and six
 couplings, so one gather compiled per level structure
 (``_pair_gather``) lists the few entries each coefficient sums, in the
-order the matrix route's einsum adds them. N states of one level
-structure take one gather, and each row of the (N, P, 15) result is
-bit-equal to ``substituted_coeffs`` on ``build_rho_22d``. That matrix
-route stays as the public API and the test oracle.
+order the matrix route's einsum adds them. It takes a chunk in the one
+form of the 2x2xd layers: the ``chessboard.rho_entries_22d`` of the
+chunk's ``ParamColumns`` and its level tuple (dim, alpha, beta, gamma);
+``detect`` wraps its one state as a one-row chunk. N states of one
+level structure take one gather, and each row of the (N, P, 15) result
+is bit-equal to ``substituted_coeffs`` on ``build_rho_22d``. That
+matrix route stays as the public API and the test oracle.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -477,38 +480,34 @@ def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
     return slots
 
 
-def _level_pairs(params: Union[ChessParams22d, ParamColumns], pairs: str
+def _level_pairs(levels: Tuple[int, int, int, int], pairs: str
                  ) -> Tuple[Tuple[Tuple[int, int], ...], List[str]]:
-    """The level pairs ``pairs`` ("all" or "own") names for a 2x2xd
-    state or a chunk of them, and the id suffix of each (none at
-    d = 2)."""
+    """The level pairs ``pairs`` ("all" or "own") names for the 2x2xd
+    level structure ``levels`` = (dim, alpha, beta, gamma), and the id
+    suffix of each (none at d = 2)."""
+    dim, alpha, beta, _ = levels
     if pairs == "own":
-        pair_list = (tuple(sorted((params.alpha, params.beta))),)
+        pair_list = (tuple(sorted((alpha, beta))),)
     else:
-        pair_list = tuple(itertools.combinations(range(params.dim), 2))
-    return pair_list, [f"@{a},{b}" if params.dim > 2 else ""
-                       for a, b in pair_list]
+        pair_list = tuple(itertools.combinations(range(dim), 2))
+    return pair_list, [f"@{a},{b}" if dim > 2 else "" for a, b in pair_list]
 
 
-def _pair_coeffs(states, pairs: Tuple[Tuple[int, int], ...],
-                 entries: Optional[Tuple[np.ndarray, ...]] = None
-                 ) -> np.ndarray:
-    """(N, P, 15) coefficients Tr(rho Q_t) of N states of one level
-    structure (``ChessParams22d`` or their ``ParamColumns``), one row
-    per level pair, with no density matrix: row (i, p) is bit-equal to
-    ``substituted_coeffs(build_rho_22d(states[i]), d, *pairs[p])``,
+def _pair_coeffs(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
+                 levels: Tuple[int, int, int, int],
+                 pairs: Tuple[Tuple[int, int], ...]) -> np.ndarray:
+    """(N, P, 15) coefficients Tr(rho Q_t) of N states of level
+    structure ``levels``, one row per level pair, from their
+    ``rho_entries_22d`` with no density matrix: row (i, p) is bit-equal
+    to ``substituted_coeffs(build_rho_22d(state_i), d, *pairs[p])``,
     whose einsum adds the products of Q's row-major nonzeros from +0 in
-    the same order. ``entries`` is ``rho_entries_22d(states)``, if the
-    caller has it already."""
-    columns = ParamColumns.of(states)
-    if entries is None:
-        entries = rho_entries_22d(columns)
+    the same order."""
     diag, couplings, trace = entries
     v = np.concatenate((diag, couplings, couplings.conj()),
                        axis=1) / trace[:, None]
     x = np.concatenate((v.real, v.imag), axis=1)
     xx = np.concatenate((x, -x, np.zeros((len(x), 1))), axis=1)
-    terms = xx.T[_pair_gather(*columns.levels, pairs)]    # (T, P, 15, N)
+    terms = xx.T[_pair_gather(*levels, pairs)]    # (T, P, 15, N)
     # term by term along the slow axis T, from +0 as the einsum starts;
     # see _catalog_values
     k = np.add.reduce(terms, initial=0.0)
@@ -860,11 +859,12 @@ def detect(params, pairs: str = "all") -> DetectionReport:
         families = family_minima(pauli_coeffs(params))
         intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
-        pair_list, suffixes = _level_pairs(params, pairs)
-        if not positivity_proven(params):
+        columns = ParamColumns.of([params])
+        pair_list, suffixes = _level_pairs(columns.levels, pairs)
+        if not positivity_proven(columns)[0]:
             build_rho_22d(params)    # raises NonPositiveError
-        families = family_minima(_pair_coeffs([params], pair_list)[0],
-                                 suffixes)
+        families = family_minima(_pair_coeffs(
+            rho_entries_22d(columns), columns.levels, pair_list)[0], suffixes)
         intermediates = {"pairs": [list(p) for p in pair_list]}
     else:
         raise TypeError(f"unsupported parameter object {type(params)!r}")

@@ -337,6 +337,22 @@ def _level_triples(d):
             yield alpha, beta, gamma
 
 
+def _rho_stack(states):
+    """The rho stack of 2x2xd states of one level structure, through
+    their columns as the scan builds it."""
+    columns = cb.ParamColumns.of(states)
+    return cb.rho_stack_22d(cb.rho_entries_22d(columns), columns.levels)
+
+
+def _proven(params):
+    """The per-state rule that ``positivity_proven`` applies to each row
+    of a chunk: tied, and gamma distinct or its gamma-gamma moduli 0."""
+    return params.tied and (
+        params.gamma not in (params.alpha, params.beta)
+        or all(r == 0.0 for (_, slot), r in zip(cb.SLOT_ORDER, params.r)
+               if slot == "gg"))
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_rho_stack_bit_equal_per_row_build(d):
     # every alpha != beta and gamma, colliding ones included, with
@@ -351,7 +367,7 @@ def test_rho_stack_bit_equal_per_row_build(d):
         states.append(cb.ChessParams22d(d, alpha, beta, gamma,
                                         states[0].diag, r=(0.25,) * 6,
                                         phi=states[0].phi))
-        stack = cb.rho_stack_22d(states)
+        stack = _rho_stack(states)
         assert stack.shape == (len(states), 4 * d, 4 * d)
         for p, rho in zip(states, stack):
             assert rho.tobytes() == oracle_rho_22d(p).tobytes(), p
@@ -368,7 +384,7 @@ def test_rho_stack_needs_one_level_structure():
     states = [cb.sample_params_22d(1, 0, 3), cb.sample_params_22d(1, 1, 3,
                                                                 gamma=0)]
     with pytest.raises(ValueError, match="must share dim, alpha, beta"):
-        cb.rho_stack_22d(states)
+        cb.ParamColumns.of(states)
 
 
 @settings(max_examples=60, deadline=None)
@@ -385,15 +401,39 @@ def test_positivity_proven_states_are_psd(data):
                  for _, slot in cb.SLOT_ORDER)
     states = [sampled, cb.ChessParams22d(d, alpha, beta, gamma, sampled.diag,
                                          r=unit, phi=sampled.phi)]
-    assert all(map(cb.positivity_proven, states))
-    least = np.linalg.eigvalsh(cb.rho_stack_22d(states))[:, 0]
+    assert cb.positivity_proven(cb.ParamColumns.of(states)).all()
+    least = np.linalg.eigvalsh(_rho_stack(states))[:, 0]
     assert (least >= -1e-12).all(), least
     # what the proof leaves out: untied, or colliding with a coupling
-    assert not cb.positivity_proven(cb.ChessParams22d(
-        d, alpha, beta, gamma, sampled.diag, tied=False))
+    assert not cb.positivity_proven(cb.ParamColumns.of([cb.ChessParams22d(
+        d, alpha, beta, gamma, sampled.diag, tied=False)]))[0]
     colliding = cb.ChessParams22d(d, alpha, beta, alpha, sampled.diag,
                                   r=(0.5,) * 6)
-    assert not cb.positivity_proven(colliding)
+    assert not cb.positivity_proven(cb.ParamColumns.of([colliding]))[0]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_positivity_proven_matches_the_per_state_rule_row_by_row(d):
+    # chunks that mix tied and untied rows with zero, -0.0, one and two
+    # nonzero gamma-gamma moduli, for distinct and colliding gammas
+    moduli = [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.3, 0.7)]
+    seen = set()
+    for alpha, beta, gamma in _level_triples(d):
+        states = []
+        for i, (tied, gg) in enumerate(itertools.product((True, False),
+                                                         moduli)):
+            p = cb.sample_params_22d(5, i, d, alpha, beta, gamma)
+            r = list(p.r)
+            r[2], r[5] = gg
+            states.append(dataclasses.replace(p, r=tuple(r), tied=tied))
+        states = states[1::2] + states[::2]
+        got = cb.positivity_proven(cb.ParamColumns.of(states))
+        assert got.dtype == bool and got.shape == (len(states),)
+        want = [_proven(p) for p in states]
+        assert got.tolist() == want, (alpha, beta, gamma)
+        seen.update((gamma in (alpha, beta), w) for w in want)
+    assert seen == {(False, False), (False, True), (True, False),
+                    (True, True)}
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -402,9 +442,8 @@ def test_every_sampled_state_is_proven_positive(d):
     # so the scan and detect never need its eigenvalues
     for alpha, beta, gamma in itertools.product(range(d), repeat=3):
         if alpha != beta:
-            for index in range(2):
-                assert cb.positivity_proven(cb.sample_params_22d(
-                    9, index, d, alpha, beta, gamma)), (alpha, beta, gamma)
+            chunk = cb.sample_chunk(9, 0, 2, (d, alpha, beta, gamma))
+            assert cb.positivity_proven(chunk).all(), (alpha, beta, gamma)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -419,6 +458,16 @@ def test_qudit_levels_rejects_non_integers(args, message):
         cb.qudit_levels(*args)
     assert cb.qudit_levels(np.int64(4), np.int8(1), np.uint16(3),
                            np.int32(0)) == (1, 3, 0)
+
+
+def test_qudit_levels_rejects_bools():
+    # (3, True, 2, 1) gave the levels (1, 2, 1)
+    with pytest.raises(ValueError, match="^alpha must be an integer, "
+                       "got True$"):
+        cb.qudit_levels(3, True, 2, 1)
+    with pytest.raises(ValueError, match="^dim must be an integer, "
+                       "got True$"):
+        cb.qudit_levels(True)
 
 
 # --- sampling ----------------------------------------------------------------
@@ -606,7 +655,6 @@ def test_param_columns_round_trip_the_parameter_objects():
     assert chunk.levels == (4, 1, 3, 0)
     assert chunk.tied.tolist() == [True, False, True, False, True]
     assert [chunk[i] for i in range(5)] == states
-    assert cb.ParamColumns.of(chunk) is chunk
     flat = [cb.sample_params_222(4, i) for i in range(3)]
     assert [cb.ParamColumns.of(flat)[i] for i in range(3)] == flat
     with pytest.raises(ValueError, match="must share dim, alpha, beta"):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 from chesswit.frgeom import region_excess
+from chesswit.tensorops import matrix_to_json
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -187,6 +188,58 @@ def test_params_with_non_integral_levels_are_domain_errors(
     proc = run_cli(command, "--params", str(path), check=False)
     assert proc.returncode == 1
     assert proc.stderr.startswith(f"error: {field} must be ")
+    assert proc.stdout == ""
+
+
+_QUDIT_PARAMS = {"dim": 3, "alpha": 0, "beta": 2, "gamma": 1,
+                 "diag": [[1, 2, 1], [1, 0.5, 1]],
+                 "couplings": [{"j": 0, "slot": "ab", "r": 0.5, "phi": 0}]}
+
+
+def _coupling(**change):
+    return [dict(_QUDIT_PARAMS["couplings"][0], **change)]
+
+
+@pytest.mark.parametrize("command", ["detect", "ppt", "rho"])
+@pytest.mark.parametrize("params, field", [
+    (dict(_QUDIT_PARAMS, alpha=True), "alpha"),
+    (dict(_QUDIT_PARAMS, couplings=_coupling(j=False)), "couplings[0].j"),
+    (dict(_QUDIT_PARAMS, couplings=_coupling(r="0.5")), "couplings[0].r"),
+    (dict(_QUDIT_PARAMS, couplings=_coupling(phi=True)), "couplings[0].phi"),
+    (dict(_QUDIT_PARAMS, diag=[[1, "2", 1], [1, 0.5, 1]]), "diag[0][1]"),
+    (dict(REFERENCE_PARAMS, a="2"), "a"),
+    (dict(REFERENCE_PARAMS, b=True), "b"),
+    (dict(REFERENCE_PARAMS, r=["0.5", False, 0, 0]), "r[0]"),
+    (dict(REFERENCE_PARAMS, phi=[0, 0, False, 0]), "phi[2]"),
+], ids=["alpha", "j", "coupling-r", "coupling-phi", "diag", "a", "b", "r",
+        "phi"])
+def test_params_json_takes_only_json_numbers(tmp_path, command, params,
+                                             field):
+    # these decoded as numbers, True as 1 and "2" as 2.0, and were acted on
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(params))
+    proc = run_cli(command, "--params", str(path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(f"error: {field} must be ")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(dim=8.9), "dim must be an integer, got 8.9"),
+    (dict(dim=True), "dim must be an integer, got True"),
+    (dict(re=[["0.125"] + [0.0] * 7] + [[0.0] * 8] * 7),
+     "re[0][0] must be a JSON number, got '0.125'"),
+    (dict(im=[[0.0] * 8, [0.0, 0.0, False] + [0.0] * 5] + [[0.0] * 8] * 6),
+     "im[1][2] must be a JSON number, got False"),
+], ids=["dim-float", "dim-bool", "re-string", "im-bool"])
+def test_ppt_matrix_takes_only_json_numbers(tmp_path, change, message):
+    # "dim": 8.9 was truncated to 8, strings and bools decoded as numbers
+    path = tmp_path / "matrix.json"
+    path.write_text(json.dumps(dict(matrix_to_json(np.eye(8) / 8),
+                                    **change)))
+    proc = run_cli("ppt", "--matrix", str(path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
     assert proc.stdout == ""
 
 

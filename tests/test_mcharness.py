@@ -251,6 +251,21 @@ def test_run_scan_rejects_non_integers(kwargs, message, monkeypatch):
         run_scan(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(n=True), "n must be an integer, got True"),
+    (dict(n=3, dim=3, alpha=False, beta=True, gamma=2),
+     "alpha must be an integer, got False"),
+    (dict(n=2, workers=True), "workers must be an integer, got True"),
+    (dict(n=2, dim=True), "dim must be an integer, got True"),
+])
+def test_run_scan_rejects_bools_as_integers(kwargs, message, monkeypatch):
+    # these ran as 1 and 0: n = True scanned one row
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_scan(**kwargs)
+
+
 def test_run_scan_accepts_numpy_integers():
     want = run_scan(3, seed=2, dim=3)
     got = run_scan(np.int64(3), seed=np.uint32(2), dim=np.int8(3),
@@ -468,7 +483,8 @@ def _sampled(d, levels, seed, n, tied=True):
         return _chunk(seed, n)
     params = [replace(sample_params_22d(seed, k, d, *levels), tied=tied)
               for k in range(n)]
-    return params, rho_stack_22d(params, rho_entries_22d(params))
+    columns = ParamColumns.of(params)
+    return params, rho_stack_22d(rho_entries_22d(columns), columns.levels)
 
 
 @pytest.mark.parametrize("d, levels", [
@@ -656,6 +672,33 @@ def test_qudit_scan_takes_the_entries_of_rho_once_per_chunk(monkeypatch):
         monkeypatch.setattr(module, "rho_entries_22d", counted)
     assert run_scan(30, seed=4, dim=3).rows == want
     assert calls == [15, 15]
+
+
+# sha256 of the seed-0 CSV text of scans whose gamma collides with alpha
+# (0) or beta (2 at d = 3, 3 at d = 4), as the per-row positivity check
+# wrote it; zeroed gamma-gamma moduli make the first two the same states
+@pytest.mark.parametrize("kwargs, digest", [
+    (dict(dim=3, gamma=0),
+     "81f83285749f6b8f021cdbd40f6c7bac844d825c6efe052115b9df14d2b5916b"),
+    (dict(dim=3, gamma=2),
+     "81f83285749f6b8f021cdbd40f6c7bac844d825c6efe052115b9df14d2b5916b"),
+    (dict(dim=4, beta=3, gamma=3),
+     "531be0d0f7436e0ba8389d27e2cd5a163a4f55c0eaf59cb3ebcc0c83e558ba28"),
+], ids=["d3-gamma-alpha", "d3-gamma-beta", "d4-gamma-beta"])
+def test_colliding_gamma_scan_builds_no_parameter_object(kwargs, digest,
+                                                         monkeypatch):
+    built = []
+    check = ChessParams22d.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(ChessParams22d, "__post_init__", counted)
+    buf = io.StringIO()
+    write_csv(run_scan(40, seed=0, **kwargs), buf)
+    assert built == []
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == digest
 
 
 def test_summarize_counts_and_pairs():

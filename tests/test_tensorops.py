@@ -172,6 +172,16 @@ def test_partial_transpose_rejects_non_integer_parties():
         to.partial_transpose(m, parties=(1, 3)))
 
 
+def test_partial_transpose_rejects_bools_as_parties():
+    # parties=(True,) transposed party 1
+    with pytest.raises(ValueError, match=r"^parties\[0\] must be an "
+                       r"integer, got True$"):
+        to.partial_transpose(np.eye(8), parties=(True,))
+    with pytest.raises(ValueError, match=r"^dims\[2\] must be an "
+                       r"integer, got True$"):
+        to.partial_transpose(np.eye(8), dims=(2, 4, True), parties=(1,))
+
+
 def test_partial_transpose_entry_bookkeeping_example():
     # An entry at ((0,0,0),(1,1,1)) = (0,7) moves to ((1,0,0),(0,1,1)) = (4,3)
     # under the transpose of party 1.

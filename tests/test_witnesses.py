@@ -21,10 +21,12 @@ from chesswit.chessboard import (
     ChessParams222,
     ChessParams22d,
     NonPositiveError,
+    ParamColumns,
     build_rho_222,
     build_rho_22d,
     params_222_to_22d,
     pauli_coeffs,
+    rho_entries_22d,
     sample_params_222,
     sample_params_22d,
 )
@@ -63,6 +65,14 @@ from chesswit.witnesses import (
     _pair_coeffs,
     _table,
 )
+
+
+def _coeffs(states, pairs):
+    """``_pair_coeffs`` of 2x2xd states of one level structure, through
+    their columns as the scan takes them."""
+    columns = ParamColumns.of(states)
+    return _pair_coeffs(rho_entries_22d(columns), columns.levels, pairs)
+
 
 # --- independent oracle machinery ---------------------------------------------
 
@@ -144,6 +154,12 @@ def test_witness_ids_rejects_non_integer_d(d):
     # 2.5 used to fail inside range() with a TypeError
     with pytest.raises(ValueError, match="d must be an integer"):
         witness_ids(d)
+
+
+def test_witness_ids_rejects_bools():
+    # True used to read as 1 and report "got 1"
+    with pytest.raises(ValueError, match="^d must be an integer, got True$"):
+        witness_ids(True)
 
 
 def test_witness_ids_accepts_numpy_integers():
@@ -725,14 +741,14 @@ def test_batched_family_minima_takes_angles_of_the_winners_only(monkeypatch):
     monkeypatch.setattr("chesswit.witnesses._minimize_components", counted)
     pairs = ((0, 1), (0, 2), (1, 2))
     for index in range(5):
-        rows = _pair_coeffs([sample_params_22d(9, index, 3)], pairs)[0]
+        rows = _coeffs([sample_params_22d(9, index, 3)], pairs)[0]
         calls.clear()
         family_minima(rows, [f"@{a},{b}" for a, b in pairs])
         assert len(calls) == len(FAMILY_NAMES)
 
 
 def test_family_minima_needs_one_suffix_per_row():
-    rows = _pair_coeffs([sample_params_22d(9, 0, 3)], ((0, 1), (0, 2)))[0]
+    rows = _coeffs([sample_params_22d(9, 0, 3)], ((0, 1), (0, 2)))[0]
     with pytest.raises(ValueError, match="one suffix per row"):
         family_minima(rows, ["@0,1"])
     with pytest.raises(ValueError, match="mapping or a"):
@@ -910,9 +926,10 @@ def _stacks(d):
                                key=lambda p: (p.alpha, p.beta, p.gamma))
     for _, group in groups:
         states = list(group)
+        levels = ParamColumns.of(states).levels
         for pairs in ("all", "own"):
-            pair_list, suffixes = _level_pairs(states[0], pairs)
-            yield _pair_coeffs(states, pair_list), pair_list, suffixes
+            pair_list, suffixes = _level_pairs(levels, pairs)
+            yield _coeffs(states, pair_list), pair_list, suffixes
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
@@ -951,8 +968,8 @@ def test_stack_minima_of_tied_entries():
 
 
 def test_stack_minima_checks_its_input():
-    stack = _pair_coeffs([sample_params_22d(9, k, 3) for k in range(4)],
-                         ((0, 1), (0, 2), (1, 2)))
+    stack = _coeffs([sample_params_22d(9, k, 3) for k in range(4)],
+                    ((0, 1), (0, 2), (1, 2)))
     bad = stack.copy()
     bad[2, 1, 4] = math.nan
     with pytest.raises(ValueError, match="finite"):
@@ -985,8 +1002,8 @@ def test_stack_minima_pass_is_bounded(monkeypatch):
         rows.append(xx.shape[1])
         return _catalog_values(xx)
 
-    stack = _pair_coeffs([sample_params_22d(5, k, 5) for k in range(40)],
-                         tuple(itertools.combinations(range(5), 2)))
+    stack = _coeffs([sample_params_22d(5, k, 5) for k in range(40)],
+                    tuple(itertools.combinations(range(5), 2)))
     want = family_minima(stack)
     monkeypatch.setattr("chesswit.witnesses._catalog_values", spy)
     monkeypatch.setattr("chesswit.witnesses._CATALOG_TERMS", 7 * 3072)
@@ -1072,7 +1089,7 @@ def test_pair_coeffs_bit_equal_matrix_route(d):
     pairs = tuple(itertools.combinations(range(d), 2))
     untied = 0
     for params in _level_states(d):
-        got = _pair_coeffs([params], pairs)[0]
+        got = _coeffs([params], pairs)[0]
         assert got.shape == (len(pairs), len(COEFF_TRIPLES))
         rho = build_rho_22d(params)
         for row, (a, b) in zip(got.tolist(), pairs):
@@ -1093,10 +1110,10 @@ def test_pair_coeffs_of_a_stack_bit_equal_per_state(d):
                                key=lambda p: (p.alpha, p.beta, p.gamma))
     for _, group in groups:
         states = list(group)
-        got = _pair_coeffs(states, pairs)
+        got = _coeffs(states, pairs)
         assert got.shape == (len(states), len(pairs), len(COEFF_TRIPLES))
         for params, rows in zip(states, got.tolist()):
-            alone = _pair_coeffs([params], pairs)[0].tolist()
+            alone = _coeffs([params], pairs)[0].tolist()
             rho = build_rho_22d(params)
             for row, row_alone, (a, b) in zip(rows, alone, pairs):
                 want = substituted_coeffs(rho, d, a, b)
@@ -1108,7 +1125,7 @@ def test_pair_coeffs_of_a_stack_bit_equal_per_state(d):
 def test_pair_coeffs_needs_one_level_structure():
     states = [sample_params_22d(1, 0, 3), sample_params_22d(1, 1, 3, beta=1)]
     with pytest.raises(ValueError, match="must share dim, alpha, beta"):
-        _pair_coeffs(states, ((0, 1),))
+        ParamColumns.of(states)
 
 
 def test_substituted_coeffs_match_trace():
