@@ -34,12 +34,18 @@ offending eigenvalue. Below that per-state API the 2x2xd layers take a
 chunk's :class:`ParamColumns`: :func:`positivity_proven` tells which rows
 the construction alone proves positive, and :func:`rho_stack_22d`
 scatters their :func:`rho_entries_22d` into N matrices, with no check.
+
+Sample i of stream ``seed`` is drawn from PCG64 seeded as numpy's
+``SeedSequence((seed, i))`` seeds it. :func:`stream_words` computes
+that seed state for a whole block of indices in one vectorised pass of
+SeedSequence's hash, bit for bit, so :func:`sample_chunk` (and the
+see-saw's starts in :mod:`chesswit.witnesses`) build no SeedSequence;
+PCG64's own seeding and draws are numpy's.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -70,6 +76,7 @@ __all__ = [
     "sample_chunk",
     "sample_params_222",
     "sample_params_22d",
+    "stream_words",
     "params_to_json",
     "params_from_json",
 ]
@@ -97,13 +104,15 @@ _GG_SLOTS = [i for i, (_, slot) in enumerate(SLOT_ORDER) if slot == "gg"]
 
 def _check_seed(value, name: str = "seed") -> int:
     """``value`` as an int; ValueError unless it is a non-negative
-    integer."""
-    if (type(value) is not int and (isinstance(value, bool) or not
-                                    isinstance(value, numbers.Integral))
-            or value < 0):
+    integer by :func:`~chesswit.tensorops._check_integer`'s rule."""
+    try:
+        checked = _check_integer(name, value)
+    except ValueError:
+        checked = -1
+    if checked < 0:
         raise ValueError(f"{name} must be a non-negative integer, "
                          f"got {value!r}")
-    return int(value)
+    return checked
 
 
 def _check_finite(name: str, value: float) -> float:
@@ -532,11 +541,124 @@ def params_222_to_22d(params: ChessParams222, gamma: int = 0) -> ChessParams22d:
 # --- sampling ---------------------------------------------------------------
 
 
+# SeedSequence's hash constants (O'Neill's seed_seq_fe) for the
+# pool of 4 uint32 words that numpy's default SeedSequence keeps.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_OTHER_WORDS = tuple([d for d in range(4) if d != s] for s in range(4))
+_OUTPUT_WORDS = np.tile(np.arange(4), 2)
+
+
+@lru_cache(maxsize=32)
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """(n + 1, 1) uint32 column of init * mult**k mod 2**32, k = 0..n:
+    the running constant of n hash steps (step k xors with entry k and
+    multiplies by entry k + 1); read-only, as it is cached."""
+    out = [init]
+    for _ in range(n):
+        out.append(out[-1] * mult & _MASK32)
+    consts = np.array(out, dtype=np.uint32)[:, None]
+    consts.setflags(write=False)
+    return consts
+
+
+def _hash(value: np.ndarray, consts: np.ndarray, k: int, n: int
+          ) -> np.ndarray:
+    """Hash steps k..k + n - 1 applied to the n rows of ``value``."""
+    value = (value ^ consts[k:k + n]) * consts[k + 1:k + n + 1]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's mix of a pool word x with a hashed word y."""
+    x = x * _MIX_L - y * _MIX_R
+    return x ^ (x >> 16)
+
+
+def _uint32_words(value: int) -> list:
+    """The uint32 words SeedSequence reads from a non-negative int,
+    least significant first (one word for 0)."""
+    words = [value & _MASK32]
+    while value >> 32:
+        value >>= 32
+        words.append(value & _MASK32)
+    return words
+
+
+def stream_words(seed: int, start: int, stop: int) -> np.ndarray:
+    """The (N, 4) uint64 ``SeedSequence((seed, i)).generate_state(4,
+    np.uint64)`` of every index i in ``start..stop - 1``, bit for bit.
+
+    Computed in one vectorised pass of SeedSequence's uint32 hash: the
+    entropy is the words of ``seed`` then those of i; the first four
+    fill the pool (0 where a row has fewer), the pool words are mixed
+    into each other, every entropy word beyond the pool is mixed into
+    all four (only in rows that have it), and the output hash cycles
+    the pool twice, read as uint64 little-endian pairs as numpy reads
+    it. Every row depends only on (seed, i), so a block can be split
+    anywhere. The seed and the bounds must be non-negative integers
+    with start <= stop (ValueError).
+    """
+    seed = _check_seed(seed)
+    start, stop = _check_seed(start, "start"), _check_seed(stop, "stop")
+    if stop < start:
+        raise ValueError(f"stop must be >= start, got {start}..{stop}")
+    head = _uint32_words(seed)
+    index = np.arange(start, stop,
+                      dtype=np.uint64 if stop <= 2 ** 64 else object)
+    tail = [((index >> (32 * w)) & _MASK32).astype(np.uint32)
+            for w in range(len(_uint32_words(max(start, stop - 1))))]
+    entropy = head + tail
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * max(4, len(entropy)))
+    pool = np.zeros((4, stop - start), dtype=np.uint32)
+    for i, word in enumerate(entropy[:4]):
+        pool[i] = word
+    pool = _hash(pool, consts, 0, 4)
+    for src, dst in enumerate(_OTHER_WORDS):
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts, 4 + 3 * src, 3))
+    for j, word in enumerate(entropy[4:], 4):
+        mixed = _mix(pool, _hash(word, consts, 4 * j, 4))
+        # index word w = j - len(head) >= 1 exists only where i >= 2**(32 w)
+        w = j - len(head)
+        pool = mixed if w < 1 else np.where(index >> (32 * w), mixed, pool)
+    out = _hash(pool[_OUTPUT_WORDS], _hash_constants(_INIT_B, _MULT_B, 8),
+                0, 8)
+    return out.T.astype("<u4", order="C").view("<u8").astype(np.uint64,
+                                                           copy=False)
+
+
+@lru_cache(maxsize=None)
+def _stream_seed_type() -> type:
+    """The seed sequence that hands one row of :func:`stream_words` to a
+    ``PCG64``, which asks for exactly these four uint64 words. Made on
+    first use, as numpy imports ``numpy.random`` only then."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class StreamSeed(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 4 or np.dtype(dtype) != np.uint64:
+                raise ValueError("a stream seed holds four uint64 words only")
+            return self.words
+
+    return StreamSeed
+
+
+def _pcg64(words: np.ndarray) -> np.random.PCG64:
+    """The PCG64 that ``SeedSequence`` would seed with ``words``."""
+    return np.random.PCG64(_stream_seed_type()(words))
+
+
 def _rng_for(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-sample stream: PCG64 seeded from (seed, index),
     both non-negative integers (ValueError otherwise)."""
-    return np.random.default_rng(np.random.SeedSequence(
-        (_check_seed(seed), _check_seed(index, "index"))))
+    seed, index = _check_seed(seed), _check_seed(index, "index")
+    return np.random.Generator(
+        _pcg64(stream_words(seed, index, index + 1)[0]))
 
 
 def _check_columns(columns: ParamColumns) -> ParamColumns:
@@ -561,7 +683,8 @@ def sample_chunk(seed: int, start: int, stop: int,
     ``levels`` is None for the 2x2x2 family, or ``(dim, alpha, beta,
     gamma)`` for the tied 2x2xd family, checked by :func:`qudit_levels`
     (``beta`` may be None). Sample i draws k values from PCG64 seeded
-    with ``SeedSequence((seed, i))``: diagonal parameters log-uniform on
+    as by ``SeedSequence((seed, i))``, from the chunk's one
+    :func:`stream_words` block: diagonal parameters log-uniform on
     [0.1, 10] (4, or diag row 0 then row 1), then coupling moduli
     uniform on [0, 1] and phases uniform on [0, 2 pi) (4 each, or 6 in
     ``SLOT_ORDER``). Each value is lo + (hi - lo) * u with u the top 53
@@ -571,10 +694,7 @@ def sample_chunk(seed: int, start: int, stop: int,
     seed and the bounds must be non-negative integers with
     start <= stop (ValueError).
     """
-    seed = _check_seed(seed)
-    start, stop = _check_seed(start, "start"), _check_seed(stop, "stop")
-    if stop < start:
-        raise ValueError(f"stop must be >= start, got {start}..{stop}")
+    words = stream_words(seed, start, stop)
     if levels is None:
         m, slots = 4, 4
     else:
@@ -582,10 +702,9 @@ def sample_chunk(seed: int, start: int, stop: int,
         levels = (dim,) + qudit_levels(*levels)
         m, slots = 2 * dim, 6
     k = m + 2 * slots
-    raw = np.empty((stop - start, k), dtype=np.uint64)
-    for row, index in enumerate(range(start, stop)):
-        raw[row] = np.random.PCG64(np.random.SeedSequence(
-            (seed, index))).random_raw(k)
+    raw = np.empty((len(words), k), dtype=np.uint64)
+    for row, state in enumerate(words):
+        raw[row] = _pcg64(state).random_raw(k)
     u = (raw >> np.uint64(11)) * 2.0 ** -53
     lo = np.repeat([-1.0, 0.0, 0.0], (m, slots, slots))
     hi = np.repeat([1.0, 1.0, 2.0 * math.pi], (m, slots, slots))

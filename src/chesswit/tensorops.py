@@ -587,13 +587,23 @@ def matrix_to_json(m: np.ndarray) -> dict:
     }
 
 
+def _json_row(name: str, row, width: int) -> list:
+    """``row`` as floats; ValueError names an entry that is no number,
+    or ``name`` if the row does not have ``width`` entries."""
+    values = [_json_number(f"{name}[{j}]", v) for j, v in enumerate(row)]
+    if len(values) != width:
+        raise ValueError(f"{name} must have {width} entries (dim), "
+                         f"got {len(values)}")
+    return values
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode a matrix produced by :func:`matrix_to_json`; ValueError
-    names a ``dim`` that is no integer or an entry that is no number."""
+    names a ``dim`` that is no integer, an entry that is no number or a
+    row that does not have ``dim`` entries."""
     try:
         dim = _check_integer("dim", obj["dim"])
-        re, im = (np.array([[_json_number(f"{part}[{i}][{j}]", v)
-                             for j, v in enumerate(row)]
+        re, im = (np.array([_json_row(f"{part}[{i}]", row, dim)
                             for i, row in enumerate(obj[part])])
                   for part in ("re", "im"))
     except (KeyError, TypeError) as exc:

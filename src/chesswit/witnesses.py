@@ -64,7 +64,8 @@ row reads its own coefficients through the same one table. The
 gathered terms are summed left to right, as ``functional`` sums them,
 so k is bit-identical to the scalar route. The norm is the scalar
 route's own: ``math.hypot`` over the R x 84 distinct (k1, k2) pairs of
-the 168 one-angle entries, and the square root of the left-to-right
+the 168 one-angle entries (|k1| + |k2| on the axes, which is
+hypot(k1, k2) exactly there), and the square root of the left-to-right
 sum of squares, which numpy rounds as Python does, over the spherical
 rows. Every value therefore equals ``functional``'s bit for bit.
 
@@ -97,7 +98,9 @@ route: the exact minimum of <s|W|s> over product states via
 multi-start alternating per-party eigenvector updates. Each update is
 one matrix product; the lowest eigenpair of a qubit party's 2x2
 operators (parties 0 and 1, and party 2 at d = 2) is taken in closed
-form, and only a qudit party (d >= 3) calls ``eigh``.
+form, and only a qudit party (d >= 3) calls ``eigh``. The starts' seed
+states come from one ``chessboard.stream_words`` pass, bit-equal to one
+``SeedSequence((seed, s))`` per start.
 """
 
 from __future__ import annotations
@@ -118,11 +121,13 @@ from .chessboard import (
     ChessParams22d,
     ParamColumns,
     _check_seed,
+    _pcg64,
     build_rho_22d,
     coupling_cells,
     pauli_coeffs,
     positivity_proven,
     rho_entries_22d,
+    stream_words,
 )
 from .tensorops import _check_integer, _check_tol, qudit_substitute
 
@@ -742,12 +747,16 @@ def _catalog_values(xx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         # -0.0 is the exact identity of addition: k is the left-to-right
         # sum terms[0] + terms[1] + ...
         k = np.add.reduce(terms, initial=-0.0)
-        k1, k2 = k[n_entries:sph].reshape(2, -1)
+        k1, k2 = k[n_entries:sph].reshape(2, -1, n_rows)
         ka2, kb2, kc2 = np.square(k[sph:].reshape(3, n_sph, n_rows))
-        norms = np.concatenate((
-            np.fromiter(map(math.hypot, k1.tolist(), k2.tolist()), float,
-                        k1.size).reshape(-1, n_rows),
-            np.sqrt(ka2 + kb2 + kc2), np.zeros((1, n_rows))))
+        # hypot(x, +-0) is |x| exactly, and so is |x| + |+-0|: only
+        # pairs off the axes need math.hypot (at d >= 3 most are zero)
+        hypot = np.abs(k1) + np.abs(k2)
+        off = (k1 != 0) & (k2 != 0)
+        hypot[off] = list(map(math.hypot, k1[off].tolist(),
+                              k2[off].tolist()))
+        norms = np.concatenate((hypot, np.sqrt(ka2 + kb2 + kc2),
+                                np.zeros((1, n_rows))))
         values = k[:n_entries] - norms.take(table.norm_of, axis=0)
     if not np.isfinite(values).all():
         raise ValueError("witness catalog values must be finite; the "
@@ -996,13 +1005,15 @@ def min_expectation_over_products(
     d_p >= 3 symmetrizes its operators and calls ``eigh`` once per pass.
 
     Start ``s`` draws its initial factors from a dedicated PCG64 stream
-    seeded with (seed, s): one normal draw of 2 sum(dims) values, read as
-    the real then the imaginary parts of each party in turn. These are
-    the same values, in the same order, as per-party draws of d_p real
-    and then d_p imaginary parts, so a start's initial factors do not
-    depend on how the draw is split. Results are deterministic and the
-    minimum over starts is monotone in ``starts``. Returns the best
-    value and the three factors attaining it.
+    seeded as by ``SeedSequence((seed, s))``, from one
+    ``chessboard.stream_words`` block for all starts: one normal draw of
+    2 sum(dims) values, read as the real then the imaginary parts of
+    each party in turn. These are the same values, in the same order,
+    as per-party draws of d_p real and then d_p imaginary parts, so a
+    start's initial factors do not depend on how the draw is split.
+    Results are deterministic and the minimum over starts is monotone
+    in ``starts``. Returns the best value and the three factors
+    attaining it.
 
     ``dims`` entries, ``starts`` and ``iters`` must be integers >= 1,
     ``tol`` finite and >= 0, and ``seed`` a non-negative integer;
@@ -1097,9 +1108,8 @@ def _initial_factors(dims: Tuple[int, int, int], starts: int, seed: int
     """Normalized random initial factors, one (starts, d_p) array per
     party; see :func:`min_expectation_over_products`."""
     draws = np.stack([
-        np.random.default_rng(np.random.SeedSequence((int(seed), s)))
-        .normal(size=2 * sum(dims))
-        for s in range(starts)
+        np.random.Generator(_pcg64(words)).normal(size=2 * sum(dims))
+        for words in stream_words(seed, 0, starts)
     ])
     factors = []
     for part in np.split(draws, 2 * np.cumsum(dims)[:-1], axis=1):

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -600,6 +601,74 @@ def test_the_two_normalization_orders_differ():
 def test_sample_chunk_rejects_bad_arguments(args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cb.sample_chunk(*args)
+
+
+def oracle_stream_words(seed, start, stop):
+    """numpy's own seeding, one ``SeedSequence`` per index."""
+    return np.array([np.random.SeedSequence((seed, i)).generate_state(
+        4, np.uint64) for i in range(start, stop)],
+        dtype=np.uint64).reshape(-1, 4)
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1,
+                                  2 ** 96 + 3])
+@pytest.mark.parametrize("start, stop", [
+    (0, 16), (1000, 1064), (7, 7), (9, 10), (2 ** 31 - 2, 2 ** 31 + 2),
+    (2 ** 32 - 3, 2 ** 32 + 3), (2 ** 64 - 3, 2 ** 64),
+    (2 ** 64 - 2, 2 ** 64 + 2), (2 ** 96 - 1, 2 ** 96 + 1),
+], ids=["block", "64", "none", "one", "2^31", "straddle-2^32", "to-2^64",
+        "straddle-2^64", "straddle-2^96"])
+def test_stream_words_bit_equal_seed_sequence(seed, start, stop):
+    # seed 2^96 + 3 has four words, so every index word lies beyond the
+    # pool; seed 2^64 - 1 with an index >= 2^64 has five entropy words
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        words = cb.stream_words(seed, start, stop)
+    assert words.dtype == np.uint64 and words.shape == (stop - start, 4)
+    assert words.tolist() == oracle_stream_words(seed, start, stop).tolist()
+
+
+def test_stream_words_seed_a_pcg64_as_seed_sequence_does():
+    words = cb.stream_words(11, 3, 5)
+    for i, state in zip((3, 4), words):
+        want = np.random.PCG64(np.random.SeedSequence((11, i)))
+        assert cb._pcg64(state).state == want.state
+    with pytest.raises(ValueError, match="four uint64 words"):
+        cb._stream_seed_type()(words[0]).generate_state(4, np.uint32)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((-1, 0, 1), "seed must be a non-negative integer, got -1"),
+    ((True, 0, 1), "seed must be a non-negative integer, got True"),
+    ((0, 2.0, 3), "start must be a non-negative integer, got 2.0"),
+    ((0, 4, 3), "stop must be >= start, got 4..3"),
+])
+def test_stream_words_rejects_bad_arguments(args, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cb.stream_words(*args)
+
+
+def test_samplers_build_no_seed_sequence(monkeypatch):
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    chunk = cb.sample_chunk(5, 0, 4, (3, 0, 2, 1))
+    p = cb.sample_params_222(5, 2)
+    normal = cb._rng_for(5, 1).normal(size=3)
+    assert built == []
+    monkeypatch.undo()
+    assert _bits((chunk.diag, chunk.r, chunk.phi)) == _bits(
+        [np.array(c) for c in zip(*(oracle_sample_22d(5, i, 3, 0, 2, 1)
+                                    for i in range(4)))])
+    assert _bits(((p.a, p.b, p.c, p.d), p.r, p.phi)) == \
+        _bits(oracle_sample_222(5, 2))
+    want = np.random.default_rng(np.random.SeedSequence((5, 1)))
+    assert normal.tobytes() == want.normal(size=3).tobytes()
 
 
 def test_sample_chunk_of_no_rows():

@@ -231,9 +231,12 @@ def test_params_json_takes_only_json_numbers(tmp_path, command, params,
      "re[0][0] must be a JSON number, got '0.125'"),
     (dict(im=[[0.0] * 8, [0.0, 0.0, False] + [0.0] * 5] + [[0.0] * 8] * 6),
      "im[1][2] must be a JSON number, got False"),
-], ids=["dim-float", "dim-bool", "re-string", "im-bool"])
+    (dict(re=[[0.0] * 8] * 7 + [[0.125]]),
+     "re[7] must have 8 entries (dim), got 1"),
+], ids=["dim-float", "dim-bool", "re-string", "im-bool", "re-ragged"])
 def test_ppt_matrix_takes_only_json_numbers(tmp_path, change, message):
-    # "dim": 8.9 was truncated to 8, strings and bools decoded as numbers
+    # "dim": 8.9 was truncated to 8, strings and bools decoded as numbers,
+    # and a ragged row failed with numpy's "inhomogeneous shape"
     path = tmp_path / "matrix.json"
     path.write_text(json.dumps(dict(matrix_to_json(np.eye(8) / 8),
                                     **change)))

@@ -894,6 +894,28 @@ def test_catalog_values_bit_equal_functional(catalog_inputs):
         assert [v.hex() for v in values.tolist()] == want
 
 
+def test_hypot_on_an_axis_is_the_absolute_value():
+    # _catalog_values takes |k1| + |k2| for hypot(k1, k2) when k1 or k2
+    # is +-0: every binary exponent (subnormals included) with several
+    # mantissas and both signs, +-0, +-inf and random bit patterns
+    mantissas = np.array([1.0, 1.5, 1.2345678901234567, 2.0 - 2.0 ** -52])
+    powers = np.ldexp(1.0, np.arange(-1074, 1024))
+    x = np.concatenate((
+        np.outer(mantissas, powers).ravel(),
+        np.random.default_rng(19).integers(0, 2**64, size=100_000,
+                                           dtype=np.uint64).view(np.float64),
+        [0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+         math.inf]))
+    x = np.concatenate((x, -x))
+    x = x[~np.isnan(x)]
+    for zero in (0.0, -0.0):
+        want = (np.abs(x) + abs(zero)).view(np.uint64).tolist()
+        for pair in ((x.tolist(), [zero] * x.size),
+                     ([zero] * x.size, x.tolist())):
+            got = np.array(list(map(math.hypot, *pair)))
+            assert got.view(np.uint64).tolist() == want
+
+
 def test_catalog_components_bit_equal_scalar_route(catalog_inputs):
     # K is the left-to-right sum of the scalar route, zero signs included
     table = _table()
@@ -1215,6 +1237,46 @@ def test_initial_factors_match_per_party_draws(dims, seed):
     # one normal draw per start is the same stream as the per-party draws
     got = _initial_factors(dims, 24, seed)
     want = _initial_factors_loop(dims, 24, seed)
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+
+def _initial_factors_per_start(dims, starts, seed):
+    """The see-saw's initial factors drawn with one
+    ``default_rng(SeedSequence((seed, s)))`` per start: the reference for
+    the starts seeded in one ``stream_words`` pass."""
+    draws = np.stack([
+        np.random.default_rng(np.random.SeedSequence((int(seed), s)))
+        .normal(size=2 * sum(dims))
+        for s in range(starts)
+    ])
+    factors = []
+    for part in np.split(draws, 2 * np.cumsum(dims)[:-1], axis=1):
+        re_part, im_part = np.split(part, 2, axis=1)
+        vec = re_part + 1j * im_part
+        sq = (vec.real[:, None, :] @ vec.real[:, :, None]
+              + vec.imag[:, None, :] @ vec.imag[:, :, None])
+        factors.append(vec / np.sqrt(sq[:, 0]))
+    return factors
+
+
+@pytest.mark.parametrize("dims, starts", [((2, 2, 2), 64), ((2, 2, 3), 64),
+                                          ((2, 2, 4), 1), ((2, 2, 2), 5)])
+@pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**64 - 1, 2**96 + 3])
+def test_initial_factors_bit_equal_per_start_generators(dims, starts, seed,
+                                                        monkeypatch):
+    want = _initial_factors_per_start(dims, starts, seed)
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", spy)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _initial_factors(dims, starts, seed)
+    assert built == []
     assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
 
 
