@@ -30,10 +30,13 @@ product 1 (PPT for all r <= 1 whenever alpha, beta, gamma are
 distinct); with ``tied=False`` the 1-branch diagonal at |1 j mu> is
 1/a[j][mu] instead, which can break positivity — in that case
 :func:`build_rho_22d` raises :class:`NonPositiveError` carrying the
-offending eigenvalue. Below that per-state API the 2x2xd layers take a
-chunk's :class:`ParamColumns`: :func:`positivity_proven` tells which rows
-the construction alone proves positive, and :func:`rho_stack_22d`
-scatters their :func:`rho_entries_22d` into N matrices, with no check.
+offending eigenvalue. Below that per-state API a chunk of N states of
+either family (a :class:`ParamColumns`) is described by its X-state
+entries: the (N, n) diagonals, the (N, K) couplings at
+``COUPLING_POSITIONS`` or :func:`coupling_cells` and the (N,) traces
+(:func:`rho_entries_222`, :func:`rho_entries_22d`). :func:`rho_stack`
+scatters them into N matrices, with no check; :func:`positivity_proven`
+tells which 2x2xd rows the construction alone proves positive.
 
 Sample i of stream ``seed`` is drawn from PCG64 seeded as numpy's
 ``SeedSequence((seed, i))`` seeds it. :func:`stream_words` computes
@@ -70,9 +73,9 @@ __all__ = [
     "params_222_to_22d",
     "positivity_proven",
     "qudit_levels",
+    "rho_entries_222",
     "rho_entries_22d",
-    "rho_stack_222",
-    "rho_stack_22d",
+    "rho_stack",
     "sample_chunk",
     "sample_params_222",
     "sample_params_22d",
@@ -176,28 +179,24 @@ def normalization(params: ChessParams222) -> float:
 
 def build_rho_222(params: ChessParams222) -> np.ndarray:
     """8x8 density matrix of the 2x2x2 chessboard family (trace 1): the
-    N = 1 case of :func:`rho_stack_222`."""
-    return rho_stack_222(ParamColumns.of([params]))[0]
+    N = 1 case of :func:`rho_stack`."""
+    return rho_stack(rho_entries_222(ParamColumns.of([params])),
+                     COUPLING_POSITIONS)[0]
 
 
-def rho_stack_222(columns: ParamColumns) -> np.ndarray:
-    """(N, 8, 8) density matrices of N 2x2x2 states, in one scatter.
-
-    Each trace n is added in the order of ``diag_unnormalized``, as
-    :func:`normalization` adds it. ``pauli_coeffs`` adds the
-    reciprocals in the order 1/a, 1/b, 1/c, 1/d, which can round
-    differently, so the two keep their own sums.
+def rho_entries_222(columns: ParamColumns) -> Tuple[np.ndarray, ...]:
+    """The entries of a chunk's N 2x2x2 matrices, as
+    :func:`rho_entries_22d` gives them: (N, 8) complex diagonals, (N, 4)
+    couplings r e^{i phi} at ``COUPLING_POSITIONS`` and (N,) traces, each
+    added in the order of ``diag_unnormalized``, as :func:`normalization`
+    adds it. ``pauli_coeffs`` adds the reciprocals in the order 1/a,
+    1/b, 1/c, 1/d, which can round differently, so the two keep their
+    own sums.
     """
     a, b, c, d = columns.diag.T
     diag = (a, b, c, d, 1 / d, 1 / c, 1 / b, 1 / a)
-    rho = np.zeros((len(columns), 8, 8), dtype=np.complex128)
-    rho[:, range(8), range(8)] = np.stack(diag, axis=1)
-    rows, cols = zip(*COUPLING_POSITIONS)
-    z = columns.r * np.exp(1j * columns.phi)
-    rho[:, rows, cols] = z
-    rho[:, cols, rows] = z.conj()
-    rho /= sum(diag)[:, None, None]
-    return rho
+    return (np.stack(diag, axis=1).astype(np.complex128),
+            columns.r * np.exp(1j * columns.phi), sum(diag))
 
 
 # The 15 nonidentity triples carried by the chessboard expansion.
@@ -273,9 +272,7 @@ def qudit_levels(dim: int, alpha: int = 0, beta: Optional[int] = None,
     ValueError unless dim and the levels are integers, dim >= 2, every
     level lies in 0..dim-1 and alpha and beta differ.
     """
-    dim = _check_integer("dim", dim)
-    if dim < 2:
-        raise ValueError(f"dim must be >= 2, got {dim}")
+    dim = _check_integer("dim", dim, 2)
     if beta is None:
         beta = 2 if dim > 2 else 1
     levels = (_check_integer("alpha", alpha), _check_integer("beta", beta),
@@ -471,38 +468,38 @@ def rho_entries_22d(columns: ParamColumns
     return diag, couplings, diag.sum(axis=1).real
 
 
-def rho_stack_22d(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
-                  levels: Tuple[int, int, int, int]) -> np.ndarray:
-    """(N, 4d, 4d) density matrices from the :func:`rho_entries_22d` of
-    N states of level structure ``levels`` = (dim, alpha, beta, gamma),
-    with no positivity check.
-
-    One scatter of the entries into the stack, then the trace division.
-    :func:`build_rho_22d` is its N = 1 case plus the check;
-    :func:`positivity_proven` tells when the check can be skipped.
+def rho_stack(entries: Tuple[np.ndarray, ...], cells: tuple) -> np.ndarray:
+    """(N, n, n) density matrices, with no positivity check, from the
+    :func:`rho_entries_222` or :func:`rho_entries_22d` of N states whose
+    couplings sit at ``cells``: one scatter, then the trace division.
+    :func:`build_rho_222` and :func:`build_rho_22d` are its N = 1 cases,
+    the latter plus the check.
     """
     diag, couplings, trace = entries
     n = diag.shape[1]
     rho = np.zeros((len(diag), n, n), dtype=np.complex128)
     rho[:, range(n), range(n)] = diag
-    rows, cols = zip(*coupling_cells(*levels))
+    rows, cols = zip(*cells)
     # added to the zeros, as a -0.0 part of a zero coupling becomes +0.0
     rho[:, rows, cols] += couplings
     rho[:, cols, rows] += couplings.conj()
-    rho /= trace[:, None, None]
+    # a non-finite entry or trace makes NaNs for is_ppt, with no warning
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rho /= trace[:, None, None]
     return rho
 
 
 def build_rho_22d(params: ChessParams22d) -> np.ndarray:
     """(4d)x(4d) density matrix of the 2x2xd chessboard family.
 
-    The N = 1 case of :func:`rho_stack_22d`, verified positive
+    The N = 1 case of :func:`rho_stack`, verified positive
     semidefinite; a failure (possible when ``tied`` is off, or when
     gamma collides with alpha/beta while carrying a nonzero coupling)
     raises :class:`NonPositiveError` with the offending eigenvalue.
     """
     columns = ParamColumns.of([params])
-    rho = rho_stack_22d(rho_entries_22d(columns), columns.levels)[0]
+    rho = rho_stack(rho_entries_22d(columns),
+                    coupling_cells(*columns.levels))[0]
     w = hermitian_eigenvalues(rho)
     if w[0] < -1e-12:
         raise NonPositiveError(

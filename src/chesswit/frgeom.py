@@ -148,10 +148,8 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     same ``(n, seed, d)``. Raises ValueError unless ``n`` and ``d`` are
     integers, ``n >= 0``, and ``seed`` is a non-negative integer.
     """
-    n = _check_integer("n", n)
+    n = _check_integer("n", n, 0)
     d = _check_integer("d", d)
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n!r}")
     _check_seed(seed)
     out = tuple(np.empty((n, dim), dtype=np.complex128)
                 for dim in (2, 2, d))
@@ -311,9 +309,9 @@ def feasible_region_check(
         geometry, region_points(geometry, n, seed, d, alpha, beta), tol)
 
 
-def _sweep_points(geometry: str, samples: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Product-state Bloch angle sweeps attaining each boundary."""
-    m = int(samples)
+def _sweep_points(geometry: str, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Product-state Bloch angle sweeps of m points attaining each
+    boundary."""
     if geometry == "polygon":
         t = np.linspace(0.0, math.pi / 2, m)
         delta = np.linspace(0.0, 2 * math.pi, m, endpoint=False)
@@ -343,9 +341,11 @@ def boundary_curve_check(geometry: str, samples: int = 1001
     The residual measures the distance of the swept functional points
     from the boundary manifold (for the polygon: from the astroid
     |P1|^(2/3) + |P2+P3|^(2/3) = 1 traced in the (P1, P2+P3) plane);
-    analytically it vanishes identically along each sweep.
+    analytically it vanishes identically along each sweep. ``samples``
+    must be an integer >= 1 (ValueError).
     """
     _terms(geometry)  # rejects an unknown name before the sweep
+    samples = _check_integer("samples", samples, 1)
     thetas, phis = _sweep_points(geometry, samples)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
     pts = functional_points(geometry, factors)

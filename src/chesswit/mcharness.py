@@ -4,18 +4,18 @@
 qudit third party) a chunk at a time and takes the chunk through the
 layers as arrays, with no per-row parameter objects: its parameter
 columns (``chessboard.sample_chunk``, where only the seeding and the
-raw draws run per row), its rho stack (one ``rho_stack_222`` scatter
-at d = 2; at d >= 3 one ``rho_stack_22d`` scatter of the entries
-``rho_entries_22d`` computes once for the chunk), one PPT guard on
-that stack (the closed-form rule on its 2x2 blocks, and one ``is_ppt``
-call only for a chunk the rule cannot pass), its (N, P, 15) catalog
-coefficients (``pauli_coeff_stack``, the closed forms of
-``pauli_coeffs`` on the columns, at d = 2; one ``_pair_coeffs`` gather
-of the same entries over every row and level pair at d >= 3), and one
-``family_minima`` and ``group_minima`` call on that stack for the
-minima of every row. Only the CSV formatting runs per row, one row per
-sample, from the columns' floats. Each chunk is as large as the memory
-bound ``_GUARD_ENTRIES`` of the guard's fallback allows.
+raw draws run per row), its rho entries (``rho_entries_222`` or
+``rho_entries_22d``), one PPT guard on them (the closed-form rule on
+the 2x2 blocks of the transposes, through a block map compiled per
+level structure; only a chunk it cannot pass goes to ``rho_stack`` and
+one ``is_ppt`` call), its (N, P, 15) catalog coefficients
+(``pauli_coeff_stack``, the closed forms of ``pauli_coeffs`` on the
+columns, at d = 2; one ``_pair_coeffs`` gather of the same entries over
+every row and level pair at d >= 3), and one ``family_minima`` and
+``group_minima`` call on that stack for the minima of every row. Only
+the CSV formatting runs per row, one row per sample, from the columns'
+floats. Each chunk is as large as the memory bound ``_GUARD_ENTRIES``
+of the guard's fallback allows.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it: at d = 2 every coupled 2x2 block has diagonal
 product 1 (and the guard's proper-subset transposes do not include
@@ -47,24 +47,27 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .chessboard import (
+    COUPLING_POSITIONS,
     ChessParams222,
+    ParamColumns,
     SLOT_ORDER,
     _check_seed,
     build_rho_222,
     build_rho_22d,
+    coupling_cells,
     pauli_coeff_stack,
     pauli_coeffs,
     params_to_json,
     positivity_proven,
     qudit_levels,
+    rho_entries_222,
     rho_entries_22d,
-    rho_stack_222,
-    rho_stack_22d,
+    rho_stack,
     sample_chunk,
     sample_params_222,
     sample_params_22d,
@@ -190,29 +193,30 @@ def csv_header(dim: int = 2) -> str:
 _GUARD_ENTRIES = 2 ** 18
 
 
-def _ppt_guard(params: Sequence[object], rhos: np.ndarray,
-               dims: Tuple[int, ...], tol: float = 1e-10) -> None:
+def _ppt_guard(columns: ParamColumns, entries: Tuple[np.ndarray, ...],
+               cells: tuple, dims: Tuple[int, ...], tol: float = 1e-10
+               ) -> None:
     """Abort the scan unless every sampled state of a chunk is PPT.
 
-    ``rhos`` is the ``(N, n, n)`` stack of the states built from
-    ``params``, a ``ParamColumns`` or a list of parameter objects;
-    ``params[k]`` is only taken for a failing row k. The closed-form 2x2 block rule ``_ppt_blocks_pass``
-    passes the chunk with no eigensolve when it shows that ``is_ppt``
-    would accept every row. Otherwise one ``is_ppt`` call checks the
-    whole chunk, so the verdict and every error are ``is_ppt``'s;
-    ``run_scan`` sizes each chunk to at most ``_GUARD_ENTRIES`` transpose
-    entries. The constructed states are PPT by design; a failure
-    indicates a construction or sampling bug, so the error names the
-    first failing state's parameters and its six minimum eigenvalues.
+    ``entries`` are the rho entries of the chunk's ``columns``, with the
+    couplings at ``cells``; ``columns[k]`` is only taken for a failing
+    row k. The closed-form 2x2 block rule ``_ppt_blocks_pass`` passes
+    the chunk with no eigensolve when it shows that ``is_ppt`` would
+    accept every row. Otherwise the chunk's ``rho_stack`` goes through
+    one ``is_ppt`` call, so the verdict and every error are ``is_ppt``'s;
+    ``run_scan`` sizes each chunk to at most ``_GUARD_ENTRIES``
+    transpose entries. The constructed states are PPT by design; a
+    failure indicates a construction or sampling bug, so the error names
+    the first failing state's parameters and its six minimum eigenvalues.
     """
-    if _ppt_blocks_pass(rhos, dims, tol):
+    if _ppt_blocks_pass(entries, cells, dims, tol):
         return
-    ok, min_eigs = is_ppt(rhos, dims=dims, tol=tol)
+    ok, min_eigs = is_ppt(rho_stack(entries, cells), dims=dims, tol=tol)
     if not all(ok):
         k = ok.index(False)
         raise RuntimeError(
             "sampled chessboard state failed the PPT check; "
-            f"params={json.dumps(params_to_json(params[k]))} "
+            f"params={json.dumps(params_to_json(columns[k]))} "
             "min_eigenvalues="
             f"{json.dumps({label: v[k] for label, v in min_eigs.items()})}"
         )
@@ -222,18 +226,17 @@ def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
     (seed, start, stop, levels, pairs, tol) = args
     columns = sample_chunk(seed, start, stop, levels)
     if columns.levels is None:
-        dim = 2
-        rhos = rho_stack_222(columns)
+        dim, cells = 2, COUPLING_POSITIONS
+        entries = rho_entries_222(columns)
         coeffs = pauli_coeff_stack(columns)[:, None]
     else:
-        dim = columns.levels[0]
+        dim, cells = columns.levels[0], coupling_cells(*columns.levels)
         for k in np.flatnonzero(~positivity_proven(columns)):
             build_rho_22d(columns[k])    # raises NonPositiveError
         entries = rho_entries_22d(columns)
-        rhos = rho_stack_22d(entries, columns.levels)
         pair_list, _ = _level_pairs(columns.levels, pairs)
         coeffs = _pair_coeffs(entries, columns.levels, pair_list)
-    _ppt_guard(columns, rhos, (2, 2, dim), tol)
+    _ppt_guard(columns, entries, cells, (2, 2, dim), tol)
     # one catalog call for the whole (N, P, 15) stack, looked up in this
     # module at each call: the benchmark's tracer and its wrong-minima
     # check patch mcharness.family_minima
@@ -353,7 +356,9 @@ def summarize(result: ScanResult, batches: int = 20) -> Dict[str, object]:
     population standard deviation of the percentage over contiguous
     batches, and the joint detection table (percentages of the four
     boolean combinations) for every ordered pair of family groups.
+    ``batches`` must be an integer >= 1 (ValueError).
     """
+    batches = _check_integer("batches", batches, 1)
     flags = result.flags
     n = flags.shape[0]
     names = list(GROUP_NAMES) + ["any"]
@@ -365,7 +370,7 @@ def summarize(result: ScanResult, batches: int = 20) -> Dict[str, object]:
         for k, name in enumerate(names)
     }
     batch_stats: Dict[str, Dict[str, float]] = {}
-    if n >= batches > 0:
+    if n >= batches:
         size = n // batches
         used = size * batches
         per_batch = flags[:used].reshape(batches, size, 5).mean(axis=1) * 100
@@ -412,7 +417,9 @@ def golden_section_minimize(
     hi: float,
     iters: int = 90,
 ) -> Tuple[float, float]:
-    """Golden-section search for a unimodal minimum on [lo, hi]."""
+    """Golden-section search for a unimodal minimum on [lo, hi], in
+    ``iters`` steps (an integer >= 0, else ValueError)."""
+    iters = _check_integer("iters", iters, 0)
     a, b = float(lo), float(hi)
     if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
         raise ValueError(
@@ -422,7 +429,7 @@ def golden_section_minimize(
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    for _ in range(int(iters)):
+    for _ in range(iters):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)

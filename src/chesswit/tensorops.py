@@ -55,14 +55,21 @@ for _m in PAULI:
     _m.setflags(write=False)
 
 
-def _check_integer(name: str, value) -> int:
+def _check_integer(name: str, value, least: Optional[int] = None,
+                   most: Optional[int] = None) -> int:
     """``value`` as an int; ValueError unless it is an integer (numpy
-    integers included, bools not), which ``int()`` would not check."""
+    integers included, bools not), which ``int()`` would not check, and
+    lies in ``least``..``most`` where they are given."""
     # the type test spares plain ints the slower abstract-class check
     if type(value) is not int and (isinstance(value, bool) or not
                                    isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if (least is not None and value < least
+            or most is not None and value > most):
+        bound = f">= {least}" if most is None else f"{least}..{most}"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+    return value
 
 
 def _json_number(name: str, value) -> float:
@@ -81,9 +88,7 @@ def _check_tol(name: str, value: float) -> float:
 
 def pauli(i: int) -> np.ndarray:
     """Return a copy of sigma_i for i in 0..3."""
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"Pauli index must be 0..3, got {i!r}")
-    return PAULI[i].copy()
+    return PAULI[_check_integer("Pauli index", i, 0, 3)].copy()
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -107,9 +112,8 @@ def pauli_op(triple, j: int | None = None, k: int | None = None) -> np.ndarray:
         if j is None or k is None:
             raise ValueError("pass a triple or all three indices")
         triple = (triple, j, k)
-    i, j, k = triple
-    if not all(t in (0, 1, 2, 3) for t in (i, j, k)):
-        raise ValueError(f"triple entries must be 0..3, got {triple!r}")
+    i, j, k = (_check_integer(f"triple[{n}]", t, 0, 3)
+               for n, t in enumerate(triple))
     return kron3(PAULI[i], PAULI[j], PAULI[k])
 
 
@@ -192,7 +196,16 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    h = _hermitian_part(m)
+    mh = np.swapaxes(m.conj(), -1, -2)
+    # a NaN entry passes the gate
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1), initial=0.0))
+    herm_defect = np.abs(m - mh).max(axis=(-2, -1), initial=0.0)
+    if (herm_defect > 1e-12 * scale).any():
+        raise ValueError(
+            "matrix is not Hermitian: max |M - M^dagger| = "
+            f"{float(herm_defect.max()):.3e}"
+        )
+    h = (m + mh) / 2.0
     n = m.shape[-1]
     batch = m.shape[:-2]
     if n == 0:
@@ -229,22 +242,6 @@ def hermitian_eigenvalues(m: np.ndarray) -> np.ndarray:
         # block holding a NaN
         w[np.isnan(residual)] = np.nan
     return w
-
-
-def _hermitian_part(m: np.ndarray) -> np.ndarray:
-    """(M + M^dagger) / 2 of each matrix of a square ``(..., n, n)``
-    complex stack, gated per matrix on max |M - M^dagger| <=
-    1e-12 * max(1, max|M|) (ValueError). A NaN entry passes the gate."""
-    mh = np.swapaxes(m.conj(), -1, -2)
-    axes = (-2, -1)
-    scale = np.maximum(1.0, np.abs(m).max(axis=axes, initial=0.0))
-    herm_defect = np.abs(m - mh).max(axis=axes, initial=0.0)
-    if (herm_defect > 1e-12 * scale).any():
-        raise ValueError(
-            "matrix is not Hermitian: max |M - M^dagger| = "
-            f"{float(herm_defect.max()):.3e}"
-        )
-    return (m + mh) / 2.0
 
 
 def _squared_norms(blocks: np.ndarray) -> np.ndarray:
@@ -327,19 +324,6 @@ def is_ppt(
     Both results come from ``.tolist()``, so one matrix gives a bool
     and floats, and a stack gives (nested) lists of them.
     """
-    m, dims, size = _ppt_args(m, dims, tol)
-    stack = m.reshape(m.shape[:-2] + (size * size,))[..., _ppt_gather(dims)]
-    lowest = hermitian_eigenvalues(stack).min(axis=-1)
-    ppt = (lowest >= -tol).all(axis=-1)
-    min_eigs = {label: lowest[..., k].tolist()
-                for k, (label, _) in enumerate(PPT_SUBSETS)}
-    return ppt.tolist(), min_eigs
-
-
-def _ppt_args(m: np.ndarray, dims: Sequence[int], tol: float
-              ) -> Tuple[np.ndarray, Tuple[int, ...], int]:
-    """:func:`is_ppt`'s arguments checked (ValueError): the stack as
-    complex, the dims as ints, and the matrix size they give."""
     _check_tol("tol", tol)
     dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
     m = np.asarray(m, dtype=np.complex128)
@@ -348,52 +332,81 @@ def _ppt_args(m: np.ndarray, dims: Sequence[int], tol: float
         raise ValueError(
             f"matrix shape {m.shape} does not match dims {dims}"
         )
-    return m, dims, size
+    stack = m.reshape(m.shape[:-2] + (size * size,))[..., _ppt_gather(dims)]
+    lowest = hermitian_eigenvalues(stack).min(axis=-1)
+    ppt = (lowest >= -tol).all(axis=-1)
+    min_eigs = {label: lowest[..., k].tolist()
+                for k, (label, _) in enumerate(PPT_SUBSETS)}
+    return ppt.tolist(), min_eigs
 
 
 @lru_cache(maxsize=64)
-def _ppt_pairs(dims: Tuple[int, ...], pattern: bytes) -> Optional[np.ndarray]:
-    """Flat indices of the 2x2 blocks [[a, z], [z*, b]] of the partial
-    transposes over "1", "2" and "3" of a matrix with nonzero pattern
-    ``pattern`` (the bytes of a symmetric ``(n, n)`` bool array).
-
-    The result is a ``(3, c)`` array whose rows index a, b and z in the
-    flat matrix, over all three subsets; every diagonal entry of a
-    transpose outside these blocks is a 1 x 1 block. The blocks are those
-    of the transposes' union pattern, which is that of all six
-    ``PPT_SUBSETS`` (each of "12", "13" and "23" is the full transpose of
-    another), so they are the blocks :func:`is_ppt` solves. None when a
-    block is larger than 2 x 2.
+def _x_blocks(dims: Tuple[int, ...], cells: tuple) -> Optional[np.ndarray]:
+    """The (3, c) indices (r, s, k) of the 2x2 blocks [[a, z], [z*, b]]
+    of the partial transposes over "1", "2" and "3" of X-states whose
+    only off-diagonal entries are couplings at ``cells`` (upper-triangle
+    (row, col)) and their conjugates: a and b are diagonal entries r and
+    s, z is coupling k or its conjugate, and every other diagonal entry
+    is a 1 x 1 block. Found by gathering a matrix of the cells' slots
+    through :func:`_ppt_gather`; "12", "13" and "23" conjugate these
+    blocks, and for chessboard cells all three subsets pair the same
+    indices, so these are the blocks :func:`is_ppt` solves. None when
+    two cells share an index in one transpose.
     """
     size = math.prod(dims)
-    gather = _ppt_gather(dims)[:3].reshape(3, size * size)
-    union = np.frombuffer(pattern, dtype=bool)[gather].any(axis=0)
-    largest = _blocks(size, union.tobytes())[-1]
-    if largest.shape[1] > 2:
+    slots = np.full((size, size), -1)
+    for k, (row, col) in enumerate(cells):
+        slots[row, col] = slots[col, row] = k
+    moved = slots.reshape(-1)[_ppt_gather(dims)[:3]]
+    if ((moved >= 0).sum(axis=-1) > 1).any():
         return None
-    pairs = gather[:, largest] if largest.shape[1] == 2 \
-        else np.empty((3, 0, 2, 2), dtype=np.intp)
-    index = np.stack([pairs[..., 0, 0], pairs[..., 1, 1],
-                      pairs[..., 0, 1]]).reshape(3, -1)
+    t, r, s = np.nonzero(np.triu(moved >= 0, 1))
+    index = np.stack([r, s, moved[t, r, s]])
     index.setflags(write=False)
     return index
+
+
+def _x_block_entries(entries: Tuple[np.ndarray, ...], cells: tuple,
+                     dims: Tuple[int, ...]) -> Optional[tuple]:
+    """The (N, n) diagonals and the (N, c) a, b and |z|^2 of the
+    :func:`_x_blocks` blocks of N X-states' ``entries`` (diag, couplings
+    at ``cells``, trace), divided by the traces; None for a block larger
+    than 2 x 2 or an entry that is not finite. Couplings 0 in every row
+    are dropped, as the stack's nonzero pattern drops them. The division
+    is ``chessboard.rho_stack``'s, and ``is_ppt``'s symmetrization
+    leaves an entry x at (x + x)/2 = x, so the values are bit-equal to
+    those that ``is_ppt`` solves.
+    """
+    diag, couplings, trace = entries
+    kept = (couplings != 0).any(axis=0).tolist()
+    index = _x_blocks(dims, tuple(c for c, k in zip(cells, kept) if k))
+    if index is None:
+        return None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.concatenate((diag, couplings[:, kept]), axis=1) \
+            / trace[:, None]
+    if not np.isfinite(values).all():
+        return None
+    n = diag.shape[1]
+    z = values[:, n + index[2]]
+    return (values.real[:, :n], values.real[:, index[0]],
+            values.real[:, index[1]], z.real * z.real + z.imag * z.imag)
 
 
 #: The block rule's band on lambda_min + tol, per unit of max(|a|, |b|, |z|).
 _BAND = 64 * float(np.finfo(float).eps)
 
 
-def _ppt_blocks_pass(m: np.ndarray, dims: Sequence[int], tol: float) -> bool:
-    """True when a closed-form rule shows that ``is_ppt(m, dims, tol)``
-    accepts every matrix of the stack ``m``; False when it cannot tell.
+def _ppt_blocks_pass(entries: Tuple[np.ndarray, ...], cells: tuple,
+                     dims: Tuple[int, ...], tol: float) -> bool:
+    """True when a closed-form rule shows that :func:`is_ppt` accepts
+    every matrix of ``chessboard.rho_stack(entries, cells)`` at ``tol``
+    (finite and >= 0, else ValueError); False when it cannot tell.
 
-    The arguments get :func:`is_ppt`'s checks (ValueError). The rule
-    decides only stacks whose entries are all finite, that pass the
-    Hermiticity gate of :func:`hermitian_eigenvalues`, and whose
-    transposes split into blocks of at most 2 x 2 (:func:`_ppt_pairs`).
-    A 1 x 1 block's eigenvalue is its symmetrized diagonal entry a, so
-    it passes iff a >= -tol, as in ``is_ppt``. For a 2 x 2 block
-    B = [[a, z], [z*, b]] of the symmetrized entries, let alpha = a + tol,
+    The rule reads the entries as :func:`_x_block_entries` gives them,
+    and decides none that it gives None. A 1 x 1 block's eigenvalue is
+    its diagonal entry a, so it passes iff a >= -tol, as in ``is_ppt``.
+    For a 2 x 2 block B = [[a, z], [z*, b]], let alpha = a + tol,
     beta = b + tol, M = max(|a|, |b|, |z|), D = max(alpha, beta) + |z|
     and Delta = alpha beta - |z|^2. The block passes when alpha >= 0,
     beta >= 0 and Delta > 64 eps M D. Why that is safe:
@@ -415,24 +428,12 @@ def _ppt_blocks_pass(m: np.ndarray, dims: Sequence[int], tol: float) -> bool:
     inside ``is_ppt``'s bound. A block within the band goes to
     ``is_ppt``.
     """
-    m, dims, size = _ppt_args(m, dims, tol)
-    if not np.isfinite(m).all():
+    _check_tol("tol", tol)
+    blocks = _x_block_entries(entries, cells, dims)
+    if blocks is None or not (blocks[0] >= -tol).all():
         return False
-    try:
-        h = _hermitian_part(m)
-    except ValueError:
-        return False
-    pattern = (h != 0).any(axis=tuple(range(h.ndim - 2)))
-    index = _ppt_pairs(dims, pattern.tobytes())
-    if index is None:
-        return False
-    if not (np.diagonal(h, axis1=-2, axis2=-1).real >= -tol).all():
-        return False
-    entries = h.reshape(h.shape[:-2] + (size * size,))[..., index]
-    a, b = entries[..., 0, :].real, entries[..., 1, :].real
-    z = entries[..., 2, :]
+    _, a, b, zz = blocks
     alpha, beta = a + tol, b + tol
-    zz = z.real * z.real + z.imag * z.imag
     modulus = np.sqrt(zz)
     scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), modulus)
     band = _BAND * scale * (np.maximum(alpha, beta) + modulus)
@@ -469,9 +470,8 @@ def qudit_substitute(
     basis states ``alpha`` < ``beta`` of the third party. For d = 2,
     alpha = 0, beta = 1 this coincides with :func:`pauli_op` exactly.
     """
-    i, j, k = triple
-    if not all(t in (0, 1, 2, 3) for t in (i, j, k)):
-        raise ValueError(f"triple entries must be 0..3, got {triple!r}")
+    i, j, k = (_check_integer(f"triple[{n}]", t, 0, 3)
+               for n, t in enumerate(triple))
     d = _check_integer("d", d)
     alpha, beta = _check_pair(d, alpha, beta, ("alpha", "beta"))
     if k == 0:

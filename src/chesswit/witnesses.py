@@ -107,6 +107,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
@@ -252,13 +253,12 @@ def parse_witness_id(witness_id: str) -> _ParsedId:
     pair: Optional[Tuple[int, int]] = None
     if "@" in s:
         s, _, pair_part = s.partition("@")
-        try:
-            a_str, b_str = pair_part.split(",")
-            pair = (int(a_str), int(b_str))
-        except ValueError as exc:
+        # plain decimals, as witness_ids writes them
+        match = re.fullmatch(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)", pair_part)
+        if match is None:
             raise ValueError(
-                f"malformed subspace suffix in witness id {witness_id!r}"
-            ) from exc
+                f"malformed subspace suffix in witness id {witness_id!r}")
+        pair = (int(match[1]), int(match[2]))
         if not 0 <= pair[0] < pair[1]:
             raise ValueError(
                 f"subspace pair must satisfy 0 <= A < B, got {pair} in "
@@ -274,9 +274,7 @@ def witness_ids(d: int = 2) -> List[str]:
     """All discrete catalog identifiers: 236 for d=2, times d(d-1)/2 pairs
     (each with an ``@A,B`` suffix) for d > 2. Raises ValueError unless
     d is an integer >= 2."""
-    d = _check_integer("d", d)
-    if d < 2:
-        raise ValueError(f"d must be >= 2, got {d!r}")
+    d = _check_integer("d", d, 2)
     base = list(_base_entries())
     if d == 2:
         return base
@@ -1033,12 +1031,8 @@ def min_expectation_over_products(
     scale = max(1.0, float(np.abs(w).max()))
     if float(np.abs(w - w.conj().T).max()) > 1e-10 * scale:
         raise ValueError("witness operator must be Hermitian")
-    starts = _check_integer("starts", starts)
-    iters = _check_integer("iters", iters)
-    if starts < 1:
-        raise ValueError("starts must be >= 1")
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    starts = _check_integer("starts", starts, 1)
+    iters = _check_integer("iters", iters, 1)
     _check_tol("tol", tol)
     _check_seed(seed)
 

@@ -342,7 +342,8 @@ def _rho_stack(states):
     """The rho stack of 2x2xd states of one level structure, through
     their columns as the scan builds it."""
     columns = cb.ParamColumns.of(states)
-    return cb.rho_stack_22d(cb.rho_entries_22d(columns), columns.levels)
+    return cb.rho_stack(cb.rho_entries_22d(columns),
+                        cb.coupling_cells(*columns.levels))
 
 
 def _proven(params):
@@ -568,7 +569,7 @@ def test_rho_and_coeff_stacks_222_bit_equal_per_row(seed):
     # n adds a, b, c, d, 1/a, 1/b, 1/c, 1/d; sharing one n moves bits
     for start in (0, 5000, 10 ** 12):
         chunk = cb.sample_chunk(seed, start, start + 64)
-        rhos = cb.rho_stack_222(chunk)
+        rhos = cb.rho_stack(cb.rho_entries_222(chunk), cb.COUPLING_POSITIONS)
         coeffs = cb.pauli_coeff_stack(chunk)
         assert rhos.shape == (64, 8, 8) and coeffs.shape == (64, 15)
         for i in range(64):

@@ -109,6 +109,22 @@ def test_rho_ppt_round_trip(params_file, tmp_path):
                             rel_tol=0, abs_tol=1e-12)
 
 
+def test_rho_prints_zero_couplings_as_positive_zeros(tmp_path):
+    # the one scatter adds each coupling to a zero, so an exact-zero
+    # coupling at a phase in (pi, 3 pi / 2) no longer prints -0.0, as
+    # the 2x2x2 scatter that set the couplings printed it
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"a": 1, "b": 2, "c": 0.5, "d": 3,
+                                "r": [0, 0.5, 0, 0], "phi": [4, 1, 4, 0]}))
+    obj = json.loads(run_cli("rho", "--params", str(path)).stdout)
+    zeros = [v for part in ("re", "im") for row in obj[part] for v in row
+             if v == 0.0]
+    assert len(zeros) == 2 * 64 - 8 - 4
+    assert all(math.copysign(1.0, v) > 0 for v in zeros)
+    for row, col in ((3, 4), (4, 3), (1, 6), (6, 1), (0, 7), (7, 0)):
+        assert obj["re"][row][col] == obj["im"][row][col] == 0.0
+
+
 def test_ppt_requires_exactly_one_input(params_file, tmp_path):
     rho_path = tmp_path / "rho.json"
     run_cli("rho", "--params", str(params_file), "--out", str(rho_path))
@@ -452,6 +468,14 @@ def test_validate_witness_bad_id():
     proc = run_cli("validate-witness", "--witness", "bogus", check=False)
     assert proc.returncode == 1
     assert "malformed witness id" in proc.stderr
+
+
+def test_validate_witness_rejects_a_non_decimal_pair():
+    # "@0,1_0" used to read as the pair (0, 10), which d = 11 has
+    proc = run_cli("validate-witness", "--witness", "poly1:0000@0,1_0",
+                   "--d", "11", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error:")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-5"])

@@ -404,6 +404,22 @@ def test_boundary_check_unknown_geometry():
         boundary_curve_check("torus")
 
 
+@pytest.mark.parametrize("samples, message", [
+    (2.7, "samples must be an integer, got 2.7"),
+    (True, "samples must be an integer, got True"),
+    (0, "samples must be >= 1, got 0"),
+    (-3, "samples must be >= 1, got -3"),
+])
+def test_boundary_check_rejects_bad_sample_counts(samples, message):
+    # int() made 2.7 two samples and True one; 0 failed in numpy's max
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        boundary_curve_check("polygon", samples)
+
+
+def test_boundary_check_takes_one_sample():
+    assert boundary_curve_check("polygon", np.int64(1))["samples"] == 1
+
+
 # --- single-state map wrappers ---------------------------------------------
 
 

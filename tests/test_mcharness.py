@@ -3,7 +3,6 @@ curve reproduction."""
 
 import hashlib
 import io
-import itertools
 import json
 import math
 import re
@@ -15,15 +14,17 @@ import pytest
 
 from chesswit import chessboard, tensorops
 from chesswit.chessboard import (
+    COUPLING_POSITIONS,
     ChessParams222,
     ChessParams22d,
     NonPositiveError,
     ParamColumns,
-    build_rho_222,
     build_rho_22d,
+    coupling_cells,
     params_to_json,
+    rho_entries_222,
     rho_entries_22d,
-    rho_stack_22d,
+    sample_chunk,
     sample_params_222,
     sample_params_22d,
 )
@@ -174,11 +175,11 @@ def test_run_scan_gives_each_worker_an_equal_share(n, workers, cap, sizes,
     # rows, with workers clamped to the cores first
     chunks = []
 
-    def guard(params, rhos, dims, tol):
-        assert len(PPT_SUBSETS) * rhos[0].size * len(rhos) \
+    def guard(columns, entries, cells, dims, tol):
+        assert len(PPT_SUBSETS) * entries[0].shape[1] ** 2 * len(columns) \
             <= mcharness._GUARD_ENTRIES
-        chunks.append(len(rhos))
-        return _ppt_guard(params, rhos, dims, tol)
+        chunks.append(len(columns))
+        return _ppt_guard(columns, entries, cells, dims, tol)
 
     created = _serial_pool(monkeypatch)
     monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
@@ -273,16 +274,25 @@ def test_run_scan_accepts_numpy_integers():
     assert got.rows == want.rows and got.config == want.config
 
 
+_DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
+
+
+def _repeated(params):
+    """A chunk sampler that gives ``params`` for every row."""
+    return lambda seed, start, stop, levels: ParamColumns.of(
+        [params] * (stop - start))
+
+
 def _counting_guard(monkeypatch):
     """Counts of eigensolver calls made inside and outside the guard's
     calls during a scan."""
     calls = {"guard": 0, "other": 0}
     inside = []
 
-    def guard(params, rhos, dims, tol):
+    def guard(*args):
         inside.append(True)
         try:
-            return _ppt_guard(params, rhos, dims, tol)
+            return _ppt_guard(*args)
         finally:
             inside.pop()
 
@@ -315,32 +325,16 @@ def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
     assert calls == {"guard": 0, "other": 0}
 
 
-def _chain_state():
-    """A PPT qubit state whose couplings 0-1 and 1-2 join a 3 x 3 block
-    in its transpose over party 1, where the block rule cannot decide."""
-    rho = np.eye(8, dtype=complex) / 8
-    rho[0, 1] = rho[1, 0] = rho[1, 2] = rho[2, 1] = 0.01
-    return rho
-
-
 def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
-    want = run_scan(5, seed=4).rows
-    monkeypatch.setattr(mcharness, "rho_stack_222",
-                        lambda columns: np.array([_chain_state()]
-                                                 * len(columns)))
+    # r = 1 exactly on unit diagonals: a block [[1, 1], [1, 1]] / 8 with
+    # Delta = 0, inside the rule's band at tol = 0, and least
+    # eigenvalue 0, which is_ppt passes
+    state = ChessParams222(1, 1, 1, 1, r=(1.0, 0.0, 0.0, 0.0))
+    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(state))
     calls = _counting_guard(monkeypatch)
-    assert run_scan(5, seed=4).rows == want
+    assert run_scan(5, seed=4, tol=0.0).n == 5
     assert calls["other"] == 0
     assert calls["guard"] >= 1
-
-
-_DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
-
-
-def _repeated(params):
-    """A chunk sampler that gives ``params`` for every row."""
-    return lambda seed, start, stop, levels: ParamColumns.of(
-        [params] * (stop - start))
 
 
 @pytest.mark.parametrize("params", [
@@ -390,22 +384,35 @@ def test_run_scan_qudit():
     assert (own.minima >= res.minima - 1e-12).all()
 
 
+def _entries(columns):
+    """A chunk's columns, the entries of its rho and their cells, as
+    ``_chunk_rows`` takes them."""
+    if columns.levels is None:
+        return columns, rho_entries_222(columns), COUPLING_POSITIONS
+    return columns, rho_entries_22d(columns), coupling_cells(*columns.levels)
+
+
+def _ghz(entries, row):
+    """Row ``row`` of 2x2x2 entries set to (|000> + |111>)/sqrt(2)."""
+    diag, couplings, trace = entries
+    diag[row] = [0.5, 0, 0, 0, 0, 0, 0, 0.5]
+    couplings[row] = [0, 0, 0, 0.5]    # at (0, 7)
+    trace[row] = 1.0
+
+
 def test_ppt_guard_trips_on_crafted_state():
-    ghz = np.zeros((8, 8), dtype=complex)
-    for i in (0, 7):
-        for j in (0, 7):
-            ghz[i, j] = 0.5
     params = ChessParams222(a=1, b=1, c=1, d=1, r=(0, 0, 0, 0),
                             phi=(0, 0, 0, 0))
+    chunk = _entries(ParamColumns.of([params]))
+    _ghz(chunk[1], 0)
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard([params], ghz[None], (2, 2, 2))
+        _ppt_guard(*chunk, (2, 2, 2))
     msg = str(err.value)
     assert '"a":' in msg and "min_eigenvalues" in msg
 
 
 def _chunk(seed, n):
-    params = [sample_params_222(seed, k) for k in range(n)]
-    return params, np.array([build_rho_222(p) for p in params])
+    return _entries(sample_chunk(seed, 0, n))
 
 
 @pytest.mark.parametrize("rows_per_call", [None, 2])
@@ -424,40 +431,38 @@ def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
         return is_ppt(rhos, dims=dims, tol=tol)
 
     monkeypatch.setattr(mcharness, "is_ppt", counted)
-    params, rhos = _chunk(18, 5)
-    _ppt_guard(params, rhos, (2, 2, 2))
+    chunk = _chunk(18, 5)
+    _ppt_guard(*chunk, (2, 2, 2))
     assert shapes == []
-    ghz = np.zeros((8, 8), dtype=complex)
-    ghz[np.ix_((0, 7), (0, 7))] = 0.5
-    rhos[2] = ghz
+    _ghz(chunk[1], 2)
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(params, rhos, (2, 2, 2))
+        _ppt_guard(*chunk, (2, 2, 2))
     assert shapes == [(5, 8, 8)]
     msg = str(err.value)
-    assert f"params={json.dumps(params_to_json(params[2]))} " in msg
-    assert json.dumps(params_to_json(params[0])) not in msg
+    assert f"params={json.dumps(params_to_json(chunk[0][2]))} " in msg
+    assert json.dumps(params_to_json(chunk[0][0])) not in msg
     eigs = json.loads(msg.split("min_eigenvalues=")[1])
     assert list(eigs) == ["1", "2", "3", "12", "13", "23"]
     assert all(v == pytest.approx(-0.5, abs=1e-12) for v in eigs.values())
 
 
 def test_ppt_guard_fails_a_nan_minimum():
-    params, rhos = _chunk(19, 4)
-    rhos[3, 1, 1] = math.nan
+    chunk = _chunk(19, 4)
+    chunk[1][0][3, 1] = math.nan
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(params, rhos, (2, 2, 2))
+        _ppt_guard(*chunk, (2, 2, 2))
     msg = str(err.value)
-    assert json.dumps(params_to_json(params[3])) in msg
+    assert json.dumps(params_to_json(chunk[0][3])) in msg
     assert '"1": NaN' in msg
 
 
-def _guard_outcome(monkeypatch, params, rhos, dims, tol=1e-10):
-    """What ``_ppt_guard`` does with a stack (None, or the type and text
+def _guard_outcome(monkeypatch, chunk, dims, tol=1e-10):
+    """What ``_ppt_guard`` does with a chunk (None, or the type and text
     of what it raises) and whether it called ``is_ppt``; asserts that it
     does the same as its ``is_ppt`` route alone."""
     def outcome():
         try:
-            _ppt_guard(params, rhos, dims, tol)
+            _ppt_guard(*chunk, dims, tol)
         except Exception as exc:
             return type(exc), str(exc)
         return None
@@ -478,13 +483,12 @@ def _guard_outcome(monkeypatch, params, rhos, dims, tol=1e-10):
 
 
 def _sampled(d, levels, seed, n, tied=True):
-    """n sampled states and their rho stack; untied on request at d > 2."""
+    """n sampled states as a guard's chunk; untied on request at d > 2."""
     if d == 2:
         return _chunk(seed, n)
-    params = [replace(sample_params_22d(seed, k, d, *levels), tied=tied)
-              for k in range(n)]
-    columns = ParamColumns.of(params)
-    return params, rho_stack_22d(rho_entries_22d(columns), columns.levels)
+    return _entries(ParamColumns.of(
+        [replace(sample_params_22d(seed, k, d, *levels), tied=tied)
+         for k in range(n)]))
 
 
 @pytest.mark.parametrize("d, levels", [
@@ -496,22 +500,24 @@ def test_block_guard_passes_sampled_chunks_without_is_ppt(d, levels, tol,
                                                           monkeypatch):
     # tied states, colliding gamma included (0, 1, 1 and so on)
     for seed in range(3):
-        params, rhos = _sampled(d, levels, seed, 12)
-        assert _guard_outcome(monkeypatch, params, rhos, (2, 2, d),
+        chunk = _sampled(d, levels, seed, 12)
+        assert _guard_outcome(monkeypatch, chunk, (2, 2, d),
                               tol) == (None, False)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
     # 1 to 4 of the 40 rows are PPT
-    params, rhos = _sampled(d, (0, 2, 1), 7, 40, tied=False)
+    params = [replace(sample_params_22d(7, k, d, 0, 2, 1), tied=False)
+              for k in range(40)]
     dims = (2, 2, d)
-    outcomes = [_guard_outcome(monkeypatch, params[k:k + 1],
-                               rhos[k:k + 1], dims)[0] for k in range(40)]
+    outcomes = [_guard_outcome(monkeypatch,
+                               _entries(ParamColumns.of([p])), dims)[0]
+                for p in params]
     assert None in outcomes
     assert any(o and o[0] is RuntimeError for o in outcomes)
-    assert _guard_outcome(monkeypatch, params, rhos, dims)[0] \
-        == next(o for o in outcomes if o)
+    assert _guard_outcome(monkeypatch, _entries(ParamColumns.of(params)),
+                          dims)[0] == next(o for o in outcomes if o)
 
 
 @pytest.mark.parametrize("d, row, i, j, value", [
@@ -521,41 +527,42 @@ def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
     (3, 1, 11, 0, -math.inf),
     (3, 2, 4, 4, math.nan),
     (4, 1, 3, 3, math.inf),    # a 1 x 1 block, as in _negative_single_level
+    (3, 0, None, None, 0.0),   # a zero trace
+    (3, 3, None, None, math.nan),
 ])
 def test_block_guard_defers_non_finite_stacks(d, row, i, j, value,
                                               monkeypatch):
-    # is_ppt used to warn "invalid value encountered" on an inf entry
-    params, rhos = _sampled(d, (0, 2, 1), 19, 4)
-    rhos[row, i, j] = value
+    # the stack's entry (i, j) of one row: a diagonal or a coupling, or
+    # else the row's trace
+    chunk = _sampled(d, (0, 2, 1), 19, 4)
+    diag, couplings, trace = chunk[1]
+    if i is None:
+        trace[row] = value
+    elif i == j:
+        diag[row, i] = value
+    else:
+        k = [set(cell) for cell in chunk[2]].index({i, j})
+        couplings[row, k] = value if chunk[2][k] == (i, j) \
+            else np.conj(value)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
+        got, fell_back = _guard_outcome(monkeypatch, chunk, (2, 2, d))
     assert [str(w.message) for w in caught] == []
     assert got is not None and fell_back
 
 
-@pytest.mark.parametrize("d", [2, 3])
-def test_block_guard_defers_non_hermitian_stacks(d, monkeypatch):
-    params, rhos = _sampled(d, (0, 2, 1), 20, 4)
-    # a coupling, so that the pattern stays that of a sampled chunk
-    i, j = np.argwhere(np.triu(rhos[2] != 0, 1))[0]
-    rhos[2, i, j] += 1e-9
-    got, fell_back = _guard_outcome(monkeypatch, params, rhos, (2, 2, d))
-    assert fell_back
-    assert got[0] is ValueError and got[1].startswith(
-        "matrix is not Hermitian")
-
-
-def _x_state(size, shift):
-    """(1 + shift) I plus unit couplings z between k and size - 1 - k:
-    each transpose is a sum of blocks [[1 + shift, z], [z*, 1 + shift]]
-    with |z| = 1 exactly, so its least eigenvalue is fl(1 + shift) - 1,
-    within 1.2e-16 of shift."""
-    rho = np.eye(size, dtype=complex) * (1.0 + shift)
-    for k, z in zip(range(size // 2), itertools.cycle((1, 1j, -1, -1j))):
-        rho[k, size - 1 - k] = z
-        rho[size - 1 - k, k] = np.conj(z)
-    return rho
+def _x_state(d, shift):
+    """Unit couplings z at every cell (k, 4d - 1 - k) of the default
+    levels and diagonals 1 + shift: each transpose is a sum of blocks
+    [[1 + shift, z], [z*, 1 + shift]] with |z| = 1 exactly, so its least
+    eigenvalue is fl(1 + shift) - 1, within 1.2e-16 of shift."""
+    columns, entries, cells = _sampled(d, (0, 2, 1), 0, 1)
+    phases = (1, 1j, -1, -1j)
+    assert all(row + col == 4 * d - 1 for row, col in cells)
+    couplings = np.array([[phases[row % 4] for row, _ in cells]],
+                         dtype=complex)
+    diag = np.full((1, 4 * d), 1.0 + shift, dtype=complex)
+    return columns, (diag, couplings, np.ones(1)), cells
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -563,11 +570,9 @@ def _x_state(size, shift):
 def test_block_guard_defers_states_on_the_tolerance(d, tol, monkeypatch):
     # least eigenvalues within 1e-15 of -tol: inside the rule's band, so
     # is_ppt decides every one of them
-    params, _ = _sampled(d, (0, 2, 1), 0, 1)
     outcomes = []
     for delta in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15):
-        rhos = _x_state(4 * d, delta - tol)[None]
-        got, fell_back = _guard_outcome(monkeypatch, params, rhos,
+        got, fell_back = _guard_outcome(monkeypatch, _x_state(d, delta - tol),
                                         (2, 2, d), tol)
         assert fell_back
         outcomes.append(got)
@@ -575,56 +580,75 @@ def test_block_guard_defers_states_on_the_tolerance(d, tol, monkeypatch):
 
 
 def _negated(seed):
-    params, rhos = _chunk(seed, 4)
-    return params, -rhos, (2, 2, 2)
+    columns, (diag, couplings, trace), cells = _chunk(seed, 4)
+    return (columns, (diag, couplings, -trace), cells), (2, 2, 2)
 
 
 def _negative_single_level(seed):
     # level 3 is coupled to no other at d = 4 with levels (0, 2, 1), so
     # its diagonal entries are 1 x 1 blocks of every transpose
-    params, rhos = _sampled(4, (0, 2, 1), seed, 4)
-    rhos[1, 3, 3] = -1e-3
-    return params, rhos, (2, 2, 4)
+    chunk = _sampled(4, (0, 2, 1), seed, 4)
+    chunk[1][0][1, 3] = -1e-3
+    return chunk, (2, 2, 4)
 
 
 def _chain_chunk(seed):
-    params, rhos = _chunk(seed, 3)
-    rhos[1] = _chain_state()
-    # least eigenvalue 1/8 - 0.1 sqrt(2) < 0, 2 x 2 minors 1/64 - 0.01 > 0
-    rhos[1, 0, 1] = rhos[1, 1, 0] = rhos[1, 1, 2] = rhos[1, 2, 1] = 0.1
-    return params, rhos, (2, 2, 2)
+    # gamma = alpha with nonzero gamma-gamma couplings, which chain the
+    # alpha-beta blocks into larger ones: _x_blocks gives None, and
+    # is_ppt finds a negative eigenvalue
+    levels = (3, 0, 2, 0)
+    params = [replace(sample_params_22d(seed, k, *levels), r=(1.0,) * 6)
+              for k in range(3)]
+    assert tensorops._x_blocks((2, 2, 3), coupling_cells(*levels)) is None
+    return _entries(ParamColumns.of(params)), (2, 2, 3)
 
 
 @pytest.mark.parametrize("make", [_negated, _negative_single_level,
                                   _chain_chunk])
 def test_block_guard_rejects_what_is_ppt_rejects(make, monkeypatch):
-    # a negative 2 x 2 block, a negative 1 x 1 block, and a 3 x 3 block
-    # whose 2 x 2 minors are positive (a negative determinant: the GHZ
-    # tests above)
-    params, rhos, dims = make(21)
-    got, fell_back = _guard_outcome(monkeypatch, params, rhos, dims)
+    # a negative 2 x 2 block, a negative 1 x 1 block, and blocks larger
+    # than 2 x 2 (a negative determinant: the GHZ tests above)
+    chunk, dims = make(21)
+    got, fell_back = _guard_outcome(monkeypatch, chunk, dims)
     assert fell_back and got[0] is RuntimeError
 
 
 def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
     shapes = []
 
-    def counted(params, rhos, dims, tol):
-        shapes.append(rhos.shape)
-        return _ppt_guard(params, rhos, dims, tol)
+    def counted(columns, entries, cells, dims, tol):
+        shapes.append(entries[0].shape)
+        return _ppt_guard(columns, entries, cells, dims, tol)
 
     monkeypatch.setattr(mcharness, "_ppt_guard", counted)
     res = run_scan(40, seed=3, dim=3)
-    assert shapes == [(40, 12, 12)]
+    assert shapes == [(40, 12)]
     # equal chunks of at most 16 rows, then of at most 7
     shapes.clear()
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
     assert run_scan(40, seed=3, dim=3).rows == res.rows
-    assert shapes == [(13, 12, 12), (13, 12, 12), (14, 12, 12)]
+    assert shapes == [(13, 12), (13, 12), (14, 12)]
     shapes.clear()
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 7 * 6 * 144)
     assert run_scan(40, seed=3, dim=3).rows == res.rows
-    assert shapes == [(6, 12, 12), (7, 12, 12), (7, 12, 12)] * 2
+    assert shapes == [(6, 12), (7, 12), (7, 12)] * 2
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(dim=2), dict(dim=3), dict(dim=4), dict(dim=5),
+    dict(dim=3, gamma=0), dict(dim=4, beta=3, gamma=3),
+    dict(dim=5, alpha=4, beta=1, gamma=1),
+])
+@pytest.mark.parametrize("tol", [0.0, 1e-10])
+def test_sampled_scans_build_no_rho_stack_and_solve_nothing(kwargs, tol,
+                                                            monkeypatch):
+    want = run_scan(60, seed=6, tol=tol, **kwargs).rows
+    for name in ("rho_stack", "is_ppt"):
+        monkeypatch.setattr(mcharness, name,
+                            lambda *a, **k: pytest.fail("a stack was built"))
+    calls = _counting_guard(monkeypatch)
+    assert run_scan(60, seed=6, tol=tol, **kwargs).rows == want
+    assert calls == {"guard": 0, "other": 0}
 
 
 def test_run_scan_evaluates_the_catalog_once_per_chunk_in_bounded_passes(
@@ -775,6 +799,33 @@ def test_golden_section_rejects_bad_bounds():
                    (0.0, math.inf), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             golden_section_minimize(lambda t: t * t, lo, hi)
+
+
+@pytest.mark.parametrize("iters, message", [
+    (2.5, "iters must be an integer, got 2.5"),
+    (True, "iters must be an integer, got True"),
+    (-1, "iters must be >= 0, got -1"),
+])
+def test_golden_section_rejects_bad_step_counts(iters, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        golden_section_minimize(lambda t: t * t, -1.0, 1.0, iters)
+
+
+def test_golden_section_takes_zero_steps():
+    assert golden_section_minimize(lambda t: t * t, -1.0, 3.0, 0) == (1.0, 1.0)
+    assert golden_section_minimize(lambda t: t * t, -1.0, 3.0, np.int64(2)) \
+        == golden_section_minimize(lambda t: t * t, -1.0, 3.0, 2)
+
+
+@pytest.mark.parametrize("batches, message", [
+    (2.5, "batches must be an integer, got 2.5"),
+    (True, "batches must be an integer, got True"),
+    (0, "batches must be >= 1, got 0"),
+])
+def test_summarize_rejects_bad_batch_counts(batches, message):
+    # 2.5 and True raised TypeError from reshape; 0 dropped the batches
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        summarize(run_scan(4, seed=1), batches)
 
 
 def test_reproduce_section6():

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chesswit import tensorops as to
+from chesswit import chessboard as cb
 from chesswit.chessboard import (
     build_rho_222,
     build_rho_22d,
@@ -130,6 +131,33 @@ def test_pauli_op_hermitian_and_traceless():
 def test_pauli_op_rejects_bad_index():
     with pytest.raises(ValueError):
         to.pauli_op((0, 4, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: to.pauli(True), "Pauli index must be an integer, got True"),
+    (lambda: to.pauli(1.0), "Pauli index must be an integer, got 1.0"),
+    (lambda: to.pauli(4), "Pauli index must be 0..3, got 4"),
+    (lambda: to.pauli_op((0, 1.0, 2)), "triple[1] must be an integer, got 1.0"),
+    (lambda: to.pauli_op(1, 2, True), "triple[2] must be an integer, got True"),
+    (lambda: to.pauli_op((-1, 0, 0)), "triple[0] must be 0..3, got -1"),
+    (lambda: to.qudit_substitute((0, True, 1), 3, 0, 1),
+     "triple[1] must be an integer, got True"),
+    (lambda: to.qudit_substitute((1.0, 0, 1), 3, 0, 1),
+     "triple[0] must be an integer, got 1.0"),
+])
+def test_pauli_indices_go_through_the_integer_rule(call, message):
+    # True built sigma_x, and 1.0 passed the test to fail with a
+    # TypeError from tuple indexing
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_pauli_indices_accept_numpy_integers():
+    assert np.array_equal(to.pauli(np.int64(2)), to.pauli(2))
+    assert np.array_equal(to.pauli_op((np.uint8(1), 2, np.int32(3))),
+                          to.pauli_op((1, 2, 3)))
+    assert np.array_equal(to.qudit_substitute((np.int64(1), 0, 2), 3, 0, 1),
+                          to.qudit_substitute((1, 0, 2), 3, 0, 1))
 
 
 # --- partial transpose -------------------------------------------------
@@ -489,6 +517,70 @@ def test_is_ppt_rejects_non_integer_dims():
                                          r"got 2\.9$"):
         to.is_ppt(np.eye(8) / 8.0, dims=(2, 2, 2.9))
     assert to.is_ppt(np.eye(8) / 8.0, dims=np.array([2, 2, 2]))[0] is True
+
+
+# --- X-state block rule ---------------------------------------------------
+
+def _x_chunk(levels, seed, n=20):
+    """A sampled chunk's rho entries and their coupling cells."""
+    columns = cb.sample_chunk(seed, 0, n, levels)
+    if levels is None:
+        return cb.rho_entries_222(columns), cb.COUPLING_POSITIONS, 2
+    return (cb.rho_entries_22d(columns), cb.coupling_cells(*levels),
+            levels[0])
+
+
+_X_LEVELS = [None, (3, 0, 2, 1), (3, 0, 1, 0), (4, 0, 2, 1), (4, 1, 3, 3),
+             (5, 0, 2, 1), (5, 4, 0, 4)]
+
+
+@pytest.mark.parametrize("levels", _X_LEVELS)
+def test_block_entries_are_bit_equal_to_the_stacks_transposes(levels):
+    # the rule reads (a, b, |z|^2) from the entries; is_ppt solves the
+    # same numbers in the symmetrized stack's transposes; a colliding
+    # gamma's zeroed gamma-gamma couplings are dropped
+    for seed in range(5):
+        entries, cells, d = _x_chunk(levels, seed)
+        dims = (2, 2, d)
+        diag, a, b, zz = to._x_block_entries(entries, cells, dims)
+        rho = cb.rho_stack(entries, cells)
+        # is_ppt's symmetrization
+        h = ((rho + np.swapaxes(rho.conj(), 1, 2)) / 2.0).reshape(len(rho),
+                                                                   -1)
+        moved = h[:, to._ppt_gather(dims)[:3]]
+        r, s, _ = to._x_blocks(dims, tuple(
+            c for c, k in zip(cells, (entries[1] != 0).any(axis=0)) if k))
+        t = np.repeat(np.arange(3), len(r) // 3)
+        z = moved[:, t, r, s]
+        assert diag.tobytes() == np.diagonal(h.reshape(rho.shape), axis1=1,
+                                             axis2=2).real.tobytes()
+        assert a.tobytes() == moved[:, t, r, r].real.tobytes()
+        assert b.tobytes() == moved[:, t, s, s].real.tobytes()
+        assert zz.tobytes() == (z.real * z.real + z.imag * z.imag).tobytes()
+        # and these are the transposes' only off-diagonal entries
+        off = moved.copy()
+        off[:, t, r, s] = off[:, t, s, r] = 0
+        off[:, :, range(4 * d), range(4 * d)] = 0
+        assert not off.any()
+
+
+def test_x_blocks_pair_the_same_indices_in_every_transpose():
+    # so the rule's blocks are those of is_ppt's union pattern too
+    for d in (2, 3, 4, 5):
+        for alpha, beta in itertools.permutations(range(d), 2):
+            for gamma in range(d):
+                cells = cb.coupling_cells(d, alpha, beta, gamma)
+                if gamma in (alpha, beta):
+                    assert to._x_blocks((2, 2, d), cells) is None
+                    cells = tuple(c for (_, slot), c in zip(cb.SLOT_ORDER,
+                                                            cells)
+                                  if slot != "gg")
+                r, s, k = to._x_blocks((2, 2, d), cells)
+                pairs = np.sort(np.stack([r, s]), axis=0).T.reshape(3, -1, 2)
+                assert [sorted(map(tuple, p.tolist())) for p in pairs] \
+                    == [sorted(map(tuple, pairs[0].tolist()))] * 3
+                assert len(np.unique(pairs[0])) == 2 * len(cells)
+                assert sorted(k.tolist()) == sorted(list(range(len(cells))) * 3)
 
 
 # --- qudit substitution ---------------------------------------------------

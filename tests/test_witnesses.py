@@ -205,6 +205,36 @@ def test_parse_rejects_malformed(bad):
         parse_witness_id(bad)
 
 
+@pytest.mark.parametrize("suffix", [
+    "0,1_0", "+0,01", "0, 1", " 0,1", "0,+1", "-0,1", "00,1", "0,01",
+    "0,1\u0663", "\u0660,1", "0,1,2", "0,1@2", "0x0,1", "0,1.0",
+])
+def test_parse_rejects_a_pair_that_is_no_plain_decimal(suffix):
+    # int() read "0,1_0" as the pair (0, 10) and "+0,01" as (0, 1)
+    with pytest.raises(ValueError, match="malformed subspace suffix"):
+        parse_witness_id(f"poly1:0000@{suffix}")
+
+
+def test_parse_accepts_only_ids_it_writes_back():
+    # every one-character edit of a suffixed id that parses is its base
+    alphabet = "0123456789+-_ ,@\u0663x"
+    for s in ("poly1:0000@2,13", "sph:300:122:0@0,10"):
+        mutants = {s[:k] + ch + s[k:] for k in range(len(s) + 1)
+                   for ch in alphabet}
+        mutants |= {s[:k] + ch + s[k + 1:] for k in range(len(s))
+                    for ch in alphabet}
+        mutants |= {s[:k] + s[k + 1:] for k in range(len(s))}
+        accepted = 0
+        for m in mutants:
+            try:
+                parsed = parse_witness_id(m)
+            except ValueError:
+                continue
+            assert parsed.base == m.strip(), m
+            accepted += 1
+        assert accepted > 20
+
+
 def test_format_witness_appends_angles():
     assert format_witness("con:333:221:0:+", {"psi": 0.5}) == \
         "con:333:221:0:+:psi=0.500000"
