@@ -140,6 +140,17 @@ def _check_diagonal(name: str, value: float) -> float:
     return value
 
 
+def _check_couplings(params, count: int, word: str) -> None:
+    """Check and store as float tuples the ``count`` (spelt ``word``)
+    coupling moduli ``r`` and phases ``phi`` of a parameter object."""
+    r = tuple(_check_modulus(f"r[{i}]", v) for i, v in enumerate(params.r))
+    phi = tuple(_check_finite(f"phi[{i}]", v) for i, v in enumerate(params.phi))
+    if len(r) != count or len(phi) != count:
+        raise ValueError(f"r and phi must each have {word} entries")
+    object.__setattr__(params, "r", r)
+    object.__setattr__(params, "phi", phi)
+
+
 @dataclass(frozen=True)
 class ChessParams222:
     """Parameters of the 2x2x2 chessboard family.
@@ -158,12 +169,7 @@ class ChessParams222:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, _check_diagonal(name, getattr(self, name)))
-        r = tuple(_check_modulus(f"r[{i}]", v) for i, v in enumerate(self.r))
-        phi = tuple(_check_finite(f"phi[{i}]", v) for i, v in enumerate(self.phi))
-        if len(r) != 4 or len(phi) != 4:
-            raise ValueError("r and phi must each have four entries")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
+        _check_couplings(self, 4, "four")
         _check_finite("the normalization", normalization(self))
 
     @property
@@ -323,12 +329,7 @@ class ChessParams22d:
         # build_rho_22d places
         _check_finite("the sum of the diagonals and their reciprocals",
                       sum(v + 1 / v for row in diag for v in row))
-        r = tuple(_check_modulus(f"r[{i}]", v) for i, v in enumerate(self.r))
-        phi = tuple(_check_finite(f"phi[{i}]", v) for i, v in enumerate(self.phi))
-        if len(r) != 6 or len(phi) != 6:
-            raise ValueError("r and phi must each have six entries")
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "phi", phi)
+        _check_couplings(self, 6, "six")
         object.__setattr__(self, "tied", bool(self.tied))
 
 

@@ -5,7 +5,10 @@ Each witness family constrains a triple of expectation values
     P = (<Q1>, <Q2>, <Q3>)
 
 evaluated on pure product states |s1 s2 s3>. The operator triples
-(``qset``) and the regions certified by the corresponding families are
+(``qset``) are read from the catalog: Q1, Q2 and Q3 sum the non-identity
+terms of one entry, the geometry's representative (poly1:0000,
+con:333:122:0:+, cyl:300:122:00, sph:300:122:0), split 1 + 2 + 2. The
+triples and the regions certified by the corresponding families are
 
 ``polygon``  (O333, O111+O122, O212-O221):  |P1| + |P2| + |P3| <= 1
 ``cone``     (O333, O111+O122, O212+O221):  hypot(P2, P3) <= 1 - |P1|
@@ -40,7 +43,7 @@ and ``beta`` of the third factor. So P is a sum of signed monomials in
 the nine Bloch coordinates, e.g. for the sphere P1 = z1,
 P2 = x1 (x2 x3 + y2 y3), P3 = y1 (x2 y3 + y2 x3), and
 ``functional_points`` evaluates it that way, term by term from the
-table that also builds ``qset``; no 8d x 8d operator is formed. The
+terms that also build ``qset``; no 8d x 8d operator is formed. The
 qudit coordinates satisfy |r3| <= 1 instead of = 1, which is why the
 qudit region only shrinks.
 """
@@ -56,8 +59,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .chessboard import _check_seed, _rng_for
-from .tensorops import (_check_integer, _check_pair, _check_tol,
-                        qudit_substitute)
+from .tensorops import _check_integer, _check_pair, _check_tol, _signed_sum
+from .witnesses import _spec
 
 __all__ = [
     "GEOMETRIES",
@@ -75,19 +78,18 @@ __all__ = [
     "boundary_curve_check",
 ]
 
-GEOMETRIES = ("polygon", "cone", "cylinder", "sphere")
+_REPRESENTATIVES = {
+    "polygon": "poly1:0000",
+    "cone": "con:333:122:0:+",
+    "cylinder": "cyl:300:122:00",
+    "sphere": "sph:300:122:0",
+}
+GEOMETRIES = tuple(_REPRESENTATIVES)
 
 # Product states drawn per RNG stream: states [k*SAMPLE_CHUNK,
 # (k+1)*SAMPLE_CHUNK) of a sample come from stream (seed, k), so a
 # sample's states do not depend on who draws them or how many at once.
 SAMPLE_CHUNK = 65536
-
-_QSET_TRIPLES = {
-    "polygon": (("333",), ("111", "122"), ("212", "-221")),
-    "cone": (("333",), ("111", "122"), ("212", "221")),
-    "cylinder": (("300",), ("111", "122"), ("212", "-221")),
-    "sphere": (("300",), ("111", "122"), ("212", "221")),
-}
 
 
 def qubit_state(theta, phi) -> np.ndarray:
@@ -159,17 +161,16 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     return out  # type: ignore[return-value]
 
 
-def _terms(geometry: str) -> Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...],
+def _terms(geometry: str) -> Tuple[Tuple[Tuple[float, Tuple[int, ...]], ...],
                                    ...]:
-    """Per column of P, the (sign, (i, j, k)) Pauli triples it sums."""
-    if geometry not in _QSET_TRIPLES:
+    """Per column of P, the (sign, (i, j, k)) Pauli triples it sums: the
+    representative's non-identity ``_spec`` terms, split 1 + 2 + 2."""
+    if geometry not in _REPRESENTATIVES:
         raise ValueError(f"unknown geometry {geometry!r}; "
                          f"choose from {GEOMETRIES}")
-    return tuple(
-        tuple((-1 if term.startswith("-") else 1,
-               tuple(int(ch) for ch in term.lstrip("-")))
-              for term in combo)
-        for combo in _QSET_TRIPLES[geometry])
+    terms = [term for component in _spec(_REPRESENTATIVES[geometry])[1]
+             for term in component if any(term[1])]
+    return tuple(terms[:1]), tuple(terms[1:3]), tuple(terms[3:])
 
 
 def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
@@ -177,13 +178,7 @@ def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
     """The operator triple (Q1, Q2, Q3) probed by a geometry;
     ValueError unless ``d``, ``alpha`` and ``beta`` are integers that
     ``qudit_substitute`` accepts."""
-    ops = []
-    for terms in _terms(geometry):
-        q = None
-        for sign, triple in terms:
-            piece = sign * qudit_substitute(triple, d, alpha, beta)
-            q = piece if q is None else q + piece
-        ops.append(q)
+    ops = (_signed_sum(terms, d, alpha, beta) for terms in _terms(geometry))
     return tuple(ops)  # type: ignore[return-value]
 
 
@@ -236,8 +231,16 @@ def p_map(state: ProductState, geometry: str = "polygon") -> np.ndarray:
 
 
 def region_excess(geometry: str, points: np.ndarray) -> np.ndarray:
-    """Signed distance-like boundary excess; <= 0 means inside."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    """Signed distance-like boundary excess; <= 0 means inside.
+
+    ``points`` is one point (P1, P2, P3) or an (n, 3) array of them;
+    ValueError for any other shape.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim not in (1, 2) or points.shape[-1] != 3:
+        raise ValueError(f"points must have shape (3,) or (n, 3), got "
+                         f"{points.shape}")
+    points = np.atleast_2d(points)
     p1, p2, p3 = points[:, 0], points[:, 1], points[:, 2]
     if geometry == "polygon":
         return np.abs(p1) + np.abs(p2) + np.abs(p3) - 1.0

@@ -12,10 +12,12 @@ one ``is_ppt`` call), its (N, P, 15) catalog coefficients
 (``pauli_coeff_stack``, the closed forms of ``pauli_coeffs`` on the
 columns, at d = 2; one ``_pair_coeffs`` gather of the same entries over
 every row and level pair at d >= 3), and one ``family_minima`` and
-``group_minima`` call on that stack for the minima of every row. Only
-the CSV formatting runs per row, one row per sample, from the columns'
-floats. Each chunk is as large as the memory bound ``_GUARD_ENTRIES``
-of the guard's fallback allows.
+``group_minima`` call on that stack for the minima of every row. At
+d >= 3 the entries, the positivity check below and the coefficients
+come from ``witnesses._qudit_chunk``, the helper ``detect`` uses. Only
+the CSV formatting (``_format_rows``) runs per row, one row per sample,
+from the columns' floats. Each chunk is as large as the memory bound
+``_GUARD_ENTRIES`` of the guard's fallback allows.
 Positivity of rho itself is proven, not computed, wherever the
 construction proves it: at d = 2 every coupled 2x2 block has diagonal
 product 1 (and the guard's proper-subset transposes do not include
@@ -58,15 +60,12 @@ from .chessboard import (
     SLOT_ORDER,
     _check_seed,
     build_rho_222,
-    build_rho_22d,
     coupling_cells,
     pauli_coeff_stack,
     pauli_coeffs,
     params_to_json,
-    positivity_proven,
     qudit_levels,
     rho_entries_222,
-    rho_entries_22d,
     rho_stack,
     sample_chunk,
     sample_params_222,
@@ -77,8 +76,7 @@ from .tensorops import (PPT_SUBSETS, _check_integer, _check_tol,
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
-    _level_pairs,
-    _pair_coeffs,
+    _qudit_chunk,
     build_witness,
     family_minima,
     group_minima,
@@ -231,17 +229,22 @@ def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
         coeffs = pauli_coeff_stack(columns)[:, None]
     else:
         dim, cells = columns.levels[0], coupling_cells(*columns.levels)
-        for k in np.flatnonzero(~positivity_proven(columns)):
-            build_rho_22d(columns[k])    # raises NonPositiveError
-        entries = rho_entries_22d(columns)
-        pair_list, _ = _level_pairs(columns.levels, pairs)
-        coeffs = _pair_coeffs(entries, columns.levels, pair_list)
+        entries, _, _, coeffs = _qudit_chunk(columns, pairs)
     _ppt_guard(columns, entries, cells, (2, 2, dim), tol)
     # one catalog call for the whole (N, P, 15) stack, looked up in this
     # module at each call: the benchmark's tracer and its wrong-minima
     # check patch mcharness.family_minima
     groups = group_minima(family_minima(coeffs))
     minima = np.stack([groups[g] for g in GROUP_NAMES], axis=1)
+    # a function of its own, so that a tracer can time the CSV layer by
+    # patching mcharness._format_rows
+    return _format_rows(start, columns, minima), minima
+
+
+def _format_rows(start: int, columns: ParamColumns, minima: np.ndarray
+                 ) -> List[str]:
+    """The CSV rows of a chunk whose first row is sample ``start``: its
+    parameter columns, the ppt flag and its (N, 4) group ``minima``."""
     values = np.concatenate((columns.diag, columns.r, columns.phi), axis=1)
     # index, parameters, ppt, minima, flags: "%.17g" % x is
     # format(x, ".17g"), with the whole row in one formatting call
@@ -249,11 +252,11 @@ def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
                     + ["%.17g"] * len(_MIN_COLUMNS)
                     + ["%d"] * len(_FLAG_COLUMNS))
     rows = []
-    for index, vals, mi in zip(range(start, stop), values.tolist(),
-                               minima.tolist()):
+    for index, (vals, mi) in enumerate(zip(values.tolist(), minima.tolist()),
+                                       start):
         flags = [m < 0.0 for m in mi]
         rows.append(line % (index, *vals, *mi, *flags, any(flags)))
-    return rows, minima
+    return rows
 
 
 @dataclass

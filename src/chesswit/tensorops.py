@@ -485,6 +485,14 @@ def qudit_substitute(
     return kron3(PAULI[i], PAULI[j], t)
 
 
+def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]], d: int,
+                alpha: int, beta: int) -> np.ndarray:
+    """Sum of s qudit_substitute(t, ...) over the (s, t) ``terms``, left
+    to right from the first term, so that a -0.0 entry keeps its sign."""
+    first, *rest = [s * qudit_substitute(t, d, alpha, beta) for s, t in terms]
+    return sum(rest, first)
+
+
 def sym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
     """(E_ab + E_ba)/sqrt(2) for 0 <= a < b < d (unit trace norm)."""
     d = _check_integer("d", d)
@@ -504,9 +512,11 @@ def diag_gell_mann(d: int, i: int) -> np.ndarray:
 
     For 0 <= i <= d-2:
     sqrt(2/((i+1)(i+2))) * diag(1, ..., 1, -(i+1), 0, ..., 0)
-    with i+1 leading ones.
+    with i+1 leading ones. ValueError unless ``d`` and ``i`` are
+    integers and ``i`` lies in that range.
     """
     d = _check_integer("d", d)
+    i = _check_integer("i", i)
     if not 0 <= i <= d - 2:
         raise ValueError(f"need 0 <= i <= d-2, got i={i}, d={d}")
     v = np.zeros(d, dtype=np.complex128)
@@ -539,11 +549,12 @@ def gell_mann_basis(d: int) -> List[np.ndarray]:
 
 
 def gellmann_su3(a: int) -> np.ndarray:
-    """The 3x3 matrix Lambda_a for a in 1..8 (standard numbering).
+    """The 3x3 matrix Lambda_a for a in 1..8 (standard numbering);
+    ValueError unless ``a`` is an integer in that range.
 
     Hermitian and traceless with Tr(Lambda_a Lambda_b) = 2 delta_ab.
     """
-    if a not in range(1, 9):
+    if _check_integer("a", a) not in range(1, 9):
         raise ValueError(f"index must be 1..8, got {a!r}")
     return gell_mann_basis(3)[a - 1]
 

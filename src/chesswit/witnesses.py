@@ -86,10 +86,12 @@ couplings, so one gather compiled per level structure
 order the matrix route's einsum adds them. It takes a chunk in the one
 form of the 2x2xd layers: the ``chessboard.rho_entries_22d`` of the
 chunk's ``ParamColumns`` and its level tuple (dim, alpha, beta, gamma);
-``detect`` wraps its one state as a one-row chunk. N states of one
-level structure take one gather, and each row of the (N, P, 15) result
-is bit-equal to ``substituted_coeffs`` on ``build_rho_22d``. That
-matrix route stays as the public API and the test oracle.
+``detect`` wraps its one state as a one-row chunk, and it and the scan
+reach the coefficients through one helper (``_qudit_chunk``). N
+states of one level structure take one gather, and each row of the
+(N, P, 15) result is bit-equal to ``substituted_coeffs`` on
+``build_rho_22d``. That matrix route stays as the public API and the
+test oracle.
 
 Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
@@ -130,7 +132,8 @@ from .chessboard import (
     rho_entries_22d,
     stream_words,
 )
-from .tensorops import _check_integer, _check_tol, qudit_substitute
+from .tensorops import (_check_integer, _check_tol, _signed_sum,
+                        qudit_substitute)
 
 __all__ = [
     "CONICAL_KP",
@@ -221,9 +224,12 @@ class _ParsedId:
             core = f"{self.family}:{self.kp}:{self.kjl}:{self.i}{self.i2}"
         else:
             core = f"{self.family}:{self.kp}:{self.kjl}:{self.i}"
-        if self.pair is not None:
-            core += f"@{self.pair[0]},{self.pair[1]}"
-        return core
+        return core + _suffix(self.pair)
+
+
+def _suffix(pair: Optional[Tuple[int, int]]) -> str:
+    """The id suffix ``@A,B`` of a level pair (A, B); "" for None."""
+    return "" if pair is None else f"@{pair[0]},{pair[1]}"
 
 
 @lru_cache(maxsize=None)
@@ -275,14 +281,8 @@ def witness_ids(d: int = 2) -> List[str]:
     (each with an ``@A,B`` suffix) for d > 2. Raises ValueError unless
     d is an integer >= 2."""
     d = _check_integer("d", d, 2)
-    base = list(_base_entries())
-    if d == 2:
-        return base
-    ids: List[str] = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            ids.extend(f"{s}@{a},{b}" for s in base)
-    return ids
+    pairs = itertools.combinations(range(d), 2) if d > 2 else [None]
+    return [s + _suffix(pair) for pair in pairs for s in _base_entries()]
 
 
 def witness_angles(witness_id: str) -> Tuple[str, ...]:
@@ -423,8 +423,7 @@ def build_witness(
     d = _check_integer("d", d)
     w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
     for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
-        w += coef * sum(s * qudit_substitute(t, d, alpha, beta)
-                        for s, t in terms)
+        w += coef * _signed_sum(terms, d, alpha, beta)
     return w
 
 
@@ -448,6 +447,16 @@ def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
                            _check_integer("beta", beta))
     values = np.einsum("pij,ji->p", ops, rho).real
     return dict(zip(COEFF_TRIPLES, values.tolist()))
+
+
+def _slot_table(columns: Sequence[Sequence[int]], pad: int) -> np.ndarray:
+    """Read-only (T, C) ints: column c is ``columns[c]``, padded with
+    ``pad`` to the longest column's length T."""
+    slots = np.full((max(map(len, columns)), len(columns)), pad)
+    for c, column in enumerate(columns):
+        slots[:len(column), c] = column
+    slots.setflags(write=False)
+    return slots
 
 
 @lru_cache(maxsize=None)
@@ -475,12 +484,8 @@ def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
     columns = [[offset[q[r, c]] + cell[c, r]
                 for r, c in zip(*np.nonzero(q)) if cell[c, r] >= 0]
                for a, b in pairs for q in _substituted_ops(d, a, b)]
-    slots = np.full((max(map(len, columns)), len(columns)), 4 * m)
-    for i, column in enumerate(columns):
-        slots[:len(column), i] = column
-    slots = slots.reshape(len(slots), len(pairs), len(COEFF_TRIPLES))
-    slots.setflags(write=False)
-    return slots
+    slots = _slot_table(columns, 4 * m)
+    return slots.reshape(len(slots), len(pairs), len(COEFF_TRIPLES))
 
 
 def _level_pairs(levels: Tuple[int, int, int, int], pairs: str
@@ -493,7 +498,7 @@ def _level_pairs(levels: Tuple[int, int, int, int], pairs: str
         pair_list = (tuple(sorted((alpha, beta))),)
     else:
         pair_list = tuple(itertools.combinations(range(dim), 2))
-    return pair_list, [f"@{a},{b}" if dim > 2 else "" for a, b in pair_list]
+    return pair_list, [_suffix(pair if dim > 2 else None) for pair in pair_list]
 
 
 def _pair_coeffs(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -515,6 +520,29 @@ def _pair_coeffs(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
     # see _catalog_values
     k = np.add.reduce(terms, initial=0.0)
     return k.transpose(2, 0, 1)
+
+
+def _qudit_chunk(columns: ParamColumns, pairs: str) -> tuple:
+    """A 2x2xd chunk's rho entries, ``_level_pairs`` and (N, P, 15)
+    ``_pair_coeffs``, once ``build_rho_22d`` has checked each row that
+    ``positivity_proven`` does not prove (NonPositiveError)."""
+    for k in np.flatnonzero(~positivity_proven(columns)):
+        build_rho_22d(columns[k])    # raises NonPositiveError
+    entries = rho_entries_22d(columns)
+    pair_list, suffixes = _level_pairs(columns.levels, pairs)
+    return (entries, pair_list, suffixes,
+            _pair_coeffs(entries, columns.levels, pair_list))
+
+
+_NOT_FINITE = ("witness catalog values must be finite; the coefficients "
+               "are non-finite or overflow")
+
+
+def _finite(value: float) -> float:
+    """``value``; ``family_minima``'s ValueError unless it is finite."""
+    if not math.isfinite(value):
+        raise ValueError(_NOT_FINITE)
+    return value
 
 
 def _component_values(components: _Components,
@@ -542,10 +570,13 @@ def expectation_closed(
     eta: Optional[float] = None,
     zeta: Optional[float] = None,
 ) -> float:
-    """Tr(W rho) from the state's expansion coefficients."""
+    """Tr(W rho) from the state's expansion coefficients; ValueError,
+    as ``family_minima`` raises it, if the value is not finite."""
     _, kind, components = _parsed_spec(witness_id)
     k = _component_values(components, {**coeffs, _IDENTITY: 1.0})
-    return float(np.dot(k, _angle_weights(kind, psi, eta, zeta)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = float(np.dot(k, _angle_weights(kind, psi, eta, zeta)))
+    return _finite(value)
 
 
 def _minimize_components(kind: str, k: Sequence[float]
@@ -575,10 +606,12 @@ def functional(
     """Minimum of Tr(W rho) over the family's angles, with the argmin.
 
     Polygonal entries are angle-free and return an empty angle dict.
+    Raises ``family_minima``'s ValueError if the minimum is not finite.
     """
     _, kind, components = _parsed_spec(witness_id)
-    return _minimize_components(
+    value, angles = _minimize_components(
         kind, _component_values(components, {**coeffs, _IDENTITY: 1.0}))
+    return _finite(value), angles
 
 
 def expectation(w: np.ndarray, rho: np.ndarray) -> float:
@@ -675,11 +708,8 @@ def _table() -> _Table:
         rows += [pair[j] for pair in pairs]
     for j in (1, 2, 3):
         rows += [catalog[e][3][j] for e in spherical]
-    slots = np.full((max(len(terms) for terms in rows), len(rows)),
-                    2 * neg - 1)    # -x[-1] = -0.0
-    for r, terms in enumerate(rows):
-        for i, (s, t) in enumerate(terms):
-            slots[i, r] = slot[t] if s > 0 else neg + slot[t]
+    slots = _slot_table([[slot[t] if s > 0 else neg + slot[t] for s, t in terms]
+                         for terms in rows], 2 * neg - 1)    # -x[-1] = -0.0
     families = [family for _, family, _, _ in catalog]
     starts = [e for e, f in enumerate(families) if e == 0 or f != families[e - 1]]
     family_of = np.searchsorted(starts, np.arange(len(families)), "right") - 1
@@ -757,8 +787,7 @@ def _catalog_values(xx: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
                                 np.zeros((1, n_rows))))
         values = k[:n_entries] - norms.take(table.norm_of, axis=0)
     if not np.isfinite(values).all():
-        raise ValueError("witness catalog values must be finite; the "
-                         "coefficients are non-finite or overflow")
+        raise ValueError(_NOT_FINITE)
     return values, k
 
 
@@ -866,12 +895,9 @@ def detect(params, pairs: str = "all") -> DetectionReport:
         families = family_minima(pauli_coeffs(params))
         intermediates = detection_conditions(params)
     elif isinstance(params, ChessParams22d):
-        columns = ParamColumns.of([params])
-        pair_list, suffixes = _level_pairs(columns.levels, pairs)
-        if not positivity_proven(columns)[0]:
-            build_rho_22d(params)    # raises NonPositiveError
-        families = family_minima(_pair_coeffs(
-            rho_entries_22d(columns), columns.levels, pair_list)[0], suffixes)
+        _, pair_list, suffixes, coeffs = _qudit_chunk(
+            ParamColumns.of([params]), pairs)
+        families = family_minima(coeffs[0], suffixes)
         intermediates = {"pairs": [list(p) for p in pair_list]}
     else:
         raise TypeError(f"unsupported parameter object {type(params)!r}")

@@ -22,7 +22,9 @@ from chesswit.frgeom import (
     qubit_state,
     region_excess,
     sample_factors,
+    _terms,
 )
+from chesswit.witnesses import _spec
 
 I2 = np.eye(2, dtype=np.complex128)
 SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
@@ -297,6 +299,36 @@ def test_region_excess_hand_points():
     assert ex_sph[6] == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         region_excess("torus", pts)
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (3, 4), (2, 3, 3), (2,), ()])
+def test_region_points_of_the_wrong_shape_are_rejected(shape):
+    message = f"points must have shape (3,) or (n, 3), got {shape}"
+    for check in (region_excess, contains):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check("sphere", np.zeros(shape))
+
+
+@pytest.mark.parametrize("geometry, representative, triples", [
+    ("polygon", "poly1:0000", (("333",), ("111", "122"), ("212", "-221"))),
+    ("cone", "con:333:122:0:+", (("333",), ("111", "122"), ("212", "221"))),
+    ("cylinder", "cyl:300:122:00",
+     (("300",), ("111", "122"), ("212", "-221"))),
+    ("sphere", "sph:300:122:0", (("300",), ("111", "122"), ("212", "221"))),
+])
+def test_region_operators_are_the_representatives_terms(geometry,
+                                                        representative,
+                                                        triples):
+    # the representative's non-identity terms, split 1 + 2 + 2 in
+    # catalog order, are the region's operator table
+    terms = [term for component in _spec(representative)[1]
+             for term in component if term[1] != (0, 0, 0)]
+    assert _terms(geometry) == (tuple(terms[:1]), tuple(terms[1:3]),
+                                tuple(terms[3:]))
+    assert _terms(geometry) == tuple(
+        tuple((-1.0 if s.startswith("-") else 1.0,
+               tuple(int(ch) for ch in s.lstrip("-"))) for s in column)
+        for column in triples)
 
 
 def test_contains_mask():

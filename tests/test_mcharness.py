@@ -362,7 +362,7 @@ def test_run_scan_builds_each_unproven_row_once(monkeypatch):
         return build_rho_22d(p)
 
     monkeypatch.setattr(mcharness, "sample_chunk", _repeated(mild))
-    monkeypatch.setattr(mcharness, "build_rho_22d", counted)
+    monkeypatch.setattr(witnesses, "build_rho_22d", counted)
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 3 * 6 * 144)  # 2 chunks
     assert run_scan(4, dim=3).n == 4
     assert built == [mild] * 4
@@ -692,7 +692,7 @@ def test_qudit_scan_takes_the_entries_of_rho_once_per_chunk(monkeypatch):
         calls.append(len(states))
         return entries(states)
 
-    for module in (mcharness, chessboard, witnesses):
+    for module in (chessboard, witnesses):
         monkeypatch.setattr(module, "rho_entries_22d", counted)
     assert run_scan(30, seed=4, dim=3).rows == want
     assert calls == [15, 15]

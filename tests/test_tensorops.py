@@ -722,8 +722,17 @@ def test_gell_mann_basis_orthonormality(d):
      "d must be an integer, got 2.5"),
     (lambda: to.diag_gell_mann(4.2, 1), "d must be an integer, got 4.2"),
     (lambda: to.sym_gell_mann(3, 0, 1.5), "b must be an integer, got 1.5"),
+    (lambda: to.diag_gell_mann(3, 0.5), "i must be an integer, got 0.5"),
+    (lambda: to.diag_gell_mann(3, True), "i must be an integer, got True"),
+    (lambda: to.diag_gell_mann(3, 2), "need 0 <= i <= d-2, got i=2, d=3"),
+    (lambda: to.gellmann_su3(1.0), "a must be an integer, got 1.0"),
+    (lambda: to.gellmann_su3(True), "a must be an integer, got True"),
+    (lambda: to.gellmann_su3(9), "index must be 1..8, got 9"),
 ], ids=["gell_mann_basis", "gen_gellmann", "sym_gell_mann",
-        "antisym_gell_mann", "diag_gell_mann", "sym_gell_mann-level"])
+        "antisym_gell_mann", "diag_gell_mann", "sym_gell_mann-level",
+        "diag_gell_mann-float-index", "diag_gell_mann-bool-index",
+        "diag_gell_mann-range", "gellmann_su3-float", "gellmann_su3-bool",
+        "gellmann_su3-range"])
 def test_gell_mann_entry_points_reject_non_integers(call, message):
     # int() used to truncate d: gell_mann_basis(3.7) gave eight matrices
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
@@ -806,7 +815,7 @@ def test_gellmann_su3_indexing():
     lam = su3_standard_lambdas()
     for a in range(1, 9):
         assert np.abs(to.gellmann_su3(a) - lam[a - 1]).max() <= 1e-15
-    for bad in (0, 9, -1, "3"):
+    for bad in (0, 9, -1, "3", True, 1.0):
         with pytest.raises(ValueError):
             to.gellmann_su3(bad)
 

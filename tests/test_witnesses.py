@@ -63,6 +63,7 @@ from chesswit.witnesses import (
     _coeff_columns,
     _level_pairs,
     _pair_coeffs,
+    _pair_gather,
     _table,
 )
 
@@ -960,6 +961,17 @@ def test_catalog_components_bit_equal_scalar_route(catalog_inputs):
                 [v.hex() for v in _component_values(components, full)], e
 
 
+def test_slot_tables_pinned():
+    # sha256 of the compiled gather tables as written before one builder
+    # filled both
+    assert hashlib.sha256(_table().slots.tobytes()).hexdigest() == \
+        "0ed530d356327a6ebc3b6d91cfbd46d2f73862f4b8b98b338996faf73c723ff8"
+    gather = _pair_gather(3, 0, 2, 1, ((0, 1), (0, 2), (1, 2)))
+    assert gather.shape == (12, 3, 15) and not gather.flags.writeable
+    assert hashlib.sha256(gather.tobytes()).hexdigest() == \
+        "5da78ac7a411ef1a7f1b1447605c4651ea7ffc3c31ea9c61144430d4121f3e80"
+
+
 def _stacks(d):
     """(coefficient stack, pairs, suffixes) per level structure and
     ``pairs`` setting: sampled states, states whose families tie (zero
@@ -1081,16 +1093,46 @@ def test_family_minima_takes_angles_of_the_winners_only(monkeypatch, d, pair):
         assert len(calls) == len(FAMILY_NAMES)
 
 
-@pytest.mark.parametrize("coeffs", [
+NON_FINITE_COEFFS = [
     {(1, 1, 1): math.nan},
     {(3, 0, 0): math.inf},
     {(1, 1, 1): -math.inf, (1, 2, 2): math.inf},
     # finite coefficients whose component sums overflow
     {(1, 1, 1): 1e308, (1, 2, 2): -1e308, (2, 1, 2): 1e308},
-])
+]
+
+
+@pytest.mark.parametrize("coeffs", NON_FINITE_COEFFS)
 def test_family_minima_rejects_non_finite_values(coeffs):
     with pytest.raises(ValueError, match="finite"):
         family_minima(coeffs)
+
+
+@pytest.mark.parametrize("coeffs", NON_FINITE_COEFFS + [
+    # the spherical norm overflows
+    {(1, 1, 1): 1e308, (1, 2, 2): 1e308},
+])
+def test_scalar_closed_forms_reject_what_family_minima_rejects(coeffs):
+    # each scalar route raises family_minima's error, with no warning
+    # first, on every entry whose value is not finite, so it never
+    # returns one; and on some entry
+    with pytest.raises(ValueError) as error:
+        family_minima(coeffs)
+    angles = {"psi": 0.3, "eta": 1.1, "zeta": 3.0}
+    for route in (lambda wid: functional(wid, coeffs)[0],
+                  lambda wid: expectation_closed(wid, coeffs, **angles)):
+        rejected = 0
+        for wid in witness_ids(2):
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    value = route(wid)
+            except ValueError as exc:
+                assert str(exc) == str(error.value)
+                rejected += 1
+            else:
+                assert math.isfinite(value), wid
+        assert rejected > 0
 
 
 def test_family_minima_overflow_raises_value_error_under_warnings_as_errors():
