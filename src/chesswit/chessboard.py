@@ -50,7 +50,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import add
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -179,8 +180,9 @@ class ChessParams222:
 
 
 def normalization(params: ChessParams222) -> float:
-    """n = a + b + c + d + 1/a + 1/b + 1/c + 1/d."""
-    return float(sum(params.diag_unnormalized))
+    """n = a + b + c + d + 1/d + 1/c + 1/b + 1/a, added left to right
+    (the builtin ``sum`` compensates float sums from Python 3.12)."""
+    return reduce(add, params.diag_unnormalized)
 
 
 def build_rho_222(params: ChessParams222) -> np.ndarray:
@@ -202,7 +204,7 @@ def rho_entries_222(columns: ParamColumns) -> Tuple[np.ndarray, ...]:
     a, b, c, d = columns.diag.T
     diag = (a, b, c, d, 1 / d, 1 / c, 1 / b, 1 / a)
     return (np.stack(diag, axis=1).astype(np.complex128),
-            columns.r * np.exp(1j * columns.phi), sum(diag))
+            columns.r * np.exp(1j * columns.phi), reduce(add, diag))
 
 
 # The 15 nonidentity triples carried by the chessboard expansion.

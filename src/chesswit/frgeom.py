@@ -42,8 +42,9 @@ amplitudes u, v: entries 0 and 1 of a qubit factor, entries ``alpha``
 and ``beta`` of the third factor. So P is a sum of signed monomials in
 the nine Bloch coordinates, e.g. for the sphere P1 = z1,
 P2 = x1 (x2 x3 + y2 y3), P3 = y1 (x2 y3 + y2 x3), and
-``functional_points`` evaluates it that way, term by term from the
-terms that also build ``qset``; no 8d x 8d operator is formed. The
+``functional_points`` evaluates it that way: the Bloch products of the
+terms that build ``qset``, added by the same signed fold
+(``tensorops._signed_sum``); no 8d x 8d operator is formed. The
 qudit coordinates satisfy |r3| <= 1 instead of = 1, which is why the
 qudit region only shrinks.
 """
@@ -59,7 +60,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .chessboard import _check_seed, _rng_for
-from .tensorops import _check_integer, _check_pair, _check_tol, _signed_sum
+from .tensorops import (_check_integer, _check_pair, _check_tol, _signed_sum,
+                        qudit_substitute)
 from .witnesses import _spec
 
 __all__ = [
@@ -178,7 +180,8 @@ def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
     """The operator triple (Q1, Q2, Q3) probed by a geometry;
     ValueError unless ``d``, ``alpha`` and ``beta`` are integers that
     ``qudit_substitute`` accepts."""
-    ops = (_signed_sum(terms, d, alpha, beta) for terms in _terms(geometry))
+    ops = (_signed_sum(terms, lambda t: qudit_substitute(t, d, alpha, beta))
+           for terms in _terms(geometry))
     return tuple(ops)  # type: ignore[return-value]
 
 
@@ -213,14 +216,8 @@ def functional_points(
          _bloch(f3[:, alpha], f3[:, beta]))
     points = np.empty((f1.shape[0], len(columns)), dtype=float)
     for col, terms in enumerate(columns):
-        total = None
-        for sign, triple in terms:
-            term = reduce(mul, [e[p][t] for p, t in enumerate(triple) if t])
-            if total is None:
-                total = term if sign > 0 else -term
-            else:
-                total = total + term if sign > 0 else total - term
-        points[:, col] = total
+        points[:, col] = _signed_sum(terms, lambda triple: reduce(
+            mul, [e[p][t] for p, t in enumerate(triple) if t]))
     return points
 
 
@@ -291,7 +288,7 @@ def containment_report(geometry: str, chunks: Iterable[np.ndarray],
         excess = region_excess(geometry, points)
         samples += len(excess)
         violations += int(np.count_nonzero(excess > tol))
-        max_excess = max(max_excess, float(excess.max()))
+        max_excess = max(max_excess, float(excess.max(initial=-math.inf)))
     return {"geometry": geometry, "samples": samples, "violations": violations,
             "max_excess": max_excess, "tol": tol}
 

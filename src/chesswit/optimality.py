@@ -108,7 +108,8 @@ def zero_states_conical(
     psi: float,
     witness_id: str = "con:333:122:0:+",
 ) -> List[ProductState]:
-    """Eight product states annihilated by a supported conical witness.
+    """Eight product states annihilated by a supported conical witness:
+    the basis quadruple, then two theta-patterns at +psi and at -psi.
 
     Supported entries are ``con:333:122:0:+`` and ``con:333:122:0:-``.
     """
@@ -125,17 +126,14 @@ def zero_states_conical(
     quadruple = ODD_QUADRUPLE if parsed.sign > 0 else EVEN_QUADRUPLE
     quarter = math.pi / 4
     states = [_basis_state(b) for b in quadruple]
-    for theta1, theta2 in (((3 * math.pi / 2), math.pi / 2),
-                           (math.pi / 2, 3 * math.pi / 2)):
-        for sgn in (1.0, -1.0):
+    for sgn in (1.0, -1.0):
+        for theta1, theta2 in ((3 * math.pi / 2, math.pi / 2),
+                               (math.pi / 2, 3 * math.pi / 2)):
             states.append(ProductState(
                 (theta1, theta2, math.pi / 2),
                 (sgn * psi, sgn * quarter, sgn * quarter),
             ))
-    # reorder: the two theta-patterns at +psi, then the two at -psi
-    zq, nu = states[:4], states[4:]
-    nu = [nu[0], nu[2], nu[1], nu[3]]
-    return zq + nu
+    return states
 
 
 def orthogonality_system(witness_id: str, psi: Optional[float] = None
@@ -157,10 +155,7 @@ def orthogonality_system(witness_id: str, psi: Optional[float] = None
             f"no zero-state system is available for {witness_id!r}"
         )
     matrix = np.array([s.vector() for s in states])
-    values = [
-        abs(complex(s.vector().conj() @ w @ s.vector()).real)
-        for s in states
-    ]
+    values = [abs(complex(v.conj() @ w @ v).real) for v in matrix]
     max_expectation = max(values)
     if max_expectation > 1e-10:
         raise ArithmeticError(

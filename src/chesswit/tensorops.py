@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
-from functools import lru_cache
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from functools import lru_cache, reduce
+from operator import add
+from typing import (Any, Callable, Dict, Iterable, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -485,12 +487,19 @@ def qudit_substitute(
     return kron3(PAULI[i], PAULI[j], t)
 
 
-def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]], d: int,
-                alpha: int, beta: int) -> np.ndarray:
-    """Sum of s qudit_substitute(t, ...) over the (s, t) ``terms``, left
-    to right from the first term, so that a -0.0 entry keeps its sign."""
-    first, *rest = [s * qudit_substitute(t, d, alpha, beta) for s, t in terms]
-    return sum(rest, first)
+def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]],
+                value: Callable[[Sequence[int]], Any]) -> Any:
+    """s1 value(t1) + s2 value(t2) + ... over the (s, t) ``terms``, where
+    ``value`` gives an operator, a coefficient or a Bloch product.
+
+    The fold is explicit, left to right from the first term: a 0 start
+    would turn -0.0 into +0.0, and the builtin ``sum`` compensates float
+    sums from Python 3.12. Each term is ``s * value(t)``; negating and
+    subtracting would differ, since -1.0 * Q and -Q differ in the sign
+    of a zero imaginary part.
+    """
+    first, *rest = [s * value(t) for s, t in terms]
+    return reduce(add, rest, first)
 
 
 def sym_gell_mann(d: int, a: int, b: int) -> np.ndarray:

@@ -48,11 +48,13 @@ Each family is written once, as a term table (``_spec``): a short list
 of components, each a list of signed Pauli triples, which the angle
 weights combine into the witness. A primed family is its partner's
 table with the first Pauli index relabelled by the phase gate
-(1jk -> +2jk, 2jk -> -1jk). ``build_witness`` sums the operators of
-the terms; ``expectation_closed`` and ``functional`` sum the state's
+(1jk -> +2jk, 2jk -> -1jk). ``build_witness`` adds up the operators
+of the terms, and ``expectation_closed`` and ``functional`` the state's
 expansion coefficients over the same terms, since Tr(W rho) is affine
-in them. The minimum over a family's angle(s) is then
-k0 - ||k_rest|| (Guehne & Luetkenhaus, PRL 96, 170502, 2006).
+in them; both, like ``frgeom``'s operators and Bloch products, add
+by one signed left-to-right fold, ``tensorops._signed_sum``. The
+minimum over a family's angle(s) is then k0 - ||k_rest|| (Guehne &
+Luetkenhaus, PRL 96, 170502, 2006).
 
 ``family_minima`` evaluates the whole catalog at once from one gather
 table (``_table``), compiled lazily from the term tables: each of its
@@ -423,7 +425,8 @@ def build_witness(
     d = _check_integer("d", d)
     w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
     for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
-        w += coef * _signed_sum(terms, d, alpha, beta)
+        w += coef * _signed_sum(
+            terms, lambda t: qudit_substitute(t, d, alpha, beta))
     return w
 
 
@@ -548,19 +551,10 @@ def _finite(value: float) -> float:
 def _component_values(components: _Components,
                       co: Dict[Tuple[int, int, int], float]) -> List[float]:
     """K with Tr(W rho) = K . angle_weights: K_j = sum of s c_t over the
-    terms of component j, added left to right.
-
-    ``co`` must map the identity triple to 1.0. Each sum starts from its
-    first term, not from 0.0, so that a -0.0 component keeps its sign.
-    """
-    out = []
-    for terms in components:
-        (s, t), rest = terms[0], terms[1:]
-        k = s * co.get(t, 0.0)
-        for s, t in rest:
-            k += s * co.get(t, 0.0)
-        out.append(k)
-    return out
+    terms of component j, as ``_signed_sum`` adds them (a -0.0 component
+    keeps its sign). ``co`` must map the identity triple to 1.0."""
+    return [_signed_sum(terms, lambda t: co.get(t, 0.0))
+            for terms in components]
 
 
 def expectation_closed(

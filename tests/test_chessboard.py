@@ -591,6 +591,20 @@ def test_the_two_normalization_orders_differ():
     assert differ > 0
 
 
+def test_normalization_is_the_left_to_right_trace():
+    # n is added left to right, as rho_entries_222 adds the trace; a
+    # compensated sum (the builtin sum from Python 3.12) would give
+    # 2**53 + 6 for the first state
+    p = cb.ChessParams222(2.0 ** 53, 1, 1, 1)
+    assert cb.normalization(p) == 2.0 ** 53
+    chunk = cb.sample_chunk(0, 0, 2000)
+    trace = cb.rho_entries_222(chunk)[2]
+    for i in range(2000):
+        p = chunk[i]
+        n = p.a + p.b + p.c + p.d + 1 / p.d + 1 / p.c + 1 / p.b + 1 / p.a
+        assert cb.normalization(p).hex() == n.hex() == trace[i].hex()
+
+
 @pytest.mark.parametrize("args, message", [
     ((True, 0, 1), "seed must be a non-negative integer, got True"),
     ((0, -1, 1), "start must be a non-negative integer, got -1"),

@@ -4,6 +4,8 @@ operator triples, containment regions, and exact boundary sweeps."""
 import hashlib
 import math
 import re
+from functools import reduce
+from operator import mul
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from chesswit.frgeom import (
     GEOMETRIES,
     ProductState,
     boundary_curve_check,
+    containment_report,
     contains,
     feasible_region_check,
     functional_points,
@@ -22,8 +25,10 @@ from chesswit.frgeom import (
     qubit_state,
     region_excess,
     sample_factors,
+    _bloch,
     _terms,
 )
+from chesswit.tensorops import qudit_substitute
 from chesswit.witnesses import _spec
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -126,6 +131,29 @@ def test_qset_members():
             np.testing.assert_allclose(got, want, atol=1e-15)
 
 
+def _fold_operators(geometry, d, alpha, beta):
+    """Oracle: each Q of ``qset`` as the left fold of its s * Q_t."""
+    out = []
+    for terms in _terms(geometry):
+        total = None
+        for s, t in terms:
+            q = s * qudit_substitute(t, d, alpha, beta)
+            total = q if total is None else total + q
+        out.append(total)
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_qset_bytes_are_the_signed_left_fold(d):
+    for geometry in GEOMETRIES:
+        for alpha in range(d):
+            for beta in range(alpha + 1, d):
+                got = qset(geometry, d, alpha, beta)
+                want = _fold_operators(geometry, d, alpha, beta)
+                assert [q.tobytes() for q in got] == \
+                    [q.tobytes() for q in want], (geometry, alpha, beta)
+
+
 def test_qset_qudit_shape_and_unknown():
     qs = qset("sphere", d=3, alpha=0, beta=2)
     assert all(q.shape == (12, 12) for q in qs)
@@ -170,6 +198,41 @@ def test_functional_points_against_loop():
                 assert got.shape == (10_000, 3)
                 assert np.abs(got - want).max() <= 1e-13, (d, alpha, beta,
                                                            geometry)
+
+
+def _accumulated_points(geometry, factors, alpha=0, beta=1):
+    """Oracle: each column of ``functional_points`` accumulated from its
+    first Bloch product, adding a positive term and subtracting a
+    negative one."""
+    f1, f2, f3 = factors
+    e = (_bloch(f1[:, 0], f1[:, 1]), _bloch(f2[:, 0], f2[:, 1]),
+         _bloch(f3[:, alpha], f3[:, beta]))
+    columns = []
+    for terms in _terms(geometry):
+        total = None
+        for sign, triple in terms:
+            term = reduce(mul, [e[p][t] for p, t in enumerate(triple) if t])
+            if total is None:
+                total = term if sign > 0 else -term
+            else:
+                total = total + term if sign > 0 else total - term
+        columns.append(total)
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_functional_points_bytes_equal_accumulated_terms(d):
+    f1, f2, f3 = sample_factors(2000, seed=13, d=d)
+    f3[:100] = 0.0
+    f3[:100, d - 1] = 1.0  # outside (0, 1) for d > 2: zero coordinates
+    for geometry in GEOMETRIES:
+        for alpha in range(d):
+            for beta in range(alpha + 1, d):
+                factors = (f1, f2, f3)
+                got = functional_points(geometry, factors, alpha, beta)
+                want = _accumulated_points(geometry, factors, alpha, beta)
+                assert got.tobytes() == want.tobytes(), (geometry, alpha,
+                                                         beta)
 
 
 def test_functional_points_bloch_form():
@@ -345,6 +408,18 @@ def test_feasible_region_sampled(geometry):
     # deterministic
     again = feasible_region_check(geometry, n=20000, seed=11)
     assert again["max_excess"] == out["max_excess"]
+
+
+def test_containment_report_counts_an_empty_chunk_as_no_samples():
+    # an empty chunk has no excess to report; it raised numpy's
+    # zero-size reduction error
+    empty = np.zeros((0, 3))
+    out = containment_report("sphere", [empty])
+    assert (out["samples"], out["violations"], out["max_excess"]) == \
+        (0, 0, -math.inf)
+    points = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 2.0]])
+    assert containment_report("sphere", [empty, points, empty]) == \
+        containment_report("sphere", [points])
 
 
 @pytest.mark.parametrize("n", [0, -3])

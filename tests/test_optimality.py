@@ -111,6 +111,29 @@ def test_conical_nu_state_moduli():
                                    1 / (2 * math.sqrt(2)), atol=1e-14)
 
 
+def test_conical_angle_states_in_order():
+    # the two theta-patterns at +psi, then the two at -psi
+    psi, q = 0.3, math.pi / 4
+    states = zero_states_conical(psi, "con:333:122:0:+")[4:]
+    assert [(s.thetas, s.phis) for s in states] == [
+        ((3 * math.pi / 2, math.pi / 2, math.pi / 2), (psi, q, q)),
+        ((math.pi / 2, 3 * math.pi / 2, math.pi / 2), (psi, q, q)),
+        ((3 * math.pi / 2, math.pi / 2, math.pi / 2), (-psi, -q, -q)),
+        ((math.pi / 2, 3 * math.pi / 2, math.pi / 2), (-psi, -q, -q)),
+    ]
+
+
+def test_system_expectations_read_the_matrix_rows():
+    wid = "con:333:122:0:-"
+    system = orthogonality_system(wid, psi=0.3)
+    w = build_witness(wid, psi=0.3)
+    vectors = [s.vector() for s in system.states]
+    assert [row.tobytes() for row in system.matrix] == \
+        [v.tobytes() for v in vectors]
+    assert system.max_expectation == max(
+        abs(complex(v.conj() @ w @ v).real) for v in vectors)
+
+
 def test_conical_missing_angle():
     with pytest.raises(ValueError):
         orthogonality_system("con:333:122:0:+")

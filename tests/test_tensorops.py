@@ -583,6 +583,25 @@ def test_x_blocks_pair_the_same_indices_in_every_transpose():
                 assert sorted(k.tolist()) == sorted(list(range(len(cells))) * 3)
 
 
+# --- signed term sums ---------------------------------------------------
+
+
+def test_signed_sum_folds_left_to_right_from_the_first_term():
+    # s1 v(t1) + s2 v(t2) + ... as written: no 0 start (which would
+    # turn -0.0 into +0.0) and no compensation (the builtin sum from
+    # Python 3.12 gives 1.0 for the second table)
+    values = {(1, 0, 0): 0.0, (2, 0, 0): 1e16, (3, 0, 0): 1.0}
+    table = ((-1.0, (1, 0, 0)),)
+    assert to._signed_sum(table, values.get).hex() == (-0.0).hex()
+    table = ((1.0, (2, 0, 0)), (1.0, (3, 0, 0)), (-1.0, (2, 0, 0)))
+    assert to._signed_sum(table, values.get) == 0.0
+    # operators: -1.0 * Q keeps a +0.0 imaginary part where -Q has -0.0
+    got = to._signed_sum(((-1.0, (0, 0, 3)),),
+                         lambda t: to.qudit_substitute(t, 2, 0, 1))
+    want = -1.0 * to.pauli_op((0, 0, 3))
+    assert got.tobytes() == want.tobytes() != (-to.pauli_op((0, 0, 3))).tobytes()
+
+
 # --- qudit substitution ---------------------------------------------------
 
 def test_qudit_substitute_reduces_to_pauli_op():
