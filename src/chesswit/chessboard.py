@@ -283,11 +283,8 @@ def qudit_levels(dim: int, alpha: int = 0, beta: Optional[int] = None,
     dim = _check_integer("dim", dim, 2)
     if beta is None:
         beta = 2 if dim > 2 else 1
-    levels = (_check_integer("alpha", alpha), _check_integer("beta", beta),
-              _check_integer("gamma", gamma))
-    for name, v in zip(("alpha", "beta", "gamma"), levels):
-        if not 0 <= v < dim:
-            raise ValueError(f"{name} must lie in 0..{dim - 1}, got {v}")
+    levels = tuple(_check_integer(name, v, 0, dim - 1) for name, v in
+                   (("alpha", alpha), ("beta", beta), ("gamma", gamma)))
     if levels[0] == levels[1]:
         raise ValueError("alpha and beta must differ")
     return levels

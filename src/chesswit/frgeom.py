@@ -150,10 +150,11 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
 
     These are the states that ``feasible_region_check`` checks for the
     same ``(n, seed, d)``. Raises ValueError unless ``n`` and ``d`` are
-    integers, ``n >= 0``, and ``seed`` is a non-negative integer.
+    integers, ``n >= 0``, ``d >= 2``, and ``seed`` is a non-negative
+    integer.
     """
     n = _check_integer("n", n, 0)
-    d = _check_integer("d", d)
+    d = _check_integer("d", d, 2)
     _check_seed(seed)
     out = tuple(np.empty((n, dim), dtype=np.complex128)
                 for dim in (2, 2, d))
@@ -205,11 +206,18 @@ def functional_points(
     for a batch of product states.
 
     ``factors`` are three arrays of shape (n, 2), (n, 2), (n, d) with
-    unit-norm rows. Each column is the sum of its signed Pauli triples,
-    each triple the product e1_i e2_j e3_k of per-party expectations
-    (see the module docstring), with identity factors skipped.
+    unit-norm rows (ValueError, naming the factor, for another shape).
+    Each column is the sum of its signed Pauli triples, each triple the
+    product e1_i e2_j e3_k of per-party expectations (see the module
+    docstring), with identity factors skipped.
     """
     f1, f2, f3 = (np.asarray(f, dtype=np.complex128) for f in factors)
+    n = len(f1) if f1.ndim == 2 else None
+    for i, (f, width) in enumerate(((f1, 2), (f2, 2), (f3, None))):
+        if f.ndim != 2 or len(f) != n or width not in (None, f.shape[1]):
+            raise ValueError(f"factors[{i}] must have shape "
+                             f"({'n' if n is None else n}, {width or 'd'}), "
+                             f"got {f.shape}")
     columns = _terms(geometry)
     alpha, beta = _check_pair(f3.shape[1], alpha, beta, ("alpha", "beta"))
     e = (_bloch(f1[:, 0], f1[:, 1]), _bloch(f2[:, 0], f2[:, 1]),
@@ -262,13 +270,11 @@ def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
     drawn lazily one ``SAMPLE_CHUNK`` at a time.
 
     Raises ValueError before any state is drawn unless ``n`` and ``d``
-    are integers, ``n >= 1``, ``seed`` is a non-negative integer, and
-    the geometry and the subspace levels are valid.
+    are integers, ``n >= 1``, ``d >= 2``, ``seed`` is a non-negative
+    integer, and the geometry and the subspace levels are valid.
     """
-    n = _check_integer("n", n)
-    d = _check_integer("d", d)
-    if n < 1:
-        raise ValueError(f"n must be at least 1, got {n}")
+    n = _check_integer("n", n, 1)
+    d = _check_integer("d", d, 2)
     _check_seed(seed)
     _terms(geometry)
     _check_pair(d, alpha, beta, ("alpha", "beta"))

@@ -76,6 +76,7 @@ from .tensorops import (PPT_SUBSETS, _check_integer, _check_tol,
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
+    _check_pairs,
     _qudit_chunk,
     build_witness,
     family_minima,
@@ -99,8 +100,8 @@ __all__ = [
 #: the true minimizer for reference.
 SECOND_CASE_T = 0.3460
 
-_FLAG_COLUMNS = ("det_poly", "det_con", "det_cyl", "det_sph", "det_any")
-_MIN_COLUMNS = ("min_poly", "min_con", "min_cyl", "min_sph")
+_FLAG_COLUMNS = tuple(f"det_{g}" for g in GROUP_NAMES + ("any",))
+_MIN_COLUMNS = tuple(f"min_{g}" for g in GROUP_NAMES)
 
 
 def sample_params(
@@ -133,9 +134,7 @@ def sample_params(
             raise ValueError(
                 "stream must be an integer seed or a (seed, index) pair"
             ) from exc
-    d = _check_integer("d", d)
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    d = _check_integer("d", d, 2)
     levels = _levels(d, alpha, beta, gamma)
     if levels is None:
         return sample_params_222(seed, index)
@@ -166,9 +165,7 @@ def _levels(d: int, alpha: Optional[int], beta: Optional[int],
 def csv_header(dim: int = 2) -> str:
     """The scan CSV header for qubit (dim=2) or qudit third party;
     ValueError unless ``dim`` is an integer >= 2."""
-    dim = _check_integer("dim", dim)
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    dim = _check_integer("dim", dim, 2)
     if dim == 2:
         cols = ["index", "a", "b", "c", "d",
                 "r1", "r2", "r3", "r4",
@@ -297,19 +294,12 @@ def run_scan(
     be integers, not merely integral floats), so ``n = 0`` rejects what
     ``n = 1`` rejects.
     """
-    n = _check_integer("n", n)
+    n = _check_integer("n", n, 0)
     seed = _check_seed(seed)
-    dim = _check_integer("dim", dim)
-    workers = _check_integer("workers", workers)
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
+    dim = _check_integer("dim", dim, 2)
+    workers = _check_integer("workers", workers, 1)
     levels = _levels(dim, alpha, beta, gamma)
-    if pairs not in ("all", "own"):
-        raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
+    _check_pairs(pairs)
     tol = _check_tol("tol", float(tol))
     # the pool forks every worker up front, so it never gets more
     # processes than there are cores or chunks

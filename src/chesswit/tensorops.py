@@ -74,6 +74,13 @@ def _check_integer(name: str, value, least: Optional[int] = None,
     return value
 
 
+def _check_dims(dims: Sequence[int]) -> Tuple[int, ...]:
+    """``dims`` as a tuple of ints; ValueError unless every entry is an
+    integer >= 1, named by its index."""
+    return tuple(_check_integer(f"dims[{i}]", d, 1)
+                 for i, d in enumerate(dims))
+
+
 def _json_number(name: str, value) -> float:
     """``value`` as a float; ValueError unless it is an int or a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -151,14 +158,10 @@ def partial_transpose(
     index, so e.g. for qubits the ((0,0,0),(1,1,1)) entry moves to
     ((1,0,0),(0,1,1)) under the transpose of party 1.
     """
-    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
+    dims = _check_dims(dims)
     m = _as_square(m, dims)
-    parties = tuple(sorted({_check_integer(f"parties[{i}]", p)
+    parties = tuple(sorted({_check_integer(f"parties[{i}]", p, 1, len(dims))
                             for i, p in enumerate(parties)}))
-    n = len(dims)
-    for p in parties:
-        if not 1 <= p <= n:
-            raise ValueError(f"party {p} out of range 1..{n}")
     return _swap_parties(m, dims, parties)
 
 
@@ -327,7 +330,7 @@ def is_ppt(
     and floats, and a stack gives (nested) lists of them.
     """
     _check_tol("tol", tol)
-    dims = tuple(_check_integer(f"dims[{i}]", d) for i, d in enumerate(dims))
+    dims = _check_dims(dims)
     m = np.asarray(m, dtype=np.complex128)
     size = math.prod(dims)
     if m.shape[-2:] != (size, size):
@@ -522,12 +525,10 @@ def diag_gell_mann(d: int, i: int) -> np.ndarray:
     For 0 <= i <= d-2:
     sqrt(2/((i+1)(i+2))) * diag(1, ..., 1, -(i+1), 0, ..., 0)
     with i+1 leading ones. ValueError unless ``d`` and ``i`` are
-    integers and ``i`` lies in that range.
+    integers, d >= 2 and ``i`` lies in that range.
     """
-    d = _check_integer("d", d)
-    i = _check_integer("i", i)
-    if not 0 <= i <= d - 2:
-        raise ValueError(f"need 0 <= i <= d-2, got i={i}, d={d}")
+    d = _check_integer("d", d, 2)
+    i = _check_integer("i", i, 0, d - 2)
     v = np.zeros(d, dtype=np.complex128)
     v[: i + 1] = 1.0
     v[i + 1] = -(i + 1)
@@ -544,9 +545,7 @@ def gell_mann_basis(d: int) -> List[np.ndarray]:
     this reproduces the eight standard 3x3 matrices in their usual
     numbering.
     """
-    d = _check_integer("d", d)
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = _check_integer("d", d, 2)
     out: List[np.ndarray] = []
     s2 = math.sqrt(2.0)
     for k in range(1, d):
@@ -563,9 +562,7 @@ def gellmann_su3(a: int) -> np.ndarray:
 
     Hermitian and traceless with Tr(Lambda_a Lambda_b) = 2 delta_ab.
     """
-    if _check_integer("a", a) not in range(1, 9):
-        raise ValueError(f"index must be 1..8, got {a!r}")
-    return gell_mann_basis(3)[a - 1]
+    return gell_mann_basis(3)[_check_integer("a", a, 1, 8) - 1]
 
 
 def gen_gellmann(d: int) -> Dict[str, object]:
@@ -581,9 +578,7 @@ def gen_gellmann(d: int) -> Dict[str, object]:
     All non-``E`` members are Hermitian and traceless; the last
     diagonal generator equals sqrt(2/(d(d-1))) diag(1, ..., 1, -d+1).
     """
-    d = _check_integer("d", d)
-    if d < 2:
-        raise ValueError(f"need d >= 2, got {d}")
+    d = _check_integer("d", d, 2)
     e = {(i, j): _basis_matrix(d, i, j) for i in range(d) for j in range(d)}
     plus = {(a, b): sym_gell_mann(d, a, b)
             for a in range(d) for b in range(a + 1, d)}
@@ -619,10 +614,10 @@ def _json_row(name: str, row, width: int) -> list:
 
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode a matrix produced by :func:`matrix_to_json`; ValueError
-    names a ``dim`` that is no integer, an entry that is no number or a
-    row that does not have ``dim`` entries."""
+    names a ``dim`` that is no integer >= 1, an entry that is no number
+    or a row that does not have ``dim`` entries."""
     try:
-        dim = _check_integer("dim", obj["dim"])
+        dim = _check_integer("dim", obj["dim"], 1)
         re, im = (np.array([_json_row(f"{part}[{i}]", row, dim)
                             for i, row in enumerate(obj[part])])
                   for part in ("re", "im"))

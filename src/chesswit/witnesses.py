@@ -134,7 +134,7 @@ from .chessboard import (
     rho_entries_22d,
     stream_words,
 )
-from .tensorops import (_check_integer, _check_tol, _signed_sum,
+from .tensorops import (_check_dims, _check_integer, _check_tol, _signed_sum,
                         qudit_substitute)
 
 __all__ = [
@@ -416,13 +416,13 @@ def build_witness(
     Angle arguments are required by the curved families (``psi`` for
     conical/cylindrical, ``eta``/``zeta`` for spherical) and ignored by
     the polygonal ones; every angle given must be finite. The third
-    party has ``d`` levels, an integer (ValueError otherwise), and the
-    operators act on its two-level subspace named by the id's ``@A,B``
-    suffix, (0, 1) without one.
+    party has ``d`` levels, an integer >= 2 (ValueError otherwise), and
+    the operators act on its two-level subspace named by the id's
+    ``@A,B`` suffix, (0, 1) without one.
     """
     parsed, kind, components = _parsed_spec(witness_id)
     alpha, beta = parsed.pair or (0, 1)
-    d = _check_integer("d", d)
+    d = _check_integer("d", d, 2)
     w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
     for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
         w += coef * _signed_sum(
@@ -489,6 +489,12 @@ def _pair_gather(d: int, alpha: int, beta: int, gamma: int,
                for a, b in pairs for q in _substituted_ops(d, a, b)]
     slots = _slot_table(columns, 4 * m)
     return slots.reshape(len(slots), len(pairs), len(COEFF_TRIPLES))
+
+
+def _check_pairs(pairs: str) -> None:
+    """ValueError unless ``pairs`` is "all" or "own"."""
+    if pairs not in ("all", "own"):
+        raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
 
 
 def _level_pairs(levels: Tuple[int, int, int, int], pairs: str
@@ -883,8 +889,7 @@ def detect(params, pairs: str = "all") -> DetectionReport:
     NonPositiveError. Its intermediates are ``detection_conditions``
     for a 2x2x2 state and the level pairs for a 2x2xd state.
     """
-    if pairs not in ("all", "own"):
-        raise ValueError(f"pairs must be 'all' or 'own', got {pairs!r}")
+    _check_pairs(pairs)
     if isinstance(params, ChessParams222):
         families = family_minima(pauli_coeffs(params))
         intermediates = detection_conditions(params)
@@ -1037,11 +1042,9 @@ def min_expectation_over_products(
     ``tol`` finite and >= 0, and ``seed`` a non-negative integer;
     otherwise ValueError.
     """
-    dims = tuple(_check_integer(f"dims[{i}]", x) for i, x in enumerate(dims))
+    dims = _check_dims(dims)
     if len(dims) != 3:
         raise ValueError(f"dims must have three entries, got {dims!r}")
-    if min(dims) < 1:
-        raise ValueError(f"dims entries must be >= 1, got {dims!r}")
     w = np.asarray(w, dtype=np.complex128)
     size = int(np.prod(dims))
     if w.shape != (size, size):

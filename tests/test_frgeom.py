@@ -259,6 +259,25 @@ def test_functional_points_rejects_bad_geometry_and_levels():
             functional_points("cone", factors, alpha, beta)
 
 
+@pytest.mark.parametrize("make, message", [
+    # read silently from the first two amplitudes
+    (lambda f1, f2, f3: (np.zeros((3, 3)), f2, f3),
+     "factors[0] must have shape (3, 2), got (3, 3)"),
+    # numpy's "operands could not be broadcast"
+    (lambda f1, f2, f3: (f1, f2[:2], f3),
+     "factors[1] must have shape (3, 2), got (2, 2)"),
+    # an IndexError
+    (lambda f1, f2, f3: (f1[:, 0], f2, f3),
+     "factors[0] must have shape (n, 2), got (3,)"),
+    (lambda f1, f2, f3: (f1, f2, f3[0]),
+     "factors[2] must have shape (3, d), got (3,)"),
+], ids=["wide-qubit", "row-counts", "1-D-first", "1-D-third"])
+def test_functional_points_rejects_factors_of_the_wrong_shape(make, message):
+    factors = make(*sample_factors(3, seed=0, d=3))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        functional_points("sphere", factors)
+
+
 # sha256 of the concatenated bytes of sample_factors(n, seed, d): these
 # are the states feasible_region_check checks, so they must not drift
 SAMPLE_FACTOR_PINS = {
@@ -303,6 +322,10 @@ def test_sample_factors_rejects_negative_n():
 @pytest.mark.parametrize("kwargs, message", [
     (dict(n=2.5), "n must be an integer, got 2.5"),
     (dict(n=3, d=3.5), "d must be an integer, got 3.5"),
+    # d = -1 failed in numpy; d = 0 and 1 drew (3, 0) and (3, 1) factors
+    (dict(n=3, d=-1), "d must be >= 2, got -1"),
+    (dict(n=3, d=0), "d must be >= 2, got 0"),
+    (dict(n=3, d=1), "d must be >= 2, got 1"),
 ])
 def test_sample_factors_rejects_non_integer_sizes(kwargs, message):
     # int() used to draw 2 states for n = 2.5

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from chesswit import chessboard, tensorops
+from chesswit import chessboard, frgeom, tensorops
 from chesswit.chessboard import (
     COUPLING_POSITIONS,
     ChessParams222,
@@ -56,11 +56,32 @@ def test_csv_header_222_frozen():
 @pytest.mark.parametrize("dim, message", [
     (3.7, "dim must be an integer, got 3.7"),
     ("3", "dim must be an integer"),
-    (1, "dim must be at least 2"),
+    (1, "dim must be >= 2, got 1"),
 ])
 def test_csv_header_rejects_bad_dims(dim, message):
     with pytest.raises(ValueError, match=message):
         csv_header(dim)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: witnesses.witness_ids(1),
+    lambda: chessboard.qudit_levels(1),
+    lambda: sample_params(0, d=1),
+    lambda: csv_header(1),
+    lambda: run_scan(0, dim=1),
+    lambda: frgeom.sample_factors(3, d=1),
+    lambda: frgeom.region_points("sphere", 3, d=1),
+    lambda: witnesses.build_witness("poly1:0000", d=1),
+    lambda: tensorops.gell_mann_basis(1),
+    lambda: tensorops.gen_gellmann(1),
+    lambda: tensorops.diag_gell_mann(1, 0),
+], ids=["witness_ids", "qudit_levels", "sample_params", "csv_header",
+        "run_scan", "sample_factors", "region_points", "build_witness",
+        "gell_mann_basis", "gen_gellmann", "diag_gell_mann"])
+def test_third_party_dimension_must_be_at_least_two(call):
+    # every entry names its own dimension argument in the one message form
+    with pytest.raises(ValueError, match=r"^(d|dim) must be >= 2, got 1$"):
+        call()
 
 
 def test_csv_header_qudit():
@@ -222,6 +243,15 @@ def test_run_scan_checks_tol_before_any_row(n, tol, monkeypatch):
                         lambda *a, **k: pytest.fail("a row was drawn"))
     with pytest.raises(ValueError, match="tol must be finite and >= 0"):
         run_scan(n, tol=tol)
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_run_scan_checks_pairs_before_any_row(n, monkeypatch):
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    with pytest.raises(ValueError, match="^pairs must be 'all' or 'own', "
+                       "got 'bogus'$"):
+        run_scan(n, pairs="bogus")
 
 
 @pytest.mark.parametrize("n", [0, 1])

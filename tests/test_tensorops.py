@@ -519,6 +519,24 @@ def test_is_ppt_rejects_non_integer_dims():
     assert to.is_ppt(np.eye(8) / 8.0, dims=np.array([2, 2, 2]))[0] is True
 
 
+@pytest.mark.parametrize("call, message", [
+    # a zero-size array to the reduction "minimum"
+    (lambda: to.is_ppt(np.zeros((0, 0)), dims=(2, 2, 0)),
+     "dims[2] must be >= 1, got 0"),
+    (lambda: to.partial_transpose(np.zeros((0, 0)), dims=(0, 2, 2)),
+     "dims[0] must be >= 1, got 0"),
+    (lambda: to.partial_transpose(np.eye(8), (2, 2, 2), (4,)),
+     "parties[0] must be 1..3, got 4"),
+    # "matrix parts have shapes (0,)/(0,), expected (-1, -1)"
+    (lambda: to.matrix_from_json({"dim": -1, "re": [], "im": []}),
+     "dim must be >= 1, got -1"),
+], ids=["is_ppt", "partial_transpose", "partial_transpose-party",
+        "matrix_from_json"])
+def test_size_arguments_reject_out_of_range_values(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
 # --- X-state block rule ---------------------------------------------------
 
 def _x_chunk(levels, seed, n=20):
@@ -743,10 +761,10 @@ def test_gell_mann_basis_orthonormality(d):
     (lambda: to.sym_gell_mann(3, 0, 1.5), "b must be an integer, got 1.5"),
     (lambda: to.diag_gell_mann(3, 0.5), "i must be an integer, got 0.5"),
     (lambda: to.diag_gell_mann(3, True), "i must be an integer, got True"),
-    (lambda: to.diag_gell_mann(3, 2), "need 0 <= i <= d-2, got i=2, d=3"),
+    (lambda: to.diag_gell_mann(3, 2), "i must be 0..1, got 2"),
     (lambda: to.gellmann_su3(1.0), "a must be an integer, got 1.0"),
     (lambda: to.gellmann_su3(True), "a must be an integer, got True"),
-    (lambda: to.gellmann_su3(9), "index must be 1..8, got 9"),
+    (lambda: to.gellmann_su3(9), "a must be 1..8, got 9"),
 ], ids=["gell_mann_basis", "gen_gellmann", "sym_gell_mann",
         "antisym_gell_mann", "diag_gell_mann", "sym_gell_mann-level",
         "diag_gell_mann-float-index", "diag_gell_mann-bool-index",

@@ -1492,6 +1492,13 @@ def test_build_witness_rejects_non_integer_d():
     assert build_witness("poly1:0000@1,2", d=np.int64(3)).shape == (12, 12)
 
 
+@pytest.mark.parametrize("d", [-3, 0])
+def test_build_witness_rejects_d_below_two(d):
+    # d = -3 failed in numpy with "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=f"^d must be >= 2, got {d}$"):
+        build_witness("poly1:0000", d=d)
+
+
 def test_substituted_coeffs_rejects_non_integer_d():
     # int() used to read an 8x8 state as d = 2 for d = 2.9
     with pytest.raises(ValueError, match=r"^d must be an integer, got 2\.9$"):
@@ -1532,7 +1539,9 @@ def test_minimizer_rejects_bad_input():
 def test_minimizer_rejects_non_positive_dims(dims):
     # a zero entry passed the shape gate and failed in a numpy reduction
     size = max(0, math.prod(dims))
-    with pytest.raises(ValueError, match=r"dims entries must be >= 1, got \("):
+    i = next(k for k, x in enumerate(dims) if x < 1)
+    message = f"dims[{i}] must be >= 1, got {dims[i]}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_expectation_over_products(np.zeros((size, size)), dims=dims)
 
 
