@@ -23,7 +23,6 @@ from chesswit.frgeom import (
     boundary_curve_check,
     feasible_region_check,
     functional_points,
-    p_map,
     qset,
     region_excess,
     sample_factors,
@@ -33,19 +32,22 @@ from chesswit.frgeom import (
 def main():
     state = ProductState(thetas=(0.3, 1.1, 2.0), phis=(0.5, 2.5, 4.0))
 
+    # functional_points takes a batch of factors; here a batch of one
+    factors = [f[None, :] for f in state.factors()]
+
     print("=== The operator triples behind each geometry ===")
     print("P is evaluated as products of per-party Bloch coordinates;")
     print("the 8x8 operators give the same point as <s|Q|s>:")
     v = state.vector()
     for geometry in GEOMETRIES:
         dense = [float((v.conj() @ q @ v).real) for q in qset(geometry)]
-        gap = np.abs(p_map(state, geometry) - dense).max()
+        gap = np.abs(functional_points(geometry, factors)[0] - dense).max()
         print(f"  {geometry:8s}: max |product form - <s|Q|s>| = {gap:.1e}")
 
     print("\n=== Where individual product states land ===")
     for geometry in GEOMETRIES:
-        p = p_map(state, geometry)
-        excess = region_excess(geometry, p.reshape(1, 3))[0]
+        p = functional_points(geometry, factors)[0]
+        excess = region_excess(geometry, p)[0]
         print(f"  {geometry:8s}: P = ({p[0]:+.4f}, {p[1]:+.4f}, "
               f"{p[2]:+.4f})   boundary excess = {excess:+.3e}")
     print("(excess <= 0 means the point is inside its region)")

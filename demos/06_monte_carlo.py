@@ -15,10 +15,10 @@ Two experiments:
 import io
 import time
 
+from chesswit.chessboard import sample_params_222, sample_params_22d
 from chesswit.mcharness import (
     reproduce_section6,
     run_scan,
-    sample_params,
     section6_curve,
     summarize,
     write_csv,
@@ -27,12 +27,12 @@ from chesswit.mcharness import (
 
 def main():
     print("=== Counter-based sampling ===")
-    print("sample_params(stream) accepts a bare seed or a (seed, index)")
-    print("pair; equal streams give equal draws:")
-    p1 = sample_params((99, 7))
-    p2 = sample_params((99, 7))
+    print("Sample `index` of stream `seed` depends on (seed, index) alone,")
+    print("so equal streams give equal draws:")
+    p1 = sample_params_222(99, 7)
+    p2 = sample_params_222(99, 7)
     print(f"  draw twice at (99, 7): identical = {p1 == p2}")
-    p3 = sample_params((99, 7), d=3)
+    p3 = sample_params_22d(99, 7, 3)
     print(f"  same stream, qutrit third party: d={p3.dim}, "
           f"pair=({p3.alpha},{p3.beta})")
 

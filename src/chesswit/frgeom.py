@@ -71,9 +71,7 @@ __all__ = [
     "sample_factors",
     "qset",
     "functional_points",
-    "p_map",
     "region_excess",
-    "contains",
     "region_points",
     "containment_report",
     "feasible_region_check",
@@ -229,12 +227,6 @@ def functional_points(
     return points
 
 
-def p_map(state: ProductState, geometry: str = "polygon") -> np.ndarray:
-    """(P1, P2, P3) = (<Q1>, <Q2>, <Q3>) for one product state."""
-    factors = [f[None, :] for f in state.factors()]
-    return functional_points(geometry, factors)[0]
-
-
 def region_excess(geometry: str, points: np.ndarray) -> np.ndarray:
     """Signed distance-like boundary excess; <= 0 means inside.
 
@@ -256,12 +248,6 @@ def region_excess(geometry: str, points: np.ndarray) -> np.ndarray:
     if geometry == "sphere":
         return np.sqrt(p1 * p1 + p2 * p2 + p3 * p3) - 1.0
     raise ValueError(f"unknown geometry {geometry!r}; choose from {GEOMETRIES}")
-
-
-def contains(geometry: str, points: np.ndarray, tol: float = 1e-9
-             ) -> np.ndarray:
-    """Boolean mask: which functional points lie inside the region."""
-    return region_excess(geometry, points) <= tol
 
 
 def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
@@ -286,7 +272,9 @@ def containment_report(geometry: str, chunks: Iterable[np.ndarray],
                        tol: float = 1e-9) -> Dict[str, object]:
     """Violation count and largest boundary excess (negative when every
     point is strictly inside) over chunks of points. Raises ValueError
-    before reading a chunk unless ``tol`` is finite and >= 0."""
+    before reading a chunk unless the geometry is known and ``tol`` is
+    finite and >= 0."""
+    _terms(geometry)
     _check_tol("tol", tol)
     samples = violations = 0
     max_excess = -math.inf

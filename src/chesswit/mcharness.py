@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -68,8 +67,6 @@ from .chessboard import (
     rho_entries_222,
     rho_stack,
     sample_chunk,
-    sample_params_222,
-    sample_params_22d,
 )
 from .tensorops import (PPT_SUBSETS, _check_integer, _check_tol,
                         _ppt_blocks_pass, is_ppt)
@@ -86,7 +83,6 @@ from .witnesses import (
 __all__ = [
     "ScanResult",
     "csv_header",
-    "sample_params",
     "run_scan",
     "write_csv",
     "summarize",
@@ -104,46 +100,9 @@ _FLAG_COLUMNS = tuple(f"det_{g}" for g in GROUP_NAMES + ("any",))
 _MIN_COLUMNS = tuple(f"min_{g}" for g in GROUP_NAMES)
 
 
-def sample_params(
-    stream,
-    d: int = 2,
-    *,
-    alpha: Optional[int] = None,
-    beta: Optional[int] = None,
-    gamma: Optional[int] = None,
-):
-    """Draw one chessboard parameter set from a counter-based stream.
-
-    ``stream`` names a per-sample RNG stream: a ``(seed, index)`` pair,
-    or a bare integer seed (meaning index 0); seed and index must be
-    non-negative integers (ValueError). ``d`` is the third-party
-    dimension: 2 draws a ``ChessParams222``, larger values draw a
-    tied-diagonal ``ChessParams22d`` (PPT by construction) whose
-    subspace levels ``alpha``/``beta`` and third level ``gamma`` may be
-    fixed; at d = 2 giving any of them raises ValueError. Diagonal
-    magnitudes are log-uniform on [0.1, 10], couplings uniform on
-    [0, 1] and phases uniform on [0, 2*pi). Identical ``(stream, d)``
-    arguments give byte-identical parameters on every run and platform.
-    """
-    if isinstance(stream, numbers.Integral):
-        seed, index = stream, 0
-    else:
-        try:
-            seed, index = stream
-        except (TypeError, ValueError) as exc:
-            raise ValueError(
-                "stream must be an integer seed or a (seed, index) pair"
-            ) from exc
-    d = _check_integer("d", d, 2)
-    levels = _levels(d, alpha, beta, gamma)
-    if levels is None:
-        return sample_params_222(seed, index)
-    return sample_params_22d(seed, index, *levels)
-
-
 def _levels(d: int, alpha: Optional[int], beta: Optional[int],
             gamma: Optional[int]) -> Optional[Tuple[int, int, int, int]]:
-    """The sampler's ``levels`` for third-party dimension d >= 2: None
+    """``sample_chunk``'s ``levels`` for third-party dimension d >= 2: None
     at d = 2, else (d, alpha, beta, gamma), the levels not given taking
     ``qudit_levels``' defaults.
 

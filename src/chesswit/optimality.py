@@ -43,7 +43,7 @@ import numpy as np
 
 from .frgeom import ProductState
 from .tensorops import _check_tol
-from .witnesses import build_witness, parse_witness_id
+from .witnesses import _angle_weights, build_witness, parse_witness_id
 
 __all__ = [
     "EVEN_QUADRUPLE",
@@ -111,7 +111,9 @@ def zero_states_conical(
     """Eight product states annihilated by a supported conical witness:
     the basis quadruple, then two theta-patterns at +psi and at -psi.
 
-    Supported entries are ``con:333:122:0:+`` and ``con:333:122:0:-``.
+    Supported entries are ``con:333:122:0:+`` and ``con:333:122:0:-``;
+    ``psi`` must be given and finite (ValueError), by ``build_witness``'s
+    angle rule.
     """
     parsed = parse_witness_id(witness_id)
     supported = (parsed.family == "con" and parsed.kp == "333"
@@ -122,6 +124,7 @@ def zero_states_conical(
             f"conical zero states are available for con:333:122:0:+/- "
             f"only, not {witness_id!r}"
         )
+    _angle_weights("con", psi, None, None)
     psi = float(psi)
     quadruple = ODD_QUADRUPLE if parsed.sign > 0 else EVEN_QUADRUPLE
     quarter = math.pi / 4
@@ -145,8 +148,6 @@ def orthogonality_system(witness_id: str, psi: Optional[float] = None
         angles: Dict[str, float] = {}
         w = build_witness(witness_id)
     elif parsed.family == "con":
-        if psi is None:
-            raise ValueError("conical witnesses need the angle psi")
         states = zero_states_conical(psi, witness_id)
         angles = {"psi": float(psi)}
         w = build_witness(witness_id, psi=float(psi))

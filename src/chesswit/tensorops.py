@@ -23,11 +23,8 @@ import numpy as np
 
 __all__ = [
     "PAULI",
-    "pauli",
-    "kron",
     "kron3",
     "pauli_op",
-    "phase_gate",
     "partial_transpose",
     "hermitian_eigenvalues",
     "is_ppt",
@@ -95,44 +92,21 @@ def _check_tol(name: str, value: float) -> float:
     return value
 
 
-def pauli(i: int) -> np.ndarray:
-    """Return a copy of sigma_i for i in 0..3."""
-    return PAULI[_check_integer("Pauli index", i, 0, 3)].copy()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product: result[(i*dimB+k),(j*dimB+l)] = A[i,j]*B[k,l]."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Kronecker product of three matrices, first party slowest."""
     return np.kron(np.kron(np.asarray(a), np.asarray(b)), np.asarray(c))
 
 
-def pauli_op(triple, j: int | None = None, k: int | None = None) -> np.ndarray:
-    """8x8 three-party operator sigma_i (x) sigma_j (x) sigma_k.
+def pauli_op(triple: Sequence[int]) -> np.ndarray:
+    """8x8 three-party operator sigma_i (x) sigma_j (x) sigma_k of one
+    ``triple`` (i, j, k) of indices in 0..3.
 
-    Accepts either one sequence of three indices in 0..3 or the three
-    indices as separate arguments. The result is Hermitian with trace
-    8*delta(triple, (0,0,0)) and squared trace norm Tr(O^2) = 8.
+    The result is Hermitian with trace 8*delta(triple, (0,0,0)) and
+    squared trace norm Tr(O^2) = 8.
     """
-    if j is not None or k is not None:
-        if j is None or k is None:
-            raise ValueError("pass a triple or all three indices")
-        triple = (triple, j, k)
     i, j, k = (_check_integer(f"triple[{n}]", t, 0, 3)
                for n, t in enumerate(triple))
     return kron3(PAULI[i], PAULI[j], PAULI[k])
-
-
-def phase_gate() -> np.ndarray:
-    """Single-qubit gate diag(1, i).
-
-    Conjugation maps sigma_x -> sigma_y, sigma_y -> -sigma_x, and
-    leaves sigma_z fixed; this generates the primed witness families.
-    """
-    return np.diag([1.0, 1.0j]).astype(np.complex128)
 
 
 def _as_square(m: np.ndarray, dims: Sequence[int]) -> np.ndarray:
@@ -453,15 +427,13 @@ def _basis_matrix(d: int, a: int, b: int) -> np.ndarray:
 
 def _check_pair(d: int, a: int, b: int,
                 names: Tuple[str, str] = ("a", "b")) -> Tuple[int, int]:
-    """Levels ``a`` < ``b`` of a d-level party as ints; ValueError unless
-    each is an integer (naming it by ``names``) and 0 <= a < b < d."""
-    a = _check_integer(names[0], a)
-    b = _check_integer(names[1], b)
-    if not (0 <= a < b < d):
-        raise ValueError(
-            f"need 0 <= a < b < d, got a={a}, b={b}, d={d}"
-        )
-    return a, b
+    """Levels ``a`` < ``b`` of a d-level party as ints; ValueError
+    unless ``d`` is an integer >= 2, ``a`` one in 0..d-2 and ``b`` one
+    in a+1..d-1, each named as ``_check_integer`` names it (the levels
+    by ``names``)."""
+    d = _check_integer("d", d, 2)
+    a = _check_integer(names[0], a, 0, d - 2)
+    return a, _check_integer(names[1], b, a + 1, d - 1)
 
 
 def qudit_substitute(
@@ -477,7 +449,6 @@ def qudit_substitute(
     """
     i, j, k = (_check_integer(f"triple[{n}]", t, 0, 3)
                for n, t in enumerate(triple))
-    d = _check_integer("d", d)
     alpha, beta = _check_pair(d, alpha, beta, ("alpha", "beta"))
     if k == 0:
         t = np.eye(d, dtype=np.complex128)
@@ -507,14 +478,12 @@ def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]],
 
 def sym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
     """(E_ab + E_ba)/sqrt(2) for 0 <= a < b < d (unit trace norm)."""
-    d = _check_integer("d", d)
     a, b = _check_pair(d, a, b)
     return (_basis_matrix(d, a, b) + _basis_matrix(d, b, a)) / math.sqrt(2.0)
 
 
 def antisym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
     """(E_ab - E_ba)/(i sqrt(2)) for 0 <= a < b < d (unit trace norm)."""
-    d = _check_integer("d", d)
     a, b = _check_pair(d, a, b)
     return (_basis_matrix(d, a, b) - _basis_matrix(d, b, a)) / (1j * math.sqrt(2.0))
 

@@ -134,8 +134,8 @@ from .chessboard import (
     rho_entries_22d,
     stream_words,
 )
-from .tensorops import (_check_dims, _check_integer, _check_tol, _signed_sum,
-                        qudit_substitute)
+from .tensorops import (_check_dims, _check_integer, _check_pair, _check_tol,
+                        _signed_sum, qudit_substitute)
 
 __all__ = [
     "CONICAL_KP",
@@ -444,11 +444,15 @@ def _substituted_ops(d: int, alpha: int, beta: int) -> np.ndarray:
 def substituted_coeffs(rho: np.ndarray, d: int, alpha: int, beta: int
                        ) -> Dict[Tuple[int, int, int], float]:
     """The 15 substituted-operator coefficients Tr(rho Q_t) for a pair;
-    ``d`` and the levels must be integers (ValueError)."""
-    ops = _substituted_ops(_check_integer("d", d),
-                           _check_integer("alpha", alpha),
-                           _check_integer("beta", beta))
-    values = np.einsum("pij,ji->p", ops, rho).real
+    ValueError unless ``d`` and the levels pass ``_check_pair`` and
+    ``rho`` is 4d x 4d."""
+    alpha, beta = _check_pair(d, alpha, beta, ("alpha", "beta"))
+    rho = np.asarray(rho)
+    if rho.shape != (4 * d, 4 * d):
+        raise ValueError(f"rho must have shape ({4 * d}, {4 * d}), "
+                         f"got {rho.shape}")
+    values = np.einsum("pij,ji->p", _substituted_ops(int(d), alpha, beta),
+                       rho).real
     return dict(zip(COEFF_TRIPLES, values.tolist()))
 
 

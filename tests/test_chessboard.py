@@ -758,6 +758,36 @@ def test_sampling_is_deterministic_and_in_range():
     assert cb.sample_params_222(7, 0) != cb.sample_params_222(8, 0)
 
 
+@pytest.mark.parametrize("sampler, args, message", [
+    (cb.sample_params_222, (0, -1),
+     "index must be a non-negative integer, got -1"),
+    (cb.sample_params_22d, (-1, 0, 3),
+     "seed must be a non-negative integer, got -1"),
+    (cb.sample_params_222, (-2, 0),
+     "seed must be a non-negative integer, got -2"),
+    (cb.sample_params_222, (0, 1.5),
+     "index must be a non-negative integer, got 1.5"),
+    (cb.sample_params_22d, (1.0, 1, 3),
+     "seed must be a non-negative integer, got 1.0"),
+    (cb.sample_params_22d, (0, 1, 2.5), "dim must be an integer, got 2.5"),
+    (cb.sample_params_222, (True, 0),
+     "seed must be a non-negative integer, got True"),
+    (cb.sample_params_22d, (True, 0, 3),
+     "seed must be a non-negative integer, got True"),
+    (cb.sample_params_222, (0, False),
+     "index must be a non-negative integer, got False"),
+], ids=["222-index--1", "22d-seed--1", "222-seed--2", "222-index-1.5",
+        "22d-seed-1.0", "22d-dim-2.5", "222-seed-True", "22d-seed-True",
+        "222-index-False"])
+def test_single_state_samplers_reject_bad_streams(sampler, args, message):
+    # 1.5 used to draw index 1, and a negative index failed inside numpy
+    # without naming it
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        sampler(*args)
+    assert cb.sample_params_22d(np.int64(42), np.uint8(5), np.int32(3)) == \
+        cb.sample_params_22d(42, 5, 3)
+
+
 def test_sampling_median_sanity():
     values = [cb.sample_params_222(31337, k).a for k in range(2000)]
     med = float(np.median(values))
@@ -878,7 +908,7 @@ def test_coeffs_22d_trace_oracle_d3():
         3: e[(a, a)] - e[(b, b)],
     }
     for t in cb.COEFF_TRIPLES:
-        op = to.kron3(to.pauli(t[0]), to.pauli(t[1]), subspace[t[2]])
+        op = to.kron3(to.PAULI[t[0]], to.PAULI[t[1]], subspace[t[2]])
         tr = np.trace(rho @ op)
         assert abs(tr.imag) <= 1e-12
         assert co[t] == pytest.approx(tr.real, abs=1e-12), t

@@ -17,13 +17,12 @@ from chesswit.frgeom import (
     ProductState,
     boundary_curve_check,
     containment_report,
-    contains,
     feasible_region_check,
     functional_points,
-    p_map,
     qset,
     qubit_state,
     region_excess,
+    region_points,
     sample_factors,
     _bloch,
     _terms,
@@ -254,8 +253,12 @@ def test_functional_points_rejects_bad_geometry_and_levels():
     factors = sample_factors(3, seed=0, d=3)
     with pytest.raises(ValueError, match="unknown geometry"):
         functional_points("torus", factors)
-    for alpha, beta in ((0, 3), (2, 1), (1, 1), (-1, 2)):
-        with pytest.raises(ValueError, match="need 0 <= a < b < d"):
+    for alpha, beta, message in (
+            (0, 3, "beta must be 1..2, got 3"),
+            (2, 1, "alpha must be 0..1, got 2"),
+            (1, 1, "beta must be 2..2, got 1"),
+            (-1, 2, "alpha must be 0..1, got -1")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             functional_points("cone", factors, alpha, beta)
 
 
@@ -390,9 +393,8 @@ def test_region_excess_hand_points():
 @pytest.mark.parametrize("shape", [(3, 2), (3, 4), (2, 3, 3), (2,), ()])
 def test_region_points_of_the_wrong_shape_are_rejected(shape):
     message = f"points must have shape (3,) or (n, 3), got {shape}"
-    for check in (region_excess, contains):
-        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            check("sphere", np.zeros(shape))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        region_excess("sphere", np.zeros(shape))
 
 
 @pytest.mark.parametrize("geometry, representative, triples", [
@@ -419,7 +421,7 @@ def test_region_operators_are_the_representatives_terms(geometry,
 
 def test_contains_mask():
     pts = np.array([[0.0, 0.0, 0.0], [0.9, 0.9, 0.9]])
-    mask = contains("sphere", pts)
+    mask = region_excess("sphere", pts) <= 1e-9
     assert mask.tolist() == [True, False]
 
 
@@ -443,6 +445,17 @@ def test_containment_report_counts_an_empty_chunk_as_no_samples():
     points = np.array([[0.0, 0.0, 0.5], [0.0, 0.0, 2.0]])
     assert containment_report("sphere", [empty, points, empty]) == \
         containment_report("sphere", [points])
+
+
+def test_containment_report_checks_the_geometry_before_any_chunk():
+    # an unknown geometry used to come back as a report of that name
+    def chunks():
+        pytest.fail("a chunk was read")
+        yield
+
+    for points in ([], chunks()):
+        with pytest.raises(ValueError, match="^unknown geometry 'torus'"):
+            containment_report("torus", points)
 
 
 @pytest.mark.parametrize("n", [0, -3])
@@ -478,8 +491,12 @@ def test_feasible_region_accepts_numpy_integer_seed():
 def test_feasible_region_rejects_bad_geometry_and_levels():
     with pytest.raises(ValueError, match="unknown geometry"):
         feasible_region_check("torus", n=50)
-    with pytest.raises(ValueError, match="need 0 <= a < b < d"):
+    with pytest.raises(ValueError, match=r"^beta must be 2\.\.2, got 3$"):
         feasible_region_check("cone", n=50, d=3, alpha=1, beta=3)
+    # the levels are named as the caller names them; this read
+    # "need 0 <= a < b < d, got a=2, b=1, d=3"
+    with pytest.raises(ValueError, match=r"^alpha must be 0\.\.1, got 2$"):
+        region_points("sphere", 5, d=3, alpha=2, beta=1)
 
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
@@ -521,7 +538,7 @@ def test_boundary_sweep_points_stay_contained():
     thetas, phis = _sweep_points("polygon", 301)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
     pts = functional_points("polygon", factors)
-    assert bool(contains("polygon", pts, tol=1e-12).all())
+    assert bool((region_excess("polygon", pts) <= 1e-12).all())
     thetas, phis = _sweep_points("sphere", 301)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
     pts = functional_points("sphere", factors)
@@ -550,7 +567,7 @@ def test_boundary_check_takes_one_sample():
     assert boundary_curve_check("polygon", np.int64(1))["samples"] == 1
 
 
-# --- single-state map wrappers ---------------------------------------------
+# --- single product states ------------------------------------------------
 
 
 def test_product_vector_is_factor_kron():
@@ -562,25 +579,25 @@ def test_product_vector_is_factor_kron():
     assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-14)
 
 
-def test_p_map_matches_manual_expectations():
+def test_one_state_points_match_manual_expectations():
     state = ProductState(thetas=(0.9, 2.2, 0.5), phis=(1.7, 0.3, 4.0))
     v = state.vector()
+    factors = [f[None, :] for f in state.factors()]
     for geometry in GEOMETRIES:
         qs = qset(geometry)
         want = [float((v.conj() @ q @ v).real) for q in qs]
-        got = p_map(state, geometry)
-        assert got.shape == (3,)
-        np.testing.assert_allclose(got, want, atol=1e-13)
-    # default geometry is the polygon
-    np.testing.assert_allclose(p_map(state), p_map(state, "polygon"),
-                               atol=0)
+        got = functional_points(geometry, factors)
+        assert got.shape == (1, 3)
+        np.testing.assert_allclose(got[0], want, atol=1e-13)
 
 
-def test_p_map_points_lie_in_their_region():
+def test_product_state_points_lie_in_their_region():
     rng_states = [ProductState(thetas=(a, b, c), phis=(d, e, f))
                   for a, b, c, d, e, f in
                   np.random.default_rng(8).uniform(0, 2 * math.pi,
                                                    size=(25, 6))]
+    factors = [np.array([s.factors()[p] for s in rng_states])
+               for p in range(3)]
     for geometry in GEOMETRIES:
-        pts = np.array([p_map(s, geometry) for s in rng_states])
-        assert contains(geometry, pts, tol=1e-9).all()
+        pts = functional_points(geometry, factors)
+        assert (region_excess(geometry, pts) <= 1e-9).all()

@@ -37,7 +37,6 @@ from chesswit.mcharness import (
     golden_section_minimize,
     reproduce_section6,
     run_scan,
-    sample_params,
     section6_curve,
     summarize,
     write_csv,
@@ -66,7 +65,7 @@ def test_csv_header_rejects_bad_dims(dim, message):
 @pytest.mark.parametrize("call", [
     lambda: witnesses.witness_ids(1),
     lambda: chessboard.qudit_levels(1),
-    lambda: sample_params(0, d=1),
+    lambda: chessboard.sample_params_22d(0, 0, 1),
     lambda: csv_header(1),
     lambda: run_scan(0, dim=1),
     lambda: frgeom.sample_factors(3, d=1),
@@ -75,9 +74,16 @@ def test_csv_header_rejects_bad_dims(dim, message):
     lambda: tensorops.gell_mann_basis(1),
     lambda: tensorops.gen_gellmann(1),
     lambda: tensorops.diag_gell_mann(1, 0),
-], ids=["witness_ids", "qudit_levels", "sample_params", "csv_header",
+    lambda: frgeom.qset("sphere", 1),
+    lambda: tensorops.qudit_substitute((1, 1, 1), 1, 0, 1),
+    lambda: witnesses.substituted_coeffs(np.eye(4), 1, 0, 1),
+    lambda: tensorops.sym_gell_mann(1, 0, 1),
+    lambda: tensorops.antisym_gell_mann(1, 0, 1),
+], ids=["witness_ids", "qudit_levels", "sample_params_22d", "csv_header",
         "run_scan", "sample_factors", "region_points", "build_witness",
-        "gell_mann_basis", "gen_gellmann", "diag_gell_mann"])
+        "gell_mann_basis", "gen_gellmann", "diag_gell_mann", "qset",
+        "qudit_substitute", "substituted_coeffs", "sym_gell_mann",
+        "antisym_gell_mann"])
 def test_third_party_dimension_must_be_at_least_two(call):
     # every entry names its own dimension argument in the one message form
     with pytest.raises(ValueError, match=r"^(d|dim) must be >= 2, got 1$"):
@@ -263,6 +269,16 @@ def test_run_scan_checks_seed_before_any_row(n, monkeypatch):
     with pytest.raises(ValueError, match="^seed must be a non-negative "
                        "integer, got -1$"):
         run_scan(n, seed=-1)
+
+
+def test_run_scan_rejects_qudit_levels_at_d2(monkeypatch):
+    # a qubit third party has no levels to fix; they used to be ignored
+    monkeypatch.setattr("chesswit.mcharness.sample_chunk",
+                        lambda *a, **k: pytest.fail("a row was drawn"))
+    for level in ("alpha", "beta", "gamma"):
+        with pytest.raises(ValueError, match=f"^alpha, beta and gamma need "
+                           f"d >= 3; got {level} at d = 2$"):
+            run_scan(2, dim=2, **{level: 1})
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -875,66 +891,9 @@ def test_reproduce_section6():
     assert sep["unequal_extra_couplings"]["group_minima"]["con"] < -1e-3
 
 
-# --- stream-addressed sampling dispatcher ------------------------------------
-
-
-def test_sample_params_dispatch_and_determinism():
-    p = sample_params((42, 0))
-    assert isinstance(p, ChessParams222)
-    assert p == sample_params((42, 0))
-    assert p == sample_params_222(42, 0)
-    # a bare integer seed names stream (seed, 0)
-    assert sample_params(42) == p
-    q = sample_params((42, 5), d=3)
-    assert isinstance(q, ChessParams22d)
-    assert q == sample_params_22d(42, 5, 3)
-    assert q.dim == 3
-    q2 = sample_params((42, 5), d=4, alpha=1, beta=3, gamma=0)
-    assert (q2.alpha, q2.beta, q2.gamma) == (1, 3, 0)
-
-
-def test_sample_params_rejects_bad_input():
-    with pytest.raises(ValueError):
-        sample_params((1, 2), d=1)
-    with pytest.raises(ValueError):
-        sample_params(None)
-    with pytest.raises(ValueError):
-        sample_params((1,))
-    # a third entry used to be ignored
-    with pytest.raises(ValueError, match="^stream must be an integer seed "
-                       r"or a \(seed, index\) pair$"):
-        sample_params((0, 1, 9))
-
-
-@pytest.mark.parametrize("stream, d, message", [
-    ((0, -1), 2, "index must be a non-negative integer, got -1"),
-    ((-1, 0), 3, "seed must be a non-negative integer, got -1"),
-    (-2, 2, "seed must be a non-negative integer, got -2"),
-    ((0, 1.5), 2, "index must be a non-negative integer, got 1.5"),
-    ((1.0, 1), 3, "seed must be a non-negative integer, got 1.0"),
-    ((0, 1), 2.5, "d must be an integer, got 2.5"),
-    (True, 2, "seed must be a non-negative integer, got True"),
-    ((True, 0), 3, "seed must be a non-negative integer, got True"),
-    ((0, False), 2, "index must be a non-negative integer, got False"),
-])
-def test_sample_params_rejects_non_integer_streams(stream, d, message):
-    # (0, 1.5) used to draw index 1, and d = 2.5 a d = 2 state; a negative
-    # index failed inside numpy without naming it
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        sample_params(stream, d)
-    assert sample_params((np.int64(42), np.uint8(5)), np.int32(3)) == \
-        sample_params((42, 5), 3)
-
-
-def test_sample_params_rejects_qudit_levels_at_d2():
-    # a qubit third party has no levels to fix; they used to be ignored
-    for kwargs in (dict(alpha=0), dict(beta=1), dict(gamma=1)):
-        with pytest.raises(ValueError):
-            sample_params((0, 0), d=2, **kwargs)
-
-
 def test_sample_params_median_sanity():
-    # log-uniform on [0.1, 10] has median 1
-    values = [sample_params((31337, k)).a for k in range(100_000)]
+    # log-uniform on [0.1, 10] has median 1; the rows' a are
+    # sample_params_222(31337, k).a, bit for bit
+    values = sample_chunk(31337, 0, 100_000).diag[:, 0]
     med = float(np.median(values))
     assert 0.95 <= med <= 1.05

@@ -135,8 +135,24 @@ def test_system_expectations_read_the_matrix_rows():
 
 
 def test_conical_missing_angle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError,
+                       match="^con witnesses require the angle psi$"):
         orthogonality_system("con:333:122:0:+")
+
+
+@pytest.mark.parametrize("psi, message", [
+    (None, "con witnesses require the angle psi"),
+    (math.nan, "angle psi must be finite, got nan"),
+    (-math.inf, "angle psi must be finite, got -inf"),
+])
+def test_conical_angle_follows_the_witness_rule(psi, message):
+    # zero_states_conical(None) raised a TypeError from float(None), and
+    # a NaN angle gave NaN states
+    for call in (lambda: zero_states_conical(psi),
+                 lambda: orthogonality_system("con:333:122:0:+", psi=psi),
+                 lambda: build_witness("con:333:122:0:+", psi=psi)):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
 
 
 @pytest.mark.parametrize("wid", [

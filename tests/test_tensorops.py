@@ -96,7 +96,7 @@ def test_pauli_matrices_exact():
         3: [[1, 0], [0, -1]],
     }
     for i, mat in expected.items():
-        assert np.array_equal(to.pauli(i), np.array(mat, dtype=complex))
+        assert np.array_equal(to.PAULI[i], np.array(mat, dtype=complex))
 
 
 def test_pauli_op_matches_loop_oracle_all_64():
@@ -134,11 +134,8 @@ def test_pauli_op_rejects_bad_index():
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: to.pauli(True), "Pauli index must be an integer, got True"),
-    (lambda: to.pauli(1.0), "Pauli index must be an integer, got 1.0"),
-    (lambda: to.pauli(4), "Pauli index must be 0..3, got 4"),
     (lambda: to.pauli_op((0, 1.0, 2)), "triple[1] must be an integer, got 1.0"),
-    (lambda: to.pauli_op(1, 2, True), "triple[2] must be an integer, got True"),
+    (lambda: to.pauli_op((1, 2, True)), "triple[2] must be an integer, got True"),
     (lambda: to.pauli_op((-1, 0, 0)), "triple[0] must be 0..3, got -1"),
     (lambda: to.qudit_substitute((0, True, 1), 3, 0, 1),
      "triple[1] must be an integer, got True"),
@@ -153,7 +150,6 @@ def test_pauli_indices_go_through_the_integer_rule(call, message):
 
 
 def test_pauli_indices_accept_numpy_integers():
-    assert np.array_equal(to.pauli(np.int64(2)), to.pauli(2))
     assert np.array_equal(to.pauli_op((np.uint8(1), 2, np.int32(3))),
                           to.pauli_op((1, 2, 3)))
     assert np.array_equal(to.qudit_substitute((np.int64(1), 0, 2), 3, 0, 1),
@@ -778,7 +774,7 @@ def test_gell_mann_entry_points_reject_non_integers(call, message):
 
 def test_gell_mann_d2_are_paulis():
     basis = to.gell_mann_basis(2)
-    for got, want in zip(basis, [to.pauli(1), to.pauli(2), to.pauli(3)]):
+    for got, want in zip(basis, to.PAULI[1:]):
         assert np.abs(got - want).max() <= 1e-15
 
 
@@ -800,13 +796,14 @@ def test_matrix_json_rejects_bad_input():
         to.matrix_from_json({"re": [[0.0]], "im": [[0.0]]})
 
 
-# --- public operator-kit wrappers ---------------------------------------------------
+# --- Kronecker order and the phase gate --------------------------------------
 
 def test_kron_two_factor_entries():
+    # the big-endian index order that kron3 and the module's flat index use
     rng = np.random.default_rng(11)
     a = random_complex(rng, (2, 3))
     b = random_complex(rng, (4, 2))
-    got = to.kron(a, b)
+    got = np.kron(a, b)
     assert got.shape == (8, 6)
     # entrywise product up to one complex-multiply rounding step
     for i, j, k, l in itertools.product(range(2), range(3), range(4),
@@ -817,35 +814,21 @@ def test_kron_two_factor_entries():
 def test_kron3_is_iterated_kron():
     rng = np.random.default_rng(12)
     a, b, c = (random_complex(rng, (2, 2)) for _ in range(3))
-    assert np.array_equal(to.kron3(a, b, c), to.kron(to.kron(a, b), c))
-
-
-def test_pauli_op_three_index_form_matches_triple_form():
-    for triple in itertools.product(range(4), repeat=3):
-        assert np.array_equal(to.pauli_op(triple),
-                              to.pauli_op(*triple))
-
-
-def test_pauli_op_partial_indices_raise():
-    with pytest.raises(ValueError):
-        to.pauli_op(1, 2)
-    with pytest.raises(ValueError):
-        to.pauli_op(1, j=2)
-    with pytest.raises(ValueError):
-        to.pauli_op(1, k=2)
+    assert np.array_equal(to.kron3(a, b, c), np.kron(np.kron(a, b), c))
 
 
 def test_phase_gate_matrix_and_conjugation():
-    s = to.phase_gate()
-    assert np.array_equal(s, np.array([[1, 0], [0, 1j]], dtype=complex))
+    # M = diag(1, i), the gate of witnesses.phase_gate_conjugate
+    s = np.diag([1, 1j])
     # unitary: S S^dagger = 1
     assert np.abs(s @ s.conj().T - np.eye(2)).max() <= 1e-15
     sd = s.conj().T
     # S sigma_x S^dagger = sigma_y, S sigma_y S^dagger = -sigma_x,
     # sigma_z fixed
-    assert np.abs(s @ to.pauli(1) @ sd - to.pauli(2)).max() <= 1e-15
-    assert np.abs(s @ to.pauli(2) @ sd + to.pauli(1)).max() <= 1e-15
-    assert np.abs(s @ to.pauli(3) @ sd - to.pauli(3)).max() <= 1e-15
+    sx, sy, sz = to.PAULI[1:]
+    assert np.abs(s @ sx @ sd - sy).max() <= 1e-15
+    assert np.abs(s @ sy @ sd + sx).max() <= 1e-15
+    assert np.abs(s @ sz @ sd - sz).max() <= 1e-15
 
 
 def test_gellmann_su3_indexing():

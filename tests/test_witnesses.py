@@ -1505,6 +1505,15 @@ def test_substituted_coeffs_rejects_non_integer_d():
         substituted_coeffs(np.eye(8) / 8.0, 2.9, 0, 1)
 
 
+@pytest.mark.parametrize("shape, d", [((8, 8), 3), ((12, 12), 2),
+                                      ((8,), 2), ((8, 4), 2)])
+def test_substituted_coeffs_rejects_rho_of_the_wrong_shape(shape, d):
+    # numpy's "operands could not be broadcast together" named neither
+    message = f"rho must have shape ({4 * d}, {4 * d}), got {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        substituted_coeffs(np.zeros(shape), d, 0, 1)
+
+
 def test_validate_witness_rejects_zero_iters():
     # zero passes left the minimum at +inf, a "valid" verdict for -I
     with pytest.raises(ValueError, match="iters must be >= 1"):
