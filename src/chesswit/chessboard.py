@@ -56,7 +56,8 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensorops import _check_integer, _json_number, hermitian_eigenvalues
+from .tensorops import (_check_dim, _check_integer, _json_number,
+                        hermitian_eigenvalues)
 
 __all__ = [
     "ChessParams222",
@@ -280,7 +281,7 @@ def qudit_levels(dim: int, alpha: int = 0, beta: Optional[int] = None,
     ValueError unless dim and the levels are integers, dim >= 2, every
     level lies in 0..dim-1 and alpha and beta differ.
     """
-    dim = _check_integer("dim", dim, 2)
+    dim = _check_dim(dim, "dim")
     if beta is None:
         beta = 2 if dim > 2 else 1
     levels = tuple(_check_integer(name, v, 0, dim - 1) for name, v in

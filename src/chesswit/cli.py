@@ -40,7 +40,7 @@ from .frgeom import (
 )
 from .mcharness import reproduce_section6, run_scan, summarize, write_csv
 from .optimality import is_optimal
-from .tensorops import is_ppt, matrix_from_json, matrix_to_json
+from .tensorops import _check_dim, is_ppt, matrix_from_json, matrix_to_json
 from .witnesses import build_witness, detect, validate_witness, witness_angles
 
 __all__ = ["main"]
@@ -108,7 +108,7 @@ def _cmd_detect(args) -> int:
 
 def _cmd_scan(args) -> int:
     result = run_scan(
-        args.n, seed=args.seed, dim=args.d, alpha=args.alpha,
+        args.n, seed=args.seed, dim=_check_dim(args.d), alpha=args.alpha,
         beta=args.beta, gamma=args.gamma, pairs=args.pairs,
         workers=args.workers, tol=args.tol,
     )

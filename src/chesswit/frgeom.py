@@ -60,8 +60,8 @@ from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .chessboard import _check_seed, _rng_for
-from .tensorops import (_check_integer, _check_pair, _check_tol, _signed_sum,
-                        qudit_substitute)
+from .tensorops import (_bloch, _check_dim, _check_integer, _check_pair,
+                        _check_tol, _signed_sum, _substituted_op)
 from .witnesses import _spec
 
 __all__ = [
@@ -152,7 +152,7 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
     integer.
     """
     n = _check_integer("n", n, 0)
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     _check_seed(seed)
     out = tuple(np.empty((n, dim), dtype=np.complex128)
                 for dim in (2, 2, d))
@@ -179,19 +179,12 @@ def qset(geometry: str, d: int = 2, alpha: int = 0, beta: int = 1
     """The operator triple (Q1, Q2, Q3) probed by a geometry;
     ValueError unless ``d``, ``alpha`` and ``beta`` are integers that
     ``qudit_substitute`` accepts."""
-    ops = (_signed_sum(terms, lambda t: qudit_substitute(t, d, alpha, beta))
-           for terms in _terms(geometry))
-    return tuple(ops)  # type: ignore[return-value]
-
-
-def _bloch(u: np.ndarray, v: np.ndarray) -> Tuple[None, np.ndarray,
-                                                  np.ndarray, np.ndarray]:
-    """(identity, x, y, z) expectations of the amplitude pairs (u, v);
-    the identity slot is None because its factor is skipped."""
-    c = u.conj() * v
-    return (None, 2.0 * c.real, 2.0 * c.imag,
-            (u.real * u.real + u.imag * u.imag)
-            - (v.real * v.real + v.imag * v.imag))
+    columns = _terms(geometry)
+    d = _check_dim(d)
+    alpha, beta = _check_pair(d, alpha, beta, ("alpha", "beta"))
+    return tuple(  # type: ignore[return-value]
+        _signed_sum(terms, lambda t: _substituted_op(t, d, alpha, beta))
+        for terms in columns)
 
 
 def functional_points(
@@ -203,18 +196,21 @@ def functional_points(
     """Rows of (<Q1>, <Q2>, <Q3>) of ``qset(geometry, d, alpha, beta)``
     for a batch of product states.
 
-    ``factors`` are three arrays of shape (n, 2), (n, 2), (n, d) with
-    unit-norm rows (ValueError, naming the factor, for another shape).
+    ``factors`` are three arrays of shape (n, 2), (n, 2), (n, d), d >= 2,
+    with unit-norm rows (ValueError, naming the factor, for another
+    shape).
     Each column is the sum of its signed Pauli triples, each triple the
     product e1_i e2_j e3_k of per-party expectations (see the module
     docstring), with identity factors skipped.
     """
     f1, f2, f3 = (np.asarray(f, dtype=np.complex128) for f in factors)
     n = len(f1) if f1.ndim == 2 else None
-    for i, (f, width) in enumerate(((f1, 2), (f2, 2), (f3, None))):
-        if f.ndim != 2 or len(f) != n or width not in (None, f.shape[1]):
+    for i, f in enumerate((f1, f2, f3)):
+        if f.ndim != 2 or len(f) != n or not (
+                f.shape[1] == 2 if i < 2 else f.shape[1] >= 2):
+            width = "2)" if i < 2 else "d) with d >= 2"
             raise ValueError(f"factors[{i}] must have shape "
-                             f"({'n' if n is None else n}, {width or 'd'}), "
+                             f"({'n' if n is None else n}, {width}, "
                              f"got {f.shape}")
     columns = _terms(geometry)
     alpha, beta = _check_pair(f3.shape[1], alpha, beta, ("alpha", "beta"))
@@ -260,7 +256,7 @@ def region_points(geometry: str, n: int, seed: int = 0, d: int = 2,
     integer, and the geometry and the subspace levels are valid.
     """
     n = _check_integer("n", n, 1)
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     _check_seed(seed)
     _terms(geometry)
     _check_pair(d, alpha, beta, ("alpha", "beta"))

@@ -68,7 +68,7 @@ from .chessboard import (
     rho_stack,
     sample_chunk,
 )
-from .tensorops import (PPT_SUBSETS, _check_integer, _check_tol,
+from .tensorops import (PPT_SUBSETS, _check_dim, _check_integer, _check_tol,
                         _ppt_blocks_pass, is_ppt)
 from .witnesses import (
     DETECT_MARGIN,
@@ -124,7 +124,7 @@ def _levels(d: int, alpha: Optional[int], beta: Optional[int],
 def csv_header(dim: int = 2) -> str:
     """The scan CSV header for qubit (dim=2) or qudit third party;
     ValueError unless ``dim`` is an integer >= 2."""
-    dim = _check_integer("dim", dim, 2)
+    dim = _check_dim(dim, "dim")
     if dim == 2:
         cols = ["index", "a", "b", "c", "d",
                 "r1", "r2", "r3", "r4",
@@ -255,7 +255,7 @@ def run_scan(
     """
     n = _check_integer("n", n, 0)
     seed = _check_seed(seed)
-    dim = _check_integer("dim", dim, 2)
+    dim = _check_dim(dim, "dim")
     workers = _check_integer("workers", workers, 1)
     levels = _levels(dim, alpha, beta, gamma)
     _check_pairs(pairs)

@@ -71,6 +71,12 @@ def _check_integer(name: str, value, least: Optional[int] = None,
     return value
 
 
+def _check_dim(value, name: str = "d") -> int:
+    """A qudit dimension as an int; ValueError unless it is an integer
+    >= 2, named ``name`` (the caller's keyword or command-line flag)."""
+    return _check_integer(name, value, 2)
+
+
 def _check_dims(dims: Sequence[int]) -> Tuple[int, ...]:
     """``dims`` as a tuple of ints; ValueError unless every entry is an
     integer >= 1, named by its index."""
@@ -431,7 +437,7 @@ def _check_pair(d: int, a: int, b: int,
     unless ``d`` is an integer >= 2, ``a`` one in 0..d-2 and ``b`` one
     in a+1..d-1, each named as ``_check_integer`` names it (the levels
     by ``names``)."""
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     a = _check_integer(names[0], a, 0, d - 2)
     return a, _check_integer(names[1], b, a + 1, d - 1)
 
@@ -459,6 +465,30 @@ def qudit_substitute(
     else:
         t = _basis_matrix(d, alpha, alpha) - _basis_matrix(d, beta, beta)
     return kron3(PAULI[i], PAULI[j], t)
+
+
+@lru_cache(maxsize=1024)
+def _substituted_op(triple: Tuple[int, int, int], d: int, alpha: int,
+                    beta: int) -> np.ndarray:
+    """Read-only ``qudit_substitute(triple, d, alpha, beta)``, built once.
+
+    Callers pass a tuple ``triple`` and ``d``, ``alpha``, ``beta`` already
+    checked as ints (the cache would take 2.0 for 2), and never return the
+    cached array itself: ``_signed_sum`` multiplies each term by its sign.
+    """
+    op = qudit_substitute(triple, d, alpha, beta)
+    op.setflags(write=False)
+    return op
+
+
+def _bloch(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(4, n) rows (1, x, y, z): the expectations of sigma_0..sigma_3 in
+    the amplitude pairs (u, v) of n unit qubit states, with
+    (x, y, z) = (2 Re(conj(u) v), 2 Im(conj(u) v), |u|^2 - |v|^2)."""
+    c = u.conj() * v
+    return np.stack([np.ones(c.shape), 2.0 * c.real, 2.0 * c.imag,
+                     (u.real * u.real + u.imag * u.imag)
+                     - (v.real * v.real + v.imag * v.imag)])
 
 
 def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]],
@@ -496,7 +526,7 @@ def diag_gell_mann(d: int, i: int) -> np.ndarray:
     with i+1 leading ones. ValueError unless ``d`` and ``i`` are
     integers, d >= 2 and ``i`` lies in that range.
     """
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     i = _check_integer("i", i, 0, d - 2)
     v = np.zeros(d, dtype=np.complex128)
     v[: i + 1] = 1.0
@@ -514,7 +544,7 @@ def gell_mann_basis(d: int) -> List[np.ndarray]:
     this reproduces the eight standard 3x3 matrices in their usual
     numbering.
     """
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     out: List[np.ndarray] = []
     s2 = math.sqrt(2.0)
     for k in range(1, d):
@@ -547,7 +577,7 @@ def gen_gellmann(d: int) -> Dict[str, object]:
     All non-``E`` members are Hermitian and traceless; the last
     diagonal generator equals sqrt(2/(d(d-1))) diag(1, ..., 1, -d+1).
     """
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     e = {(i, j): _basis_matrix(d, i, j) for i in range(d) for j in range(d)}
     plus = {(a, b): sym_gell_mann(d, a, b)
             for a in range(d) for b in range(a + 1, d)}

@@ -40,7 +40,8 @@ Discrete catalog entries are strings (236 for the qubit case):
 
 A qudit catalog entry carries the suffix ``@A,B`` selecting the
 two-level subspace (A < B) of a d-level third party; the operators are
-then built with :func:`chesswit.tensorops.qudit_substitute`.
+then built with :func:`chesswit.tensorops.qudit_substitute`, each
+triple's operator once per (d, A, B) (``tensorops._substituted_op``).
 
 Closed-form machinery
 ---------------------
@@ -99,11 +100,12 @@ Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
 ``min_expectation_over_products`` provides the independent numerical
 route: the exact minimum of <s|W|s> over product states via
-multi-start alternating per-party eigenvector updates. Each update is
-one matrix product; the lowest eigenpair of a qubit party's 2x2
-operators (parties 0 and 1, and party 2 at d = 2) is taken in closed
-form, and only a qudit party (d >= 3) calls ``eigh``. The starts' seed
-states come from one ``chessboard.stream_words`` pass, bit-equal to one
+multi-start alternating per-party eigenvector updates on real
+coordinates. A qubit party moves in closed form on its Bloch vector; a
+qudit party solves its effective operator per connected component of
+W's support on it, so ``eigh`` runs only for a component of three or
+more levels, which no catalog witness has. The starts' seed states come
+from one ``chessboard.stream_words`` pass, bit-equal to one
 ``SeedSequence((seed, s))`` per start.
 """
 
@@ -134,8 +136,8 @@ from .chessboard import (
     rho_entries_22d,
     stream_words,
 )
-from .tensorops import (_check_dims, _check_integer, _check_pair, _check_tol,
-                        _signed_sum, qudit_substitute)
+from .tensorops import (_bloch, _check_dim, _check_dims, _check_integer,
+                        _check_pair, _check_tol, _signed_sum, _substituted_op)
 
 __all__ = [
     "CONICAL_KP",
@@ -282,7 +284,7 @@ def witness_ids(d: int = 2) -> List[str]:
     """All discrete catalog identifiers: 236 for d=2, times d(d-1)/2 pairs
     (each with an ``@A,B`` suffix) for d > 2. Raises ValueError unless
     d is an integer >= 2."""
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     pairs = itertools.combinations(range(d), 2) if d > 2 else [None]
     return [s + _suffix(pair) for pair in pairs for s in _base_entries()]
 
@@ -422,11 +424,11 @@ def build_witness(
     """
     parsed, kind, components = _parsed_spec(witness_id)
     alpha, beta = parsed.pair or (0, 1)
-    d = _check_integer("d", d, 2)
+    d = _check_dim(d)
     w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
     for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
         w += coef * _signed_sum(
-            terms, lambda t: qudit_substitute(t, d, alpha, beta))
+            terms, lambda t: _substituted_op(t, d, alpha, beta))
     return w
 
 
@@ -436,7 +438,7 @@ def build_witness(
 @lru_cache(maxsize=None)
 def _substituted_ops(d: int, alpha: int, beta: int) -> np.ndarray:
     """Read-only (15, 4d, 4d) stack of Q_t, in ``COEFF_TRIPLES`` order."""
-    ops = np.stack([qudit_substitute(t, d, alpha, beta) for t in COEFF_TRIPLES])
+    ops = np.stack([_substituted_op(t, d, alpha, beta) for t in COEFF_TRIPLES])
     ops.setflags(write=False)
     return ops
 
@@ -1021,15 +1023,27 @@ def min_expectation_over_products(
     the passes stop once no start's value moved by ``tol`` or more, or
     after ``iters`` passes.
 
-    W is blocked once per call: for party p with others o1 < o2, block
-    p is W with the indices ordered (o1, o2, o1', o2', p, p') and
-    reshaped to ((d_o1 d_o2)^2, d_p^2). With k = s_o1 (x) s_o2 per
-    start, the effective operator of party p is the product
-    (conj(k) (x) k) @ block_p, one (starts, (d_o1 d_o2)^2) by
-    ((d_o1 d_o2)^2, d_p^2) matrix product per update. A qubit party
-    (d_p = 2: parties 0 and 1 always, party 2 at d = 2) takes its lowest
-    eigenpair in closed form (``_lowest_eigenpair_2x2``); a party with
-    d_p >= 3 symmetrizes its operators and calls ``eigh`` once per pass.
+    Each party carries the real coordinates e_m = <s|G_m|s> of its
+    factor (``_coordinates``): the Bloch 4-vector (1, x, y, z) of a
+    qubit, and the populations |s_a|^2 and pair terms
+    2 Re(conj(s_a) s_b), 2 Im(conj(s_a) s_b), a < b, of a d-level
+    party. W becomes, once per call, the real tensor t with
+    <W> = sum t e0 e1 e2 (``_coefficient_tensor``). Party p's effective
+    operator then has coordinates c = (e_o1 (x) e_o2) @ t_p, one real
+    (starts, n_o1 n_o2) by (n_o1 n_o2, n_p) product per update.
+
+    A qubit party (d_p = 2) needs no eigensolver: the least of
+    c0 + c.r over unit r is c0 - |c|, at r = -c/|c| (+z where c = 0).
+    Any other party assembles H = sum c_m G_m and solves it per
+    connected component of W's support on that party, found once per
+    call from the exact zeros of t_p (``_support_components``): a
+    one-level component reads its diagonal entry, a two-level one goes
+    through ``_lowest_eigenpair_2x2``, and only a component of three or
+    more levels calls ``eigh``. The first strictly lowest component, in
+    level order, wins. A catalog witness at d >= 3 acts on the third
+    party through I_d or a Pauli on its levels (A, B), so its support
+    splits into {A, B} and singletons and no ``eigh`` runs; a dense W
+    is one component, one ``eigh`` of (starts, d_p, d_p) per pass.
 
     Start ``s`` draws its initial factors from a dedicated PCG64 stream
     seeded as by ``SeedSequence((seed, s))``, from one
@@ -1039,8 +1053,9 @@ def min_expectation_over_products(
     as per-party draws of d_p real and then d_p imaginary parts, so a
     start's initial factors do not depend on how the draw is split.
     Results are deterministic and the minimum over starts is monotone
-    in ``starts``. Returns the best value and the three factors
-    attaining it.
+    in ``starts``. Returns the best value and the three unit factors
+    attaining it; a qubit factor is the spinor of its Bloch vector r,
+    the lowest eigenvector of -r.sigma by ``_lowest_eigenpair_2x2``.
 
     ``dims`` entries, ``starts`` and ``iters`` must be integers >= 1,
     ``tol`` finite and >= 0, and ``seed`` a non-negative integer;
@@ -1064,34 +1079,166 @@ def min_expectation_over_products(
     _check_seed(seed)
 
     factors = _initial_factors(dims, starts, seed)
-    w6 = w.reshape(*dims, *dims)
+    coords = [_coordinates(f) for f in factors]
+    t = _coefficient_tensor(w, dims)
     others = ((1, 2), (0, 2), (0, 1))
-    blocks = [
-        np.ascontiguousarray(w6.transpose(o1, o2, 3 + o1, 3 + o2, p, 3 + p))
-        .reshape((dims[o1] * dims[o2]) ** 2, dims[p] ** 2)
-        for p, (o1, o2) in enumerate(others)
-    ]
+    blocks = [np.ascontiguousarray(t.transpose(o1, o2, p))
+              .reshape(-1, t.shape[p]) for p, (o1, o2) in enumerate(others)]
+    components = [None if dp == 2 else _support_components(blocks[p], dp)
+                  for p, dp in enumerate(dims)]
 
     energies = np.full(starts, np.inf)
     for _ in range(iters):
-        previous = energies.copy()
+        previous = energies
         for p, (o1, o2) in enumerate(others):
-            k = (factors[o1][:, :, None] * factors[o2][:, None, :]
+            x = (coords[o1][:, :, None] * coords[o2][:, None, :]
                  ).reshape(starts, -1)
-            b = (k.conj()[:, :, None] * k[:, None, :]).reshape(starts, -1)
-            h = b @ blocks[p]
-            if dims[p] == 2:
-                energies, factors[p] = _lowest_eigenpair_2x2(h)
+            c = x @ blocks[p]
+            if components[p] is None:
+                energies, coords[p] = _bloch_update(c)
             else:
-                h = h.reshape(starts, dims[p], dims[p])
-                h = (h + h.conj().transpose(0, 2, 1)) / 2.0
-                eigvals, eigvecs = np.linalg.eigh(h)
-                factors[p] = np.ascontiguousarray(eigvecs[:, :, 0])
-                energies = eigvals[:, 0].copy()
+                energies, factors[p] = _split_update(c, components[p])
+                coords[p] = _coordinates(factors[p])
         if np.all(np.abs(energies - previous) < tol):
             break
     best = int(np.argmin(energies))
-    return float(energies[best]), [f[best].copy() for f in factors]
+    return float(energies[best]), [
+        f[best].copy() if comps is not None else _spinor(e[best])
+        for f, e, comps in zip(factors, coords, components)]
+
+
+@lru_cache(maxsize=None)
+def _upper_pairs(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The level pairs a < b of a d-level party, as read-only arrays, in
+    ``np.triu_indices`` order: the order of the pair coordinates."""
+    pairs = np.triu_indices(d, 1)
+    for levels in pairs:
+        levels.setflags(write=False)
+    return pairs
+
+
+def _coefficient_tensor(w: np.ndarray, dims: Tuple[int, int, int]
+                        ) -> np.ndarray:
+    """Real (d0^2, d1^2, d2^2) tensor t of W with Re <s|W|s> =
+    sum t[m0, m1, m2] e0_m0 e1_m1 e2_m2 on product states, e_p the
+    ``_coordinates`` of party p's factor: the coordinates of W's
+    Hermitian part in the product basis of ``_operator_coordinates``."""
+    t = w.reshape(*dims, *dims).transpose(0, 3, 1, 4, 2, 5)
+    for _ in dims:      # each party's rows (a, a') become its coordinates
+        t = _operator_coordinates(np.moveaxis(t, (0, 1), (-2, -1)))
+    return t.real
+
+
+def _coordinates(s: np.ndarray) -> np.ndarray:
+    """(n, d^2) real coordinates <s|G_m|s> of n unit factors, in the
+    order of ``_operator_coordinates``."""
+    d = s.shape[1]
+    if d == 2:
+        return _bloch(s[:, 0], s[:, 1]).T
+    a, b = _upper_pairs(d)
+    c = s[:, a].conj() * s[:, b]
+    return np.concatenate([s.real * s.real + s.imag * s.imag,
+                           2.0 * c.real, 2.0 * c.imag], axis=1)
+
+
+def _operator_coordinates(m: np.ndarray) -> np.ndarray:
+    """Coordinates Tr(M G_m) / Tr(G_m^2) of the d x d operators M on the
+    last two axes of ``m``, so that Tr(M rho) = sum_m coordinate_m
+    <G_m>_rho. The basis G is orthogonal and Hermitian: the Paulis
+    sigma_0..sigma_3 for d = 2; else E_aa, then E_ab + E_ba, then
+    -i(E_ab - E_ba) for the pairs a < b of ``_upper_pairs``."""
+    d = m.shape[-1]
+    if d == 2:
+        p, q = m[..., 0, 0], m[..., 1, 1]
+        u, v = m[..., 0, 1], m[..., 1, 0]
+        return np.stack([(p + q) / 2, (u + v) / 2, 1j * (u - v) / 2,
+                         (p - q) / 2], axis=-1)
+    a, b = _upper_pairs(d)
+    u, v = m[..., a, b], m[..., b, a]
+    return np.concatenate([np.diagonal(m, axis1=-2, axis2=-1),
+                           (u + v) / 2, 1j * (u - v) / 2], axis=-1)
+
+
+def _bloch_update(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Least c0 + c.r over unit r for each row of the (n, 4) coordinates
+    c, and the minimizing Bloch rows (1, r): r = -c/|c|, +z where the
+    vector part c is 0 (the H = c0 I case)."""
+    norm = np.hypot(np.hypot(c[:, 1], c[:, 2]), c[:, 3])
+    flat = norm == 0.0
+    coords = c / -np.where(flat, 1.0, norm)[:, None]
+    coords[:, 0] = 1.0
+    coords[flat, 1:] = (0.0, 0.0, 1.0)
+    return c[:, 0] - norm, coords
+
+
+def _spinor(e: np.ndarray) -> np.ndarray:
+    """Unit spinor of one Bloch row (1, x, y, z): the lowest eigenvector
+    of -r.sigma."""
+    x, y, z = e[1:]
+    return _lowest_eigenpair_2x2(
+        np.array([[-z, complex(-x, y), complex(-x, -y), z]]))[1][0]
+
+
+def _support_components(block: np.ndarray, d: int
+                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
+    """Connected components of W's support on a party with d levels, in
+    level order: levels a < b are joined when a coordinate of E_ab + E_ba
+    or -i(E_ab - E_ba) has a nonzero coefficient in the party's
+    (rows, d^2) ``block``, so that the effective operator of every state
+    of the other parties is block diagonal on the components.
+
+    Each component is its levels and the row-major flat indices of its
+    block of H in the entries (H_aa, then H_ab and then H_ba for the
+    pairs a < b) that ``_split_update`` lays out.
+    """
+    a, b = _upper_pairs(d)
+    used = (block != 0.0).any(axis=0)
+    joined = used[d:d + len(a)] | used[d + len(a):]
+    label = list(range(d))              # least level of each component
+    for i, j in zip(a[joined], b[joined]):
+        low, high = sorted((label[i], label[j]))
+        label = [low if k == high else k for k in label]
+    entry = np.empty((d, d), dtype=np.intp)
+    entry[range(d), range(d)] = range(d)
+    entry[a, b] = d + np.arange(len(a))
+    entry[b, a] = d + len(a) + np.arange(len(a))
+    components = []
+    for k in sorted(set(label)):
+        levels = np.flatnonzero(np.array(label) == k)
+        components.append((levels, entry[np.ix_(levels, levels)].ravel()))
+    return components
+
+
+def _split_update(c: np.ndarray, components: List[Tuple[np.ndarray,
+                                                          np.ndarray]]
+                  ) -> Tuple[np.ndarray, np.ndarray]:
+    """Least eigenvalue and unit eigenvector of H = sum_m c_m G_m for each
+    row of the (n, d^2) coordinates c, solved per component of
+    ``_support_components``: a one-level component reads its diagonal
+    entry, a two-level one goes through ``_lowest_eigenpair_2x2`` and a
+    larger one through ``eigh``. The first strictly lowest component
+    wins."""
+    n, d = len(c), sum(len(levels) for levels, _ in components)
+    pairs = (c.shape[1] - d) // 2
+    upper = c[:, d:d + pairs] - 1j * c[:, d + pairs:]
+    entries = np.concatenate([c[:, :d], upper, upper.conj()], axis=1)
+    energies = np.empty((n, len(components)))
+    vectors = np.zeros((n, len(components), d), dtype=np.complex128)
+    for k, (levels, index) in enumerate(components):
+        if len(levels) == 1:
+            energies[:, k] = c[:, levels[0]]
+            vectors[:, k, levels[0]] = 1.0
+        elif len(levels) == 2:
+            energies[:, k], vectors[:, k, levels] = \
+                _lowest_eigenpair_2x2(entries[:, index])
+        else:
+            eigvals, eigvecs = np.linalg.eigh(
+                entries[:, index].reshape(n, len(levels), len(levels)))
+            energies[:, k] = eigvals[:, 0]
+            vectors[:, k, levels] = eigvecs[:, :, 0]
+    best = np.argmin(energies, axis=1)
+    rows = np.arange(n)
+    return energies[rows, best], vectors[rows, best]
 
 
 def _lowest_eigenpair_2x2(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
@@ -1104,8 +1251,9 @@ def _lowest_eigenpair_2x2(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     row with the larger diagonal gap g = r + |a - d|/2 >= |b|:
     (-b, g) if a >= d, else (g, -conj(b)), each of norm hypot(g, |b|);
     neither g nor the norm subtracts, so the vector keeps full relative
-    accuracy. H = cI (r = 0) gets (1, 0). The phase differs from LAPACK's, which the
-    see-saw ignores: it uses the factors only through conj(k) (x) k.
+    accuracy. H = cI (r = 0) gets (1, 0). The phase differs from
+    LAPACK's, which the see-saw ignores: it uses a factor only through
+    its coordinates <s|G_m|s>.
     """
     a, d = h[:, 0].real, h[:, 3].real
     b = (h[:, 1] + h[:, 2].conj()) / 2.0

@@ -299,6 +299,19 @@ def test_scan_rejects_bad_n():
     assert proc.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("command", [
+    ("scan", "--n", "1"),
+    ("fr", "--samples", "1"),
+    ("validate-witness", "--witness", "poly1:0000"),
+])
+def test_dimension_flag_below_two_is_named_as_typed(command):
+    # scan named run_scan's keyword: "dim must be >= 2, got 1"
+    proc = run_cli(*command, "--d", "1", check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: d must be >= 2, got 1\n"
+    assert proc.stdout == ""
+
+
 def test_scan_rejects_qudit_levels_at_d2():
     proc = run_cli("scan", "--n", "1", "--d", "2", "--gamma", "7",
                    check=False)

@@ -24,10 +24,9 @@ from chesswit.frgeom import (
     region_excess,
     region_points,
     sample_factors,
-    _bloch,
     _terms,
 )
-from chesswit.tensorops import qudit_substitute
+from chesswit.tensorops import _bloch, qudit_substitute
 from chesswit.witnesses import _spec
 
 I2 = np.eye(2, dtype=np.complex128)
@@ -273,8 +272,12 @@ def test_functional_points_rejects_bad_geometry_and_levels():
     (lambda f1, f2, f3: (f1[:, 0], f2, f3),
      "factors[0] must have shape (n, 2), got (3,)"),
     (lambda f1, f2, f3: (f1, f2, f3[0]),
-     "factors[2] must have shape (3, d), got (3,)"),
-], ids=["wide-qubit", "row-counts", "1-D-first", "1-D-third"])
+     "factors[2] must have shape (3, d) with d >= 2, got (3,)"),
+    # "d must be >= 2, got 1", naming a d that functional_points does not take
+    (lambda f1, f2, f3: (f1, f2, f3[:, :1]),
+     "factors[2] must have shape (3, d) with d >= 2, got (3, 1)"),
+], ids=["wide-qubit", "row-counts", "1-D-first", "1-D-third",
+        "one-level-third"])
 def test_functional_points_rejects_factors_of_the_wrong_shape(make, message):
     factors = make(*sample_factors(3, seed=0, d=3))
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

@@ -30,7 +30,8 @@ from chesswit.chessboard import (
     sample_params_222,
     sample_params_22d,
 )
-from chesswit.tensorops import hermitian_eigenvalues, qudit_substitute
+from chesswit.tensorops import (_signed_sum, hermitian_eigenvalues,
+                                qudit_substitute)
 from chesswit.witnesses import (
     _IDENTITY,
     DETECT_MARGIN,
@@ -54,7 +55,10 @@ from chesswit.witnesses import (
     witness_angles,
     witness_ids,
     _KIND,
+    _angle_weights,
     _catalog,
+    _coefficient_tensor,
+    _coordinates,
     _component_values,
     _initial_factors,
     _lowest_eigenpair_2x2,
@@ -64,6 +68,8 @@ from chesswit.witnesses import (
     _level_pairs,
     _pair_coeffs,
     _pair_gather,
+    _parsed_spec,
+    _support_components,
     _table,
 )
 
@@ -1438,7 +1444,120 @@ def test_lowest_eigenpair_2x2_takes_the_hermitian_part():
     np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
 
 
+def _random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2.0
+
+
+def _block_diagonal_on_party3(rng, d, blocks):
+    """A random Hermitian 4d x 4d W whose party-3 support is block
+    diagonal on the level sets ``blocks``: entry (i, j) is kept only
+    when the third-party levels i % d and j % d share a block."""
+    label = np.empty(d, dtype=int)
+    for k, levels in enumerate(blocks):
+        label[list(levels)] = k
+    third = np.arange(4 * d) % d
+    keep = label[third][:, None] == label[third][None, :]
+    return np.where(keep, _random_hermitian(rng, 4 * d), 0.0)
+
+
+def _party3_block(w, d):
+    """The (16, d^2) real coefficient block of a 2x2xd operator on its
+    third party."""
+    return _coefficient_tensor(w, (2, 2, d)).reshape(16, d * d)
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 3, 4), (1, 2, 5)])
+def test_coefficient_tensor_gives_product_state_expectations(dims):
+    rng = np.random.default_rng(sum(dims))
+    w = _random_hermitian(rng, math.prod(dims))
+    w[0, -1] += 0.3j        # an anti-Hermitian part, which Re <s|W|s> drops
+    t = _coefficient_tensor(w, dims)
+    factors = _initial_factors(dims, 32, 5)
+    coords = [_coordinates(f) for f in factors]
+    got = np.einsum("ijk,si,sj,sk->s", t, *coords)
+    s = np.einsum("si,sj,sk->sijk", *factors).reshape(32, -1)
+    want = np.einsum("si,ij,sj->s", s.conj(), w, s).real
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def _random_partition(rng, d):
+    levels = rng.permutation(d)
+    cuts = np.sort(rng.choice(np.arange(1, d), size=int(rng.integers(d)),
+                              replace=False))
+    return [sorted(int(x) for x in part) for part in np.split(levels, cuts)]
+
+
+def _assert_seesaw_matches_oracle(w, dims, starts, seed):
+    value, factors = min_expectation_over_products(w, dims=dims,
+                                                   starts=starts, seed=seed)
+    want, _ = _seesaw_einsum(w, dims=dims, starts=starts, seed=seed)
+    scale = max(1.0, float(np.abs(w).max()))
+    assert abs(value - want) <= 1e-12 * scale, (dims, value, want)
+    s = np.kron(np.kron(factors[0], factors[1]), factors[2])
+    assert abs((s.conj() @ w @ s).real - value) <= 1e-12 * scale
+    for f, dp in zip(factors, dims):
+        assert f.shape == (dp,)
+        assert abs(np.linalg.norm(f) - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_seesaw_support_split_matches_einsum_oracle(d):
+    rng = np.random.default_rng(600 + d)
+    partitions = [[[k] for k in range(d)]]          # all singletons
+    partitions += [_random_partition(rng, d) for _ in range(5)]
+    for blocks in partitions:
+        w = _block_diagonal_on_party3(rng, d, blocks)
+        components = _support_components(_party3_block(w, d), d)
+        assert [list(levels) for levels, _ in components] == sorted(blocks)
+        _assert_seesaw_matches_oracle(w, (2, 2, d), 16,
+                                      int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 4), (2, 2, 5),
+                                  (3, 2, 2), (2, 1, 3)])
+def test_seesaw_matches_einsum_oracle_on_dense_operators(dims):
+    rng = np.random.default_rng(sum(dims) * math.prod(dims))
+    for _ in range(4):
+        _assert_seesaw_matches_oracle(_random_hermitian(rng, math.prod(dims)),
+                                      dims, 16, int(rng.integers(2**32)))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 2, 3), (2, 2, 5), (3, 2, 4)])
+def test_seesaw_of_a_multiple_of_the_identity(dims):
+    value, factors = min_expectation_over_products(
+        -2.5 * np.eye(math.prod(dims)), dims=dims, starts=4)
+    assert value == pytest.approx(-2.5, abs=1e-14)
+    for f, dp in zip(factors, dims):
+        np.testing.assert_array_equal(f, np.eye(dp)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_support_components_join_levels_through_either_pair_coordinate(k):
+    # T(1) couples the levels (0, 2) through the Re coordinate alone, T(2)
+    # through the Im coordinate alone
+    w = qudit_substitute((0, 0, k), 3, 0, 2) + qudit_substitute((3, 0, 0),
+                                                                3, 0, 2)
+    got = _support_components(_party3_block(w, 3), 3)
+    assert [list(levels) for levels, _ in got] == [[0, 2], [1]]
+    _assert_seesaw_matches_oracle(w, (2, 2, 3), 8, 1)
+    assert min_expectation_over_products(w, dims=(2, 2, 3), starts=8)[0] \
+        == pytest.approx(-2.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_support_components_of_catalog_witnesses(d):
+    # I_d or a Pauli on the levels (A, B): {A, B} plus singletons
+    for wid in witness_ids(d):
+        pair = list(parse_witness_id(wid).pair)
+        want = sorted([pair] + [[k] for k in range(d) if k not in pair])
+        w = build_witness(wid, psi=0.4, eta=0.7, zeta=1.1, d=d)
+        got = _support_components(_party3_block(w, d), d)
+        assert [list(levels) for levels, _ in got] == want, wid
+
+
 def test_seesaw_calls_eigh_only_for_qudit_parties(monkeypatch):
+    # eigh runs only for a third-party component of three or more levels
     calls = []
     eigh = np.linalg.eigh
 
@@ -1447,11 +1566,19 @@ def test_seesaw_calls_eigh_only_for_qudit_parties(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    min_expectation_over_products(build_witness("con:333:122:0:+", psi=0.3),
-                                  starts=8, iters=5)
+    for wid, d in (("con:333:122:0:+", 2), ("con:333:122:0:+@0,2", 3),
+                   ("sph:300:122:0@1,3", 4), ("poly2:0110@2,3", 4)):
+        min_expectation_over_products(
+            build_witness(wid, psi=0.3, eta=0.5, zeta=0.7, d=d),
+            dims=(2, 2, d), starts=8, iters=5, tol=0.0)
     assert calls == []
-    w = build_witness("con:333:122:0:+@0,2", psi=0.3, d=3)
-    min_expectation_over_products(w, dims=(2, 2, 3), starts=8, iters=5,
+    rng = np.random.default_rng(3)
+    min_expectation_over_products(_random_hermitian(rng, 12), dims=(2, 2, 3),
+                                  starts=8, iters=5, tol=0.0)
+    assert calls == [(8, 3, 3)] * 5
+    calls.clear()
+    w = _block_diagonal_on_party3(rng, 5, [[0, 2, 4], [1], [3]])
+    min_expectation_over_products(w, dims=(2, 2, 5), starts=8, iters=5,
                                   tol=0.0)
     assert calls == [(8, 3, 3)] * 5
 
@@ -1483,6 +1610,36 @@ def test_minimizer_rejects_non_integer_sizes(kwargs, message):
     # int() used to run these as 2, 2 and 3
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_expectation_over_products(np.eye(8), **kwargs)
+
+
+def _build_witness_uncached(witness_id, psi, eta, zeta, d):
+    """``build_witness`` with every term's operator built afresh."""
+    parsed, kind, components = _parsed_spec(witness_id)
+    alpha, beta = parsed.pair or (0, 1)
+    w = np.zeros((4 * d, 4 * d), dtype=np.complex128)
+    for coef, terms in zip(_angle_weights(kind, psi, eta, zeta), components):
+        w += coef * _signed_sum(
+            terms, lambda t: qudit_substitute(t, d, alpha, beta))
+    return w
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_build_witness_bytes_equal_the_uncached_fold(d):
+    rng = np.random.default_rng(40 + d)
+    for wid in witness_ids(d):
+        angles = dict(psi=rng.uniform(0.0, 2.0 * math.pi),
+                      eta=rng.uniform(0.0, math.pi),
+                      zeta=rng.uniform(0.0, 2.0 * math.pi))
+        got = build_witness(wid, d=d, **angles)
+        assert got.tobytes() == _build_witness_uncached(
+            wid, d=d, **angles).tobytes(), wid
+    # the caller owns the result: writing to it leaves later builds alone
+    first = build_witness("poly1:0000", d=d)
+    assert first.flags.writeable
+    first[:] = 7.0
+    np.testing.assert_array_equal(
+        build_witness("poly1:0000", d=d),
+        _build_witness_uncached("poly1:0000", None, None, None, d))
 
 
 def test_build_witness_rejects_non_integer_d():
