@@ -23,20 +23,20 @@ structure into a d-level third party using three distinguished levels
 alpha, beta, gamma: for each first-qubit branch j in {0, 1} the
 0-branch carries free diagonals a[j][k] at |0 j k>, and three couplings
 connect |0 j alpha> ~ |1 j' beta>, |0 j beta> ~ |1 j' alpha>, and
-|0 j gamma> ~ |1 j' gamma| (j' = 1 - j). Under the default tied
-convention the 1-branch diagonal at |1 j mu> is the reciprocal of its
-coupling partner's diagonal, which again makes every coupled block have
-product 1 (PPT for all r <= 1 whenever alpha, beta, gamma are
-distinct); with ``tied=False`` the 1-branch diagonal at |1 j mu> is
-1/a[j][mu] instead, which can break positivity — in that case
-:func:`build_rho_22d` raises :class:`NonPositiveError` carrying the
-offending eigenvalue. Below that per-state API a chunk of N states of
-either family (a :class:`ParamColumns`) is described by its X-state
-entries: the (N, n) diagonals, the (N, K) couplings at
-``COUPLING_POSITIONS`` or :func:`coupling_cells` and the (N,) traces
-(:func:`rho_entries_222`, :func:`rho_entries_22d`). :func:`rho_stack`
-scatters them into N matrices, with no check; :func:`positivity_proven`
-tells which 2x2xd rows the construction alone proves positive.
+|0 j gamma> ~ |1 j' gamma> (j' = 1 - j). The 1-branch diagonal at
+|1 j' dst> is the reciprocal of its coupling partner's diagonal at
+|0 j src>, so every coupled 2x2 block [[x, z], [conj z, 1/x]] has
+determinant 1 - |z|^2 >= 0 and every other diagonal is positive or 0:
+each state is positive semidefinite, and PPT, by construction (the
+chessboard construction of Bruss and Peres, PRA 61, 030301(R) (2000)).
+A gamma that collides with alpha or beta would add its coupling to
+their blocks, so :class:`ChessParams22d` requires its gamma-gamma
+moduli to be 0. Below that per-state API a chunk of N states of either
+family (a :class:`ParamColumns`) is described by its X-state entries:
+the (N, n) diagonals, the (N, K) couplings at ``COUPLING_POSITIONS`` or
+:func:`coupling_cells` and the (N,) traces (:func:`rho_entries_222`,
+:func:`rho_entries_22d`), which :func:`rho_stack` scatters into N
+matrices.
 
 Sample i of stream ``seed`` is drawn from PCG64 seeded as numpy's
 ``SeedSequence((seed, i))`` seeds it. :func:`stream_words` computes
@@ -56,13 +56,11 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from .tensorops import (_check_dim, _check_integer, _json_number,
-                        hermitian_eigenvalues)
+from .tensorops import _check_dim, _check_integer, _json_number
 
 __all__ = [
     "ChessParams222",
     "ChessParams22d",
-    "NonPositiveError",
     "ParamColumns",
     "COUPLING_POSITIONS",
     "SLOT_ORDER",
@@ -73,7 +71,6 @@ __all__ = [
     "pauli_coeff_stack",
     "pauli_coeffs",
     "params_222_to_22d",
-    "positivity_proven",
     "qudit_levels",
     "rho_entries_222",
     "rho_entries_22d",
@@ -85,14 +82,6 @@ __all__ = [
     "params_to_json",
     "params_from_json",
 ]
-
-
-class NonPositiveError(ValueError):
-    """Raised when a construction yields a non-positive-semidefinite matrix."""
-
-    def __init__(self, message: str, min_eigenvalue: float):
-        super().__init__(message)
-        self.min_eigenvalue = float(min_eigenvalue)
 
 
 # Flat (row, col) positions of the couplings r1..r4 (upper triangle).
@@ -299,8 +288,9 @@ class ChessParams22d:
     branch j), each of length ``dim``. ``r``/``phi`` hold the six
     coupling moduli/phases in the canonical slot order
     ``SLOT_ORDER`` = ((0,'ab'), (0,'ba'), (0,'gg'), (1,'ab'), (1,'ba'),
-    (1,'gg')). ``tied`` selects the reciprocal convention of the
-    1-branch diagonals (see module docstring).
+    (1,'gg')). A gamma that collides with alpha or beta must carry
+    gamma-gamma moduli 0 (ValueError), so that every state is positive
+    semidefinite by construction (see module docstring).
     """
 
     dim: int
@@ -310,7 +300,6 @@ class ChessParams22d:
     diag: Tuple[Tuple[float, ...], Tuple[float, ...]]
     r: Tuple[float, ...] = (0.0,) * 6
     phi: Tuple[float, ...] = (0.0,) * 6
-    tied: bool = True
 
     def __post_init__(self):
         levels = qudit_levels(self.dim, self.alpha, self.beta, self.gamma)
@@ -330,7 +319,11 @@ class ChessParams22d:
         _check_finite("the sum of the diagonals and their reciprocals",
                       sum(v + 1 / v for row in diag for v in row))
         _check_couplings(self, 6, "six")
-        object.__setattr__(self, "tied", bool(self.tied))
+        if self.gamma in (self.alpha, self.beta):
+            for i in _GG_SLOTS:
+                if self.r[i] != 0.0:
+                    raise ValueError(f"r[{i}] must be 0 when gamma collides "
+                                     f"with alpha or beta, got {self.r[i]!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -341,16 +334,14 @@ class ParamColumns:
     (a, b, c, d) and whose ``r`` and ``phi`` are (N, 4) in the order
     r1..r4. For the 2x2xd family ``levels`` is (dim, alpha, beta,
     gamma), ``diag`` is (N, 2 dim) (diag row 0, then row 1) and ``r``
-    and ``phi`` are (N, 6) in ``SLOT_ORDER``. ``tied`` is (N,) bool,
-    all True for the 2x2x2 family. ``columns[i]`` is row i as a
-    parameter object, which checks it.
+    and ``phi`` are (N, 6) in ``SLOT_ORDER``. ``columns[i]`` is row i as
+    a parameter object, which checks it.
     """
 
     levels: Optional[Tuple[int, int, int, int]]
     diag: np.ndarray
     r: np.ndarray
     phi: np.ndarray
-    tied: np.ndarray
 
     @classmethod
     def of(cls, states) -> "ParamColumns":
@@ -367,18 +358,16 @@ class ParamColumns:
             values = [(p.a, p.b, p.c, p.d) + p.r + p.phi for p in states]
         else:
             values = [p.diag[0] + p.diag[1] + p.r + p.phi for p in states]
-        return cls._split(levels[0], np.array(values, dtype=np.float64),
-                         np.array([getattr(p, "tied", True) for p in states]))
+        return cls._split(levels[0], np.array(values, dtype=np.float64))
 
     @classmethod
-    def _split(cls, levels, values: np.ndarray, tied: np.ndarray
-              ) -> "ParamColumns":
+    def _split(cls, levels, values: np.ndarray) -> "ParamColumns":
         """The columns of the (N, k) block of rows (diag | r | phi), as
         views."""
         slots = 4 if levels is None else 6
         m = values.shape[1] - 2 * slots
         return cls(levels, values[:, :m], values[:, m:m + slots],
-                   values[:, m + slots:], tied)
+                   values[:, m + slots:])
 
     def __len__(self) -> int:
         return len(self.diag)
@@ -389,8 +378,7 @@ class ParamColumns:
         if self.levels is None:
             return ChessParams222(*diag, r=r, phi=phi)
         dim = self.levels[0]
-        return ChessParams22d(*self.levels, (diag[:dim], diag[dim:]), r, phi,
-                              bool(self.tied[i]))
+        return ChessParams22d(*self.levels, (diag[:dim], diag[dim:]), r, phi)
 
 
 def _flat(q1: int, j: int, k: int, d: int) -> int:
@@ -412,35 +400,18 @@ def coupling_cells(dim: int, alpha: int, beta: int, gamma: int
 
 @lru_cache(maxsize=None)
 def _reciprocal_cells(dim: int, alpha: int, beta: int, gamma: int
-                      ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+                      ) -> Tuple[np.ndarray, np.ndarray]:
     """The diagonal index of each 1-branch diagonal that a coupling
-    sets, and the 0-branch index of the reciprocal it takes: its
-    coupling partner |0 j src> (tied) or its own twin |0 j' dst>
-    (untied). A gamma that collides with alpha or beta leaves these to
-    their slots."""
+    sets, and the index of its coupling partner |0 j src>, whose
+    reciprocal it takes. A gamma that collides with alpha or beta leaves
+    these to their slots."""
     rows, cols = zip(*[cell for (_, slot), cell in zip(
         SLOT_ORDER, coupling_cells(dim, alpha, beta, gamma))
         if slot != "gg" or gamma not in (alpha, beta)])
-    out = (np.array(cols), np.array(rows), np.array(cols) - 2 * dim)
+    out = (np.array(cols), np.array(rows))
     for a in out:
         a.setflags(write=False)
     return out
-
-
-def positivity_proven(columns: ParamColumns) -> np.ndarray:
-    """(N,) bool: whether the construction alone proves each row's rho
-    positive semidefinite.
-
-    It does when ``tied`` is set and gamma either differs from alpha and
-    beta or carries zero gamma-gamma moduli: every coupled block
-    [[x, z], [conj z, 1/x]] then has determinant 1 - |z|^2 >= 0, and
-    the other diagonals are positive or 0. A gamma that collides with
-    alpha or beta adds its coupling to their blocks unless it is 0.
-    """
-    _, alpha, beta, gamma = columns.levels
-    if gamma not in (alpha, beta):
-        return columns.tied.copy()
-    return columns.tied & (columns.r[:, _GG_SLOTS] == 0.0).all(axis=1)
 
 
 def rho_entries_22d(columns: ParamColumns
@@ -452,29 +423,25 @@ def rho_entries_22d(columns: ParamColumns
     r e^{i phi} at ``coupling_cells`` (their conjugates sit at the
     mirrored cells), and the (N,) traces, each summed as
     ``rho.trace()`` sums the diagonal. A 1-branch diagonal is the
-    reciprocal of its coupling partner's diagonal (``tied``) or of its
-    own 0-branch twin; a gamma that collides with alpha or beta leaves
-    it to their slots, and the 1-branch diagonals of uncoupled levels
-    stay 0.
+    reciprocal of its coupling partner's diagonal; a gamma that collides
+    with alpha or beta leaves it to their slots, and the 1-branch
+    diagonals of uncoupled levels stay 0.
     """
-    cells, partners, twins = _reciprocal_cells(*columns.levels)
+    cells, partners = _reciprocal_cells(*columns.levels)
     zero_branch = columns.diag
     diag = np.zeros((len(columns), 2 * zero_branch.shape[1]),
                     dtype=np.complex128)
     diag[:, :zero_branch.shape[1]] = zero_branch
-    diag[:, cells] = 1.0 / np.where(columns.tied[:, None],
-                                    zero_branch[:, partners],
-                                    zero_branch[:, twins])
+    diag[:, cells] = 1.0 / zero_branch[:, partners]
     couplings = columns.r * np.exp(1j * columns.phi)
     return diag, couplings, diag.sum(axis=1).real
 
 
 def rho_stack(entries: Tuple[np.ndarray, ...], cells: tuple) -> np.ndarray:
-    """(N, n, n) density matrices, with no positivity check, from the
-    :func:`rho_entries_222` or :func:`rho_entries_22d` of N states whose
-    couplings sit at ``cells``: one scatter, then the trace division.
-    :func:`build_rho_222` and :func:`build_rho_22d` are its N = 1 cases,
-    the latter plus the check.
+    """(N, n, n) density matrices from the :func:`rho_entries_222` or
+    :func:`rho_entries_22d` of N states whose couplings sit at
+    ``cells``: one scatter, then the trace division.
+    :func:`build_rho_222` and :func:`build_rho_22d` are its N = 1 cases.
     """
     diag, couplings, trace = entries
     n = diag.shape[1]
@@ -491,26 +458,12 @@ def rho_stack(entries: Tuple[np.ndarray, ...], cells: tuple) -> np.ndarray:
 
 
 def build_rho_22d(params: ChessParams22d) -> np.ndarray:
-    """(4d)x(4d) density matrix of the 2x2xd chessboard family.
-
-    The N = 1 case of :func:`rho_stack`, verified positive
-    semidefinite; a failure (possible when ``tied`` is off, or when
-    gamma collides with alpha/beta while carrying a nonzero coupling)
-    raises :class:`NonPositiveError` with the offending eigenvalue.
-    """
+    """(4d)x(4d) density matrix of the 2x2xd chessboard family (trace
+    1, positive semidefinite by construction): the N = 1 case of
+    :func:`rho_stack`."""
     columns = ParamColumns.of([params])
-    rho = rho_stack(rho_entries_22d(columns),
-                    coupling_cells(*columns.levels))[0]
-    w = hermitian_eigenvalues(rho)
-    if w[0] < -1e-12:
-        raise NonPositiveError(
-            f"constructed matrix is not positive semidefinite "
-            f"(min eigenvalue {w[0]:.6e}); this can happen with tied=False "
-            f"or when gamma collides with alpha/beta while its coupling is "
-            f"nonzero",
-            min_eigenvalue=w[0],
-        )
-    return rho
+    return rho_stack(rho_entries_22d(columns),
+                     coupling_cells(*columns.levels))[0]
 
 
 def params_222_to_22d(params: ChessParams222, gamma: int = 0) -> ChessParams22d:
@@ -532,7 +485,6 @@ def params_222_to_22d(params: ChessParams222, gamma: int = 0) -> ChessParams22d:
         diag=((params.a, params.b), (params.c, params.d)),
         r=(r4, r3, 0.0, r2, r1, 0.0),
         phi=(p4, p3, 0.0, p2, p1, 0.0),
-        tied=True,
     )
 
 
@@ -679,7 +631,7 @@ def sample_chunk(seed: int, start: int, stop: int,
     """Samples ``start``..``stop - 1`` of stream ``seed``, as columns.
 
     ``levels`` is None for the 2x2x2 family, or ``(dim, alpha, beta,
-    gamma)`` for the tied 2x2xd family, checked by :func:`qudit_levels`
+    gamma)`` for the 2x2xd family, checked by :func:`qudit_levels`
     (``beta`` may be None). Sample i draws k values from PCG64 seeded
     as by ``SeedSequence((seed, i))``, from the chunk's one
     :func:`stream_words` block: diagonal parameters log-uniform on
@@ -687,9 +639,8 @@ def sample_chunk(seed: int, start: int, stop: int,
     uniform on [0, 1] and phases uniform on [0, 2 pi) (4 each, or 6 in
     ``SLOT_ORDER``). Each value is lo + (hi - lo) * u with u the top 53
     bits of a 64-bit draw, as ``Generator.uniform`` computes it; a
-    colliding gamma's gamma-gamma moduli are then set to 0, so that
-    :func:`positivity_proven` proves every 2x2xd sample positive. The
-    seed and the bounds must be non-negative integers with
+    colliding gamma's gamma-gamma moduli are then set to 0, as
+    :class:`ChessParams22d` requires. The seed and the bounds must be non-negative integers with
     start <= stop (ValueError).
     """
     words = stream_words(seed, start, stop)
@@ -710,8 +661,7 @@ def sample_chunk(seed: int, start: int, stop: int,
     values[:, :m] = 10.0 ** values[:, :m]
     if levels is not None and levels[3] in levels[1:3]:
         values[:, [m + i for i in _GG_SLOTS]] = 0.0
-    return _check_columns(ParamColumns._split(
-        levels, values, np.ones(len(values), dtype=bool)))
+    return _check_columns(ParamColumns._split(levels, values))
 
 
 def sample_params_222(seed: int, index: int) -> ChessParams222:
@@ -734,17 +684,15 @@ def sample_params_22d(
     beta: int | None = None,
     gamma: int = 1,
 ) -> ChessParams22d:
-    """Deterministic random tied 2x2xd parameters, which
-    :func:`positivity_proven` proves positive for every level triple:
-    the N = 1 case of :func:`sample_chunk`.
+    """Deterministic random 2x2xd parameters: the N = 1 case of
+    :func:`sample_chunk`.
 
     Defaults pick (alpha, beta, gamma) = (0, 2, 1) for dim >= 3 and
     (0, 1, 1) for dim = 2. Diagonal entries are log-uniform on
     [0.1, 10]; coupling moduli uniform on [0, 1] and phases uniform on
     [0, 2 pi) in canonical slot order (the gamma-gamma moduli are
-    forced to zero when gamma collides with alpha/beta, preserving
-    positivity). Draw order: diag row 0, diag row 1, r (6), phi (6).
-    An untied state is ``dataclasses.replace(state, tied=False)``.
+    forced to zero when gamma collides with alpha/beta). Draw order:
+    diag row 0, diag row 1, r (6), phi (6).
     """
     levels = (dim,) + qudit_levels(dim, alpha, beta, gamma)
     seed, index = _check_seed(seed), _check_seed(index, "index")
@@ -771,7 +719,6 @@ def params_to_json(params) -> dict:
             "alpha": params.alpha, "beta": params.beta, "gamma": params.gamma,
             "diag": [list(row) for row in params.diag],
             "couplings": couplings,
-            "tied": params.tied,
         }
     raise TypeError(f"unsupported parameter object {type(params)!r}")
 
@@ -779,9 +726,10 @@ def params_to_json(params) -> dict:
 def params_from_json(obj: dict):
     """Decode :func:`params_to_json` output (schema chosen by 'dim' key).
 
-    ``dim``, the levels and each coupling's ``j`` must be integers, the
-    diagonals, moduli and phases JSON numbers and ``tied``, if given, a
-    boolean; ValueError names the field otherwise.
+    ``dim``, the levels and each coupling's ``j`` must be integers and
+    the diagonals, moduli and phases JSON numbers; ValueError names the
+    field otherwise. A 2x2xd object with a ``tied`` key is rejected
+    too: ignoring it would read ``"tied": false`` as a different state.
     """
     if not isinstance(obj, dict):
         raise ValueError("parameter JSON must be an object")
@@ -798,15 +746,15 @@ def params_from_json(obj: dict):
             unknown = set(slot_map) - set(SLOT_ORDER)
             if unknown:
                 raise ValueError(f"unknown coupling slots {sorted(unknown)!r}")
-            tied = obj.get("tied", True)
-            if not isinstance(tied, bool):
-                raise ValueError(f"tied must be a JSON boolean, got {tied!r}")
+            if "tied" in obj:
+                raise ValueError("tied must be absent: every 2x2xd state "
+                                 "has tied reciprocals")
             return ChessParams22d(
                 **{k: _check_integer(k, obj[k])
                    for k in ("dim", "alpha", "beta", "gamma")},
                 diag=[[_json_number(f"diag[{j}][{k}]", v) for k, v in
                        enumerate(row)] for j, row in enumerate(obj["diag"])],
-                r=r, phi=phi, tied=tied,
+                r=r, phi=phi,
             )
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed 2x2xd parameter object: {exc}") from exc

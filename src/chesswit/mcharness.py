@@ -13,20 +13,17 @@ one ``is_ppt`` call), its (N, P, 15) catalog coefficients
 columns, at d = 2; one ``_pair_coeffs`` gather of the same entries over
 every row and level pair at d >= 3), and one ``family_minima`` and
 ``group_minima`` call on that stack for the minima of every row. At
-d >= 3 the entries, the positivity check below and the coefficients
-come from ``witnesses._qudit_chunk``, the helper ``detect`` uses. Only
-the CSV formatting (``_format_rows``) runs per row, one row per sample,
-from the columns' floats. Each chunk is as large as the memory bound
+d >= 3 the entries and the coefficients come from
+``witnesses._qudit_chunk``, the helper ``detect`` uses. Only the CSV
+formatting (``_format_rows``) runs per row, one row per sample, from
+the columns' floats. Each chunk is as large as the memory bound
 ``_GUARD_ENTRIES`` of the guard's fallback allows.
-Positivity of rho itself is proven, not computed, wherever the
-construction proves it: at d = 2 every coupled 2x2 block has diagonal
-product 1 (and the guard's proper-subset transposes do not include
-rho); at d >= 3 ``chessboard.positivity_proven`` judges the chunk's
-columns, one bool per row. A parameter object is built only for the
-guard's error message and for a row that ``positivity_proven``
-rejects, which ``build_rho_22d`` builds and checks by its eigenvalues
-(NonPositiveError). Rows depend only on ``(seed, index)``, so output is
-byte-identical for any worker count.
+Positivity of rho itself is proven, not computed: every coupled 2x2
+block has diagonal product 1, and the sampler zeroes a colliding
+gamma's gamma-gamma moduli (see ``chesswit.chessboard``); the guard's
+proper-subset transposes do not include rho. A parameter object is
+built only for the guard's error message. Rows depend only on
+``(seed, index)``, so output is byte-identical for any worker count.
 ``summarize`` turns the detection flags into percentages, 20-batch
 mean/std statistics, and joint detection tables for every ordered pair
 of family groups.

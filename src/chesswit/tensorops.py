@@ -30,10 +30,6 @@ __all__ = [
     "is_ppt",
     "PPT_SUBSETS",
     "qudit_substitute",
-    "sym_gell_mann",
-    "antisym_gell_mann",
-    "diag_gell_mann",
-    "gell_mann_basis",
     "gellmann_su3",
     "gen_gellmann",
     "matrix_to_json",
@@ -506,62 +502,25 @@ def _signed_sum(terms: Sequence[Tuple[float, Sequence[int]]],
     return reduce(add, rest, first)
 
 
-def sym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
-    """(E_ab + E_ba)/sqrt(2) for 0 <= a < b < d (unit trace norm)."""
-    a, b = _check_pair(d, a, b)
-    return (_basis_matrix(d, a, b) + _basis_matrix(d, b, a)) / math.sqrt(2.0)
-
-
-def antisym_gell_mann(d: int, a: int, b: int) -> np.ndarray:
-    """(E_ab - E_ba)/(i sqrt(2)) for 0 <= a < b < d (unit trace norm)."""
-    a, b = _check_pair(d, a, b)
-    return (_basis_matrix(d, a, b) - _basis_matrix(d, b, a)) / (1j * math.sqrt(2.0))
-
-
-def diag_gell_mann(d: int, i: int) -> np.ndarray:
-    """Diagonal generalized Gell-Mann matrix, Tr = 0, Tr(L^2) = 2.
-
-    For 0 <= i <= d-2:
-    sqrt(2/((i+1)(i+2))) * diag(1, ..., 1, -(i+1), 0, ..., 0)
-    with i+1 leading ones. ValueError unless ``d`` and ``i`` are
-    integers, d >= 2 and ``i`` lies in that range.
-    """
-    d = _check_dim(d)
-    i = _check_integer("i", i, 0, d - 2)
-    v = np.zeros(d, dtype=np.complex128)
-    v[: i + 1] = 1.0
-    v[i + 1] = -(i + 1)
-    v *= math.sqrt(2.0 / ((i + 1) * (i + 2)))
-    return np.diag(v)
-
-
-def gell_mann_basis(d: int) -> List[np.ndarray]:
-    """The d^2 - 1 generalized Gell-Mann matrices, standard order.
-
-    Ordering: for k = 1..d-1, the symmetric then antisymmetric matrix
-    for each pair (a, k) with a < k, followed by the diagonal matrix of
-    level k-1. All entries satisfy Tr(L_a L_b) = 2 delta_ab. For d = 3
-    this reproduces the eight standard 3x3 matrices in their usual
-    numbering.
-    """
-    d = _check_dim(d)
-    out: List[np.ndarray] = []
-    s2 = math.sqrt(2.0)
-    for k in range(1, d):
-        for a in range(k):
-            out.append(s2 * sym_gell_mann(d, a, k))
-            out.append(s2 * antisym_gell_mann(d, a, k))
-        out.append(diag_gell_mann(d, k - 1))
-    return out
+# gellmann_su3's Lambda_1..Lambda_8 as members of gen_gellmann(3): for
+# k = 1, 2 the pairs (a, k), a < k, symmetric then antisymmetric, then
+# the diagonal generator of level k - 1
+_SU3_MEMBERS = (("plus", (0, 1)), ("minus", (0, 1)), ("diag", 0),
+                ("plus", (0, 2)), ("minus", (0, 2)), ("plus", (1, 2)),
+                ("minus", (1, 2)), ("diag", 1))
 
 
 def gellmann_su3(a: int) -> np.ndarray:
     """The 3x3 matrix Lambda_a for a in 1..8 (standard numbering);
     ValueError unless ``a`` is an integer in that range.
 
-    Hermitian and traceless with Tr(Lambda_a Lambda_b) = 2 delta_ab.
+    Hermitian and traceless with Tr(Lambda_a Lambda_b) = 2 delta_ab: the
+    off-diagonal ones are sqrt(2) times the unit-norm members of
+    :func:`gen_gellmann`.
     """
-    return gell_mann_basis(3)[_check_integer("a", a, 1, 8) - 1]
+    kind, key = _SU3_MEMBERS[_check_integer("a", a, 1, 8) - 1]
+    m = gen_gellmann(3)[kind][key]
+    return m if kind == "diag" else math.sqrt(2.0) * m
 
 
 def gen_gellmann(d: int) -> Dict[str, object]:
@@ -572,18 +531,27 @@ def gen_gellmann(d: int) -> Dict[str, object]:
     - ``"E"``: map (i, j) -> matrix unit E_ij (all d^2 pairs)
     - ``"plus"``: map (a, b) -> (E_ab + E_ba)/sqrt(2) for a < b
     - ``"minus"``: map (a, b) -> (E_ab - E_ba)/(i sqrt(2)) for a < b
-    - ``"diag"``: list of the d-1 diagonal generators, levels 0..d-2
+    - ``"diag"``: list of the d-1 diagonal generators, levels 0..d-2;
+      level i is sqrt(2/((i+1)(i+2))) diag(1, ..., 1, -(i+1), 0, ..., 0)
+      with i+1 leading ones
 
-    All non-``E`` members are Hermitian and traceless; the last
-    diagonal generator equals sqrt(2/(d(d-1))) diag(1, ..., 1, -d+1).
+    All non-``E`` members are Hermitian and traceless; the diagonal
+    generators carry Tr(L^2) = 2. ValueError unless ``d`` is an integer
+    >= 2.
     """
     d = _check_dim(d)
     e = {(i, j): _basis_matrix(d, i, j) for i in range(d) for j in range(d)}
-    plus = {(a, b): sym_gell_mann(d, a, b)
-            for a in range(d) for b in range(a + 1, d)}
-    minus = {(a, b): antisym_gell_mann(d, a, b)
-             for a in range(d) for b in range(a + 1, d)}
-    diag = [diag_gell_mann(d, i) for i in range(d - 1)]
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    plus = {(a, b): (e[a, b] + e[b, a]) / math.sqrt(2.0) for a, b in pairs}
+    minus = {(a, b): (e[a, b] - e[b, a]) / (1j * math.sqrt(2.0))
+             for a, b in pairs}
+    diag = []
+    for i in range(d - 1):
+        v = np.zeros(d, dtype=np.complex128)
+        v[: i + 1] = 1.0
+        v[i + 1] = -(i + 1)
+        v *= math.sqrt(2.0 / ((i + 1) * (i + 2)))
+        diag.append(np.diag(v))
     return {"E": e, "plus": plus, "minus": minus, "diag": diag}
 
 

@@ -129,10 +129,8 @@ from .chessboard import (
     ParamColumns,
     _check_seed,
     _pcg64,
-    build_rho_22d,
     coupling_cells,
     pauli_coeffs,
-    positivity_proven,
     rho_entries_22d,
     stream_words,
 )
@@ -539,10 +537,9 @@ def _pair_coeffs(entries: Tuple[np.ndarray, np.ndarray, np.ndarray],
 
 def _qudit_chunk(columns: ParamColumns, pairs: str) -> tuple:
     """A 2x2xd chunk's rho entries, ``_level_pairs`` and (N, P, 15)
-    ``_pair_coeffs``, once ``build_rho_22d`` has checked each row that
-    ``positivity_proven`` does not prove (NonPositiveError)."""
-    for k in np.flatnonzero(~positivity_proven(columns)):
-        build_rho_22d(columns[k])    # raises NonPositiveError
+    ``_pair_coeffs``. Every row is positive semidefinite by
+    construction, as parameter objects and ``sample_chunk`` columns both
+    carry the chessboard proof (see ``chesswit.chessboard``)."""
     entries = rho_entries_22d(columns)
     pair_list, suffixes = _level_pairs(columns.levels, pairs)
     return (entries, pair_list, suffixes,
@@ -888,12 +885,10 @@ def detect(params, pairs: str = "all") -> DetectionReport:
     state's own (alpha, beta) pair (``pairs="own"``); any other
     ``pairs`` raises ValueError, for either family. The pairs'
     coefficients come from the parameters, with no density matrix, and
-    go through one ``family_minima`` call. Where the construction does
-    not prove rho positive (``chessboard.positivity_proven``: not for
-    ``tied=False``, or a gamma that collides with alpha or beta carrying
-    a nonzero coupling), ``build_rho_22d`` checks it and raises
-    NonPositiveError. Its intermediates are ``detection_conditions``
-    for a 2x2x2 state and the level pairs for a 2x2xd state.
+    go through one ``family_minima`` call; the state is positive
+    semidefinite by construction, so no eigenvalue is computed. Its
+    intermediates are ``detection_conditions`` for a 2x2x2 state and the
+    level pairs for a 2x2xd state.
     """
     _check_pairs(pairs)
     if isinstance(params, ChessParams222):

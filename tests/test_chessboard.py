@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import re
+import types
 import warnings
 
 import numpy as np
@@ -200,69 +201,41 @@ def test_tied_branch_reciprocals():
     assert at(1, 0, 1) / at(0, 0, 0) == pytest.approx((1 / 11) / 2.0, rel=1e-12)
 
 
-def test_untied_branch_reciprocals_and_error_path():
-    # untied: the 1-branch diagonal at |1 j mu> is 1/diag[j][mu]; this can
-    # break positivity when a coupled block has diagonal product < r^2.
-    p = cb.ChessParams22d(
-        dim=3, alpha=0, beta=2, gamma=1,
-        diag=((0.5, 1.0, 1.0), (1.0, 1.0, 2.0)),
-        r=(1.0, 0, 0, 0, 0, 0), phi=(0.0,) * 6, tied=False,
-    )
-    with pytest.raises(cb.NonPositiveError) as excinfo:
-        cb.build_rho_22d(p)
-    assert excinfo.value.min_eigenvalue == pytest.approx(-1 / 26, abs=1e-12)
-    # identical parameters with the tied convention are PPT
-    tied = cb.ChessParams22d(
-        dim=3, alpha=0, beta=2, gamma=1,
-        diag=((0.5, 1.0, 1.0), (1.0, 1.0, 2.0)),
-        r=(1.0, 0, 0, 0, 0, 0), phi=(0.0,) * 6, tied=True,
-    )
-    rho = cb.build_rho_22d(tied)
-    ppt, _ = to.is_ppt(rho, dims=(2, 2, 3))
-    assert ppt
-    # untied with mild couplings still builds
-    mild = cb.ChessParams22d(
-        dim=3, alpha=0, beta=2, gamma=1,
-        diag=((0.5, 1.0, 1.0), (1.0, 1.0, 2.0)),
-        r=(0.1, 0, 0, 0, 0, 0), phi=(0.0,) * 6, tied=False,
-    )
-    assert cb.build_rho_22d(mild).trace().real == pytest.approx(1.0, abs=1e-13)
-
-
 def test_gamma_collision_with_couplings_can_break_positivity():
     # gamma = alpha chains the couplings into 4x4 blocks; with all moduli
-    # at 1 positivity can fail even under the tied convention.
-    p = cb.ChessParams22d(
-        dim=3, alpha=0, beta=2, gamma=0,
-        diag=(
-            (1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
-            (0.10790840445381386, 4.231949517477533, 6.691310059954052),
-        ),
-        r=(1.0,) * 6, phi=(0.0,) * 6, tied=True,
-    )
-    with pytest.raises(cb.NonPositiveError):
-        cb.build_rho_22d(p)
+    # at 1 the documented layout is not positive semidefinite, so the
+    # constructor rejects a colliding gamma with a gamma-gamma modulus
+    fields = dict(dim=3, alpha=0, beta=2, gamma=0, diag=(
+        (1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
+        (0.10790840445381386, 4.231949517477533, 6.691310059954052),
+    ), r=(1.0,) * 6, phi=(0.0,) * 6)
+    layout = oracle_rho_22d(types.SimpleNamespace(**fields))
+    assert to.hermitian_eigenvalues(layout)[0] < -1e-3
+    with pytest.raises(ValueError, match=r"^r\[2\] must be 0 when gamma "
+                       r"collides with alpha or beta, got 1\.0$"):
+        cb.ChessParams22d(**fields)
 
 
 @pytest.mark.parametrize("dim", [3, 4])
-@pytest.mark.parametrize("tied", [True, False])
+@pytest.mark.parametrize("coupled", [True, False])
 @pytest.mark.parametrize("gamma", [0, 2])
-def test_colliding_gamma_keeps_the_alpha_beta_diagonals(dim, tied, gamma):
+def test_colliding_gamma_keeps_the_alpha_beta_diagonals(dim, coupled, gamma):
     # gamma = alpha or beta: the 1-branch diagonal at |1 j gamma> is the
-    # one the alpha/beta coupling ties, not the gamma-gamma one
+    # one the alpha/beta coupling ties, not the gamma-gamma one, with or
+    # without alpha/beta couplings
     alpha, beta = 0, 2
     diag = (tuple(2.0 + k for k in range(dim)),
             tuple(7.0 + 4 * k for k in range(dim)))
+    r = (0.5, 0.25, 0.0, 0.75, 1.0, 0.0) if coupled else (0.0,) * 6
     p = cb.ChessParams22d(dim=dim, alpha=alpha, beta=beta, gamma=gamma,
-                          diag=diag, tied=tied)
+                          diag=diag, r=r)
     expected = np.zeros(4 * dim)
     expected[:2 * dim] = diag[0] + diag[1]
     for j in (0, 1):
         for mu, partner in ((alpha, beta), (beta, alpha)):
-            expected[2 * dim + j * dim + mu] = 1 / (
-                diag[1 - j][partner] if tied else diag[j][mu])
+            expected[2 * dim + j * dim + mu] = 1 / diag[1 - j][partner]
     rho = cb.build_rho_22d(p)
-    assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 0
+    assert np.count_nonzero(rho - np.diag(np.diag(rho))) == 8 * coupled
     np.testing.assert_allclose(np.diag(rho).real, expected / expected.sum(),
                                rtol=1e-14, atol=0)
 
@@ -324,8 +297,7 @@ def oracle_rho_22d(p):
         src, dst = ends[slot]
         row, col = flat(0, j, src), flat(1, 1 - j, dst)
         if slot != "gg" or not collides:
-            m[col, col] = 1 / (p.diag[j][src] if p.tied
-                               else p.diag[1 - j][dst])
+            m[col, col] = 1 / p.diag[j][src]
         z = r * np.exp(1j * phi)
         m[row, col] += z
         m[col, row] += np.conj(z)
@@ -346,40 +318,30 @@ def _rho_stack(states):
                         cb.coupling_cells(*columns.levels))
 
 
-def _proven(params):
-    """The per-state rule that ``positivity_proven`` applies to each row
-    of a chunk: tied, and gamma distinct or its gamma-gamma moduli 0."""
-    return params.tied and (
-        params.gamma not in (params.alpha, params.beta)
-        or all(r == 0.0 for (_, slot), r in zip(cb.SLOT_ORDER, params.r)
-               if slot == "gg"))
+def _moduli(value, gamma, alpha, beta):
+    """Six coupling moduli ``value``, but 0 in the gamma-gamma slots of a
+    gamma that collides with alpha or beta, as the constructor needs."""
+    return tuple(0.0 if slot == "gg" and gamma in (alpha, beta) else value
+                 for _, slot in cb.SLOT_ORDER)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_rho_stack_bit_equal_per_row_build(d):
     # every alpha != beta and gamma, colliding ones included, with
-    # sampled, zero and colliding nonzero couplings, tied and untied
-    checked = 0
+    # sampled, zero and equal couplings
     for alpha, beta, gamma in _level_triples(d):
-        states = [dataclasses.replace(
-            cb.sample_params_22d(21, i, d, alpha, beta, gamma), tied=i < 3)
-            for i in range(5)]
+        states = [cb.sample_params_22d(21, i, d, alpha, beta, gamma)
+                  for i in range(5)]
         states.append(cb.ChessParams22d(d, alpha, beta, gamma,
                                         states[0].diag))
-        states.append(cb.ChessParams22d(d, alpha, beta, gamma,
-                                        states[0].diag, r=(0.25,) * 6,
-                                        phi=states[0].phi))
+        states.append(cb.ChessParams22d(
+            d, alpha, beta, gamma, states[0].diag,
+            r=_moduli(0.25, gamma, alpha, beta), phi=states[0].phi))
         stack = _rho_stack(states)
         assert stack.shape == (len(states), 4 * d, 4 * d)
         for p, rho in zip(states, stack):
             assert rho.tobytes() == oracle_rho_22d(p).tobytes(), p
-            try:
-                built = cb.build_rho_22d(p)
-            except cb.NonPositiveError:
-                continue
-            assert built.tobytes() == rho.tobytes(), p
-            checked += 1
-    assert checked >= 5 * d * (d - 1) * d
+            assert cb.build_rho_22d(p).tobytes() == rho.tobytes(), p
 
 
 def test_rho_stack_needs_one_level_structure():
@@ -389,63 +351,68 @@ def test_rho_stack_needs_one_level_structure():
         cb.ParamColumns.of(states)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_positivity_proven_states_are_psd(data):
-    # the proof that lets the scan and detect skip the eigensolve: tied
-    # states with a distinct gamma, or a colliding one with zero moduli
-    d = data.draw(st.integers(3, 5))
+    # the chessboard proof that lets build_rho_22d, the scan and detect
+    # skip the eigensolve: at every level triple, a colliding gamma
+    # included, every state the constructor accepts is PSD, and it
+    # rejects only a colliding gamma with a gamma-gamma modulus
+    d = data.draw(st.integers(2, 5))
     alpha, beta = data.draw(st.permutations(range(d)))[:2]
     gamma = data.draw(st.integers(0, d - 1))
-    index = data.draw(st.integers(0, 10_000))
-    sampled = cb.sample_params_22d(77, index, d, alpha, beta, gamma)
-    unit = tuple(0.0 if slot == "gg" and gamma in (alpha, beta) else 1.0
-                 for _, slot in cb.SLOT_ORDER)
-    states = [sampled, cb.ChessParams22d(d, alpha, beta, gamma, sampled.diag,
-                                         r=unit, phi=sampled.phi)]
-    assert cb.positivity_proven(cb.ParamColumns.of(states)).all()
-    least = np.linalg.eigvalsh(_rho_stack(states))[:, 0]
-    assert (least >= -1e-12).all(), least
-    # what the proof leaves out: untied, or colliding with a coupling
-    assert not cb.positivity_proven(cb.ParamColumns.of([cb.ChessParams22d(
-        d, alpha, beta, gamma, sampled.diag, tied=False)]))[0]
-    colliding = cb.ChessParams22d(d, alpha, beta, alpha, sampled.diag,
-                                  r=(0.5,) * 6)
-    assert not cb.positivity_proven(cb.ParamColumns.of([colliding]))[0]
+    row = st.lists(st.floats(1e-8, 1e8), min_size=d, max_size=d)
+    diag = (data.draw(row), data.draw(row))
+    six = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+    r = data.draw(six)
+    phi = [2 * math.pi * u for u in data.draw(six)]
+    colliding = gamma in (alpha, beta)
+    if colliding and data.draw(st.booleans()):
+        r[2] = r[5] = 0.0
+    bad = [i for i in (2, 5) if colliding and r[i] != 0.0]
+    if bad:
+        message = (f"r[{bad[0]}] must be 0 when gamma collides with alpha "
+                   f"or beta, got {r[bad[0]]!r}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            cb.ChessParams22d(d, alpha, beta, gamma, diag, r, phi)
+        return
+    p = cb.ChessParams22d(d, alpha, beta, gamma, diag, r, phi)
+    assert to.hermitian_eigenvalues(cb.build_rho_22d(p))[0] >= -1e-12
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
-def test_positivity_proven_matches_the_per_state_rule_row_by_row(d):
-    # chunks that mix tied and untied rows with zero, -0.0, one and two
-    # nonzero gamma-gamma moduli, for distinct and colliding gammas
-    moduli = [(0.0, 0.0), (-0.0, 0.0), (0.5, 0.0), (0.0, 1.0), (0.3, 0.7)]
-    seen = set()
-    for alpha, beta, gamma in _level_triples(d):
-        states = []
-        for i, (tied, gg) in enumerate(itertools.product((True, False),
-                                                         moduli)):
-            p = cb.sample_params_22d(5, i, d, alpha, beta, gamma)
+@pytest.mark.parametrize("gg, bad", [
+    ((0.0, 0.0), None), ((-0.0, 0.0), None), ((0.5, 0.0), (2, 0.5)),
+    ((0.0, 1.0), (5, 1.0)), ((0.3, 0.7), (2, 0.3)),
+])
+def test_colliding_gamma_needs_zero_gamma_gamma_moduli(gg, bad):
+    # zero (or -0.0) gamma-gamma moduli pass at every level triple; a
+    # nonzero one passes only where gamma is distinct from alpha and
+    # beta, and the first such slot is named
+    for d in (3, 4):
+        for alpha, beta, gamma in _level_triples(d):
+            p = cb.sample_params_22d(5, 0, d, alpha, beta, gamma)
             r = list(p.r)
             r[2], r[5] = gg
-            states.append(dataclasses.replace(p, r=tuple(r), tied=tied))
-        states = states[1::2] + states[::2]
-        got = cb.positivity_proven(cb.ParamColumns.of(states))
-        assert got.dtype == bool and got.shape == (len(states),)
-        want = [_proven(p) for p in states]
-        assert got.tolist() == want, (alpha, beta, gamma)
-        seen.update((gamma in (alpha, beta), w) for w in want)
-    assert seen == {(False, False), (False, True), (True, False),
-                    (True, True)}
+            if bad and gamma in (alpha, beta):
+                message = (f"r[{bad[0]}] must be 0 when gamma collides "
+                           f"with alpha or beta, got {bad[1]!r}")
+                with pytest.raises(ValueError,
+                                   match=f"^{re.escape(message)}$"):
+                    dataclasses.replace(p, r=tuple(r))
+            else:
+                assert dataclasses.replace(p, r=tuple(r)).r == tuple(r)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_every_sampled_state_is_proven_positive(d):
-    # the sampler ties every state and zeroes a colliding gamma's moduli,
-    # so the scan and detect never need its eigenvalues
+    # the sampler zeroes a colliding gamma's moduli, so every row it
+    # gives is a state the constructor accepts, whose rho is PSD
     for alpha, beta, gamma in itertools.product(range(d), repeat=3):
         if alpha != beta:
             chunk = cb.sample_chunk(9, 0, 2, (d, alpha, beta, gamma))
-            assert cb.positivity_proven(chunk).all(), (alpha, beta, gamma)
+            for i in range(len(chunk)):
+                least = to.hermitian_eigenvalues(cb.build_rho_22d(chunk[i]))
+                assert least[0] >= -1e-12, (alpha, beta, gamma)
 
 
 @pytest.mark.parametrize("args, message", [
@@ -525,7 +492,6 @@ SAMPLER_SEEDS = [0, 2 ** 32 - 1, 2 ** 32, 2 ** 64 - 1]
 def test_sample_chunk_222_bit_equal_uniform_oracle(seed, start):
     chunk = cb.sample_chunk(seed, start, start + 16)
     assert chunk.levels is None and len(chunk) == 16
-    assert chunk.tied.all()
     want = [np.array(c) for c in zip(*(oracle_sample_222(seed, start + i)
                                        for i in range(16)))]
     assert _bits((chunk.diag, chunk.r, chunk.phi)) == _bits(want)
@@ -552,7 +518,7 @@ def test_sample_chunk_22d_bit_equal_uniform_oracle(d, levels):
     for seed in SAMPLER_SEEDS:
         for start in (0, 10 ** 12):
             chunk = cb.sample_chunk(seed, start, start + 6, (d,) + levels)
-            assert chunk.levels == (d,) + levels and chunk.tied.all()
+            assert chunk.levels == (d,) + levels
             want = [np.array(c) for c in zip(*(
                 oracle_sample_22d(seed, start + i, d, *levels)
                 for i in range(6)))]
@@ -733,11 +699,9 @@ def test_chunk_range_check_bounds_the_normalization():
 
 
 def test_param_columns_round_trip_the_parameter_objects():
-    states = [dataclasses.replace(cb.sample_params_22d(4, i, 4, 1, 3, 0),
-                                  tied=i % 2 == 0) for i in range(5)]
+    states = [cb.sample_params_22d(4, i, 4, 1, 3, 0) for i in range(5)]
     chunk = cb.ParamColumns.of(states)
     assert chunk.levels == (4, 1, 3, 0)
-    assert chunk.tied.tolist() == [True, False, True, False, True]
     assert [chunk[i] for i in range(5)] == states
     flat = [cb.sample_params_222(4, i) for i in range(3)]
     assert [cb.ParamColumns.of(flat)[i] for i in range(3)] == flat
@@ -838,15 +802,18 @@ def test_params_json_rejects_malformed():
         )
 
 
+_TIED_ABSENT = "tied must be absent: every 2x2xd state has tied reciprocals"
+
+
 @pytest.mark.parametrize("field, value, message", [
     ("dim", 3.7, "dim must be an integer, got 3.7"),
     ("dim", "4", "dim must be an integer"),
     ("alpha", 1.5, "alpha must be an integer, got 1.5"),
     ("beta", 2.0, "beta must be an integer, got 2.0"),
     ("gamma", 1.9, "gamma must be an integer, got 1.9"),
-    ("tied", "false", "tied must be a JSON boolean, got 'false'"),
-    ("tied", 0, "tied must be a JSON boolean, got 0"),
-    ("tied", None, "tied must be a JSON boolean, got None"),
+    ("tied", "false", _TIED_ABSENT),
+    ("tied", 0, _TIED_ABSENT),
+    ("tied", None, _TIED_ABSENT),
 ])
 def test_params_json_rejects_non_integral_levels_and_non_bool_tied(
         field, value, message):
@@ -864,13 +831,15 @@ def test_params_json_rejects_a_non_integral_coupling_branch():
         cb.params_from_json({**obj, "couplings": couplings})
 
 
-def test_params_json_reads_tied_false():
-    p = dataclasses.replace(cb.sample_params_22d(5, 17, 4), tied=False)
+def test_params_json_rejects_a_tied_key():
+    # the writer has no "tied" key; the reader rejects one, as reading
+    # "tied": false as a tied state would give a different state
+    p = cb.sample_params_22d(5, 17, 4)
     obj = json.loads(json.dumps(cb.params_to_json(p)))
-    assert obj["tied"] is False
-    assert cb.params_from_json(obj) == p
-    del obj["tied"]
-    assert cb.params_from_json(obj).tied is True
+    assert "tied" not in obj and cb.params_from_json(obj) == p
+    for value in (True, False):
+        with pytest.raises(ValueError, match=f"^{_TIED_ABSENT}$"):
+            cb.params_from_json({**obj, "tied": value})
 
 
 # --- qudit coefficient table ---------------------------------------------

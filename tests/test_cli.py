@@ -240,6 +240,30 @@ def test_params_json_takes_only_json_numbers(tmp_path, command, params,
     assert proc.stdout == ""
 
 
+_TIED_ABSENT = "tied must be absent: every 2x2xd state has tied reciprocals"
+
+
+@pytest.mark.parametrize("command", ["detect", "ppt", "rho"])
+@pytest.mark.parametrize("change, message", [
+    ({"tied": True}, _TIED_ABSENT),
+    ({"tied": False}, _TIED_ABSENT),
+    ({"tied": "false"}, _TIED_ABSENT),
+    ({"gamma": 2, "couplings": _QUDIT_PARAMS["couplings"] + [
+        {"j": 1, "slot": "gg", "r": 0.5, "phi": 0}]},
+     "r[5] must be 0 when gamma collides with alpha or beta, got 0.5"),
+], ids=["tied-true", "tied-false", "tied-string", "colliding-gamma"])
+def test_params_outside_the_chessboard_construction_are_domain_errors(
+        tmp_path, command, change, message):
+    # a "tied" key named a variant that no longer exists, and a colliding
+    # gamma's gamma-gamma coupling would break the positivity proof
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(dict(_QUDIT_PARAMS, **change)))
+    proc = run_cli(command, "--params", str(path), check=False)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {message}\n"
+    assert proc.stdout == ""
+
+
 @pytest.mark.parametrize("change, message", [
     (dict(dim=8.9), "dim must be an integer, got 8.9"),
     (dict(dim=True), "dim must be an integer, got True"),

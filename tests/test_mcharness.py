@@ -7,7 +7,6 @@ import json
 import math
 import re
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,9 +16,7 @@ from chesswit.chessboard import (
     COUPLING_POSITIONS,
     ChessParams222,
     ChessParams22d,
-    NonPositiveError,
     ParamColumns,
-    build_rho_22d,
     coupling_cells,
     params_to_json,
     rho_entries_222,
@@ -71,19 +68,13 @@ def test_csv_header_rejects_bad_dims(dim, message):
     lambda: frgeom.sample_factors(3, d=1),
     lambda: frgeom.region_points("sphere", 3, d=1),
     lambda: witnesses.build_witness("poly1:0000", d=1),
-    lambda: tensorops.gell_mann_basis(1),
     lambda: tensorops.gen_gellmann(1),
-    lambda: tensorops.diag_gell_mann(1, 0),
     lambda: frgeom.qset("sphere", 1),
     lambda: tensorops.qudit_substitute((1, 1, 1), 1, 0, 1),
     lambda: witnesses.substituted_coeffs(np.eye(4), 1, 0, 1),
-    lambda: tensorops.sym_gell_mann(1, 0, 1),
-    lambda: tensorops.antisym_gell_mann(1, 0, 1),
 ], ids=["witness_ids", "qudit_levels", "sample_params_22d", "csv_header",
         "run_scan", "sample_factors", "region_points", "build_witness",
-        "gell_mann_basis", "gen_gellmann", "diag_gell_mann", "qset",
-        "qudit_substitute", "substituted_coeffs", "sym_gell_mann",
-        "antisym_gell_mann"])
+        "gen_gellmann", "qset", "qudit_substitute", "substituted_coeffs"])
 def test_third_party_dimension_must_be_at_least_two(call):
     # every entry names its own dimension argument in the one message form
     with pytest.raises(ValueError, match=r"^(d|dim) must be >= 2, got 1$"):
@@ -320,9 +311,6 @@ def test_run_scan_accepts_numpy_integers():
     assert got.rows == want.rows and got.config == want.config
 
 
-_DIAG = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
-
-
 def _repeated(params):
     """A chunk sampler that gives ``params`` for every row."""
     return lambda seed, start, stop, levels: ParamColumns.of(
@@ -349,8 +337,7 @@ def _counting_guard(monkeypatch):
         return wrapped
 
     monkeypatch.setattr(mcharness, "_ppt_guard", guard)
-    for module, name in ((chessboard, "hermitian_eigenvalues"),
-                         (tensorops, "hermitian_eigenvalues"),
+    for module, name in ((tensorops, "hermitian_eigenvalues"),
                          (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
         monkeypatch.setattr(module, name, counted(getattr(module, name)))
     return calls
@@ -381,37 +368,6 @@ def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
     assert run_scan(5, seed=4, tol=0.0).n == 5
     assert calls["other"] == 0
     assert calls["guard"] >= 1
-
-
-@pytest.mark.parametrize("params", [
-    ChessParams22d(3, 0, 2, 1, _DIAG, r=(1.0,) + (0.0,) * 5, tied=False),
-    ChessParams22d(
-        3, 0, 2, 0,
-        ((1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
-         (0.10790840445381386, 4.231949517477533, 6.691310059954052)),
-        r=(1.0,) * 6),
-], ids=["untied", "colliding-gamma"])
-def test_run_scan_checks_positivity_it_cannot_prove(params, monkeypatch):
-    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(params))
-    with pytest.raises(NonPositiveError):
-        run_scan(3, dim=3)
-
-
-def test_run_scan_builds_each_unproven_row_once(monkeypatch):
-    # an untied state that is still PSD goes through the eigenvalue check
-    mild = ChessParams22d(3, 0, 2, 1, _DIAG, r=(0.1,) + (0.0,) * 5,
-                          tied=False)
-    built = []
-
-    def counted(p):
-        built.append(p)
-        return build_rho_22d(p)
-
-    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(mild))
-    monkeypatch.setattr(witnesses, "build_rho_22d", counted)
-    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 3 * 6 * 144)  # 2 chunks
-    assert run_scan(4, dim=3).n == 4
-    assert built == [mild] * 4
 
 
 def test_run_scan_qudit():
@@ -528,13 +484,12 @@ def _guard_outcome(monkeypatch, chunk, dims, tol=1e-10):
     return got, bool(calls)
 
 
-def _sampled(d, levels, seed, n, tied=True):
-    """n sampled states as a guard's chunk; untied on request at d > 2."""
+def _sampled(d, levels, seed, n):
+    """n sampled states as a guard's chunk."""
     if d == 2:
         return _chunk(seed, n)
     return _entries(ParamColumns.of(
-        [replace(sample_params_22d(seed, k, d, *levels), tied=tied)
-         for k in range(n)]))
+        [sample_params_22d(seed, k, d, *levels) for k in range(n)]))
 
 
 @pytest.mark.parametrize("d, levels", [
@@ -544,7 +499,7 @@ def _sampled(d, levels, seed, n, tied=True):
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
 def test_block_guard_passes_sampled_chunks_without_is_ppt(d, levels, tol,
                                                           monkeypatch):
-    # tied states, colliding gamma included (0, 1, 1 and so on)
+    # colliding gamma included (0, 1, 1 and so on)
     for seed in range(3):
         chunk = _sampled(d, levels, seed, 12)
         assert _guard_outcome(monkeypatch, chunk, (2, 2, d),
@@ -553,16 +508,22 @@ def test_block_guard_passes_sampled_chunks_without_is_ppt(d, levels, tol,
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
-    # 1 to 4 of the 40 rows are PPT
-    params = [replace(sample_params_22d(7, k, d, 0, 2, 1), tied=False)
-              for k in range(40)]
-    dims = (2, 2, d)
-    outcomes = [_guard_outcome(monkeypatch,
-                               _entries(ParamColumns.of([p])), dims)[0]
-                for p in params]
+    # sampled entries with one 1-branch diagonal no longer the reciprocal
+    # of its partner's: a quarter of it, so that a transposed block with
+    # that diagonal fails where its coupling's modulus exceeds 1/2
+    columns = sample_chunk(7, 0, 40, (d, 0, 2, 1))
+    cells, dims = coupling_cells(*columns.levels), (2, 2, d)
+
+    def untied(columns):
+        diag, couplings, _ = rho_entries_22d(columns)
+        diag[:, cells[0][1]] *= 0.25
+        return columns, (diag, couplings, diag.sum(axis=1).real), cells
+
+    outcomes = [_guard_outcome(monkeypatch, untied(ParamColumns.of(
+        [columns[k]])), dims)[0] for k in range(len(columns))]
     assert None in outcomes
     assert any(o and o[0] is RuntimeError for o in outcomes)
-    assert _guard_outcome(monkeypatch, _entries(ParamColumns.of(params)),
+    assert _guard_outcome(monkeypatch, untied(columns),
                           dims)[0] == next(o for o in outcomes if o)
 
 
@@ -639,14 +600,15 @@ def _negative_single_level(seed):
 
 
 def _chain_chunk(seed):
-    # gamma = alpha with nonzero gamma-gamma couplings, which chain the
-    # alpha-beta blocks into larger ones: _x_blocks gives None, and
-    # is_ppt finds a negative eigenvalue
+    # gamma = alpha with unit couplings, gamma-gamma ones included, which
+    # no parameter object carries: they chain the alpha-beta blocks into
+    # larger ones, _x_blocks gives None, and is_ppt finds a negative
+    # eigenvalue
     levels = (3, 0, 2, 0)
-    params = [replace(sample_params_22d(seed, k, *levels), r=(1.0,) * 6)
-              for k in range(3)]
+    chunk = _entries(sample_chunk(seed, 0, 3, levels))
+    chunk[1][1][:] = 1.0
     assert tensorops._x_blocks((2, 2, 3), coupling_cells(*levels)) is None
-    return _entries(ParamColumns.of(params)), (2, 2, 3)
+    return chunk, (2, 2, 3)
 
 
 @pytest.mark.parametrize("make", [_negated, _negative_single_level,

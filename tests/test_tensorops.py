@@ -6,6 +6,7 @@ tensor products, index-permutation bookkeeping for partial transposes,
 and the quadratic closed form for 2x2 eigenvalues.
 """
 
+import hashlib
 import itertools
 import math
 import re
@@ -692,16 +693,33 @@ def eij(d, i, j):
     return m
 
 
+def gell_mann_list(d):
+    """The d^2 - 1 generalized Gell-Mann matrices in the standard order,
+    from ``gen_gellmann``: for k = 1..d-1, sqrt(2) times the symmetric
+    then the antisymmetric member of each pair (a, k), a < k, then the
+    diagonal generator of level k - 1. For d = 3 this is the numbering
+    of ``gellmann_su3``."""
+    g = to.gen_gellmann(d)
+    out = []
+    for k in range(1, d):
+        for a in range(k):
+            out += [math.sqrt(2) * g["plus"][a, k],
+                    math.sqrt(2) * g["minus"][a, k]]
+        out.append(g["diag"][k - 1])
+    return out
+
+
 @pytest.mark.parametrize("d", range(2, 9))
 def test_projector_recursion_and_closing(d):
     """E_ii = E_{i+1,i+1} + sqrt((i+2)/(2(i+1))) L_i - sqrt(i/(2(i+1))) L_{i-1}
     for 0 <= i <= d-2, and E_{d-1,d-1} = I/d - sqrt((d-1)/(2d)) L_{d-2}."""
+    diag = to.gen_gellmann(d)["diag"]
     for i in range(d - 1):
-        rhs = eij(d, i + 1, i + 1) + math.sqrt((i + 2) / (2 * (i + 1))) * to.diag_gell_mann(d, i)
+        rhs = eij(d, i + 1, i + 1) + math.sqrt((i + 2) / (2 * (i + 1))) * diag[i]
         if i >= 1:
-            rhs -= math.sqrt(i / (2 * (i + 1))) * to.diag_gell_mann(d, i - 1)
+            rhs -= math.sqrt(i / (2 * (i + 1))) * diag[i - 1]
         assert np.abs(rhs - eij(d, i, i)).max() <= 1e-15
-    closing = np.eye(d) / d - math.sqrt((d - 1) / (2 * d)) * to.diag_gell_mann(d, d - 2)
+    closing = np.eye(d) / d - math.sqrt((d - 1) / (2 * d)) * diag[d - 2]
     assert np.abs(closing - eij(d, d - 1, d - 1)).max() <= 1e-15
 
 
@@ -719,8 +737,9 @@ def su3_standard_lambdas():
 
 def test_su3_identities():
     lam = su3_standard_lambdas()
-    assert np.abs(math.sqrt(2) * to.sym_gell_mann(3, 0, 2) - lam[3]).max() <= 1e-15
-    assert np.abs(math.sqrt(2) * to.antisym_gell_mann(3, 0, 2) - lam[4]).max() <= 1e-15
+    g = to.gen_gellmann(3)
+    assert np.abs(math.sqrt(2) * g["plus"][0, 2] - lam[3]).max() <= 1e-15
+    assert np.abs(math.sqrt(2) * g["minus"][0, 2] - lam[4]).max() <= 1e-15
     # E_00 - E_22 = (L_3 + sqrt(3) L_8)/2
     lhs = eij(3, 0, 0) - eij(3, 2, 2)
     rhs = (lam[2] + math.sqrt(3) * lam[7]) / 2
@@ -728,16 +747,17 @@ def test_su3_identities():
 
 
 def test_gell_mann_basis_su3_matches_standard_list():
-    basis = to.gell_mann_basis(3)
+    basis = gell_mann_list(3)
     lam = su3_standard_lambdas()
     assert len(basis) == 8
-    for got, want in zip(basis, lam):
+    for a, (got, want) in enumerate(zip(basis, lam), 1):
         assert np.abs(got - want).max() <= 1e-15
+        assert to.gellmann_su3(a).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 7))
 def test_gell_mann_basis_orthonormality(d):
-    basis = to.gell_mann_basis(d)
+    basis = gell_mann_list(d)
     assert len(basis) == d * d - 1
     for a, la in enumerate(basis):
         assert np.abs(la - la.conj().T).max() <= 1e-15
@@ -748,32 +768,20 @@ def test_gell_mann_basis_orthonormality(d):
 
 
 @pytest.mark.parametrize("call, message", [
-    (lambda: to.gell_mann_basis(3.7), "d must be an integer, got 3.7"),
     (lambda: to.gen_gellmann(3.0), "d must be an integer, got 3.0"),
-    (lambda: to.sym_gell_mann(3.5, 0, 2), "d must be an integer, got 3.5"),
-    (lambda: to.antisym_gell_mann(2.5, 0, 1),
-     "d must be an integer, got 2.5"),
-    (lambda: to.diag_gell_mann(4.2, 1), "d must be an integer, got 4.2"),
-    (lambda: to.sym_gell_mann(3, 0, 1.5), "b must be an integer, got 1.5"),
-    (lambda: to.diag_gell_mann(3, 0.5), "i must be an integer, got 0.5"),
-    (lambda: to.diag_gell_mann(3, True), "i must be an integer, got True"),
-    (lambda: to.diag_gell_mann(3, 2), "i must be 0..1, got 2"),
     (lambda: to.gellmann_su3(1.0), "a must be an integer, got 1.0"),
     (lambda: to.gellmann_su3(True), "a must be an integer, got True"),
     (lambda: to.gellmann_su3(9), "a must be 1..8, got 9"),
-], ids=["gell_mann_basis", "gen_gellmann", "sym_gell_mann",
-        "antisym_gell_mann", "diag_gell_mann", "sym_gell_mann-level",
-        "diag_gell_mann-float-index", "diag_gell_mann-bool-index",
-        "diag_gell_mann-range", "gellmann_su3-float", "gellmann_su3-bool",
+], ids=["gen_gellmann", "gellmann_su3-float", "gellmann_su3-bool",
         "gellmann_su3-range"])
 def test_gell_mann_entry_points_reject_non_integers(call, message):
-    # int() used to truncate d: gell_mann_basis(3.7) gave eight matrices
+    # int() used to truncate d: gen_gellmann(3.7) gave d = 3
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
 
 
 def test_gell_mann_d2_are_paulis():
-    basis = to.gell_mann_basis(2)
+    basis = gell_mann_list(2)
     for got, want in zip(basis, to.PAULI[1:]):
         assert np.abs(got - want).max() <= 1e-15
 
@@ -873,6 +881,24 @@ def test_gen_gellmann_bundle_structure(d):
     scale = math.sqrt(2.0 / (d * (d - 1)))
     want = scale * np.diag([1.0] * (d - 1) + [1.0 - d]).astype(complex)
     assert np.abs(last - want).max() <= 1e-14
+
+
+def test_gell_mann_matrices_are_pinned_bit_for_bit():
+    # the bytes of every gen_gellmann(d) member, d = 2..6 (E, plus and
+    # minus in key order, then diag), and of gellmann_su3(1..8)
+    h = hashlib.sha256()
+    for d in range(2, 7):
+        g = to.gen_gellmann(d)
+        for kind in ("E", "plus", "minus"):
+            for key in sorted(g[kind]):
+                h.update(g[kind][key].tobytes())
+        for m in g["diag"]:
+            h.update(m.tobytes())
+    assert h.hexdigest() == ("32f995e317efa4515a50009da0fd55e5"
+                             "908b12f94876e34670015fe9d03ea623")
+    su3 = b"".join(to.gellmann_su3(a).tobytes() for a in range(1, 9))
+    assert hashlib.sha256(su3).hexdigest() == (
+        "0e0f1f5e480978a7206161d541438d93cfc79a45ffba9c90418f4d6e3e6ff429")
 
 
 def test_gen_gellmann_rejects_small_d():

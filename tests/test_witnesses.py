@@ -4,7 +4,6 @@ against honest traces, detection tables, and the product-state
 minimizer."""
 
 import hashlib
-import dataclasses
 import itertools
 import json
 import math
@@ -18,13 +17,15 @@ from hypothesis import strategies as st
 
 from chesswit.chessboard import (
     COEFF_TRIPLES,
+    SLOT_ORDER,
     ChessParams222,
     ChessParams22d,
-    NonPositiveError,
     ParamColumns,
     build_rho_222,
     build_rho_22d,
     params_222_to_22d,
+    params_from_json,
+    params_to_json,
     pauli_coeffs,
     rho_entries_22d,
     sample_params_222,
@@ -808,11 +809,11 @@ def _counted(fn, counts, key):
 def test_proven_positive_detect_builds_no_rho(monkeypatch, d, levels):
     counts = {"build_rho_22d": 0, "substituted_coeffs": 0, "eigen": 0}
     for target, original, key in (
-            ("chesswit.witnesses.build_rho_22d", build_rho_22d,
+            ("chesswit.chessboard.build_rho_22d", build_rho_22d,
              "build_rho_22d"),
             ("chesswit.witnesses.substituted_coeffs", substituted_coeffs,
              "substituted_coeffs"),
-            ("chesswit.chessboard.hermitian_eigenvalues",
+            ("chesswit.tensorops.hermitian_eigenvalues",
              hermitian_eigenvalues, "eigen"),
             ("numpy.linalg.eigh", np.linalg.eigh, "eigen"),
             ("numpy.linalg.eigvalsh", np.linalg.eigvalsh, "eigen")):
@@ -822,25 +823,41 @@ def test_proven_positive_detect_builds_no_rho(monkeypatch, d, levels):
     assert counts == {"build_rho_22d": 0, "substituted_coeffs": 0, "eigen": 0}
 
 
-def test_detect_checks_positivity_it_cannot_prove(monkeypatch):
-    counts = {"build_rho_22d": 0}
-    monkeypatch.setattr("chesswit.witnesses.build_rho_22d",
-                        _counted(build_rho_22d, counts, "build_rho_22d"))
-    diag = ((0.5, 1.0, 1.0), (1.0, 1.0, 2.0))
-    detect(ChessParams22d(3, 0, 2, 1, diag, r=(0.1,) + (0.0,) * 5,
-                          tied=False))
-    assert counts == {"build_rho_22d": 1}
-    # untied, not PSD
-    with pytest.raises(NonPositiveError):
-        detect(ChessParams22d(3, 0, 2, 1, diag, r=(1.0,) + (0.0,) * 5,
-                              tied=False))
-    # tied, gamma = alpha with nonzero gamma-gamma couplings
-    with pytest.raises(NonPositiveError):
-        detect(ChessParams22d(
-            3, 0, 2, 0,
-            ((1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
-             (0.10790840445381386, 4.231949517477533, 6.691310059954052)),
-            r=(1.0,) * 6, tied=True))
+def test_construction_calls_no_eigensolver(monkeypatch):
+    # every 2x2xd state is positive by construction: building rho,
+    # reading JSON and detect at d = 3, colliding gamma included, never
+    # reach an eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("an eigensolver was called")
+
+    states = [sample_params_22d(3, k, 3, 0, 2, gamma)
+              for k in range(3) for gamma in (1, 0, 2)]
+    states.append(ChessParams22d(3, 0, 2, 2, states[0].diag,
+                                 r=(1.0, 1.0, 0.0, 1.0, 1.0, 0.0)))
+    texts = [json.dumps(params_to_json(p)) for p in states]
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for params, text in zip(states, texts):
+        assert params_from_json(json.loads(text)) == params
+        assert build_rho_22d(params).shape == (12, 12)
+        assert detect(params).intermediates["pairs"] == [[0, 1], [0, 2],
+                                                         [1, 2]]
+
+
+@pytest.mark.parametrize("gamma, r, slot", [
+    (0, (1.0,) * 6, 2),
+    (2, (0.5, 0.5, 0.0, 0.5, 0.5, 0.25), 5),
+], ids=["gamma-alpha", "gamma-beta"])
+def test_detect_inputs_reject_colliding_couplings(gamma, r, slot):
+    # a gamma that collides with alpha or beta chains its couplings into
+    # the alpha-beta blocks, which the chessboard proof does not cover,
+    # so no such parameter object reaches detect
+    diag = ((1.8789852661499484, 0.3463964459891802, 0.12076665792328141),
+            (0.10790840445381386, 4.231949517477533, 6.691310059954052))
+    message = (f"r[{slot}] must be 0 when gamma collides with alpha or "
+               f"beta, got {r[slot]!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChessParams22d(3, 0, 2, gamma, diag, r=r)
 
 
 def test_detect_json_pinned():
@@ -982,7 +999,7 @@ def _stacks(d):
     """(coefficient stack, pairs, suffixes) per level structure and
     ``pairs`` setting: sampled states, states whose families tie (zero
     and equal-modulus couplings) and, at d >= 3, every level triple,
-    colliding gamma included, and untied states."""
+    colliding gamma included."""
     if d == 2:
         states = [sample_params_222(77, k) for k in range(40)]
         states += [ChessParams222(1.0, 1.0, 1.0, 1.0),
@@ -1165,29 +1182,27 @@ def test_substituted_coeffs_bits_match_per_operator_trace():
 
 
 def _level_states(d, seed=12):
-    """Per level triple (alpha, beta, gamma): a sampled tied state, the
-    same with zero couplings, and untied states, those that are PSD."""
+    """Per level triple (alpha, beta, gamma): sampled states, one with
+    zero couplings and one with unit couplings (but zero gamma-gamma
+    ones where gamma collides with alpha or beta)."""
     for alpha, beta, gamma in itertools.product(range(d), repeat=3):
         if alpha == beta:
             continue
         levels = dict(alpha=alpha, beta=beta, gamma=gamma)
-        tied = sample_params_22d(seed, d, d, **levels)
-        yield tied
-        yield ChessParams22d(d, alpha, beta, gamma, tied.diag)
-        for index in range(3):
-            untied = dataclasses.replace(
-                sample_params_22d(seed, 10 + index, d, **levels), tied=False)
-            try:
-                build_rho_22d(untied)
-            except NonPositiveError:
-                continue
-            yield untied
+        sampled = sample_params_22d(seed, d, d, **levels)
+        yield sampled
+        yield ChessParams22d(d, alpha, beta, gamma, sampled.diag)
+        unit = tuple(0.0 if slot == "gg" and gamma in (alpha, beta) else 1.0
+                     for _, slot in SLOT_ORDER)
+        yield ChessParams22d(d, alpha, beta, gamma, sampled.diag, unit,
+                             sampled.phi)
+        for index in range(2):
+            yield sample_params_22d(seed, 10 + index, d, **levels)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_pair_coeffs_bit_equal_matrix_route(d):
     pairs = tuple(itertools.combinations(range(d), 2))
-    untied = 0
     for params in _level_states(d):
         got = _coeffs([params], pairs)[0]
         assert got.shape == (len(pairs), len(COEFF_TRIPLES))
@@ -1197,8 +1212,6 @@ def test_pair_coeffs_bit_equal_matrix_route(d):
             # float.hex tells -0.0 from 0.0
             assert [v.hex() for v in row] == \
                 [want[t].hex() for t in COEFF_TRIPLES], (params, a, b)
-        untied += not params.tied
-    assert untied >= d * (d - 1)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
