@@ -5,10 +5,10 @@ qudit third party) a chunk at a time and takes the chunk through the
 layers as arrays, with no per-row parameter objects: its parameter
 columns (``chessboard.sample_chunk``, where only the seeding and the
 raw draws run per row), its rho entries (``rho_entries_222`` or
-``rho_entries_22d``), one PPT guard on them (the closed-form rule on
-the 2x2 blocks of the transposes, through a block map compiled per
-level structure; only a chunk it cannot pass goes to ``rho_stack`` and
-one ``is_ppt`` call), its (N, P, 15) catalog coefficients
+``rho_entries_22d``), one PPT guard on them (the least eigenvalue of
+every partial transpose in closed form, ``_x_least_eigenvalues``, read
+through a block map compiled per level structure: no matrix is built
+and no eigensolver runs), its (N, P, 15) catalog coefficients
 (``pauli_coeff_stack``, the closed forms of ``pauli_coeffs`` on the
 columns, at d = 2; one ``_pair_coeffs`` gather of the same entries over
 every row and level pair at d >= 3), and one ``family_minima`` and
@@ -16,13 +16,12 @@ every row and level pair at d >= 3), and one ``family_minima`` and
 d >= 3 the entries and the coefficients come from
 ``witnesses._qudit_chunk``, the helper ``detect`` uses. Only the CSV
 formatting (``_format_rows``) runs per row, one row per sample, from
-the columns' floats. Each chunk is as large as the memory bound
-``_GUARD_ENTRIES`` of the guard's fallback allows.
+the columns' floats. ``_GUARD_ENTRIES`` sizes the chunks, which bounds
+each chunk's catalog stack at any d.
 Positivity of rho itself is proven, not computed: every coupled 2x2
 block has diagonal product 1, and the sampler zeroes a colliding
 gamma's gamma-gamma moduli (see ``chesswit.chessboard``); the guard's
-proper-subset transposes do not include rho. A parameter object is
-built only for the guard's error message. Rows depend only on
+proper-subset transposes do not include rho. Rows depend only on
 ``(seed, index)``, so output is byte-identical for any worker count.
 ``summarize`` turns the detection flags into percentages, 20-batch
 mean/std statistics, and joint detection tables for every ordered pair
@@ -40,7 +39,6 @@ minimum against the honest matrix-trace route.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -59,14 +57,12 @@ from .chessboard import (
     coupling_cells,
     pauli_coeff_stack,
     pauli_coeffs,
-    params_to_json,
     qudit_levels,
     rho_entries_222,
-    rho_stack,
     sample_chunk,
 )
 from .tensorops import (PPT_SUBSETS, _check_dim, _check_integer, _check_tol,
-                        _ppt_blocks_pass, is_ppt)
+                        _x_blocks, _x_least_eigenvalues)
 from .witnesses import (
     DETECT_MARGIN,
     GROUP_NAMES,
@@ -136,11 +132,12 @@ def csv_header(dim: int = 2) -> str:
     return ",".join(cols)
 
 
-#: Most transpose entries in one scan chunk, which sizes the chunks and
-#: bounds the memory of the guard's fallback ``is_ppt`` call. 2**18
-#: entries (4 MB) hold 682 rows at d = 2, 303 at d = 3 and 109 at d = 5,
-#: so each chunk spreads the per-call overhead over hundreds of rows at
-#: any d.
+#: Sizes the scan chunks: at most 2**18 // (6 (4d)**2) rows, as many as
+#: six (4d) x (4d) transposes of 2**18 entries hold (682 rows at d = 2,
+#: 303 at d = 3, 109 at d = 5). The guard builds no transposes; the
+#: bound keeps each chunk's (N, P, 15) catalog stack, P = C(d, 2) level
+#: pairs, under 1,366 x 15 entries at any d, while spreading the
+#: per-call overhead over hundreds of rows.
 _GUARD_ENTRIES = 2 ** 18
 
 
@@ -150,27 +147,32 @@ def _ppt_guard(columns: ParamColumns, entries: Tuple[np.ndarray, ...],
     """Abort the scan unless every sampled state of a chunk is PPT.
 
     ``entries`` are the rho entries of the chunk's ``columns``, with the
-    couplings at ``cells``; ``columns[k]`` is only taken for a failing
-    row k. The closed-form 2x2 block rule ``_ppt_blocks_pass`` passes
-    the chunk with no eigensolve when it shows that ``is_ppt`` would
-    accept every row. Otherwise the chunk's ``rho_stack`` goes through
-    one ``is_ppt`` call, so the verdict and every error are ``is_ppt``'s;
-    ``run_scan`` sizes each chunk to at most ``_GUARD_ENTRIES``
-    transpose entries. The constructed states are PPT by design; a
-    failure indicates a construction or sampling bug, so the error names
-    the first failing state's parameters and its six minimum eigenvalues.
+    couplings at ``cells``. Each row's least eigenvalue over the partial
+    transposes, in closed form (``_x_least_eigenvalues``), must be
+    >= -tol, so a NaN fails, and blocks larger than 2 x 2 fail the
+    chunk. No matrix is built and no eigensolver runs. The constructed
+    states are PPT by design; a failure indicates a construction or
+    sampling bug, so the error names the first failing row of the chunk
+    and its parameter columns, read as floats, so that no parameter
+    check can raise first.
     """
-    if _ppt_blocks_pass(entries, cells, dims, tol):
+    lowest = _x_least_eigenvalues(entries, cells, dims)
+    if lowest is not None and (lowest >= -tol).all():
         return
-    ok, min_eigs = is_ppt(rho_stack(entries, cells), dims=dims, tol=tol)
-    if not all(ok):
-        k = ok.index(False)
-        raise RuntimeError(
-            "sampled chessboard state failed the PPT check; "
-            f"params={json.dumps(params_to_json(columns[k]))} "
-            "min_eigenvalues="
-            f"{json.dumps({label: v[k] for label, v in min_eigs.items()})}"
-        )
+    if lowest is None:
+        rows = (entries[1] != 0).tolist()
+        k = next((k for k, row in enumerate(rows) if _x_blocks(
+            dims, tuple(c for c, z in zip(cells, row) if z)) is None), None)
+        reason = "couplings make partial-transpose blocks larger than 2 x 2"
+    else:
+        k = int(np.flatnonzero(~(lowest >= -tol))[0])
+        reason = (f"least partial-transpose eigenvalue {float(lowest[k])!r}"
+                  f" < -tol = {-tol!r}")
+    where = "the chunk" if k is None else (
+        f"row {k} of the chunk (diag={columns.diag[k].tolist()} "
+        f"r={columns.r[k].tolist()} phi={columns.phi[k].tolist()})")
+    raise RuntimeError(
+        f"sampled chessboard state failed the PPT check: {where}: {reason}")
 
 
 def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
@@ -243,12 +245,12 @@ def run_scan(
     Every sample is PPT-verified (RuntimeError on failure). ``workers``
     is clamped to the cores, and each gets an equal share of the rows:
     the chunks are equal, a multiple of ``workers`` in number, and each
-    within ``_GUARD_ENTRIES`` transpose entries. The output depends only
-    on ``(seed, index)`` per row, never on ``workers``. Arguments, the
-    seed and the qudit levels included, are checked before any row is
-    drawn (ValueError; the counts, ``dim``, the seed and the levels must
-    be integers, not merely integral floats), so ``n = 0`` rejects what
-    ``n = 1`` rejects.
+    of at most ``_GUARD_ENTRIES // (6 (4 dim)**2)`` rows. The output
+    depends only on ``(seed, index)`` per row, never on ``workers``.
+    Arguments, the seed and the qudit levels included, are checked
+    before any row is drawn (ValueError; the counts, ``dim``, the seed
+    and the levels must be integers, not merely integral floats), so
+    ``n = 0`` rejects what ``n = 1`` rejects.
     """
     n = _check_integer("n", n, 0)
     seed = _check_seed(seed)

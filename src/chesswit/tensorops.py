@@ -347,78 +347,37 @@ def _x_blocks(dims: Tuple[int, ...], cells: tuple) -> Optional[np.ndarray]:
     return index
 
 
-def _x_block_entries(entries: Tuple[np.ndarray, ...], cells: tuple,
-                     dims: Tuple[int, ...]) -> Optional[tuple]:
-    """The (N, n) diagonals and the (N, c) a, b and |z|^2 of the
-    :func:`_x_blocks` blocks of N X-states' ``entries`` (diag, couplings
-    at ``cells``, trace), divided by the traces; None for a block larger
-    than 2 x 2 or an entry that is not finite. Couplings 0 in every row
-    are dropped, as the stack's nonzero pattern drops them. The division
-    is ``chessboard.rho_stack``'s, and ``is_ppt``'s symmetrization
-    leaves an entry x at (x + x)/2 = x, so the values are bit-equal to
-    those that ``is_ppt`` solves.
+# a non-finite entry or trace makes NaNs and infs here, with no
+# warning; its row is reported as NaN
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _x_least_eigenvalues(entries: Tuple[np.ndarray, ...], cells: tuple,
+                         dims: Tuple[int, ...]) -> Optional[np.ndarray]:
+    """The (N,) least eigenvalue over every partial transpose of N
+    X-states' ``entries`` (diag, couplings at ``cells``, trace), in
+    closed form; None when :func:`_x_blocks` finds a block larger than
+    2 x 2. Couplings 0 in every row are dropped, as the stack's nonzero
+    pattern drops them. The entries are divided by the traces, as in
+    ``chessboard.rho_stack``; each diagonal entry is a 1 x 1 block or
+    bounds its 2 x 2 block's least eigenvalue from above, and a block
+    [[a, z], [z*, b]] has least eigenvalue (a + b)/2 - hypot((a - b)/2,
+    |z|). A row with an entry or a trace that is not finite, or a zero
+    trace, gets NaN.
     """
     diag, couplings, trace = entries
     kept = (couplings != 0).any(axis=0).tolist()
     index = _x_blocks(dims, tuple(c for c, k in zip(cells, kept) if k))
     if index is None:
         return None
-    with np.errstate(divide="ignore", invalid="ignore"):
-        values = np.concatenate((diag, couplings[:, kept]), axis=1) \
-            / trace[:, None]
-    if not np.isfinite(values).all():
-        return None
+    values = np.concatenate((diag, couplings[:, kept]), axis=1) \
+        / trace[:, None]
     n = diag.shape[1]
+    a, b = values.real[:, index[0]], values.real[:, index[1]]
     z = values[:, n + index[2]]
-    return (values.real[:, :n], values.real[:, index[0]],
-            values.real[:, index[1]], z.real * z.real + z.imag * z.imag)
-
-
-#: The block rule's band on lambda_min + tol, per unit of max(|a|, |b|, |z|).
-_BAND = 64 * float(np.finfo(float).eps)
-
-
-def _ppt_blocks_pass(entries: Tuple[np.ndarray, ...], cells: tuple,
-                     dims: Tuple[int, ...], tol: float) -> bool:
-    """True when a closed-form rule shows that :func:`is_ppt` accepts
-    every matrix of ``chessboard.rho_stack(entries, cells)`` at ``tol``
-    (finite and >= 0, else ValueError); False when it cannot tell.
-
-    The rule reads the entries as :func:`_x_block_entries` gives them,
-    and decides none that it gives None. A 1 x 1 block's eigenvalue is
-    its diagonal entry a, so it passes iff a >= -tol, as in ``is_ppt``.
-    For a 2 x 2 block B = [[a, z], [z*, b]], let alpha = a + tol,
-    beta = b + tol, M = max(|a|, |b|, |z|), D = max(alpha, beta) + |z|
-    and Delta = alpha beta - |z|^2. The block passes when alpha >= 0,
-    beta >= 0 and Delta > 64 eps M D. Why that is safe:
-
-    - lambda_min(B) + tol = Delta / (lambda_max(B) + tol) >= Delta / D
-      whenever Delta >= 0, because lambda_max(B) + tol <= D.
-    - The computed Delta is within about 1.5 eps (alpha beta + |z|^2)
-      <= 1.5 eps D^2 of the exact one. If tol < 4M, then D < 6M, so a
-      passing block has lambda_min + tol > (64 - 9) eps M >= 27 eps
-      ||B||_2, as ||B||_2 <= 2M. ``eigh`` is backward stable: its least
-      eigenvalue of B is within a few eps ||B||_2 of the exact one, so
-      it is >= -tol too.
-    - If tol >= 4M, then lambda_min + tol >= tol - ||B||_2 >= 2M, far
-      above the solver's error, whatever the rule computes.
-
-    Each of "12", "13" and "23" has the conjugates of these blocks, with
-    the same a, b and |z|. A passing stack has finite products, so its
-    entries are below about 1e154, and the solver's residual stays far
-    inside ``is_ppt``'s bound. A block within the band goes to
-    ``is_ppt``.
-    """
-    _check_tol("tol", tol)
-    blocks = _x_block_entries(entries, cells, dims)
-    if blocks is None or not (blocks[0] >= -tol).all():
-        return False
-    _, a, b, zz = blocks
-    alpha, beta = a + tol, b + tol
-    modulus = np.sqrt(zz)
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), modulus)
-    band = _BAND * scale * (np.maximum(alpha, beta) + modulus)
-    return bool((alpha * beta - zz > band).all())
+    blocks = (a + b) / 2 - np.hypot((a - b) / 2, np.abs(z))
+    lowest = np.minimum(values.real[:, :n].min(axis=1),
+                        blocks.min(axis=1, initial=np.inf))
+    lowest[~(np.isfinite(values).all(axis=1) & np.isfinite(trace))] = np.nan
+    return lowest
 
 
 def _basis_matrix(d: int, a: int, b: int) -> np.ndarray:

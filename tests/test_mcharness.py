@@ -3,13 +3,13 @@ curve reproduction."""
 
 import hashlib
 import io
-import json
 import math
 import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chesswit import chessboard, frgeom, tensorops
 from chesswit.chessboard import (
@@ -18,7 +18,6 @@ from chesswit.chessboard import (
     ChessParams22d,
     ParamColumns,
     coupling_cells,
-    params_to_json,
     rho_entries_222,
     rho_entries_22d,
     sample_chunk,
@@ -317,57 +316,29 @@ def _repeated(params):
         [params] * (stop - start))
 
 
-def _counting_guard(monkeypatch):
-    """Counts of eigensolver calls made inside and outside the guard's
-    calls during a scan."""
-    calls = {"guard": 0, "other": 0}
-    inside = []
+def _forbid_matrices(monkeypatch):
+    """Make every eigensolver and ``rho_stack`` raise, patched on the
+    modules that own them."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a matrix was built or eigensolved")
 
-    def guard(*args):
-        inside.append(True)
-        try:
-            return _ppt_guard(*args)
-        finally:
-            inside.pop()
-
-    def counted(fn):
-        def wrapped(*args, **kwargs):
-            calls["guard" if inside else "other"] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    monkeypatch.setattr(mcharness, "_ppt_guard", guard)
-    for module, name in ((tensorops, "hermitian_eigenvalues"),
-                         (np.linalg, "eigh"), (np.linalg, "eigvalsh")):
-        monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    return calls
+    for module, name in ((np.linalg, "eigh"), (np.linalg, "eigvalsh"),
+                         (tensorops, "hermitian_eigenvalues"),
+                         (chessboard, "rho_stack")):
+        monkeypatch.setattr(module, name, fail)
 
 
 def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
-    # the sampler's states are positive by construction, so rho is
-    # scattered as one stack and never eigensolved outside the guard,
-    # and the guard's block rule passes every sampled chunk with no
-    # eigensolve at all; chunks of at most 16 rows at d = 3 and 9 at d = 4
+    # the sampler's states are positive by construction, so rho is never
+    # built or eigensolved, and the guard's closed form solves nothing
+    # either; chunks of at most 16 rows at d = 3 and 9 at d = 4
     monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
     want = [run_scan(30, seed=4, dim=3).rows,
             run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
-    calls = _counting_guard(monkeypatch)
+    _forbid_matrices(monkeypatch)
     got = [run_scan(30, seed=4, dim=3).rows,
            run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
     assert got == want
-    assert calls == {"guard": 0, "other": 0}
-
-
-def test_scan_guard_eigensolves_a_chunk_its_rule_cannot_pass(monkeypatch):
-    # r = 1 exactly on unit diagonals: a block [[1, 1], [1, 1]] / 8 with
-    # Delta = 0, inside the rule's band at tol = 0, and least
-    # eigenvalue 0, which is_ppt passes
-    state = ChessParams222(1, 1, 1, 1, r=(1.0, 0.0, 0.0, 0.0))
-    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(state))
-    calls = _counting_guard(monkeypatch)
-    assert run_scan(5, seed=4, tol=0.0).n == 5
-    assert calls["other"] == 0
-    assert calls["guard"] >= 1
 
 
 def test_run_scan_qudit():
@@ -402,6 +373,13 @@ def _ghz(entries, row):
     trace[row] = 1.0
 
 
+def _names_row(msg, columns, k):
+    """Whether a guard error names row k of a chunk by its columns."""
+    return (f"row {k} of the chunk (diag={columns.diag[k].tolist()} "
+            f"r={columns.r[k].tolist()} phi={columns.phi[k].tolist()})"
+            in msg)
+
+
 def test_ppt_guard_trips_on_crafted_state():
     params = ChessParams222(a=1, b=1, c=1, d=1, r=(0, 0, 0, 0),
                             phi=(0, 0, 0, 0))
@@ -410,7 +388,9 @@ def test_ppt_guard_trips_on_crafted_state():
     with pytest.raises(RuntimeError) as err:
         _ppt_guard(*chunk, (2, 2, 2))
     msg = str(err.value)
-    assert '"a":' in msg and "min_eigenvalues" in msg
+    assert _names_row(msg, chunk[0], 0)
+    assert msg.endswith("least partial-transpose eigenvalue -0.5 "
+                        "< -tol = -1e-10")
 
 
 def _chunk(seed, n):
@@ -420,32 +400,29 @@ def _chunk(seed, n):
 @pytest.mark.parametrize("rows_per_call", [None, 2])
 def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
                                                      monkeypatch):
-    # the block rule passes a sampled chunk with no is_ppt call; a chunk
-    # it cannot pass gets one is_ppt call, whatever _GUARD_ENTRIES says:
-    # run_scan sizes the chunks to it, the guard does not slice them
+    # one closed-form call on the whole chunk, whatever _GUARD_ENTRIES
+    # says: run_scan sizes the chunks to it, the guard does not slice
+    # them
     if rows_per_call:
         monkeypatch.setattr(mcharness, "_GUARD_ENTRIES",
                             rows_per_call * 6 * 64)
     shapes = []
 
-    def counted(rhos, dims, tol):
-        shapes.append(rhos.shape)
-        return is_ppt(rhos, dims=dims, tol=tol)
+    def counted(entries, cells, dims):
+        shapes.append(entries[0].shape)
+        return tensorops._x_least_eigenvalues(entries, cells, dims)
 
-    monkeypatch.setattr(mcharness, "is_ppt", counted)
+    monkeypatch.setattr(mcharness, "_x_least_eigenvalues", counted)
     chunk = _chunk(18, 5)
     _ppt_guard(*chunk, (2, 2, 2))
-    assert shapes == []
     _ghz(chunk[1], 2)
     with pytest.raises(RuntimeError) as err:
         _ppt_guard(*chunk, (2, 2, 2))
-    assert shapes == [(5, 8, 8)]
+    assert shapes == [(5, 8)] * 2
     msg = str(err.value)
-    assert f"params={json.dumps(params_to_json(chunk[0][2]))} " in msg
-    assert json.dumps(params_to_json(chunk[0][0])) not in msg
-    eigs = json.loads(msg.split("min_eigenvalues=")[1])
-    assert list(eigs) == ["1", "2", "3", "12", "13", "23"]
-    assert all(v == pytest.approx(-0.5, abs=1e-12) for v in eigs.values())
+    assert _names_row(msg, chunk[0], 2)
+    assert not _names_row(msg, chunk[0], 0)
+    assert "least partial-transpose eigenvalue -0.5 " in msg
 
 
 def test_ppt_guard_fails_a_nan_minimum():
@@ -454,34 +431,51 @@ def test_ppt_guard_fails_a_nan_minimum():
     with pytest.raises(RuntimeError) as err:
         _ppt_guard(*chunk, (2, 2, 2))
     msg = str(err.value)
-    assert json.dumps(params_to_json(chunk[0][3])) in msg
-    assert '"1": NaN' in msg
+    assert _names_row(msg, chunk[0], 3)
+    assert "least partial-transpose eigenvalue nan " in msg
+
+
+def test_ppt_guard_names_a_row_whose_couplings_chain_blocks():
+    # unit moduli at every slot of a colliding gamma, which no parameter
+    # object takes: the error reads the columns' floats, so it is the
+    # guard's RuntimeError, not the ValueError of ChessParams22d
+    columns = sample_chunk(21, 0, 3, (3, 0, 2, 0))
+    columns.r[:] = 1.0
+    chunk = _entries(columns)
+    with pytest.raises(RuntimeError) as err:
+        _ppt_guard(*chunk, (2, 2, 3))
+    msg = str(err.value)
+    assert _names_row(msg, columns, 0)
+    assert msg.endswith("blocks larger than 2 x 2")
+    # no row chains blocks alone: an alpha-beta coupling in row 0 and a
+    # gamma-gamma one in row 1, each a 2 x 2 block
+    columns.r[:] = 0.0
+    columns.r[0, 0] = columns.r[1, 2] = 0.5
+    chunk = _entries(columns)
+    for cell in chunk[2][0], chunk[2][2]:
+        assert tensorops._x_blocks((2, 2, 3), (cell,)) is not None
+    with pytest.raises(RuntimeError) as err:
+        _ppt_guard(*chunk, (2, 2, 3))
+    assert "failed the PPT check: the chunk: couplings" in str(err.value)
 
 
 def _guard_outcome(monkeypatch, chunk, dims, tol=1e-10):
-    """What ``_ppt_guard`` does with a chunk (None, or the type and text
-    of what it raises) and whether it called ``is_ppt``; asserts that it
-    does the same as its ``is_ppt`` route alone."""
-    def outcome():
+    """What ``_ppt_guard`` does with a chunk: None, or the type and text
+    of what it raises; it builds no matrix and solves nothing."""
+    with monkeypatch.context() as patch:
+        _forbid_matrices(patch)
         try:
             _ppt_guard(*chunk, dims, tol)
         except Exception as exc:
             return type(exc), str(exc)
-        return None
+    return None
 
-    calls = []
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return is_ppt(*args, **kwargs)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(mcharness, "is_ppt", counted)
-        got = outcome()
-    with monkeypatch.context() as patch:
-        patch.setattr(mcharness, "_ppt_blocks_pass", lambda *args: False)
-        assert outcome() == got
-    return got, bool(calls)
+def _oracle(chunk, dims, tol=1e-10):
+    """``is_ppt``'s verdict on each row of a chunk's stack."""
+    _, entries, cells = chunk
+    return is_ppt(chessboard.rho_stack(entries, cells), dims=dims,
+                  tol=tol)[0]
 
 
 def _sampled(d, levels, seed, n):
@@ -502,8 +496,7 @@ def test_block_guard_passes_sampled_chunks_without_is_ppt(d, levels, tol,
     # colliding gamma included (0, 1, 1 and so on)
     for seed in range(3):
         chunk = _sampled(d, levels, seed, 12)
-        assert _guard_outcome(monkeypatch, chunk, (2, 2, d),
-                              tol) == (None, False)
+        assert _guard_outcome(monkeypatch, chunk, (2, 2, d), tol) is None
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -520,11 +513,13 @@ def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
         return columns, (diag, couplings, diag.sum(axis=1).real), cells
 
     outcomes = [_guard_outcome(monkeypatch, untied(ParamColumns.of(
-        [columns[k]])), dims)[0] for k in range(len(columns))]
+        [columns[k]])), dims) for k in range(len(columns))]
+    assert [o is None for o in outcomes] == _oracle(untied(columns), dims)
     assert None in outcomes
-    assert any(o and o[0] is RuntimeError for o in outcomes)
-    assert _guard_outcome(monkeypatch, untied(columns),
-                          dims)[0] == next(o for o in outcomes if o)
+    k = next(k for k, o in enumerate(outcomes) if o)
+    got = _guard_outcome(monkeypatch, untied(columns), dims)
+    assert got[0] is RuntimeError and _names_row(got[1], columns, k)
+    assert got[1].split("): ")[1] == outcomes[k][1].split("): ")[1]
 
 
 @pytest.mark.parametrize("d, row, i, j, value", [
@@ -536,11 +531,13 @@ def test_block_guard_agrees_with_is_ppt_on_untied_states(d, monkeypatch):
     (4, 1, 3, 3, math.inf),    # a 1 x 1 block, as in _negative_single_level
     (3, 0, None, None, 0.0),   # a zero trace
     (3, 3, None, None, math.nan),
+    (3, 2, None, None, math.inf),  # entries / trace all 0, but no state
 ])
 def test_block_guard_defers_non_finite_stacks(d, row, i, j, value,
                                               monkeypatch):
     # the stack's entry (i, j) of one row: a diagonal or a coupling, or
-    # else the row's trace
+    # else the row's trace; that row's least eigenvalue is NaN, which
+    # fails the guard, with no warning
     chunk = _sampled(d, (0, 2, 1), 19, 4)
     diag, couplings, trace = chunk[1]
     if i is None:
@@ -553,9 +550,12 @@ def test_block_guard_defers_non_finite_stacks(d, row, i, j, value,
             else np.conj(value)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        got, fell_back = _guard_outcome(monkeypatch, chunk, (2, 2, d))
+        lowest = tensorops._x_least_eigenvalues(chunk[1], chunk[2], (2, 2, d))
+        got = _guard_outcome(monkeypatch, chunk, (2, 2, d))
     assert [str(w.message) for w in caught] == []
-    assert got is not None and fell_back
+    assert np.isnan(lowest).tolist() == [k == row for k in range(4)]
+    assert got[0] is RuntimeError and _names_row(got[1], chunk[0], row)
+    assert "least partial-transpose eigenvalue nan " in got[1]
 
 
 def _x_state(d, shift):
@@ -575,13 +575,13 @@ def _x_state(d, shift):
 @pytest.mark.parametrize("d", [2, 3])
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
 def test_block_guard_defers_states_on_the_tolerance(d, tol, monkeypatch):
-    # least eigenvalues within 1e-15 of -tol: inside the rule's band, so
-    # is_ppt decides every one of them
+    # least eigenvalues within 1e-15 of -tol: the closed form gives
+    # fl(1 + shift) - 1 exactly, and the guard judges that value
     outcomes = []
     for delta in (-1e-15, -3e-16, 0.0, 3e-16, 1e-15):
-        got, fell_back = _guard_outcome(monkeypatch, _x_state(d, delta - tol),
-                                        (2, 2, d), tol)
-        assert fell_back
+        shift = delta - tol
+        got = _guard_outcome(monkeypatch, _x_state(d, shift), (2, 2, d), tol)
+        assert (got is None) == ((1.0 + shift) - 1.0 >= -tol)
         outcomes.append(got)
     assert outcomes[-1] is None and outcomes[0][0] is RuntimeError
 
@@ -617,8 +617,86 @@ def test_block_guard_rejects_what_is_ppt_rejects(make, monkeypatch):
     # a negative 2 x 2 block, a negative 1 x 1 block, and blocks larger
     # than 2 x 2 (a negative determinant: the GHZ tests above)
     chunk, dims = make(21)
-    got, fell_back = _guard_outcome(monkeypatch, chunk, dims)
-    assert fell_back and got[0] is RuntimeError
+    assert not all(_oracle(chunk, dims))
+    got = _guard_outcome(monkeypatch, chunk, dims)
+    assert got[0] is RuntimeError
+
+
+_SCAN_LEVELS = [None, (3, 0, 2, 1), (3, 0, 1, 0), (4, 1, 3, 3),
+                (5, 0, 2, 1), (5, 4, 0, 4)]
+
+
+@st.composite
+def _least_eigenvalue_cases(draw):
+    """A sampled chunk with its diagonals and couplings scaled, one row
+    perhaps made NPT or not finite, and a tolerance."""
+    levels = draw(st.sampled_from(_SCAN_LEVELS))
+    n = draw(st.integers(1, 5))
+    columns = sample_chunk(draw(st.integers(0, 2 ** 32 - 1)), 0, n, levels)
+    chunk = _entries(columns)
+    diag, couplings, _ = chunk[1]
+    scale = st.floats(0.0, 3.0)
+    diag *= draw(st.lists(scale, min_size=diag.shape[1],
+                          max_size=diag.shape[1]))
+    couplings *= draw(st.lists(scale, min_size=couplings.shape[1],
+                               max_size=couplings.shape[1]))
+    trace = diag.sum(axis=1).real
+    row = draw(st.integers(0, n - 1))
+    edit = draw(st.sampled_from(["none", "ghz", "negated", "negative level",
+                                 "diag", "coupling", "trace"]))
+    if edit == "ghz":
+        # |i> + |j> over the first cell (i, j): in a transpose its
+        # coupling pairs two zero diagonals
+        i, j = chunk[2][0]
+        diag[row], couplings[row], trace[row] = 0.0, 0.0, 1.0
+        diag[row, [i, j]] = couplings[row, 0] = 0.5
+    elif edit == "negated":
+        trace[row] = -trace[row]
+    elif edit == "negative level":
+        free = sorted(set(range(diag.shape[1]))
+                      - {i for cell in chunk[2] for i in cell})
+        diag[row, draw(st.sampled_from(free or [0]))] = -1e-3
+    elif edit != "none":
+        value = draw(st.sampled_from([math.nan, math.inf, -math.inf, 0.0]))
+        if edit == "trace":
+            trace[row] = value
+        elif value != 0.0:
+            array = diag if edit == "diag" else couplings
+            array[row, draw(st.integers(0, array.shape[1] - 1))] = value
+    tol = draw(st.sampled_from([0.0, 1e-10, 1e-3]))
+    return (columns, (diag, couplings, trace), chunk[2]), levels, tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(_least_eigenvalue_cases())
+def test_closed_form_least_eigenvalue_matches_is_ppt(case):
+    chunk, levels, tol = case
+    _, entries, cells = chunk
+    dims = (2, 2, 2 if levels is None else levels[0])
+    lowest = tensorops._x_least_eigenvalues(entries, cells, dims)
+    kept = (entries[1] != 0).any(axis=0).tolist()
+    if tensorops._x_blocks(dims, tuple(c for c, k in zip(cells, kept)
+                                       if k)) is None:
+        # a non-finite gamma-gamma coupling of a colliding gamma
+        assert lowest is None
+        with pytest.raises(RuntimeError):
+            _ppt_guard(*chunk, dims, tol)
+        return
+    rho = chessboard.rho_stack(entries, cells)
+    finite = np.isfinite(rho).all(axis=(1, 2)) & np.isfinite(entries[2])
+    assert np.isnan(lowest).tolist() == (~finite).tolist()
+    if not finite.all():
+        with pytest.raises(RuntimeError):
+            _ppt_guard(*chunk, dims, tol)
+    if not finite.any():
+        return
+    ok, min_eigs = is_ppt(rho[finite], dims=dims, tol=tol)
+    want = np.min(list(min_eigs.values()), axis=0)
+    got = lowest[finite]
+    bound = 1e-14 * np.abs(rho[finite]).max(axis=(1, 2))
+    assert (np.abs(got - want) <= bound).all()
+    clear = np.abs(got + tol) > bound
+    assert ((got >= -tol) == np.array(ok))[clear].all()
 
 
 def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
@@ -651,12 +729,15 @@ def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
 def test_sampled_scans_build_no_rho_stack_and_solve_nothing(kwargs, tol,
                                                             monkeypatch):
     want = run_scan(60, seed=6, tol=tol, **kwargs).rows
-    for name in ("rho_stack", "is_ppt"):
-        monkeypatch.setattr(mcharness, name,
-                            lambda *a, **k: pytest.fail("a stack was built"))
-    calls = _counting_guard(monkeypatch)
+    _forbid_matrices(monkeypatch)
     assert run_scan(60, seed=6, tol=tol, **kwargs).rows == want
-    assert calls == {"guard": 0, "other": 0}
+    if kwargs == dict(dim=2):
+        # r = 1 on unit diagonals: blocks [[1, 1], [1, 1]] / 8, whose
+        # least eigenvalue 0 the closed form gives exactly, so even
+        # tol = 0 passes them
+        monkeypatch.setattr(mcharness, "sample_chunk", _repeated(
+            ChessParams222(1, 1, 1, 1, r=(1.0, 0.0, 0.0, 0.0))))
+        assert run_scan(5, seed=4, tol=tol).n == 5
 
 
 def test_run_scan_evaluates_the_catalog_once_per_chunk_in_bounded_passes(

@@ -551,13 +551,13 @@ _X_LEVELS = [None, (3, 0, 2, 1), (3, 0, 1, 0), (4, 0, 2, 1), (4, 1, 3, 3),
 
 @pytest.mark.parametrize("levels", _X_LEVELS)
 def test_block_entries_are_bit_equal_to_the_stacks_transposes(levels):
-    # the rule reads (a, b, |z|^2) from the entries; is_ppt solves the
-    # same numbers in the symmetrized stack's transposes; a colliding
-    # gamma's zeroed gamma-gamma couplings are dropped
+    # the closed form reads (a, b, z) from the entries; they are the
+    # numbers is_ppt solves in the symmetrized stack's transposes, so
+    # the closed form on those gives the same bits; a colliding gamma's
+    # zeroed gamma-gamma couplings are dropped
     for seed in range(5):
         entries, cells, d = _x_chunk(levels, seed)
         dims = (2, 2, d)
-        diag, a, b, zz = to._x_block_entries(entries, cells, dims)
         rho = cb.rho_stack(entries, cells)
         # is_ppt's symmetrization
         h = ((rho + np.swapaxes(rho.conj(), 1, 2)) / 2.0).reshape(len(rho),
@@ -566,12 +566,13 @@ def test_block_entries_are_bit_equal_to_the_stacks_transposes(levels):
         r, s, _ = to._x_blocks(dims, tuple(
             c for c, k in zip(cells, (entries[1] != 0).any(axis=0)) if k))
         t = np.repeat(np.arange(3), len(r) // 3)
-        z = moved[:, t, r, s]
-        assert diag.tobytes() == np.diagonal(h.reshape(rho.shape), axis1=1,
-                                             axis2=2).real.tobytes()
-        assert a.tobytes() == moved[:, t, r, r].real.tobytes()
-        assert b.tobytes() == moved[:, t, s, s].real.tobytes()
-        assert zz.tobytes() == (z.real * z.real + z.imag * z.imag).tobytes()
+        a, b = moved[:, t, r, r].real, moved[:, t, s, s].real
+        blocks = (a + b) / 2 - np.hypot((a - b) / 2,
+                                        np.abs(moved[:, t, r, s]))
+        diag = np.diagonal(h.reshape(rho.shape), axis1=1, axis2=2).real
+        want = np.minimum(diag.min(axis=1), blocks.min(axis=1))
+        got = to._x_least_eigenvalues(entries, cells, dims)
+        assert got.tobytes() == want.tobytes()
         # and these are the transposes' only off-diagonal entries
         off = moved.copy()
         off[:, t, r, s] = off[:, t, s, r] = 0
