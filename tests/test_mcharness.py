@@ -731,12 +731,16 @@ def test_sampled_scans_build_no_rho_stack_and_solve_nothing(kwargs, tol,
     want = run_scan(60, seed=6, tol=tol, **kwargs).rows
     _forbid_matrices(monkeypatch)
     assert run_scan(60, seed=6, tol=tol, **kwargs).rows == want
-    if kwargs == dict(dim=2):
-        # r = 1 on unit diagonals: blocks [[1, 1], [1, 1]] / 8, whose
-        # least eigenvalue 0 the closed form gives exactly, so even
-        # tol = 0 passes them
-        monkeypatch.setattr(mcharness, "sample_chunk", _repeated(
-            ChessParams222(1, 1, 1, 1, r=(1.0, 0.0, 0.0, 0.0))))
+
+
+def test_scan_guard_passes_a_chunk_on_the_psd_boundary(monkeypatch):
+    # r = 1 on unit diagonals: blocks [[1, 1], [1, 1]] / 8, whose least
+    # eigenvalue 0 the closed form gives exactly, so even tol = 0 passes
+    # them, with no matrix built and no eigensolve
+    monkeypatch.setattr(mcharness, "sample_chunk", _repeated(
+        ChessParams222(1, 1, 1, 1, r=(1.0, 0.0, 0.0, 0.0))))
+    _forbid_matrices(monkeypatch)
+    for tol in (0.0, 1e-10):
         assert run_scan(5, seed=4, tol=tol).n == 5
 
 
