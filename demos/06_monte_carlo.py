@@ -8,8 +8,9 @@ Two experiments:
    so the CSV output is byte-identical for any worker count.
 
 2. A one-parameter family of states traces out a detection curve whose
-   minimum is found by golden-section search and cross-checked against
-   a dense matrix-expectation route.
+   minimum sits at the exact root t* = (2 sqrt(6) - 3) / 5 of its
+   derivative and is cross-checked against a dense matrix-expectation
+   route.
 """
 
 import io
@@ -72,7 +73,7 @@ def main():
         t = 0.1 + i * 0.2
         print(f"  t = {t:.3f}:  f = {section6_curve(t):+.6f}")
     out = reproduce_section6()
-    print(f"\ngolden-section minimum: f({out['argmin']:.10f}) = "
+    print(f"\nexact minimum: f({out['argmin']:.10f}) = "
           f"{out['min_value']:+.10f}")
     print(f"matrix-expectation route agrees to "
           f"{out['matrix_route_gap']:.2e}")

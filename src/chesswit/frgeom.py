@@ -15,9 +15,11 @@ triples and the regions certified by the corresponding families are
 ``cylinder`` (O300, O111+O122, O212-O221):  hypot(P1, P2+P3) <= 1
 ``sphere``   (O300, O111+O122, O212+O221):  P1^2+P2^2+P3^2 <= 1
 
-``feasible_region_check`` samples random product states and certifies
-containment numerically; ``boundary_curve_check`` evaluates explicit
-product-state sweeps that attain the boundary surfaces exactly:
+``feasible_region_check`` samples random three-qubit product states and
+certifies containment numerically (``region_points`` and
+``containment_report`` do so for a d-level third party);
+``boundary_curve_check`` evaluates explicit product-state sweeps that
+attain the boundary surfaces exactly:
 
 * polygon: Bloch angles theta=(t,t,t), phi=(delta, pi/4, pi/4+delta)
   give (P1, P2+P3) = (cos^3 t, sin^3 t), the astroid
@@ -146,8 +148,8 @@ def sample_factors(n: int, seed: int = 0, d: int = 2
                    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """n Haar-random product-state factors for dimensions (2, 2, d).
 
-    These are the states that ``feasible_region_check`` checks for the
-    same ``(n, seed, d)``. Raises ValueError unless ``n`` and ``d`` are
+    These are the states whose points :func:`region_points` gives for
+    the same ``(n, seed, d)``. Raises ValueError unless ``n`` and ``d`` are
     integers, ``n >= 0``, ``d >= 2``, and ``seed`` is a non-negative
     integer.
     """
@@ -287,16 +289,13 @@ def feasible_region_check(
     geometry: str,
     n: int = 100_000,
     seed: int = 0,
-    d: int = 2,
-    alpha: int = 0,
-    beta: int = 1,
     tol: float = 1e-9,
 ) -> Dict[str, object]:
-    """Sample product states and certify region containment: the
-    :func:`containment_report` of the :func:`region_points` of the same
-    arguments, whose checks run before any state is drawn."""
-    return containment_report(
-        geometry, region_points(geometry, n, seed, d, alpha, beta), tol)
+    """Sample three-qubit product states and certify region containment:
+    the :func:`containment_report` of the :func:`region_points` of the
+    same arguments, whose checks run before any state is drawn."""
+    return containment_report(geometry, region_points(geometry, n, seed),
+                              tol)
 
 
 def _sweep_points(geometry: str, m: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -324,19 +323,21 @@ def _sweep_points(geometry: str, m: int) -> Tuple[np.ndarray, np.ndarray]:
     return thetas, phis
 
 
-def boundary_curve_check(geometry: str, samples: int = 1001
-                         ) -> Dict[str, object]:
-    """Evaluate the geometry's boundary sweep and report the residual.
+#: Points of each boundary sweep (the cone adds its apex).
+_SWEEP_SAMPLES = 1001
+
+
+def boundary_curve_check(geometry: str) -> Dict[str, object]:
+    """Evaluate the geometry's boundary sweep of ``_SWEEP_SAMPLES``
+    points and report the residual.
 
     The residual measures the distance of the swept functional points
     from the boundary manifold (for the polygon: from the astroid
     |P1|^(2/3) + |P2+P3|^(2/3) = 1 traced in the (P1, P2+P3) plane);
-    analytically it vanishes identically along each sweep. ``samples``
-    must be an integer >= 1 (ValueError).
+    analytically it vanishes identically along each sweep.
     """
     _terms(geometry)  # rejects an unknown name before the sweep
-    samples = _check_integer("samples", samples, 1)
-    thetas, phis = _sweep_points(geometry, samples)
+    thetas, phis = _sweep_points(geometry, _SWEEP_SAMPLES)
     factors = [qubit_state(thetas[:, i], phis[:, i]) for i in range(3)]
     pts = functional_points(geometry, factors)
     if geometry == "polygon":

@@ -27,14 +27,15 @@ proper-subset transposes do not include rho. Rows depend only on
 mean/std statistics, and joint detection tables for every ordered pair
 of family groups.
 
-``reproduce_section6`` minimizes the closed-form detection curve
+``reproduce_section6`` takes the minimum of the closed-form detection
+curve
 
     f(t) = 2 (3t - 3) / (2 + 3t + 3/t),
 
 the expectation of the polygonal witness ``poly1:1101`` on the
 one-parameter chessboard family (a, b, c, d) = (1, t, t, 1/t) with a
-single unit coupling, via golden-section search, and cross-checks the
-minimum against the honest matrix-trace route.
+single unit coupling, at its exact minimizer t* = (2 sqrt(6) - 3) / 5,
+and cross-checks the minimum against the honest matrix-trace route.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,7 +80,6 @@ __all__ = [
     "run_scan",
     "write_csv",
     "summarize",
-    "golden_section_minimize",
     "section6_curve",
     "reproduce_section6",
     "SECOND_CASE_T",
@@ -141,20 +141,21 @@ def csv_header(dim: int = 2) -> str:
 _GUARD_ENTRIES = 2 ** 18
 
 
-def _ppt_guard(columns: ParamColumns, entries: Tuple[np.ndarray, ...],
-               cells: tuple, dims: Tuple[int, ...], tol: float = 1e-10
-               ) -> None:
+def _ppt_guard(start: int, columns: ParamColumns,
+               entries: Tuple[np.ndarray, ...], cells: tuple,
+               dims: Tuple[int, ...], tol: float = 1e-10) -> None:
     """Abort the scan unless every sampled state of a chunk is PPT.
 
-    ``entries`` are the rho entries of the chunk's ``columns``, with the
-    couplings at ``cells``. Each row's least eigenvalue over the partial
-    transposes, in closed form (``_x_least_eigenvalues``), must be
-    >= -tol, so a NaN fails, and blocks larger than 2 x 2 fail the
-    chunk. No matrix is built and no eigensolver runs. The constructed
-    states are PPT by design; a failure indicates a construction or
-    sampling bug, so the error names the first failing row of the chunk
-    and its parameter columns, read as floats, so that no parameter
-    check can raise first.
+    ``entries`` are the rho entries of the chunk's ``columns``, whose
+    first row is sample ``start``, with the couplings at ``cells``. Each
+    row's least eigenvalue over the partial transposes, in closed form
+    (``_x_least_eigenvalues``), must be >= -tol, so a NaN fails, and
+    blocks larger than 2 x 2 fail the chunk. No matrix is built and no
+    eigensolver runs. The constructed states are PPT by design; a
+    failure indicates a construction or sampling bug, so the error names
+    the first failing row by its sample index, the CSV ``index`` and the
+    ``i`` of ``(seed, i)``, and gives its parameter columns, read as
+    floats, so that no parameter check can raise first.
     """
     lowest = _x_least_eigenvalues(entries, cells, dims)
     if lowest is not None and (lowest >= -tol).all():
@@ -169,7 +170,7 @@ def _ppt_guard(columns: ParamColumns, entries: Tuple[np.ndarray, ...],
         reason = (f"least partial-transpose eigenvalue {float(lowest[k])!r}"
                   f" < -tol = {-tol!r}")
     where = "the chunk" if k is None else (
-        f"row {k} of the chunk (diag={columns.diag[k].tolist()} "
+        f"sample {start + k} (diag={columns.diag[k].tolist()} "
         f"r={columns.r[k].tolist()} phi={columns.phi[k].tolist()})")
     raise RuntimeError(
         f"sampled chessboard state failed the PPT check: {where}: {reason}")
@@ -185,7 +186,7 @@ def _chunk_rows(args) -> Tuple[List[str], np.ndarray]:
     else:
         dim, cells = columns.levels[0], coupling_cells(*columns.levels)
         entries, _, _, coeffs = _qudit_chunk(columns, pairs)
-    _ppt_guard(columns, entries, cells, (2, 2, dim), tol)
+    _ppt_guard(start, columns, entries, cells, (2, 2, dim), tol)
     # one catalog call for the whole (N, P, 15) stack, looked up in this
     # module at each call: the benchmark's tracer and its wrong-minima
     # check patch mcharness.family_minima
@@ -279,6 +280,8 @@ def run_scan(
     minima = np.concatenate([np.empty((0, len(_MIN_COLUMNS)))]
                             + [chunk_minima for _, chunk_minima in results])
     flags = minima < 0.0
+    # the levels the scan ran, defaults resolved; None at d = 2
+    alpha, beta, gamma = levels[1:] if levels else (None, None, None)
     config = {"n": n, "seed": seed, "dim": dim, "pairs": pairs,
               "alpha": alpha, "beta": beta, "gamma": gamma, "tol": tol}
     return ScanResult(
@@ -300,16 +303,20 @@ def write_csv(result: ScanResult, path_or_file) -> None:
             fh.write(text)
 
 
-def summarize(result: ScanResult, batches: int = 20) -> Dict[str, object]:
+#: Contiguous batches of a scan's rows that ``summarize`` reports the
+#: mean and spread of the detection percentage over.
+_BATCHES = 20
+
+
+def summarize(result: ScanResult) -> Dict[str, object]:
     """Detection-rate summary of a scan.
 
     Reports per-group and overall detection percentages, mean and
-    population standard deviation of the percentage over contiguous
-    batches, and the joint detection table (percentages of the four
-    boolean combinations) for every ordered pair of family groups.
-    ``batches`` must be an integer >= 1 (ValueError).
+    population standard deviation of the percentage over ``_BATCHES``
+    contiguous batches (when the scan has that many rows), and the joint
+    detection table (percentages of the four boolean combinations) for
+    every ordered pair of family groups.
     """
-    batches = _check_integer("batches", batches, 1)
     flags = result.flags
     n = flags.shape[0]
     names = list(GROUP_NAMES) + ["any"]
@@ -321,15 +328,15 @@ def summarize(result: ScanResult, batches: int = 20) -> Dict[str, object]:
         for k, name in enumerate(names)
     }
     batch_stats: Dict[str, Dict[str, float]] = {}
-    if n >= batches:
-        size = n // batches
-        used = size * batches
-        per_batch = flags[:used].reshape(batches, size, 5).mean(axis=1) * 100
+    if n >= _BATCHES:
+        size = n // _BATCHES
+        used = size * _BATCHES
+        per_batch = flags[:used].reshape(_BATCHES, size, 5).mean(axis=1) * 100
         for k, name in enumerate(names):
             batch_stats[name] = {
                 "mean": float(per_batch[:, k].mean()),
                 "std": float(per_batch[:, k].std()),  # population std
-                "batches": batches,
+                "batches": _BATCHES,
                 "batch_size": size,
             }
     out["batch"] = batch_stats
@@ -362,55 +369,26 @@ def section6_curve(t: float) -> float:
     return 2.0 * (3.0 * t - 3.0) / (2.0 + 3.0 * t + 3.0 / t)
 
 
-def golden_section_minimize(
-    f: Callable[[float], float],
-    lo: float,
-    hi: float,
-    iters: int = 90,
-) -> Tuple[float, float]:
-    """Golden-section search for a unimodal minimum on [lo, hi], in
-    ``iters`` steps (an integer >= 0, else ValueError)."""
-    iters = _check_integer("iters", iters, 0)
-    a, b = float(lo), float(hi)
-    if not (math.isfinite(a) and math.isfinite(b)) or a >= b:
-        raise ValueError(
-            f"need finite bounds with lo < hi, got lo={lo!r}, hi={hi!r}"
-        )
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    for _ in range(iters):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2.0
-    return x, f(x)
-
-
 def _curve_params(t: float) -> ChessParams222:
     return ChessParams222(a=1.0, b=t, c=t, d=1.0 / t,
                           r=(1.0, 0.0, 0.0, 0.0), phi=(0.0, 0.0, 0.0, 0.0))
 
 
 def reproduce_section6() -> Dict[str, object]:
-    """Minimize the closed-form curve and confirm via the matrix route.
+    """The closed-form curve's minimum, confirmed via the matrix route.
 
-    Returns the golden-section minimizer and minimum, the independent
-    matrix-trace value of the same witness expectation at the
-    minimizer, the curve value at the reference parameter
-    ``SECOND_CASE_T``, and detection facts for three diagnostic states
-    with unit diagonal: couplings (1, 1, 0, 0) and (1, 1, 0.6, 0.6)
-    sit on the detection boundary (all family minima vanish up to
-    rounding), while (1, 1, 0.6, 0.3) is detected by the conical and
-    spherical families.
+    Returns the minimizer t* = (2 sqrt(6) - 3) / 5, the positive root of
+    f'(t) = 6 (5t^2 + 6t - 3) / (3t^2 + 2t + 3)^2, and the minimum
+    f(t*), the independent matrix-trace value of the same witness
+    expectation at the minimizer, the curve value at the reference
+    parameter ``SECOND_CASE_T``, and detection facts for three
+    diagnostic states with unit diagonal: couplings (1, 1, 0, 0) and
+    (1, 1, 0.6, 0.6) sit on the detection boundary (all family minima
+    vanish up to rounding), while (1, 1, 0.6, 0.3) is detected by the
+    conical and spherical families.
     """
-    argmin_t, min_value = golden_section_minimize(section6_curve, 0.01, 2.0)
+    argmin_t = (2.0 * math.sqrt(6.0) - 3.0) / 5.0
+    min_value = section6_curve(argmin_t)
     w = build_witness("poly1:1101")
     rho = build_rho_222(_curve_params(argmin_t))
     matrix_value = float(np.trace(rho @ w).real)

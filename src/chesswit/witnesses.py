@@ -1000,14 +1000,17 @@ def detection_conditions(params: ChessParams222) -> Dict[str, object]:
 
 # --- numerical product-state minimization --------------------------------------
 
+#: The see-saw's stop rule: at most ``_PASSES`` passes, and none after
+#: one in which no start's value moved by ``_STOP`` or more.
+_PASSES = 150
+_STOP = 1e-12
+
 
 def min_expectation_over_products(
     w: np.ndarray,
     dims: Sequence[int] = (2, 2, 2),
     starts: int = 64,
-    iters: int = 150,
     seed: int = 0,
-    tol: float = 1e-12,
 ) -> Tuple[float, List[np.ndarray]]:
     """Minimum of <s1 s2 s3| W |s1 s2 s3> over normalized product states.
 
@@ -1015,8 +1018,8 @@ def min_expectation_over_products(
     factor to the minimal eigenvector of its effective operator given
     the other two factors, which is an exact coordinate minimization,
     so the value decreases monotonically. All starts run batched, and
-    the passes stop once no start's value moved by ``tol`` or more, or
-    after ``iters`` passes.
+    the passes stop once no start's value moved by ``_STOP`` or more, or
+    after ``_PASSES`` passes.
 
     Each party carries the real coordinates e_m = <s|G_m|s> of its
     factor (``_coordinates``): the Bloch 4-vector (1, x, y, z) of a
@@ -1052,9 +1055,8 @@ def min_expectation_over_products(
     attaining it; a qubit factor is the spinor of its Bloch vector r,
     the lowest eigenvector of -r.sigma by ``_lowest_eigenpair_2x2``.
 
-    ``dims`` entries, ``starts`` and ``iters`` must be integers >= 1,
-    ``tol`` finite and >= 0, and ``seed`` a non-negative integer;
-    otherwise ValueError.
+    ``dims`` entries and ``starts`` must be integers >= 1, and ``seed``
+    a non-negative integer; otherwise ValueError.
     """
     dims = _check_dims(dims)
     if len(dims) != 3:
@@ -1069,8 +1071,6 @@ def min_expectation_over_products(
     if float(np.abs(w - w.conj().T).max()) > 1e-10 * scale:
         raise ValueError("witness operator must be Hermitian")
     starts = _check_integer("starts", starts, 1)
-    iters = _check_integer("iters", iters, 1)
-    _check_tol("tol", tol)
     _check_seed(seed)
 
     factors = _initial_factors(dims, starts, seed)
@@ -1083,7 +1083,7 @@ def min_expectation_over_products(
                   for p, dp in enumerate(dims)]
 
     energies = np.full(starts, np.inf)
-    for _ in range(iters):
+    for _ in range(_PASSES):
         previous = energies
         for p, (o1, o2) in enumerate(others):
             x = (coords[o1][:, :, None] * coords[o2][:, None, :]
@@ -1094,7 +1094,7 @@ def min_expectation_over_products(
             else:
                 energies, factors[p] = _split_update(c, components[p])
                 coords[p] = _coordinates(factors[p])
-        if np.all(np.abs(energies - previous) < tol):
+        if np.all(np.abs(energies - previous) < _STOP):
             break
     best = int(np.argmin(energies))
     return float(energies[best]), [
@@ -1293,7 +1293,6 @@ def validate_witness(
     dims: Sequence[int] = (2, 2, 2),
     tol: float = 1e-7,
     starts: int = 64,
-    iters: int = 150,
     seed: int = 0,
 ) -> Tuple[bool, float, List[np.ndarray]]:
     """Check nonnegativity of <s|W|s> over product states numerically.
@@ -1303,6 +1302,6 @@ def validate_witness(
     """
     _check_tol("tol", tol)
     value, state = min_expectation_over_products(
-        w, dims=dims, starts=starts, iters=iters, seed=seed
+        w, dims=dims, starts=starts, seed=seed
     )
     return value >= -tol, value, state

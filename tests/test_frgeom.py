@@ -285,7 +285,7 @@ def test_functional_points_rejects_factors_of_the_wrong_shape(make, message):
 
 
 # sha256 of the concatenated bytes of sample_factors(n, seed, d): these
-# are the states feasible_region_check checks, so they must not drift
+# are the states region_points maps, so they must not drift
 SAMPLE_FACTOR_PINS = {
     (20000, 11, 2):
         "7b99808d9c3db11248934873eb56054d1d04641458f4bd989bb93288faabcf9e",
@@ -346,7 +346,7 @@ def test_sample_factors_rejects_non_integer_sizes(kwargs, message):
 def test_feasible_region_rejects_non_integer_sizes(kwargs, message):
     # int() used to report 3 samples for n = 3.9
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        feasible_region_check("cone", **kwargs)
+        region_points("cone", **kwargs)
 
 
 def test_qset_rejects_non_integer_d():
@@ -362,7 +362,7 @@ def test_qset_rejects_non_integer_d():
 def test_feasible_region_rejects_non_integer_levels(kwargs, message):
     # a float level used to fail inside numpy with a bare IndexError
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        feasible_region_check("cone", n=50, d=3, **kwargs)
+        region_points("cone", n=50, d=3, **kwargs)
 
 
 # --- regions ------------------------------------------------------------------------
@@ -495,7 +495,7 @@ def test_feasible_region_rejects_bad_geometry_and_levels():
     with pytest.raises(ValueError, match="unknown geometry"):
         feasible_region_check("torus", n=50)
     with pytest.raises(ValueError, match=r"^beta must be 2\.\.2, got 3$"):
-        feasible_region_check("cone", n=50, d=3, alpha=1, beta=3)
+        region_points("cone", n=50, d=3, alpha=1, beta=3)
     # the levels are named as the caller names them; this read
     # "need 0 <= a < b < d, got a=2, b=1, d=3"
     with pytest.raises(ValueError, match=r"^alpha must be 0\.\.1, got 2$"):
@@ -504,7 +504,8 @@ def test_feasible_region_rejects_bad_geometry_and_levels():
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_feasible_region_qudit(geometry):
-    out = feasible_region_check(geometry, n=5000, seed=3, d=3, alpha=0, beta=2)
+    out = containment_report(geometry, region_points(
+        geometry, n=5000, seed=3, d=3, alpha=0, beta=2))
     assert out["violations"] == 0
     assert out["max_excess"] <= 1e-9
 
@@ -525,12 +526,12 @@ def test_outside_subspace_shrinks_points():
 
 @pytest.mark.parametrize("geometry", GEOMETRIES)
 def test_boundary_sweeps_exact(geometry):
-    out = boundary_curve_check(geometry, samples=801)
+    out = boundary_curve_check(geometry)
     # the astroid's 2/3-power cusp turns 1e-16 rounding at the corner
     # points into ~(1e-16)^(2/3); the quadrics have Lipschitz residuals
     tol = 1e-10 if geometry == "polygon" else 1e-12
     assert out["max_residual"] <= tol, out
-    assert out["samples"] >= 801
+    assert out["samples"] >= 1001
 
 
 def test_boundary_sweep_points_stay_contained():
@@ -552,22 +553,6 @@ def test_boundary_sweep_points_stay_contained():
 def test_boundary_check_unknown_geometry():
     with pytest.raises(ValueError):
         boundary_curve_check("torus")
-
-
-@pytest.mark.parametrize("samples, message", [
-    (2.7, "samples must be an integer, got 2.7"),
-    (True, "samples must be an integer, got True"),
-    (0, "samples must be >= 1, got 0"),
-    (-3, "samples must be >= 1, got -3"),
-])
-def test_boundary_check_rejects_bad_sample_counts(samples, message):
-    # int() made 2.7 two samples and True one; 0 failed in numpy's max
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        boundary_curve_check("polygon", samples)
-
-
-def test_boundary_check_takes_one_sample():
-    assert boundary_curve_check("polygon", np.int64(1))["samples"] == 1
 
 
 # --- single product states ------------------------------------------------

@@ -30,7 +30,6 @@ from chesswit.mcharness import (
     ScanResult,
     _ppt_guard,
     csv_header,
-    golden_section_minimize,
     reproduce_section6,
     run_scan,
     section6_curve,
@@ -192,11 +191,11 @@ def test_run_scan_gives_each_worker_an_equal_share(n, workers, cap, sizes,
     # rows, with workers clamped to the cores first
     chunks = []
 
-    def guard(columns, entries, cells, dims, tol):
+    def guard(start, columns, entries, cells, dims, tol):
         assert len(PPT_SUBSETS) * entries[0].shape[1] ** 2 * len(columns) \
             <= mcharness._GUARD_ENTRIES
         chunks.append(len(columns))
-        return _ppt_guard(columns, entries, cells, dims, tol)
+        return _ppt_guard(start, columns, entries, cells, dims, tol)
 
     created = _serial_pool(monkeypatch)
     monkeypatch.setattr(mcharness.os, "cpu_count", lambda: 2)
@@ -328,17 +327,17 @@ def _forbid_matrices(monkeypatch):
         monkeypatch.setattr(module, name, fail)
 
 
-def test_qudit_scan_solves_eigenvalues_only_in_the_guard(monkeypatch):
-    # the sampler's states are positive by construction, so rho is never
-    # built or eigensolved, and the guard's closed form solves nothing
-    # either; chunks of at most 16 rows at d = 3 and 9 at d = 4
-    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
-    want = [run_scan(30, seed=4, dim=3).rows,
-            run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
-    _forbid_matrices(monkeypatch)
-    got = [run_scan(30, seed=4, dim=3).rows,
-           run_scan(10, seed=4, dim=4, alpha=1, beta=3, gamma=3).rows]
-    assert got == want
+@pytest.mark.parametrize("kwargs, levels", [
+    (dict(dim=2), (None, None, None)),
+    (dict(dim=3), (0, 2, 1)),
+    (dict(dim=4, beta=np.int64(3), gamma=3), (0, 3, 3)),
+])
+def test_run_scan_config_records_the_levels_it_ran(kwargs, levels):
+    # the defaults resolved, as ints: d = 3 recorded None, None, None
+    config = run_scan(3, seed=1, **kwargs).config
+    got = (config["alpha"], config["beta"], config["gamma"])
+    assert got == levels
+    assert [type(v) for v in got] == [type(v) for v in levels]
 
 
 def test_run_scan_qudit():
@@ -373,9 +372,10 @@ def _ghz(entries, row):
     trace[row] = 1.0
 
 
-def _names_row(msg, columns, k):
-    """Whether a guard error names row k of a chunk by its columns."""
-    return (f"row {k} of the chunk (diag={columns.diag[k].tolist()} "
+def _names_row(msg, columns, k, start=0):
+    """Whether a guard error names row k of a chunk whose first row is
+    sample ``start`` by its sample index and its columns."""
+    return (f"sample {start + k} (diag={columns.diag[k].tolist()} "
             f"r={columns.r[k].tolist()} phi={columns.phi[k].tolist()})"
             in msg)
 
@@ -386,7 +386,7 @@ def test_ppt_guard_trips_on_crafted_state():
     chunk = _entries(ParamColumns.of([params]))
     _ghz(chunk[1], 0)
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(*chunk, (2, 2, 2))
+        _ppt_guard(0, *chunk, (2, 2, 2))
     msg = str(err.value)
     assert _names_row(msg, chunk[0], 0)
     assert msg.endswith("least partial-transpose eigenvalue -0.5 "
@@ -414,10 +414,10 @@ def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
 
     monkeypatch.setattr(mcharness, "_x_least_eigenvalues", counted)
     chunk = _chunk(18, 5)
-    _ppt_guard(*chunk, (2, 2, 2))
+    _ppt_guard(0, *chunk, (2, 2, 2))
     _ghz(chunk[1], 2)
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(*chunk, (2, 2, 2))
+        _ppt_guard(0, *chunk, (2, 2, 2))
     assert shapes == [(5, 8)] * 2
     msg = str(err.value)
     assert _names_row(msg, chunk[0], 2)
@@ -425,11 +425,36 @@ def test_ppt_guard_names_the_failing_row_of_a_chunk(rows_per_call,
     assert "least partial-transpose eigenvalue -0.5 " in msg
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_scan_guard_names_the_sample_index_of_a_later_chunk(dim,
+                                                            monkeypatch):
+    # sample 20 is row 7 of the second of three chunks (13, 13, 14
+    # rows); the error names it as the CSV index and (seed, i) do
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES",
+                        16 * 6 * (4 * dim) ** 2)
+    failing = []
+
+    def sampler(seed, start, stop, levels):
+        columns = sample_chunk(seed, start, stop, levels)
+        if start <= 20 < stop:
+            columns.r[20 - start] = 3.0    # moduli above 1 break PPT
+            failing.append((columns, start))
+        return columns
+
+    monkeypatch.setattr(mcharness, "sample_chunk", sampler)
+    with pytest.raises(RuntimeError) as err:
+        run_scan(40, seed=3, dim=dim)
+    [(columns, start)] = failing
+    assert start == 13
+    assert _names_row(str(err.value), columns, 7, start)
+    assert "sample 20 (diag=" in str(err.value)
+
+
 def test_ppt_guard_fails_a_nan_minimum():
     chunk = _chunk(19, 4)
     chunk[1][0][3, 1] = math.nan
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(*chunk, (2, 2, 2))
+        _ppt_guard(0, *chunk, (2, 2, 2))
     msg = str(err.value)
     assert _names_row(msg, chunk[0], 3)
     assert "least partial-transpose eigenvalue nan " in msg
@@ -443,7 +468,7 @@ def test_ppt_guard_names_a_row_whose_couplings_chain_blocks():
     columns.r[:] = 1.0
     chunk = _entries(columns)
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(*chunk, (2, 2, 3))
+        _ppt_guard(0, *chunk, (2, 2, 3))
     msg = str(err.value)
     assert _names_row(msg, columns, 0)
     assert msg.endswith("blocks larger than 2 x 2")
@@ -455,7 +480,7 @@ def test_ppt_guard_names_a_row_whose_couplings_chain_blocks():
     for cell in chunk[2][0], chunk[2][2]:
         assert tensorops._x_blocks((2, 2, 3), (cell,)) is not None
     with pytest.raises(RuntimeError) as err:
-        _ppt_guard(*chunk, (2, 2, 3))
+        _ppt_guard(0, *chunk, (2, 2, 3))
     assert "failed the PPT check: the chunk: couplings" in str(err.value)
 
 
@@ -465,7 +490,7 @@ def _guard_outcome(monkeypatch, chunk, dims, tol=1e-10):
     with monkeypatch.context() as patch:
         _forbid_matrices(patch)
         try:
-            _ppt_guard(*chunk, dims, tol)
+            _ppt_guard(0, *chunk, dims, tol)
         except Exception as exc:
             return type(exc), str(exc)
     return None
@@ -680,14 +705,14 @@ def test_closed_form_least_eigenvalue_matches_is_ppt(case):
         # a non-finite gamma-gamma coupling of a colliding gamma
         assert lowest is None
         with pytest.raises(RuntimeError):
-            _ppt_guard(*chunk, dims, tol)
+            _ppt_guard(0, *chunk, dims, tol)
         return
     rho = chessboard.rho_stack(entries, cells)
     finite = np.isfinite(rho).all(axis=(1, 2)) & np.isfinite(entries[2])
     assert np.isnan(lowest).tolist() == (~finite).tolist()
     if not finite.all():
         with pytest.raises(RuntimeError):
-            _ppt_guard(*chunk, dims, tol)
+            _ppt_guard(0, *chunk, dims, tol)
     if not finite.any():
         return
     ok, min_eigs = is_ppt(rho[finite], dims=dims, tol=tol)
@@ -702,9 +727,9 @@ def test_closed_form_least_eigenvalue_matches_is_ppt(case):
 def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
     shapes = []
 
-    def counted(columns, entries, cells, dims, tol):
+    def counted(start, columns, entries, cells, dims, tol):
         shapes.append(entries[0].shape)
-        return _ppt_guard(columns, entries, cells, dims, tol)
+        return _ppt_guard(start, columns, entries, cells, dims, tol)
 
     monkeypatch.setattr(mcharness, "_ppt_guard", counted)
     res = run_scan(40, seed=3, dim=3)
@@ -724,12 +749,18 @@ def test_run_scan_guards_each_chunk_with_one_call(monkeypatch):
     dict(dim=2), dict(dim=3), dict(dim=4), dict(dim=5),
     dict(dim=3, gamma=0), dict(dim=4, beta=3, gamma=3),
     dict(dim=5, alpha=4, beta=1, gamma=1),
+    dict(dim=4, alpha=1, beta=3, gamma=3),
 ])
 @pytest.mark.parametrize("tol", [0.0, 1e-10])
 def test_sampled_scans_build_no_rho_stack_and_solve_nothing(kwargs, tol,
                                                             monkeypatch):
+    # the sampler's states are positive by construction, so rho is never
+    # built or eigensolved, and the guard's closed form solves nothing
+    # either, in one chunk or in several (at most 16 rows at d = 3)
     want = run_scan(60, seed=6, tol=tol, **kwargs).rows
     _forbid_matrices(monkeypatch)
+    assert run_scan(60, seed=6, tol=tol, **kwargs).rows == want
+    monkeypatch.setattr(mcharness, "_GUARD_ENTRIES", 16 * 6 * 144)
     assert run_scan(60, seed=6, tol=tol, **kwargs).rows == want
 
 
@@ -825,7 +856,7 @@ def test_summarize_counts_and_pairs():
     flags[:, 4] = flags[:, :4].any(axis=1)
     res = ScanResult(header=HEADER_222, rows=["x"] * 40, flags=flags,
                      minima=np.zeros((40, 4)), config={})
-    s = summarize(res, batches=4)
+    s = summarize(res)
     assert s["n"] == 40
     assert s["detected"]["poly"]["count"] == 10
     assert s["detected"]["poly"]["percent"] == pytest.approx(25.0)
@@ -837,12 +868,12 @@ def test_summarize_counts_and_pairs():
     assert combo["01"] == pytest.approx(100 * 5 / 40)
     assert combo["00"] == pytest.approx(100 * 25 / 40)
     assert sum(combo.values()) == pytest.approx(100.0)
-    # batch statistics: 4 batches of 10
+    # batch statistics: 20 batches of 2
     stats = s["batch"]["poly"]
-    assert stats["batches"] == 4 and stats["batch_size"] == 10
+    assert stats["batches"] == 20 and stats["batch_size"] == 2
     assert stats["mean"] == pytest.approx(25.0)
     assert stats["std"] == pytest.approx(
-        float(np.std([100.0, 0.0, 0.0, 0.0])))
+        float(np.std([100.0] * 5 + [0.0] * 15)))
 
 
 def test_summarize_real_scan_consistency():
@@ -878,53 +909,14 @@ def test_section6_curve_values():
         section6_curve(0.0)
 
 
-def test_golden_section_on_parabola():
-    x, fx = golden_section_minimize(lambda t: (t - 1.3) ** 2 + 0.25,
-                                    0.0, 4.0)
-    # positional accuracy is limited to ~sqrt(eps) because the function
-    # is flat to machine precision near the minimum; the value is tight
-    assert x == pytest.approx(1.3, abs=1e-7)
-    assert fx == pytest.approx(0.25, abs=1e-14)
-
-
-def test_golden_section_rejects_bad_bounds():
-    for lo, hi in ((1.0, 1.0), (2.0, 1.0), (-math.inf, 1.0),
-                   (0.0, math.inf), (math.nan, 1.0)):
-        with pytest.raises(ValueError):
-            golden_section_minimize(lambda t: t * t, lo, hi)
-
-
-@pytest.mark.parametrize("iters, message", [
-    (2.5, "iters must be an integer, got 2.5"),
-    (True, "iters must be an integer, got True"),
-    (-1, "iters must be >= 0, got -1"),
-])
-def test_golden_section_rejects_bad_step_counts(iters, message):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        golden_section_minimize(lambda t: t * t, -1.0, 1.0, iters)
-
-
-def test_golden_section_takes_zero_steps():
-    assert golden_section_minimize(lambda t: t * t, -1.0, 3.0, 0) == (1.0, 1.0)
-    assert golden_section_minimize(lambda t: t * t, -1.0, 3.0, np.int64(2)) \
-        == golden_section_minimize(lambda t: t * t, -1.0, 3.0, 2)
-
-
-@pytest.mark.parametrize("batches, message", [
-    (2.5, "batches must be an integer, got 2.5"),
-    (True, "batches must be an integer, got True"),
-    (0, "batches must be >= 1, got 0"),
-])
-def test_summarize_rejects_bad_batch_counts(batches, message):
-    # 2.5 and True raised TypeError from reshape; 0 dropped the batches
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        summarize(run_scan(4, seed=1), batches)
-
-
 def test_reproduce_section6():
     out = reproduce_section6()
-    tstar = (-3 + 2 * math.sqrt(6)) / 5
-    assert out["argmin"] == pytest.approx(tstar, abs=1e-7)
+    # the exact minimizer, the positive root of 5t^2 + 6t - 3
+    tstar = out["argmin"]
+    assert tstar == (2 * math.sqrt(6) - 3) / 5
+    assert out["min_value"] == section6_curve(tstar)
+    for t in (tstar - 1e-6, tstar + 1e-6):
+        assert section6_curve(t) >= out["min_value"]
     assert out["min_value"] == pytest.approx(-0.3371173070873836, abs=1e-12)
     assert out["matrix_route_gap"] <= 1e-12
     assert out["second_case_value"] == pytest.approx(-0.33514055768883294,

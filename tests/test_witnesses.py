@@ -1570,7 +1570,10 @@ def test_support_components_of_catalog_witnesses(d):
 
 
 def test_seesaw_calls_eigh_only_for_qudit_parties(monkeypatch):
-    # eigh runs only for a third-party component of three or more levels
+    # eigh runs only for a third-party component of three or more levels;
+    # five passes each
+    monkeypatch.setattr("chesswit.witnesses._PASSES", 5)
+    monkeypatch.setattr("chesswit.witnesses._STOP", 0.0)
     calls = []
     eigh = np.linalg.eigh
 
@@ -1583,33 +1586,26 @@ def test_seesaw_calls_eigh_only_for_qudit_parties(monkeypatch):
                    ("sph:300:122:0@1,3", 4), ("poly2:0110@2,3", 4)):
         min_expectation_over_products(
             build_witness(wid, psi=0.3, eta=0.5, zeta=0.7, d=d),
-            dims=(2, 2, d), starts=8, iters=5, tol=0.0)
+            dims=(2, 2, d), starts=8)
     assert calls == []
     rng = np.random.default_rng(3)
     min_expectation_over_products(_random_hermitian(rng, 12), dims=(2, 2, 3),
-                                  starts=8, iters=5, tol=0.0)
+                                  starts=8)
     assert calls == [(8, 3, 3)] * 5
     calls.clear()
     w = _block_diagonal_on_party3(rng, 5, [[0, 2, 4], [1], [3]])
-    min_expectation_over_products(w, dims=(2, 2, 5), starts=8, iters=5,
-                                  tol=0.0)
+    min_expectation_over_products(w, dims=(2, 2, 5), starts=8)
     assert calls == [(8, 3, 3)] * 5
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"tol": math.nan}, "tol must be finite and >= 0, got nan"),
-    ({"tol": math.inf}, "tol must be finite and >= 0, got inf"),
-    ({"tol": -1.0}, "tol must be finite and >= 0, got -1.0"),
-    ({"tol": -1e-300}, "tol must be finite and >= 0"),
-    ({"iters": 0}, "iters must be >= 1, got 0"),
-    ({"iters": -3}, "iters must be >= 1, got -3"),
     ({"seed": -1}, "seed must be a non-negative integer, got -1"),
     ({"seed": 1.5}, "seed must be a non-negative integer, got 1.5"),
     ({"seed": "7"}, "seed must be a non-negative integer, got '7'"),
 ])
 def test_minimizer_rejects_bad_controls(kwargs, message):
-    # a NaN or negative tol never stopped the passes early; seed 1.5 was
-    # truncated to 1 and seed -1 failed inside numpy without naming it
+    # seed 1.5 was truncated to 1 and seed -1 failed inside numpy without
+    # naming it
     with pytest.raises(ValueError, match=message):
         min_expectation_over_products(np.eye(8), starts=2, **kwargs)
 
@@ -1617,10 +1613,9 @@ def test_minimizer_rejects_bad_controls(kwargs, message):
 @pytest.mark.parametrize("kwargs, message", [
     (dict(dims=(2, 2, 2.5)), "dims[2] must be an integer, got 2.5"),
     (dict(starts=2.7), "starts must be an integer, got 2.7"),
-    (dict(iters=3.9), "iters must be an integer, got 3.9"),
 ])
 def test_minimizer_rejects_non_integer_sizes(kwargs, message):
-    # int() used to run these as 2, 2 and 3
+    # int() used to run these as 2 and 2
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         min_expectation_over_products(np.eye(8), **kwargs)
 
@@ -1682,12 +1677,6 @@ def test_substituted_coeffs_rejects_rho_of_the_wrong_shape(shape, d):
     message = f"rho must have shape ({4 * d}, {4 * d}), got {shape}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         substituted_coeffs(np.zeros(shape), d, 0, 1)
-
-
-def test_validate_witness_rejects_zero_iters():
-    # zero passes left the minimum at +inf, a "valid" verdict for -I
-    with pytest.raises(ValueError, match="iters must be >= 1"):
-        validate_witness(-np.eye(8), iters=0)
 
 
 def test_minimizer_accepts_numpy_integer_seed():
