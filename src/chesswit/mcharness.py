@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -271,6 +270,9 @@ def run_scan(
     if workers <= 1:
         results = list(map(_chunk_rows, tasks))
     else:
+        # imported here: multiprocessing would add to every import of
+        # the package, and a serial scan never needs it
+        from concurrent.futures import ProcessPoolExecutor
         executor = ProcessPoolExecutor(max_workers=workers)
         try:
             results = list(executor.map(_chunk_rows, tasks))

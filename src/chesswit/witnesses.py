@@ -100,13 +100,17 @@ Aggregate detection verdicts over whole families reduce to small
 tables in the state parameters (``detection_conditions``).
 ``min_expectation_over_products`` provides the independent numerical
 route: the exact minimum of <s|W|s> over product states via
-multi-start alternating per-party eigenvector updates on real
-coordinates. A qubit party moves in closed form on its Bloch vector; a
-qudit party solves its effective operator per connected component of
-W's support on it, so ``eigh`` runs only for a component of three or
-more levels, which no catalog witness has. The starts' seed states come
-from one ``chessboard.stream_words`` pass, bit-equal to one
-``SeedSequence((seed, s))`` per start.
+multi-start alternating per-party eigenvector updates. Every party
+moves on the real coordinates <s|G_m|s> of its factor; complex factors
+appear only at the start, drawn for all starts from one
+``chessboard.stream_words`` pass (bit-equal to one
+``SeedSequence((seed, s))`` per start), and at the end, built once for
+the best start. A qubit party moves in closed form on its Bloch
+vector. Any other party is solved per connected component of W's
+support on it: a level pair is a qubit in disguise and moves by the
+same closed form, a single level reads its diagonal, and ``eigh`` runs
+only for a component of three or more levels, which no catalog witness
+has.
 """
 
 from __future__ import annotations
@@ -1030,18 +1034,24 @@ def min_expectation_over_products(
     operator then has coordinates c = (e_o1 (x) e_o2) @ t_p, one real
     (starts, n_o1 n_o2) by (n_o1 n_o2, n_p) product per update.
 
-    A qubit party (d_p = 2) needs no eigensolver: the least of
-    c0 + c.r over unit r is c0 - |c|, at r = -c/|c| (+z where c = 0).
-    Any other party assembles H = sum c_m G_m and solves it per
-    connected component of W's support on that party, found once per
-    call from the exact zeros of t_p (``_support_components``): a
-    one-level component reads its diagonal entry, a two-level one goes
-    through ``_lowest_eigenpair_2x2``, and only a component of three or
-    more levels calls ``eigh``. The first strictly lowest component, in
-    level order, wins. A catalog witness at d >= 3 acts on the third
-    party through I_d or a Pauli on its levels (A, B), so its support
-    splits into {A, B} and singletons and no ``eigh`` runs; a dense W
-    is one component, one ``eigh`` of (starts, d_p, d_p) per pass.
+    No party carries a complex vector between passes. A qubit party
+    (d_p = 2) needs no eigensolver: the least of c0 + c.r over unit r
+    is c0 - |c|, at r = -c/|c| (+z where c = 0; ``_bloch_update``).
+    Any other party is solved per connected component of W's support
+    on it, found once per call from the exact zeros of t_p
+    (``_support_components``), and keeps the winner's coordinates and
+    the index of its component (``_split_update``). A one-level
+    component {a} reads c_a. A two-level component {a, b} with
+    coordinates (c_a, c_b, c_X, c_Y) is the qubit ((c_a + c_b)/2, c_X,
+    c_Y, (c_a - c_b)/2) for ``_bloch_update``, and its Bloch row
+    (1, x, y, z) gives the party p_a = (1 + z)/2, p_b = (1 - z)/2 and
+    the pair terms x, y. Only a component of three or more levels
+    assembles its block of H for ``eigh``. The first strictly lowest
+    component, in level order, wins. A catalog witness at d >= 3 acts
+    on the third party through I_d or a Pauli on its levels (A, B), so
+    its support splits into {A, B} and singletons and no ``eigh`` runs;
+    a dense W is one component, one ``eigh`` of (starts, d_p, d_p) per
+    pass.
 
     Start ``s`` draws its initial factors from a dedicated PCG64 stream
     seeded as by ``SeedSequence((seed, s))``, from one
@@ -1052,8 +1062,10 @@ def min_expectation_over_products(
     start's initial factors do not depend on how the draw is split.
     Results are deterministic and the minimum over starts is monotone
     in ``starts``. Returns the best value and the three unit factors
-    attaining it; a qubit factor is the spinor of its Bloch vector r,
-    the lowest eigenvector of -r.sigma by ``_lowest_eigenpair_2x2``.
+    attaining it, built once after the passes: a qubit factor is the
+    ``_spinor`` of its Bloch vector r, the lowest eigenvector of
+    -r.sigma by ``_lowest_eigenpair_2x2``, and any other factor lies
+    on its winning component (``_factor``).
 
     ``dims`` entries and ``starts`` must be integers >= 1, and ``seed``
     a non-negative integer; otherwise ValueError.
@@ -1073,14 +1085,14 @@ def min_expectation_over_products(
     starts = _check_integer("starts", starts, 1)
     _check_seed(seed)
 
-    factors = _initial_factors(dims, starts, seed)
-    coords = [_coordinates(f) for f in factors]
+    coords = [_coordinates(f) for f in _initial_factors(dims, starts, seed)]
     t = _coefficient_tensor(w, dims)
     others = ((1, 2), (0, 2), (0, 1))
     blocks = [np.ascontiguousarray(t.transpose(o1, o2, p))
               .reshape(-1, t.shape[p]) for p, (o1, o2) in enumerate(others)]
     components = [None if dp == 2 else _support_components(blocks[p], dp)
                   for p, dp in enumerate(dims)]
+    winners = [None] * 3
 
     energies = np.full(starts, np.inf)
     for _ in range(_PASSES):
@@ -1092,14 +1104,15 @@ def min_expectation_over_products(
             if components[p] is None:
                 energies, coords[p] = _bloch_update(c)
             else:
-                energies, factors[p] = _split_update(c, components[p])
-                coords[p] = _coordinates(factors[p])
-        if np.all(np.abs(energies - previous) < _STOP):
+                energies, coords[p], winners[p] = _split_update(
+                    c, components[p])
+        if (abs(energies - previous) < _STOP).all():
             break
     best = int(np.argmin(energies))
     return float(energies[best]), [
-        f[best].copy() if comps is not None else _spinor(e[best])
-        for f, e, comps in zip(factors, coords, components)]
+        _spinor(e[best]) if comps is None
+        else _factor(e[best], comps[k[best]])
+        for e, comps, k in zip(coords, components, winners)]
 
 
 @lru_cache(maxsize=None)
@@ -1159,10 +1172,13 @@ def _bloch_update(c: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     c, and the minimizing Bloch rows (1, r): r = -c/|c|, +z where the
     vector part c is 0 (the H = c0 I case)."""
     norm = np.hypot(np.hypot(c[:, 1], c[:, 2]), c[:, 3])
-    flat = norm == 0.0
-    coords = c / -np.where(flat, 1.0, norm)[:, None]
+    if norm.all():
+        coords = c / -norm[:, None]
+    else:
+        flat = norm == 0.0
+        coords = c / -np.where(flat, 1.0, norm)[:, None]
+        coords[flat, 1:] = (0.0, 0.0, 1.0)
     coords[:, 0] = 1.0
-    coords[flat, 1:] = (0.0, 0.0, 1.0)
     return c[:, 0] - norm, coords
 
 
@@ -1182,9 +1198,11 @@ def _support_components(block: np.ndarray, d: int
     (rows, d^2) ``block``, so that the effective operator of every state
     of the other parties is block diagonal on the components.
 
-    Each component is its levels and the row-major flat indices of its
-    block of H in the entries (H_aa, then H_ab and then H_ba for the
-    pairs a < b) that ``_split_update`` lays out.
+    Each component is its levels L and the columns, among the party's
+    coordinates, of the coordinates of a factor on L: the populations
+    of L, then the 2 Re and then the 2 Im terms of its pairs
+    L[i] < L[j] in ``_upper_pairs`` order, which is the ``_coordinates``
+    layout of a len(L)-level factor.
     """
     a, b = _upper_pairs(d)
     used = (block != 0.0).any(axis=0)
@@ -1193,47 +1211,84 @@ def _support_components(block: np.ndarray, d: int
     for i, j in zip(a[joined], b[joined]):
         low, high = sorted((label[i], label[j]))
         label = [low if k == high else k for k in label]
-    entry = np.empty((d, d), dtype=np.intp)
-    entry[range(d), range(d)] = range(d)
-    entry[a, b] = d + np.arange(len(a))
-    entry[b, a] = d + len(a) + np.arange(len(a))
+    pair = np.zeros((d, d), dtype=np.intp)
+    pair[a, b] = np.arange(len(a))
     components = []
     for k in sorted(set(label)):
         levels = np.flatnonzero(np.array(label) == k)
-        components.append((levels, entry[np.ix_(levels, levels)].ravel()))
+        i, j = _upper_pairs(len(levels))
+        index = pair[levels[i], levels[j]]
+        components.append((levels, np.concatenate(
+            [levels, d + index, d + len(a) + index])))
     return components
+
+
+#: A two-level component's coordinates (p_a, p_b, 2 Re, 2 Im) times
+#: ``_PAIR`` are the qubit coordinates (c0, cx, cy, cz) of its
+#: effective operator, c0 I + c.sigma on the levels (a, b); a Bloch row
+#: (1, x, y, z) times ``_PAIR.T`` is the pair's factor coordinates
+#: ((1 + z)/2, (1 - z)/2, x, y).
+_PAIR = np.array([[0.5, 0.0, 0.0, 0.5],
+                  [0.5, 0.0, 0.0, -0.5],
+                  [0.0, 1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0, 0.0]])
 
 
 def _split_update(c: np.ndarray, components: List[Tuple[np.ndarray,
                                                           np.ndarray]]
-                  ) -> Tuple[np.ndarray, np.ndarray]:
-    """Least eigenvalue and unit eigenvector of H = sum_m c_m G_m for each
-    row of the (n, d^2) coordinates c, solved per component of
+                  ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Least eigenvalue of H = sum_m c_m G_m for each row of the (n, d^2)
+    coordinates c, the coordinates of a minimizing unit factor and the
+    index of the component that holds it, solved per component of
     ``_support_components``: a one-level component reads its diagonal
-    entry, a two-level one goes through ``_lowest_eigenpair_2x2`` and a
-    larger one through ``eigh``. The first strictly lowest component
-    wins."""
-    n, d = len(c), sum(len(levels) for levels, _ in components)
-    pairs = (c.shape[1] - d) // 2
-    upper = c[:, d:d + pairs] - 1j * c[:, d + pairs:]
-    entries = np.concatenate([c[:, :d], upper, upper.conj()], axis=1)
+    coordinate, a two-level one is a qubit for ``_bloch_update`` through
+    ``_PAIR``, and only a larger one assembles its block of H (lower
+    triangle) for ``eigh``. The first strictly lowest component wins."""
+    n = len(c)
     energies = np.empty((n, len(components)))
-    vectors = np.zeros((n, len(components), d), dtype=np.complex128)
-    for k, (levels, index) in enumerate(components):
+    coords = np.zeros((n, len(components), c.shape[1]))
+    for k, (levels, columns) in enumerate(components):
         if len(levels) == 1:
-            energies[:, k] = c[:, levels[0]]
-            vectors[:, k, levels[0]] = 1.0
+            energies[:, k] = c[:, columns[0]]
+            coords[:, k, columns[0]] = 1.0
         elif len(levels) == 2:
-            energies[:, k], vectors[:, k, levels] = \
-                _lowest_eigenpair_2x2(entries[:, index])
+            energies[:, k], bloch = _bloch_update(c[:, columns] @ _PAIR)
+            coords[:, k, columns] = bloch @ _PAIR.T
         else:
-            eigvals, eigvecs = np.linalg.eigh(
-                entries[:, index].reshape(n, len(levels), len(levels)))
+            m = len(levels)
+            i, j = _upper_pairs(m)
+            h = np.zeros((n, m, m), dtype=np.complex128)
+            h[:, range(m), range(m)] = c[:, columns[:m]]
+            h[:, j, i] = (c[:, columns[m:m + len(i)]]
+                          + 1j * c[:, columns[m + len(i):]])
+            eigvals, eigvecs = np.linalg.eigh(h)
             energies[:, k] = eigvals[:, 0]
-            vectors[:, k, levels] = eigvecs[:, :, 0]
-    best = np.argmin(energies, axis=1)
+            coords[:, k, columns] = _coordinates(eigvecs[:, :, 0])
+    best = energies.argmin(axis=1)
     rows = np.arange(n)
-    return energies[rows, best], vectors[rows, best]
+    return energies[rows, best], coords[rows, best], best
+
+
+def _factor(e: np.ndarray, component: Tuple[np.ndarray, np.ndarray]
+            ) -> np.ndarray:
+    """Unit factor of a party that is not a qubit, from its coordinates
+    e, on the levels of the ``component`` that holds it: the ``_spinor``
+    of a two-level component's Bloch row, else the column of the
+    projector |s><s| that the coordinates give at its largest
+    population, normalized (the basis vector of a one-level one)."""
+    levels, columns = component
+    s = np.zeros(math.isqrt(len(e)), dtype=np.complex128)
+    q, m = e[columns], len(levels)
+    if m == 2:
+        s[levels] = _spinor(np.array([1.0, q[2], q[3], q[0] - q[1]]))
+    else:
+        i, j = _upper_pairs(m)
+        rho = np.diag(q[:m] + 0j)
+        rho[j, i] = (q[m:m + len(i)] + 1j * q[m + len(i):]) / 2.0
+        rho[i, j] = rho[j, i].conj()
+        column = rho[:, np.argmax(q[:m])]
+        s[levels] = column / np.linalg.norm(column)
+    return s
 
 
 def _lowest_eigenpair_2x2(h: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,13 @@
 """Tests for the Monte Carlo scan harness and the deterministic
 curve reproduction."""
 
+import concurrent.futures
 import hashlib
 import io
 import math
 import re
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -162,8 +165,20 @@ def _serial_pool(monkeypatch):
         def shutdown(self):
             pass
 
-    monkeypatch.setattr(mcharness, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
     return created
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # a serial scan never forks, so the pool is imported only when a scan
+    # asks for workers
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, chesswit.cli; "
+         "print('concurrent.futures.process' in sys.modules)"],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def test_run_scan_clamps_workers(monkeypatch):

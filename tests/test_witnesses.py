@@ -70,6 +70,7 @@ from chesswit.witnesses import (
     _pair_coeffs,
     _pair_gather,
     _parsed_spec,
+    _split_update,
     _support_components,
     _table,
 )
@@ -1397,6 +1398,43 @@ def test_seesaw_matches_einsum_oracle():
     assert verdicts == {True, False}
 
 
+#: (id, psi, eta, zeta, seed, float.hex of the minimum, sha256 of the
+#: factors' bytes) of one catalog witness per family at d = 2, 64 starts.
+SEESAW_PINS = [
+    ("poly1:0110", 0.0, 0.0, 0.0, 11, "-0x1.0000000000000p-52",
+     "658273f2e09211c326f51b7677bb81fabbf9c008b8ad98a4e85c6a4302c365ca"),
+    ("poly2:1011", 0.0, 0.0, 0.0, 12, "-0x1.0000000000000p-52",
+     "9b6c1d1da7526b8c73057006675b435064aa6553cbb9167ce785fe67ae98589c"),
+    ("con:330:212:1:-", 0.7, 0.0, 0.0, 13, "-0x1.8000000000000p-52",
+     "074a887d32633c859b0d69aeac026b2a1052bbdbd9fa1589c890b0307afd32f4"),
+    ("conp:033:112:0:+", 2.3, 0.0, 0.0, 14, "-0x1.0000000000000p-52",
+     "b3f21053e4a294b87762ae9d0323c742b3b9a5c5cb5892845d61e541f111cd1f"),
+    ("cyl:030:221:01", 1.1, 0.0, 0.0, 15, "-0x1.8000000000000p-52",
+     "ce0b6001e350db44a78c185f71e8faac881f8ebb05e1f9f85cc9eb97b7e62986"),
+    ("cylp:003:121:10", 4.0, 0.0, 0.0, 16, "0x0.0p+0",
+     "664505c91f48206776da6f796d28551ef86d5f782fd399b07f66df62b3040647"),
+    ("sph:300:212:1", 0.0, 1.2, 0.4, 17, "0x1.0000000000000p-54",
+     "fff178fb669db59f6ae273dc6c6c2e77833898fab01f7250b19ca0756862141d"),
+    ("sphp:030:211:0", 0.0, 2.5, 5.1, 18, "-0x1.8000000000000p-52",
+     "293c715529aa1dc816370094e98e6806e6204344bed886cd87f0a84356c6a87e"),
+]
+
+
+@pytest.mark.parametrize("wid, psi, eta, zeta, seed, value_hex, digest",
+                         SEESAW_PINS)
+def test_seesaw_d2_minimum_and_factors_pinned(wid, psi, eta, zeta, seed,
+                                              value_hex, digest):
+    """Qubit parties move by the same arithmetic as when the pins were
+    taken: at commit 64c4c2c, before the parties of other dimensions
+    moved on real coordinates, so a d = 2 minimum and its factors are
+    bit-equal to that see-saw's."""
+    w = build_witness(wid, psi=psi, eta=eta, zeta=zeta)
+    value, factors = min_expectation_over_products(w, starts=64, seed=seed)
+    assert value.hex() == value_hex
+    assert hashlib.sha256(b"".join(f.tobytes() for f in factors)
+                          ).hexdigest() == digest
+
+
 def _hermitian_2x2_cases():
     """(n, 4) rows (h00, h01, h10, h11) of Hermitian 2x2 matrices: random
     at scales 1e-8..1e8, exactly and nearly degenerate, diagonal with
@@ -1455,6 +1493,56 @@ def test_lowest_eigenpair_2x2_takes_the_hermitian_part():
     np.testing.assert_allclose(lam, vals[:, 0], rtol=0, atol=1e-14)
     overlap = np.abs(np.sum(vecs[:, :, 0].conj() * vec, axis=1))
     np.testing.assert_allclose(overlap, 1.0, rtol=0, atol=1e-12)
+
+
+def test_pair_component_update_matches_eigh():
+    # a two-level party in the qudit layout: one component {0, 1}
+    h = _hermitian_2x2_cases()
+    c = np.stack([h[:, 0].real, h[:, 3].real, h[:, 1].real, -h[:, 1].imag],
+                 axis=1)
+    components = _support_components(np.ones((1, 4)), 2)
+    assert [(list(levels), list(columns)) for levels, columns
+            in components] == [([0, 1], [0, 1, 2, 3])]
+    energy, coords, winner = _split_update(c, components)
+    want = np.linalg.eigh(h.reshape(-1, 2, 2))[0]
+    eps = np.finfo(float).eps
+    norm = np.abs(want).max(axis=1)                  # spectral norm of H
+    assert np.all(np.abs(energy - want[:, 0]) <= 4 * eps * norm)
+    np.testing.assert_array_equal(winner, 0)
+    # the coordinates are a unit factor's, and they give back the energy
+    p_a, p_b, x, y = coords.T
+    assert np.all(np.abs(p_a + p_b - 1.0) <= 2 * eps)
+    assert np.all(np.abs(x * x + y * y - 4 * p_a * p_b) <= 8 * eps)
+    assert np.all(np.abs((c * coords).sum(axis=1) - energy) <= 8 * eps * norm)
+    scalar = (h[:, 0] == h[:, 3]) & (h[:, 1] == 0)  # H = cI: level a
+    np.testing.assert_array_equal(coords[scalar],
+                                  [[1.0, 0.0, 0.0, 0.0]] * scalar.sum())
+
+
+def _level_coupling(d, a, b):
+    """E_ab + E_ba on d levels."""
+    m = np.zeros((d, d))
+    m[a, b] = m[b, a] = 1.0
+    return m
+
+
+@pytest.mark.parametrize("h3, levels", [
+    # the pair {1, 2} and the singleton {0} both reach -1: {0} wins
+    (np.diag([-1.0, 0.0, 0.0]) + _level_coupling(3, 1, 2), [0]),
+    # the pair {0, 1} and the singleton {2} both reach -1: {0, 1} wins
+    (np.diag([0.0, 0.0, -1.0]) + _level_coupling(3, 0, 1), [0, 1]),
+])
+def test_seesaw_tie_goes_to_the_lower_level_component(h3, levels):
+    w = np.kron(np.eye(4), h3)
+    block = _party3_block(w, 3)
+    components = _support_components(block, 3)
+    winner = [list(comp) for comp, _ in components].index(levels)
+    energy, _, best = _split_update(block[:1], components)
+    assert (energy[0], best[0]) == (-1.0, winner)
+    value, factors = min_expectation_over_products(w, dims=(2, 2, 3),
+                                                   starts=8)
+    assert value == pytest.approx(-1.0, abs=1e-15)
+    assert list(np.flatnonzero(factors[2])) == levels
 
 
 def _random_hermitian(rng, n):
